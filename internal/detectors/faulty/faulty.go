@@ -20,6 +20,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang/cfg"
+	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -105,8 +106,10 @@ type tool struct {
 }
 
 var (
-	_ detectors.Tool            = (*tool)(nil)
-	_ detectors.ContextAnalyzer = (*tool)(nil)
+	_ detectors.Tool               = (*tool)(nil)
+	_ detectors.ContextAnalyzer    = (*tool)(nil)
+	_ detectors.CompileCacheable   = (*tool)(nil)
+	_ detectors.ExecEngineBindable = (*tool)(nil)
 )
 
 // Wrap decorates inner with deterministic fault injection. A wrapper
@@ -137,6 +140,17 @@ func (t *tool) WithCompileCache(cc *cfg.Cache) detectors.Tool {
 		return t
 	}
 	return &tool{inner: cct.WithCompileCache(cc), cfg: t.cfg, attempts: map[string]int{}}
+}
+
+// WithExecEngine forwards execution-engine binding to the wrapped tool
+// when it supports it, so a wrapped dynamic tool executes through the
+// campaign's shared engine instead of compiling every service privately.
+func (t *tool) WithExecEngine(eng *compile.Engine) detectors.Tool {
+	et, ok := t.inner.(detectors.ExecEngineBindable)
+	if !ok {
+		return t
+	}
+	return &tool{inner: et.WithExecEngine(eng), cfg: t.cfg, attempts: map[string]int{}}
 }
 
 // Analyze implements detectors.Tool. ModeHang under a plain Analyze call

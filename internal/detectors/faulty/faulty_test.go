@@ -8,6 +8,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
+	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -223,5 +224,44 @@ func TestUnaffectedCasesDelegate(t *testing.T) {
 	}
 	if delegated == 0 {
 		t.Fatal("rate 0.2 affected every case; placement hash is broken")
+	}
+}
+
+// TestWrapperForwardsExecEngine: a wrapped dynamic tool must execute
+// through the engine the campaign binds, not the private engine it was
+// constructed with; a wrapped static tool has nothing to rebind.
+func TestWrapperForwardsExecEngine(t *testing.T) {
+	suite, err := detectors.StandardSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dynamic detectors.Tool
+	for _, tl := range suite {
+		if tl.Name() == "pt-deep" {
+			dynamic = tl
+		}
+	}
+	if dynamic == nil {
+		t.Fatal("standard suite has no pt-deep")
+	}
+	w, err := Wrap(dynamic, Config{Mode: ModePanic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := compile.NewEngine(false)
+	bound := w.(detectors.ExecEngineBindable).WithExecEngine(eng)
+	if bound == w {
+		t.Fatal("WithExecEngine returned the unbound wrapper")
+	}
+	if _, err := bound.Analyze(testCases(t, 5)[0], stats.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := eng.Stats(); hits+misses == 0 {
+		t.Error("wrapped pt-deep did not execute through the bound engine")
+	}
+
+	static := mustWrap(t, Config{Mode: ModePanic})
+	if got := static.(detectors.ExecEngineBindable).WithExecEngine(eng); got != static {
+		t.Error("wrapper of a non-executing tool was rebuilt by WithExecEngine")
 	}
 }

@@ -12,12 +12,6 @@ import (
 	"github.com/dsn2015/vdbench/internal/stats"
 )
 
-// deltaOrZero wraps harness.ConfusionDelta for use inside resampling
-// closures, mapping errors to a zero delta (counted as sign-unstable).
-func deltaOrZero(a, b *harness.ToolResult, m metrics.Metric, idx []int) (float64, error) {
-	return harness.ConfusionDelta(a, b, m, idx)
-}
-
 // E3Campaign renders the raw campaign results: per-tool confusion
 // matrices, plus the per-kind sink population of the corpus.
 func (r *Runner) E3Campaign(ctx context.Context) (Result, error) {
@@ -118,15 +112,12 @@ func (r *Runner) E4MetricValues(ctx context.Context) (Result, error) {
 	rng := stats.NewRNG(r.cfg.Seed + 4)
 	for i := range camp.Results {
 		res := &camp.Results[i]
+		codes := res.Codes()
 		row := []string{res.Tool}
 		for _, id := range []string{metrics.IDF1, metrics.IDMCC} {
 			m := metrics.MustByID(id)
 			iv, err := stats.BootstrapIndexed(rng.Split(), len(res.Outcomes), bootCfg, func(idx []int) float64 {
-				var c metrics.Confusion
-				for _, j := range idx {
-					c = c.Add(res.Outcomes[j].Confusion())
-				}
-				v, err := m.ValueOr(c, worstFallback(m))
+				v, err := m.ValueOr(codes.Confusion(idx), worstFallback(m))
 				if err != nil {
 					return worstFallback(m)
 				}
@@ -219,6 +210,23 @@ func worstFallback(m metrics.Metric) float64 {
 	return m.Lo
 }
 
+// pairDelta is E7's resampled statistic: the goodness-oriented delta of
+// metric m, tool a minus tool b, over the sinks at idx, with undefined
+// values replaced by the metric's worst value. A metric error counts as a
+// zero delta (sign-unstable).
+func pairDelta(codes harness.PairCodes, m metrics.Metric, idx []int) float64 {
+	ca, cb := codes.Confusions(idx)
+	va, err := m.ValueOr(ca, worstFallback(m))
+	if err != nil {
+		return 0
+	}
+	vb, err := m.ValueOr(cb, worstFallback(m))
+	if err != nil {
+		return 0
+	}
+	return m.Goodness(va) - m.Goodness(vb)
+}
+
 // E7Discrimination measures, for each metric and each adjacent pair in the
 // campaign's F1 ranking, the fraction of workload bootstrap resamples that
 // preserve the sign of the metric delta — the discriminative power of the
@@ -254,18 +262,22 @@ func (r *Runner) E7Discrimination(ctx context.Context) (Result, error) {
 	for i := range cellRNGs {
 		cellRNGs[i] = rng.Split()
 	}
+	// Each pair's outcomes are encoded once as joint one-byte codes; a
+	// resample then only counts codes (see harness.PairCodes).
+	pairCodes := make([]harness.PairCodes, nPairs)
+	for pair := range pairCodes {
+		pairCodes[pair], err = harness.NewPairCodes(&camp.Results[order[pair]], &camp.Results[order[pair+1]])
+		if err != nil {
+			return Result{}, err
+		}
+	}
 	fracs := make([]float64, nPairs*len(ids))
 	err = r.budget.ForEach(len(fracs), func(_, cell int) error {
 		pair, mi := cell/len(ids), cell%len(ids)
-		a := &camp.Results[order[pair]]
-		b := &camp.Results[order[pair+1]]
+		codes := pairCodes[pair]
 		m := metrics.MustByID(ids[mi])
-		frac, err := stats.SignStability(cellRNGs[cell], len(a.Outcomes), r.cfg.BootstrapResamples, func(idx []int) float64 {
-			d, err := deltaOrZero(a, b, m, idx)
-			if err != nil {
-				return 0
-			}
-			return d
+		frac, err := stats.SignStability(cellRNGs[cell], len(codes), r.cfg.BootstrapResamples, func(idx []int) float64 {
+			return pairDelta(codes, m, idx)
 		})
 		if err != nil {
 			return err

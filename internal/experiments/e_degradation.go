@@ -46,6 +46,13 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 	}
 	corpus := baseline.Corpus
 	catalog := metrics.Catalog()
+	// The fault wrappers decorate replays of the baseline, not fresh
+	// tools: an unaffected cell would re-run exactly as it did in the
+	// baseline, so the 16 campaigns below execute no service.
+	tools, err := harness.ReplayTools(baseline)
+	if err != nil {
+		return Result{}, fmt.Errorf("experiments: replay baseline: %w", err)
+	}
 
 	type cell struct {
 		mean, max float64
@@ -58,15 +65,15 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 
 	var ledgerSkip *harness.Campaign // panic mode @10%, for the ledger table
 	for i, rate := range e18Rates {
-		skipCamp, err := r.e18Campaign(ctx, corpus, faulty.ModePanic, rate, harness.DegradedSkip, harness.RetryPolicy{})
+		skipCamp, err := r.e18Campaign(ctx, corpus, tools, faulty.ModePanic, rate, harness.DegradedSkip, harness.RetryPolicy{})
 		if err != nil {
 			return Result{}, err
 		}
-		missCamp, err := r.e18Campaign(ctx, corpus, faulty.ModePanic, rate, harness.DegradedCountMiss, harness.RetryPolicy{})
+		missCamp, err := r.e18Campaign(ctx, corpus, tools, faulty.ModePanic, rate, harness.DegradedCountMiss, harness.RetryPolicy{})
 		if err != nil {
 			return Result{}, err
 		}
-		byzCamp, err := r.e18Campaign(ctx, corpus, faulty.ModeByzantine, rate, harness.DegradedSkip, harness.RetryPolicy{})
+		byzCamp, err := r.e18Campaign(ctx, corpus, tools, faulty.ModeByzantine, rate, harness.DegradedSkip, harness.RetryPolicy{})
 		if err != nil {
 			return Result{}, err
 		}
@@ -128,7 +135,7 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 	// success and a single-retry budget recover every cell; the metric
 	// distortion is exactly zero and the ledger shows the retries that
 	// bought it.
-	transient, err := r.e18Campaign(ctx, corpus, faulty.ModeTransient, 0.10, harness.DegradedSkip, harness.RetryPolicy{MaxRetries: 1})
+	transient, err := r.e18Campaign(ctx, corpus, tools, faulty.ModeTransient, 0.10, harness.DegradedSkip, harness.RetryPolicy{MaxRetries: 1})
 	if err != nil {
 		return Result{}, err
 	}
@@ -174,19 +181,17 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 	}, nil
 }
 
-// e18Campaign runs the standard suite wrapped with fault injection at the
-// given rate. The harness seed matches the baseline campaign, so every
-// unaffected (tool, case) cell draws identically and the measured drift
-// comes from the faults alone. Fault placement is keyed on the experiment
-// seed and is rate-nested: the cases lost at 1% are a subset of those
-// lost at 5%, and so on up the sweep.
-func (r *Runner) e18Campaign(ctx context.Context, corpus *workload.Corpus, mode faulty.Mode, rate float64, policy harness.DegradedPolicy, retry harness.RetryPolicy) (*harness.Campaign, error) {
-	tools, err := detectors.StandardSuite()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: tool suite: %w", err)
-	}
+// e18Campaign runs tools wrapped with fault injection at the given rate.
+// The harness seed matches the baseline campaign, so every unaffected
+// (tool, case) cell answers as it did in the baseline — identically for
+// the standard suite and for its replay — and the measured drift comes
+// from the faults alone. Fault placement is keyed on the experiment seed
+// and is rate-nested: the cases lost at 1% are a subset of those lost at
+// 5%, and so on up the sweep.
+func (r *Runner) e18Campaign(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, mode faulty.Mode, rate float64, policy harness.DegradedPolicy, retry harness.RetryPolicy) (*harness.Campaign, error) {
 	wrapped := make([]detectors.Tool, len(tools))
 	for i, tool := range tools {
+		var err error
 		wrapped[i], err = faulty.Wrap(tool, faulty.Config{Mode: mode, Rate: rate, Seed: r.cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: wrap %s: %w", tool.Name(), err)

@@ -477,3 +477,38 @@ func TestE3MatchesGoldenAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestResamplingExperimentsMatchGoldenAcrossWorkers pins the three experiments
+// whose statistics run on the resampling kernels and on baseline replay
+// (E4's bootstrap intervals, E7's sign stability, E18's fault campaigns)
+// at two worker counts. Regenerate deliberately with:
+//
+//	for e in e4 e7 e18; do go run ./cmd/vdbench -quick -workers 1 $e > internal/experiments/testdata/${e}_golden.txt; done
+func TestResamplingExperimentsMatchGoldenAcrossWorkers(t *testing.T) {
+	ids := []string{"e4", "e7", "e18"}
+	golden := map[string]string{}
+	for _, id := range ids {
+		b, err := os.ReadFile("testdata/" + id + "_golden.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden[id] = string(b)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := QuickConfig()
+		cfg.Workers = workers
+		runner, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			res, err := runner.Run(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.String(); got != golden[id] {
+				t.Fatalf("%s output with workers=%d diverged from the golden snapshot\ngot:\n%s", strings.ToUpper(id), workers, got)
+			}
+		}
+	}
+}

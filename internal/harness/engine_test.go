@@ -4,6 +4,12 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"github.com/dsn2015/vdbench/internal/detectors"
+	"github.com/dsn2015/vdbench/internal/detectors/faulty"
+	"github.com/dsn2015/vdbench/internal/stats"
+	"github.com/dsn2015/vdbench/internal/svclang/compile"
+	"github.com/dsn2015/vdbench/internal/workload"
 )
 
 // TestInterpreterOptionEquivalence pins the Options.Interpreter escape
@@ -69,5 +75,52 @@ func TestAllocBudgetCampaign(t *testing.T) {
 	t.Logf("campaign allocations: %.0f per run (budget %d)", allocs, campaignAllocBudget)
 	if allocs > campaignAllocBudget*1.10 {
 		t.Errorf("campaign allocates %.0f per run, more than 10%% over the %d budget; rerun the measurement and update the budget only for a deliberate cost", allocs, campaignAllocBudget)
+	}
+}
+
+// engineProbe is a stand-in dynamic tool: it reports nothing and records
+// the execution engine it analysed under.
+type engineProbe struct {
+	name   string
+	eng    *compile.Engine
+	record func(name string, eng *compile.Engine)
+}
+
+func (p *engineProbe) Name() string           { return p.name }
+func (p *engineProbe) Class() detectors.Class { return detectors.ClassDAST }
+
+func (p *engineProbe) Analyze(workload.Case, *stats.RNG) ([]detectors.Report, error) {
+	p.record(p.name, p.eng)
+	return nil, nil
+}
+
+func (p *engineProbe) WithExecEngine(eng *compile.Engine) detectors.Tool {
+	clone := *p
+	clone.eng = eng
+	return &clone
+}
+
+// TestBindExecEngineReachesFaultyWrapped: a dynamic tool wrapped for
+// fault injection must be rebound to the campaign's shared engine like
+// a bare one, not keep its private engine behind the wrapper.
+func TestBindExecEngineReachesFaultyWrapped(t *testing.T) {
+	seen := map[string]*compile.Engine{}
+	record := func(name string, eng *compile.Engine) { seen[name] = eng }
+	wrapped, err := faulty.Wrap(&engineProbe{name: "wrapped", record: record}, faulty.Config{Mode: faulty.ModePanic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := bindExecEngine([]detectors.Tool{wrapped, &engineProbe{name: "bare", record: record}}, false)
+	cs := testCorpus(t, 5, 1).Cases[0]
+	for _, tool := range bound {
+		if _, err := tool.Analyze(cs, stats.NewRNG(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen["bare"] == nil {
+		t.Fatal("bare probe was not bound to an engine")
+	}
+	if seen["wrapped"] != seen["bare"] {
+		t.Fatal("faulty-wrapped probe did not run under the campaign's shared engine")
 	}
 }

@@ -39,16 +39,7 @@ type SinkOutcome struct {
 
 // Confusion classifies the outcome into its confusion-matrix cell.
 func (o SinkOutcome) Confusion() metrics.Confusion {
-	switch {
-	case o.Vulnerable && o.Flagged:
-		return metrics.Confusion{TP: 1}
-	case o.Vulnerable:
-		return metrics.Confusion{FN: 1}
-	case o.Flagged:
-		return metrics.Confusion{FP: 1}
-	default:
-		return metrics.Confusion{TN: 1}
-	}
+	return codeCells[o.code()]
 }
 
 // ToolResult aggregates one tool's campaign outcome.
@@ -274,45 +265,6 @@ func (c *Campaign) MetricScores(m metrics.Metric, fallback float64) ([]float64, 
 		out[i] = m.Goodness(v)
 	}
 	return out, nil
-}
-
-// ConfusionDelta computes, for two tools and a metric, the metric delta
-// (goodness-oriented, tool a minus tool b) over a resampled subset of sink
-// outcomes identified by indices into the outcome slices. Both tools must
-// come from the same campaign so their outcome slices align sink-for-sink.
-func ConfusionDelta(a, b *ToolResult, m metrics.Metric, idx []int) (float64, error) {
-	if len(a.Outcomes) != len(b.Outcomes) {
-		return 0, errors.New("harness: tools come from different campaigns")
-	}
-	var ca, cb metrics.Confusion
-	for _, i := range idx {
-		if i < 0 || i >= len(a.Outcomes) {
-			return 0, fmt.Errorf("harness: outcome index %d out of range", i)
-		}
-		ca = ca.Add(a.Outcomes[i].Confusion())
-		cb = cb.Add(b.Outcomes[i].Confusion())
-	}
-	va, err := m.ValueOr(ca, worstValue(m))
-	if err != nil {
-		return 0, err
-	}
-	vb, err := m.ValueOr(cb, worstValue(m))
-	if err != nil {
-		return 0, err
-	}
-	return m.Goodness(va) - m.Goodness(vb), nil
-}
-
-// worstValue returns a pessimistic fallback for undefined metric values in
-// resamples: the worst end of the metric's range (or 0 for unbounded).
-func worstValue(m metrics.Metric) float64 {
-	if !m.Bounded() {
-		return 0
-	}
-	if m.Orientation == metrics.LowerIsBetter {
-		return m.Hi
-	}
-	return m.Lo
 }
 
 // ScoredInstances converts a tool's outcomes into scored instances for

@@ -222,41 +222,66 @@ func TestSinkOutcomeConfusion(t *testing.T) {
 	}
 }
 
-func TestConfusionDelta(t *testing.T) {
+// recallDelta is the recall delta (tool a minus tool b) over the sinks at
+// idx, computed through the joint code table.
+func recallDelta(t *testing.T, codes PairCodes, idx []int) float64 {
+	t.Helper()
+	rec := metrics.MustByID(metrics.IDRecall)
+	ca, cb := codes.Confusions(idx)
+	va, err := rec.Value(ca)
+	if err != nil {
+		return 0
+	}
+	vb, err := rec.Value(cb)
+	if err != nil {
+		return 0
+	}
+	return va - vb
+}
+
+func TestPairCodesFullIndexDelta(t *testing.T) {
 	camp := runCampaign(t, 60)
 	a, _ := camp.ResultFor("ts-aggressive")
 	b, _ := camp.ResultFor("pt-deep")
-	rec := metrics.MustByID(metrics.IDRecall)
+	codes, err := NewPairCodes(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	idx := make([]int, len(a.Outcomes))
 	for i := range idx {
 		idx[i] = i
 	}
-	delta, err := ConfusionDelta(a, b, rec, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Full-index delta must equal the difference of the overall values.
+	delta := recallDelta(t, codes, idx)
+	rec := metrics.MustByID(metrics.IDRecall)
 	va, _ := a.MetricValue(rec)
 	vb, _ := b.MetricValue(rec)
 	if diff := delta - (va - vb); diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("delta = %g, want %g", delta, va-vb)
 	}
-	if _, err := ConfusionDelta(a, b, rec, []int{-1}); err == nil {
-		t.Fatal("bad index accepted")
+	// The full-index matrices are the overall matrices.
+	if ca, cb := codes.Confusions(idx); ca != a.Overall || cb != b.Overall {
+		t.Fatalf("full-index matrices %+v / %+v, want %+v / %+v", ca, cb, a.Overall, b.Overall)
+	}
+	if got := a.Codes().Confusion(idx); got != a.Overall {
+		t.Fatalf("single-tool full-index matrix %+v, want %+v", got, a.Overall)
+	}
+	short := &ToolResult{Outcomes: a.Outcomes[1:]}
+	if _, err := NewPairCodes(a, short); err == nil {
+		t.Fatal("misaligned outcome slices accepted")
 	}
 }
 
-func TestConfusionDeltaWithBootstrap(t *testing.T) {
+func TestPairCodesWithSignStability(t *testing.T) {
 	camp := runCampaign(t, 80)
 	a, _ := camp.ResultFor("ts-aggressive")
 	b, _ := camp.ResultFor("grep-sast")
-	rec := metrics.MustByID(metrics.IDRecall)
-	frac, err := stats.SignStability(stats.NewRNG(3), len(a.Outcomes), 200, func(idx []int) float64 {
-		d, err := ConfusionDelta(a, b, rec, idx)
-		if err != nil {
-			return 0
-		}
-		return d
+	codes, err := NewPairCodes(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frac, err := stats.SignStability(stats.NewRNG(3), len(codes), 200, func(idx []int) float64 {
+		return recallDelta(t, codes, idx)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,10 @@
 // seed.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator based on
 // xoshiro256** with splitmix64 seeding. It is NOT safe for concurrent use;
@@ -90,22 +93,11 @@ func (r *RNG) Intn(n int) int {
 	un := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, un)
+		hi, lo := bits.Mul64(v, un)
 		if lo >= un || lo >= (-un)%un {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + (t >> 32) + (aLo*bHi+t&mask)>>32
-	return hi, lo
 }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).

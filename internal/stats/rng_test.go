@@ -264,21 +264,42 @@ func TestShuffleSwapCount(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
+// TestIntnGolden pins the Intn draw stream: every bootstrap resample and
+// every simulated tool draws through it, so a change to the bounded
+// sampling (the 128-bit multiply, the rejection threshold) would silently
+// shift published numbers. The two large bounds reject a fraction of raw
+// draws (about a quarter for 2^62+1), which the stream-position check
+// below confirms, so Lemire's rejection path is pinned too.
+func TestIntnGolden(t *testing.T) {
 	cases := []struct {
-		a, b   uint64
-		hi, lo uint64
+		n    int
+		want []int
 	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+		{1, []int{0, 0, 0, 0, 0, 0, 0, 0}},
+		{7, []int{3, 2, 0, 6, 4, 2, 5, 5}},
+		{561, []int{291, 176, 70, 508, 367, 184, 477, 432}},
+		{1<<62 + 1, []int{2398402558738190094, 1452936666161881829, 575750518015798560, 3023194771573495320,
+			3926999780561350014, 3553232210725635519, 1584762054126296367, 884321571761036019}},
+		{math.MaxInt64, []int{4796805117476380187, 2905873332323763658, 1151501036031597120, 8359483074515653469,
+			6046389543146990638, 3029023925689926743, 7853999561122700026, 7106464421451271036}},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d, %d) = (%d, %d), want (%d, %d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		r := NewRNG(20150622)
+		for i, want := range c.want {
+			if got := r.Intn(c.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", c.n, i, got, want)
+			}
+		}
+		if c.n == 1<<62+1 {
+			// Eight accepted draws must have consumed more than eight raw
+			// values: at least one was rejected.
+			raw := NewRNG(20150622)
+			for range c.want {
+				raw.Uint64()
+			}
+			if r.Uint64() == raw.Uint64() {
+				t.Errorf("Intn(%d) made no rejection in %d draws", c.n, len(c.want))
+			}
 		}
 	}
 }
