@@ -198,7 +198,10 @@ func BenchmarkAnalyzeOracle(b *testing.B) {
 // cold generates corpora whose service bodies the cache has never seen
 // (a fresh seed per iteration), warm regenerates one fixed corpus whose
 // every ground-truth derivation the cache already holds. BENCH_pr9.json
-// records this pair.
+// records this pair. Fresh seeds still share template bodies with earlier
+// iterations through the content-addressed cache, so "cold" converges on
+// the steady state of a long-running process; run with -benchtime=1x in
+// a fresh process for the truly cold first-corpus cost.
 func BenchmarkCorpusGeneration(b *testing.B) {
 	cfg := workload.Config{Services: 50, TargetPrevalence: 0.35}
 	b.Run("cold", func(b *testing.B) {
@@ -206,21 +209,6 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = uint64(100000 + i)
 			if _, err := workload.Generate(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Fresh seeds still share template bodies with earlier iterations
-	// through the content-addressed cache, so "cold" converges on the
-	// steady state of a long-running process; run with -benchtime=1x in
-	// a fresh process for the truly cold first-corpus cost.
-	b.Run("cold-exhaustive", func(b *testing.B) {
-		ecfg := cfg
-		ecfg.OracleExhaustive = true
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ecfg.Seed = uint64(200000 + i)
-			if _, err := workload.Generate(ecfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -352,8 +340,8 @@ var campaignWorkerCounts = []int{1, 2, 4, 8}
 
 // BenchmarkCampaignWorkers measures the raw campaign harness at several
 // pool sizes over one fixed corpus and tool suite. The output is
-// byte-identical across sub-benchmarks (see TestRunParallelEquivalence in
-// internal/harness); only the wall clock moves.
+// byte-identical across sub-benchmarks (see TestRunCtxWorkerEquivalence
+// in internal/harness); only the wall clock moves.
 func BenchmarkCampaignWorkers(b *testing.B) {
 	corpus, err := workload.Generate(workload.Config{
 		Services:         200,
@@ -371,45 +359,7 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				camp, err := harness.RunParallel(corpus, tools, 1, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(camp.Results) == 0 {
-					b.Fatal("empty campaign")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignEngines prices the execution engines against each
-// other inside one binary: the same 200-service standard-suite campaign
-// on the default bytecode VM versus the reference tree-walking
-// interpreter. Outputs are deep-equal (TestInterpreterOptionEquivalence);
-// only the cost moves. BENCH_pr6.json records this pair.
-func BenchmarkCampaignEngines(b *testing.B) {
-	corpus, err := workload.Generate(workload.Config{
-		Services:         200,
-		TargetPrevalence: 0.35,
-		Seed:             1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tools, err := detectors.StandardSuite()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []struct {
-		name        string
-		interpreter bool
-	}{{"vm", false}, {"interpreter", true}} {
-		b.Run(eng.name, func(b *testing.B) {
-			opts := harness.Options{Seed: 1, Workers: 1, Interpreter: eng.interpreter}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				camp, err := harness.RunCtx(context.Background(), corpus, tools, opts)
+				camp, err := harness.RunCtx(context.Background(), corpus, tools, harness.Options{Seed: 1, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -430,7 +380,7 @@ func BenchmarkSvclangExecuteVM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	req := svclang.Request{"id": "abc123", "mode": "alpha"}
 	if _, err := eng.Execute(svc, req); err != nil { // compile outside the loop
 		b.Fatal(err)
@@ -452,38 +402,6 @@ func BenchmarkE3CampaignWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := experiments.QuickConfig()
 			cfg.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runner, err := experiments.NewRunner(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := runner.Run("e3")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Tables) == 0 {
-					b.Fatal("e3 produced no tables")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE3CampaignEngines prices the execution engines on the
-// standard-suite E3 campaign regenerated end to end — corpus, ground
-// truth and campaign included, everything downstream of the engine
-// switch. This is the ≥10x allocation pair BENCH_pr6.json records; the
-// rendered artefact is byte-identical between sub-benchmarks
-// (TestAllIdenticalInterpreterVsVM in internal/experiments).
-func BenchmarkE3CampaignEngines(b *testing.B) {
-	for _, eng := range []struct {
-		name        string
-		interpreter bool
-	}{{"vm", false}, {"interpreter", true}} {
-		b.Run(eng.name, func(b *testing.B) {
-			cfg := experiments.QuickConfig()
-			cfg.Interpreter = eng.interpreter
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				runner, err := experiments.NewRunner(cfg)

@@ -55,8 +55,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		retries      = fs.Int("retries", 0, "extra attempts for tool errors marked retryable")
 		retryBackoff = fs.Duration("retry-backoff", 0, "wait before the first retry (doubles per retry)")
 		degraded     = fs.String("degraded", "abort", "policy for cases a tool failed on: abort, skip or count-miss")
-		interp       = fs.Bool("interpreter", false, "execute services on the reference tree-walking interpreter instead of the bytecode VM (output is identical, the VM is faster)")
-		oracleExh    = fs.Bool("oracle-exhaustive", false, "derive ground truth with the unpruned exhaustive oracle search instead of the influence-guided one (output is identical, the pruned search is faster)")
 		format       = fs.String("format", "text", "output format: text, csv, markdown or json (tables only for csv/markdown)")
 		outDir       = fs.String("out", "", "also write per-experiment artefacts (.txt, .csv, .svg) into this directory")
 		list         = fs.Bool("list", false, "list the available experiments and exit")
@@ -118,8 +116,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfg.PerToolTimeout = *toolTimeout
 	cfg.Retry = vdbench.RetryPolicy{MaxRetries: *retries, Backoff: *retryBackoff}
 	cfg.Degraded = policy
-	cfg.Interpreter = *interp
-	cfg.OracleExhaustive = *oracleExh
 	target := strings.ToLower(fs.Arg(0))
 
 	// Ctrl-C aborts the campaign at its next (tool, case) cell rather

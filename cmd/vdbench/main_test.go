@@ -154,23 +154,6 @@ func TestRunExecutionPolicyFlagsPreserveOutput(t *testing.T) {
 	}
 }
 
-// TestRunOracleExhaustiveFlagPreservesOutput: the -oracle-exhaustive
-// escape hatch re-derives every label the expensive way; the output
-// must be byte-identical to the default influence-guided derivation
-// (the cache-key exclusion relies on exactly this invariance).
-func TestRunOracleExhaustiveFlagPreservesOutput(t *testing.T) {
-	var pruned, exhaustive strings.Builder
-	if err := run(context.Background(), []string{"-quick", "e3"}, &pruned); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-quick", "-oracle-exhaustive", "e3"}, &exhaustive); err != nil {
-		t.Fatal(err)
-	}
-	if pruned.String() != exhaustive.String() {
-		t.Fatal("-oracle-exhaustive changed the experiment output")
-	}
-}
-
 func TestRunOutDirWritesArtefacts(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder

@@ -75,8 +75,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		retries         = fs.Int("retries", 0, "extra attempts for tool errors marked retryable")
 		retryBackoff    = fs.Duration("retry-backoff", 0, "wait before the first retry (doubles per retry)")
 		degraded        = fs.String("degraded", "abort", "policy for cases a tool failed on: abort, skip or count-miss")
-		interp          = fs.Bool("interpreter", false, "execute services on the reference tree-walking interpreter instead of the bytecode VM (output is identical, the VM is faster)")
-		oracleExh       = fs.Bool("oracle-exhaustive", false, "derive ground truth with the unpruned exhaustive oracle search instead of the influence-guided one (output is identical, the pruned search is faster)")
 		dataDir         = fs.String("data-dir", "", "directory for the durable job store (journal + content-addressed results); empty keeps jobs in memory only")
 		drain           = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight HTTP requests and running campaigns")
 		coordinator     = fs.Bool("coordinator", false, "serve the distributed-campaign coordinator instead of the experiment job API")
@@ -143,8 +141,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	base.PerToolTimeout = *toolTimeout
 	base.Retry = vdbench.RetryPolicy{MaxRetries: *retries, Backoff: *retryBackoff}
 	base.Degraded = policy
-	base.Interpreter = *interp
-	base.OracleExhaustive = *oracleExh
 	if err := base.Validate(); err != nil {
 		return err
 	}

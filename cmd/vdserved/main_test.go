@@ -65,18 +65,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunOracleExhaustiveFlagParses pins the -oracle-exhaustive escape
-// hatch into the flag set: parsing must get past the flag (and then
-// fail on the deliberate positional argument) rather than reject it as
-// undefined.
-func TestRunOracleExhaustiveFlagParses(t *testing.T) {
-	var out syncWriter
-	err := run(context.Background(), []string{"-oracle-exhaustive", "positional"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
-		t.Fatalf("-oracle-exhaustive not accepted by the flag set: %v", err)
-	}
-}
-
 // TestRunServeAndGracefulShutdown boots the daemon on an ephemeral port,
 // drives a job through the live API, then cancels the context (the
 // signal path) and asserts a clean drain.
@@ -281,8 +269,6 @@ func daemonBaseQuick() vdbench.ExperimentConfig {
 	cfg.PerToolTimeout = 0
 	cfg.Retry = vdbench.RetryPolicy{}
 	cfg.Degraded = vdbench.DegradedAbort
-	cfg.Interpreter = false
-	cfg.OracleExhaustive = false
 	return cfg
 }
 

@@ -1,6 +1,7 @@
 package vdbench_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func Example_campaign() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	campaign, err := vdbench.RunCampaign(corpus, tools, 1)
+	campaign, err := vdbench.RunCampaignCtx(context.Background(), corpus, tools, vdbench.CampaignOptions{Seed: 1, Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

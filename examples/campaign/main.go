@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -38,7 +39,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	campaign, err := vdbench.RunCampaign(corpus, tools, 11)
+	campaign, err := vdbench.RunCampaignCtx(context.Background(), corpus, tools, vdbench.CampaignOptions{Seed: 11, Workers: 1})
 	if err != nil {
 		return err
 	}

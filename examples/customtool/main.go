@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -102,7 +103,7 @@ func run() error {
 	}
 	tools = append(tools, custom, combo)
 
-	campaign, err := vdbench.RunCampaign(generated, tools, 5)
+	campaign, err := vdbench.RunCampaignCtx(context.Background(), generated, tools, vdbench.CampaignOptions{Seed: 5, Workers: 1})
 	if err != nil {
 		return err
 	}

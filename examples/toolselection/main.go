@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -70,7 +71,7 @@ func run(scenarioID string) error {
 	if err != nil {
 		return err
 	}
-	campaign, err := vdbench.RunCampaign(corpus, tools, 7)
+	campaign, err := vdbench.RunCampaignCtx(context.Background(), corpus, tools, vdbench.CampaignOptions{Seed: 7, Workers: 1})
 	if err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}

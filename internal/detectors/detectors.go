@@ -94,10 +94,9 @@ type ContextAnalyzer interface {
 
 // ExecEngineBindable is implemented by tools that execute services (the
 // dynamic family). The harness rebinds every such tool in a campaign to
-// one shared execution engine — by default the bytecode VM of
-// internal/svclang/compile, or the reference interpreter when
-// Options.Interpreter asks for it — so compiled programs are shared
-// across tools and workers exactly like the cfg compile cache.
+// one shared execution engine (the bytecode VM of
+// internal/svclang/compile), so compiled programs are shared across
+// tools and workers exactly like the cfg compile cache.
 type ExecEngineBindable interface {
 	Tool
 	// WithExecEngine returns a copy of the tool executing through eng.

@@ -248,7 +248,7 @@ func TestWrapperForwardsExecEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	bound := w.(detectors.ExecEngineBindable).WithExecEngine(eng)
 	if bound == w {
 		t.Fatal("WithExecEngine returned the unbound wrapper")

@@ -85,9 +85,9 @@ type CampaignSpec struct {
 	Suite string `json:"suite"`
 	// Options is the harness execution policy. Seed, Retry.MaxRetries
 	// and Degraded are output-affecting (the latter two only under
-	// injected faults) and enter shard keys; Workers, PerToolTimeout,
-	// Retry.Backoff and Interpreter are operational knobs the byte-
-	// identity guarantee makes output-invariant, so they do not.
+	// injected faults) and enter shard keys; Workers, PerToolTimeout and
+	// Retry.Backoff are operational knobs the byte-identity guarantee
+	// makes output-invariant, so they do not.
 	Options harness.Options `json:"options"`
 	// ShardCases is the number of corpus cases per shard; zero selects
 	// DefaultShardCases.
@@ -123,12 +123,12 @@ func (s CampaignSpec) shardCases() int {
 // ShardKey is the content address of one shard: a SHA-256 over the
 // spec's output-affecting fields and the case range, in the canonical
 // encoding style of experiments.CacheKey (%.17g floats, fixed field
-// order). Operational knobs (Workers, PerToolTimeout, Retry.Backoff,
-// Interpreter, Workload.OracleExhaustive) are excluded for the same
-// reason they are excluded from experiment cache keys: the
-// byte-identity guarantee makes them output-invariant. Retry.MaxRetries and Degraded stay in — under
-// injected faults a retry budget decides whether a cell succeeds, and
-// the policy decides what the merge does with it.
+// order). Operational knobs (Workers, PerToolTimeout, Retry.Backoff)
+// are excluded for the same reason they are excluded from experiment
+// cache keys: the byte-identity guarantee makes them output-invariant.
+// Retry.MaxRetries and Degraded stay in — under injected faults a retry
+// budget decides whether a cell succeeds, and the policy decides what
+// the merge does with it.
 func (s CampaignSpec) ShardKey(lo, hi int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "vdbench-dist-shard-v1\n")
@@ -182,8 +182,8 @@ type corpusCacheEntry struct {
 // and Corpus.Config must echo the requested config exactly for merged
 // campaigns to compare deep-equal with local runs.
 func corpusKey(cfg workload.Config) string {
-	return fmt.Sprintf("services=%d prevalence=%.17g seed=%d kinds=%v mix=%v interpreter=%t oracleexhaustive=%t",
-		cfg.Services, cfg.TargetPrevalence, cfg.Seed, cfg.Kinds, cfg.Mix, cfg.Interpreter, cfg.OracleExhaustive)
+	return fmt.Sprintf("services=%d prevalence=%.17g seed=%d kinds=%v mix=%v",
+		cfg.Services, cfg.TargetPrevalence, cfg.Seed, cfg.Kinds, cfg.Mix)
 }
 
 // corpusFor returns the corpus for cfg, generating it on first use and

@@ -15,6 +15,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/detectors/faulty"
 	"github.com/dsn2015/vdbench/internal/harness"
+	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/telemetry"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
@@ -485,7 +486,6 @@ func TestShardKeyCanonicalization(t *testing.T) {
 	mut.Options.Workers = 7
 	mut.Options.PerToolTimeout = time.Minute
 	mut.Options.Retry.Backoff = time.Second
-	mut.Options.Interpreter = true
 	if mut.ShardKey(0, 8) != key {
 		t.Fatal("shard key sensitive to an operational knob")
 	}
@@ -569,14 +569,58 @@ func TestCorpusCacheReusesCorpora(t *testing.T) {
 	if !reflect.DeepEqual(a.Config, cfg) {
 		t.Fatal("cached corpus does not echo its config")
 	}
-	icfg := cfg
-	icfg.Interpreter = true
-	c, err := corpusFor(icfg)
+	kcfg := cfg
+	kcfg.Kinds = []svclang.SinkKind{svclang.SinkSQL}
+	c, err := corpusFor(kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c == a {
-		t.Fatal("cache conflated interpreter and VM configs")
+		t.Fatal("cache conflated configs that differ in Kinds")
+	}
+}
+
+// TestCorpusKeyCoversEveryConfigField walks workload.Config by
+// reflection, perturbs each leaf in isolation, and demands that the
+// corpus key changes. A field the key missed would let two configs share
+// one cached corpus; adding a Config field without folding it into
+// corpusKey fails here.
+func TestCorpusKeyCoversEveryConfigField(t *testing.T) {
+	cfg := testWorkload(1)
+	cfg.Kinds = []svclang.SinkKind{svclang.SinkSQL}
+	cfg.Mix = workload.DefaultMix()
+	baseKey := corpusKey(cfg)
+
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			name := path + v.Type().Field(i).Name
+			fv := v.Field(i)
+			orig := reflect.ValueOf(fv.Interface())
+			switch fv.Kind() {
+			case reflect.Struct:
+				walk(fv, name+".")
+				continue
+			case reflect.Int:
+				fv.SetInt(fv.Int() + 1)
+			case reflect.Uint64:
+				fv.SetUint(fv.Uint() + 1)
+			case reflect.Float64:
+				fv.SetFloat(fv.Float()*2 + 0.25)
+			case reflect.Slice:
+				fv.Set(reflect.Append(fv, fv.Index(0)))
+			default:
+				t.Fatalf("workload.Config field %s has unhandled kind %s; extend this test and corpusKey", name, fv.Kind())
+			}
+			if corpusKey(cfg) == baseKey {
+				t.Errorf("perturbing %s did NOT change the corpus key; corpusKey is missing this field", name)
+			}
+			fv.Set(orig)
+		}
+	}
+	walk(reflect.ValueOf(&cfg).Elem(), "")
+	if got := corpusKey(cfg); got != baseKey {
+		t.Fatalf("walk did not restore the config (key %s vs %s)", got, baseKey)
 	}
 }
 

@@ -139,8 +139,6 @@ func (r *Runner) E13MicroMacro(ctx context.Context) (Result, error) {
 		TargetPrevalence: r.cfg.Prevalence,
 		Kinds:            skewed,
 		Seed:             r.cfg.Seed + 13,
-		Interpreter:      r.cfg.Interpreter,
-		OracleExhaustive: r.cfg.OracleExhaustive,
 	})
 	if err != nil {
 		return Result{}, err
@@ -149,7 +147,9 @@ func (r *Runner) E13MicroMacro(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	camp, err := harness.RunParallel(corpus, tools, r.cfg.Seed+13, r.cfg.Workers)
+	opts := r.cfg.execOptions()
+	opts.Seed = r.cfg.Seed + 13
+	camp, err := harness.RunCtx(ctx, corpus, tools, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -203,8 +203,6 @@ func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
 		Services:         r.cfg.Services,
 		TargetPrevalence: r.cfg.Prevalence,
 		Seed:             r.cfg.Seed,
-		Interpreter:      r.cfg.Interpreter,
-		OracleExhaustive: r.cfg.OracleExhaustive,
 	})
 	if err != nil {
 		return Result{}, err
@@ -228,7 +226,7 @@ func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	camp, err := harness.RunParallel(corpus, []detectors.Tool{sast, dast, grep, union, inter, maj}, r.cfg.Seed, r.cfg.Workers)
+	camp, err := harness.RunCtx(ctx, corpus, []detectors.Tool{sast, dast, grep, union, inter, maj}, r.cfg.execOptions())
 	if err != nil {
 		return Result{}, err
 	}

@@ -46,7 +46,7 @@ type Config struct {
 	// the bootstrap resampling loops and the experiment drivers
 	// themselves. 0 selects runtime.GOMAXPROCS(0), 1 forces serial
 	// execution. Every output is byte-identical for every value (see
-	// harness.RunParallel, stats.Bootstrap, metricprop.AnalyzeCatalog).
+	// harness.RunCtx, stats.Bootstrap, metricprop.AnalyzeCatalog).
 	Workers int
 	// PerToolTimeout, Retry and Degraded are the campaign execution
 	// policy (see harness.Options). Like Workers, they are operational
@@ -57,19 +57,6 @@ type Config struct {
 	PerToolTimeout time.Duration
 	Retry          harness.RetryPolicy
 	Degraded       harness.DegradedPolicy
-	// Interpreter runs corpus labelling and campaign probing through the
-	// reference tree-walking interpreter instead of the default bytecode
-	// VM (see harness.Options.Interpreter). Outputs are byte-identical
-	// either way — the differential suite and the interpreter≡VM
-	// determinism pin enforce it — so, like the execution-policy knobs
-	// above, the flag is excluded from experiment cache keys.
-	Interpreter bool
-	// OracleExhaustive labels corpora through the unpruned reference
-	// oracle search instead of the default influence-guided one (see
-	// workload.Config.OracleExhaustive). Labels and witnesses are
-	// search-independent — the pruning differential suite enforces it —
-	// so the flag is likewise excluded from experiment cache keys.
-	OracleExhaustive bool
 }
 
 // DefaultConfig returns the configuration used for the published numbers
@@ -149,7 +136,6 @@ func (c Config) execOptions() harness.Options {
 		PerToolTimeout: c.PerToolTimeout,
 		Retry:          c.Retry,
 		Degraded:       c.Degraded,
-		Interpreter:    c.Interpreter,
 	}
 }
 
@@ -288,8 +274,6 @@ func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
 		Services:         r.cfg.Services,
 		TargetPrevalence: r.cfg.Prevalence,
 		Seed:             r.cfg.Seed,
-		Interpreter:      r.cfg.Interpreter,
-		OracleExhaustive: r.cfg.OracleExhaustive,
 	}
 	if r.exec != nil {
 		campaign, err := r.exec.ExecuteCampaign(ctx, wcfg, "standard", r.cfg.execOptions())

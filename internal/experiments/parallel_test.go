@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/dsn2015/vdbench/internal/harness"
 	"github.com/dsn2015/vdbench/internal/metricprop"
 )
 
@@ -70,25 +74,59 @@ func TestAllIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAllIdenticalInterpreterVsVM extends the determinism matrix along
-// the execution-engine axis: the full rendered output of every
-// experiment on the reference tree-walking interpreter must be
-// byte-identical to the bytecode VM's, for several seeds and worker
-// counts. Together with TestAllIdenticalAcrossWorkers this closes the
-// (engine × workers × seed) matrix — the engine switch is a speed knob,
-// never a results knob, which is also why CacheKey may exclude it.
-func TestAllIdenticalInterpreterVsVM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine equality matrix is slow")
+// ownCampaignDrivers are the drivers that build and run a campaign of
+// their own instead of sharing the Runner's cached one.
+func ownCampaignDrivers(r *Runner) map[string]func(context.Context) (Result, error) {
+	return map[string]func(context.Context) (Result, error){
+		"e13": r.E13MicroMacro,
+		"e14": r.E14Combination,
 	}
-	for _, seed := range []uint64{1, 7, 42} {
-		want := renderAll(t, tinyConfig(seed, 1)) // bytecode VM, the default
-		for _, workers := range []int{1, 2, 4, 13} {
-			cfg := tinyConfig(seed, workers)
-			cfg.Interpreter = true
-			if got := renderAll(t, cfg); got != want {
-				t.Fatalf("seed %d: interpreter output at %d workers differs from VM output", seed, workers)
-			}
+}
+
+// TestOwnCampaignDriversHonourCancel: E13 and E14 run their campaigns
+// through harness.RunCtx under the caller's context, so a canceled
+// context aborts them with an error wrapping context.Canceled instead of
+// computing the campaign anyway.
+func TestOwnCampaignDriversHonourCancel(t *testing.T) {
+	r, err := NewRunner(tinyConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for id, run := range ownCampaignDrivers(r) {
+		if _, err := run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a canceled context: err = %v, want context.Canceled", id, err)
+		}
+	}
+}
+
+// TestOwnCampaignDriversReportProgress: a harness.WithProgress listener
+// on the context sees every cell of the E13 and E14 campaigns.
+func TestOwnCampaignDriversReportProgress(t *testing.T) {
+	r, err := NewRunner(tinyConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, run := range ownCampaignDrivers(r) {
+		var mu sync.Mutex
+		var events, total int
+		tools := map[string]bool{}
+		ctx := harness.WithProgress(context.Background(), func(ev harness.ProgressEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			events++
+			total = ev.Total
+			tools[ev.Tool] = true
+		})
+		res, err := run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		rows := res.Tables[0].NumRows()
+		if events == 0 || events != total || total != rows*tinyConfig(1, 2).Services || len(tools) != rows {
+			t.Errorf("%s: saw %d events of total %d over %d tools, want %d tools × %d cases",
+				id, events, total, len(tools), rows, tinyConfig(1, 2).Services)
 		}
 	}
 }

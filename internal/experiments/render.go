@@ -97,19 +97,14 @@ func (r Result) JSON() ([]byte, error) {
 // over the experiment ID and a canonical field-by-field encoding of the
 // configuration. Workers and Prop.Workers are deliberately excluded —
 // every output is byte-identical for every worker count (see
-// harness.RunParallel, stats.Bootstrap, metricprop.AnalyzeCatalog) — so
+// harness.RunCtx, stats.Bootstrap, metricprop.AnalyzeCatalog) — so
 // runs that differ only in their worker budget share one key; that
 // invariance is what makes memoising experiment results sound. The
 // execution-policy fields (PerToolTimeout, Retry, Degraded) are excluded
 // for the same reason: with the well-behaved standard suite no cell ever
 // fails, so the policy cannot reach any output (Config.Validate pins
 // PerToolTimeout to zero or >= 1s so a deadline can never fire on a
-// healthy tool). Interpreter is excluded because the bytecode VM and the
-// reference interpreter produce byte-identical outputs (pinned by the
-// differential suite and TestAllIdenticalInterpreterVsVM), and
-// OracleExhaustive because the influence-guided and exhaustive oracle
-// searches derive identical ground truth (pinned by the pruning
-// differential suite). Every other Config field must be folded in here
+// healthy tool). Every other Config field must be folded in here
 // (TestCacheKeyCoversEveryConfigField enforces this by reflection).
 func CacheKey(id string, cfg Config) string {
 	h := sha256.New()

@@ -12,17 +12,18 @@ import (
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
-// TestInterpreterOptionEquivalence pins the Options.Interpreter escape
-// hatch: a campaign executed on the reference tree-walking interpreter
-// must be deep-equal to the same campaign on the default bytecode VM, at
-// every worker count. The engines are locked together at the language
-// level by the differential suite in internal/svclang/compile; this test
-// closes the loop at the campaign level, ledger and all.
-func TestInterpreterOptionEquivalence(t *testing.T) {
+// TestReferenceEngineCampaignEquivalence runs a campaign through the
+// runCtx seam on compile.NewReferenceEngine (the tree-walking
+// interpreter) and requires it deep-equal to RunCtx on the production
+// bytecode VM, at every worker count. The engines are locked together
+// at the language level by the differential suite in
+// internal/svclang/compile; this test closes the loop at the campaign
+// level, ledger and all.
+func TestReferenceEngineCampaignEquivalence(t *testing.T) {
 	corpus := testCorpus(t, 50, 3)
 	tools := testTools(t)
 	for _, seed := range []uint64{1, 7, 42} {
-		ref, err := RunCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: 1, Interpreter: true})
+		ref, err := runCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: 1}, compile.NewReferenceEngine())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +33,7 @@ func TestInterpreterOptionEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ref, vm) {
-				t.Fatalf("seed %d: VM campaign at %d workers differs from interpreter campaign", seed, workers)
+				t.Fatalf("seed %d: VM campaign at %d workers differs from reference-engine campaign", seed, workers)
 			}
 		}
 	}
@@ -110,7 +111,7 @@ func TestBindExecEngineReachesFaultyWrapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := bindExecEngine([]detectors.Tool{wrapped, &engineProbe{name: "bare", record: record}}, false)
+	bound := bindExecEngine([]detectors.Tool{wrapped, &engineProbe{name: "bare", record: record}}, compile.NewEngine())
 	cs := testCorpus(t, 5, 1).Cases[0]
 	for _, tool := range bound {
 		if _, err := tool.Analyze(cs, stats.NewRNG(1)); err != nil {

@@ -1,11 +1,11 @@
 package harness
 
 // This file is the fault-tolerant execution engine. RunCtx is the one
-// entry point every campaign goes through (Run and RunParallel are thin
-// wrappers): it runs each (tool, case) attempt under panic isolation and
-// an optional per-tool deadline, retries errors the tool marked
-// retryable with deterministic backoff, and folds the per-case outcomes
-// into a Campaign whose ToolResults carry a full execution ledger.
+// entry point every campaign goes through: it runs each (tool, case)
+// attempt under panic isolation and an optional per-tool deadline,
+// retries errors the tool marked retryable with deterministic backoff,
+// and folds the per-case outcomes into a Campaign whose ToolResults
+// carry a full execution ledger.
 //
 // Determinism contract: with a fault-free tool set, RunCtx produces a
 // Campaign byte-identical to the pre-engine serial harness for any
@@ -27,6 +27,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
+	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -37,7 +38,7 @@ type DegradedPolicy int
 const (
 	// DegradedAbort fails the whole campaign on the first degraded cell,
 	// returning the underlying error. This is the zero value and exactly
-	// the historical fail-fast behaviour of Run/RunParallel.
+	// the historical fail-fast behaviour.
 	DegradedAbort DegradedPolicy = iota
 	// DegradedSkip omits the failed case from the tool's confusion
 	// matrices; the ledger records which cases are missing. Metrics are
@@ -95,7 +96,7 @@ type RetryPolicy struct {
 
 // Options configures the execution engine.
 type Options struct {
-	// Seed drives the simulated tools, exactly as in Run/RunParallel.
+	// Seed drives the simulated tools; real tools are deterministic.
 	Seed uint64
 	// Workers sets the pool size; <= 0 selects runtime.GOMAXPROCS(0)
 	// and 1 runs inline without goroutines. Results are identical for
@@ -111,12 +112,6 @@ type Options struct {
 	// Degraded is the scoring policy for cells whose attempts all
 	// failed. The zero value aborts, matching the historical behaviour.
 	Degraded DegradedPolicy
-	// Interpreter switches service execution from the default bytecode VM
-	// (internal/svclang/compile) back to the reference tree-walking
-	// interpreter. The two engines are locked together by a differential
-	// test suite and produce identical campaigns; the flag exists as an
-	// escape hatch and as the reference side of end-to-end equality tests.
-	Interpreter bool
 }
 
 // Validate rejects unusable option combinations.
@@ -328,7 +323,35 @@ type engine struct {
 //
 // Cancelling ctx aborts the campaign at the next case boundary; the
 // returned error wraps ctx.Err().
+//
+// The Campaign is identical, field for field, for every worker count.
+// Determinism rests on two invariants:
+//
+//  1. RNG pre-split: the per-(tool, case) RNG streams are derived up front
+//     by walking toolRNG.Split() in exactly the order a serial loop
+//     would, so every task sees the same generator state it would have
+//     seen serially, no matter which worker runs it or when. Each
+//     (tool, case) pair gets an independent stream, so adding or
+//     removing tools does not perturb the others' draws.
+//  2. Ordered merge: workers write each task's outcome slice into a
+//     dedicated (tool, case) slot, and the final aggregation folds the
+//     slots in corpus order — the same accumulation sequence as a
+//     serial loop.
+//
+// opts.Workers <= 0 selects runtime.GOMAXPROCS(0); 1 runs inline without
+// spawning goroutines. Tool implementations must be safe for concurrent
+// Analyze calls on distinct cases (the standard suite is: all
+// per-request state lives in the call frame). Under DegradedAbort with
+// one worker, the returned error is exactly the first one serial
+// execution hits.
 func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options) (*Campaign, error) {
+	return runCtx(ctx, corpus, tools, opts, compile.NewEngine())
+}
+
+// runCtx is RunCtx on a caller-supplied execution engine: the seam
+// through which tests run a campaign on compile.NewReferenceEngine and
+// require it deep-equal to the production one.
+func runCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine) (*Campaign, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -342,7 +365,7 @@ func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eng := newEngine(corpus, tools, opts)
+	eng := newEngine(corpus, tools, opts, xeng)
 	cells, err := eng.runCells(ctx, 0, len(corpus.Cases), workers, opts.Degraded == DegradedAbort)
 	if err != nil {
 		return nil, err
@@ -351,14 +374,14 @@ func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 }
 
 // newEngine assembles the immutable campaign state shared by every
-// worker: campaign-scoped compile cache and execution engine bindings,
+// worker: the campaign-scoped compile cache and execution engine xeng,
 // the pre-split per-(tool, case) RNG streams, and the per-case valid
 // sink sets. The RNG streams always cover the FULL corpus, so a shard
 // execution (runCells over a sub-range) sees exactly the generator
 // state a local full run would.
-func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options) *engine {
+func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine) *engine {
 	tools = bindCompileCache(tools)
-	tools = bindExecEngine(tools, opts.Interpreter)
+	tools = bindExecEngine(tools, xeng)
 	return &engine{
 		opts:   opts,
 		corpus: corpus,
@@ -420,7 +443,7 @@ func (e *engine) runCells(ctx context.Context, lo, hi, workers int, abortOnFault
 		return cells, nil
 	}
 
-	// Parallel: the task pool mirrors the historical RunParallel. Fatal
+	// Parallel: a task pool over the (tool, case) grid. Fatal
 	// conditions (cancellation, or any fault under DegradedAbort) flip
 	// the failed flag so the remaining queue drains; the earliest error
 	// in (tool, case) order is returned, matching serial execution

@@ -122,7 +122,7 @@ func TestRunCtxPanicIsolationSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := Run(corpus, []detectors.Tool{healthy, inner}, 5)
+	baseline, err := runSeed(corpus, []detectors.Tool{healthy, inner}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRunCtxDeadlineTimesOutHangs(t *testing.T) {
 func TestRunCtxRetryRecoversTransient(t *testing.T) {
 	corpus := testCorpus(t, 15, 2)
 	inner := testTools(t)[0]
-	baseline, err := Run(corpus, []detectors.Tool{inner}, 5)
+	baseline, err := runSeed(corpus, []detectors.Tool{inner}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

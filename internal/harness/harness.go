@@ -77,16 +77,7 @@ type Campaign struct {
 	Results []ToolResult
 }
 
-// Run executes the campaign serially. The seed drives the simulated
-// tools; real tools are deterministic. Each (tool, case) pair receives an
-// independent deterministic RNG stream, so adding or removing tools does
-// not perturb the others' draws. Run is RunParallel with one worker; see
-// parallel.go for the execution pipeline.
-func Run(corpus *workload.Corpus, tools []detectors.Tool, seed uint64) (*Campaign, error) {
-	return RunParallel(corpus, tools, seed, 1)
-}
-
-// validate checks the campaign inputs shared by Run and RunParallel.
+// validate checks the campaign inputs shared by RunCtx and RunShardCtx.
 func validate(corpus *workload.Corpus, tools []detectors.Tool) error {
 	if corpus == nil || len(corpus.Cases) == 0 {
 		return errors.New("harness: empty corpus")

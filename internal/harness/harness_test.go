@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
@@ -31,9 +32,15 @@ func testTools(t *testing.T) []detectors.Tool {
 	return tools
 }
 
+// runSeed executes a campaign through RunCtx with the default execution
+// policy.
+func runSeed(corpus *workload.Corpus, tools []detectors.Tool, seed uint64, workers int) (*Campaign, error) {
+	return RunCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: workers})
+}
+
 func runCampaign(t *testing.T, services int) *Campaign {
 	t.Helper()
-	camp, err := Run(testCorpus(t, services, 1), testTools(t), 42)
+	camp, err := runSeed(testCorpus(t, services, 1), testTools(t), 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +77,8 @@ func TestRunBasicInvariants(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	corpus := testCorpus(t, 40, 5)
-	c1, err1 := Run(corpus, testTools(t), 7)
-	c2, err2 := Run(corpus, testTools(t), 7)
+	c1, err1 := runSeed(corpus, testTools(t), 7, 1)
+	c2, err2 := runSeed(corpus, testTools(t), 7, 1)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -84,8 +91,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunSeedAffectsOnlySimulatedTools(t *testing.T) {
 	corpus := testCorpus(t, 40, 5)
-	c1, _ := Run(corpus, testTools(t), 1)
-	c2, _ := Run(corpus, testTools(t), 2)
+	c1, _ := runSeed(corpus, testTools(t), 1, 1)
+	c2, _ := runSeed(corpus, testTools(t), 2, 1)
 	for i := range c1.Results {
 		same := c1.Results[i].Overall == c2.Results[i].Overall
 		if c1.Results[i].Class == detectors.ClassSimulated {
@@ -144,24 +151,28 @@ func TestCampaignShape(t *testing.T) {
 	}
 }
 
+// TestRunValidation pins the input checks on the serial path and on
+// the worker pool.
 func TestRunValidation(t *testing.T) {
 	corpus := testCorpus(t, 10, 1)
 	tools := testTools(t)
-	if _, err := Run(nil, tools, 1); err == nil {
-		t.Error("nil corpus accepted")
-	}
-	if _, err := Run(&workload.Corpus{}, tools, 1); err == nil {
-		t.Error("empty corpus accepted")
-	}
-	if _, err := Run(corpus, nil, 1); err == nil {
-		t.Error("no tools accepted")
-	}
-	if _, err := Run(corpus, []detectors.Tool{nil}, 1); err == nil {
-		t.Error("nil tool accepted")
-	}
 	dup := []detectors.Tool{detectors.NewSignatureSAST("x"), detectors.NewSignatureSAST("x")}
-	if _, err := Run(corpus, dup, 1); err == nil {
-		t.Error("duplicate tool names accepted")
+	for _, workers := range []int{1, 4} {
+		if _, err := runSeed(nil, tools, 1, workers); err == nil {
+			t.Errorf("workers=%d: nil corpus accepted", workers)
+		}
+		if _, err := runSeed(&workload.Corpus{}, tools, 1, workers); err == nil {
+			t.Errorf("workers=%d: empty corpus accepted", workers)
+		}
+		if _, err := runSeed(corpus, nil, 1, workers); err == nil {
+			t.Errorf("workers=%d: no tools accepted", workers)
+		}
+		if _, err := runSeed(corpus, []detectors.Tool{nil}, 1, workers); err == nil {
+			t.Errorf("workers=%d: nil tool accepted", workers)
+		}
+		if _, err := runSeed(corpus, dup, 1, workers); err == nil {
+			t.Errorf("workers=%d: duplicate tool names accepted", workers)
+		}
 	}
 }
 

@@ -1,42 +1,11 @@
 package harness
 
 import (
-	"context"
-
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang/cfg"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
-	"github.com/dsn2015/vdbench/internal/workload"
 )
-
-// RunParallel executes the campaign across a pool of workers and produces
-// a Campaign identical, field for field, to serial Run with the same seed.
-//
-// Determinism rests on two invariants (enforced by the engine in exec.go,
-// which all entry points share):
-//
-//  1. RNG pre-split: the per-(tool, case) RNG streams are derived up front
-//     by walking toolRNG.Split() in exactly the order the serial loop
-//     would, so every task sees the same generator state it would have
-//     seen serially, no matter which worker runs it or when.
-//  2. Ordered merge: workers write each task's outcome slice into a
-//     dedicated (tool, case) slot, and the final aggregation folds the
-//     slots in corpus order — the same accumulation sequence as the
-//     serial loop.
-//
-// workers <= 0 selects runtime.GOMAXPROCS(0); workers == 1 runs inline
-// without spawning goroutines. Tool implementations must be safe for
-// concurrent Analyze calls on distinct cases (the standard suite is: all
-// per-request state lives in the call frame).
-//
-// On failure the campaign is aborted and one of the task errors is
-// returned; with workers == 1 it is exactly the error serial execution
-// would have hit first. For partial-result semantics, deadlines, retries
-// and cancellation, call RunCtx with explicit Options.
-func RunParallel(corpus *workload.Corpus, tools []detectors.Tool, seed uint64, workers int) (*Campaign, error) {
-	return RunCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: workers})
-}
 
 // bindCompileCache rebinds every cache-aware tool to one shared compile
 // cache scoped to this campaign, so a case's CFG is lowered once per
@@ -67,14 +36,13 @@ func bindCompileCache(tools []detectors.Tool) []detectors.Tool {
 	return bound
 }
 
-// bindExecEngine rebinds every service-executing tool to one shared
-// execution engine scoped to this campaign — the bytecode VM by default,
-// the reference interpreter when interpret is set — so each service
-// compiles once no matter how many tools and workers probe it. Mirrors
+// bindExecEngine rebinds every service-executing tool to eng, the one
+// execution engine scoped to this campaign, so each service compiles
+// once no matter how many tools and workers probe it. Mirrors
 // bindCompileCache: rebinding is a copy, results are engine-independent
 // (pinned by the differential suite), and tools that do not implement
 // detectors.ExecEngineBindable pass through unchanged.
-func bindExecEngine(tools []detectors.Tool, interpret bool) []detectors.Tool {
+func bindExecEngine(tools []detectors.Tool, eng *compile.Engine) []detectors.Tool {
 	anyExec := false
 	for _, t := range tools {
 		if _, ok := t.(detectors.ExecEngineBindable); ok {
@@ -85,7 +53,6 @@ func bindExecEngine(tools []detectors.Tool, interpret bool) []detectors.Tool {
 	if !anyExec {
 		return tools
 	}
-	eng := compile.NewEngine(interpret)
 	bound := make([]detectors.Tool, len(tools))
 	for i, t := range tools {
 		if et, ok := t.(detectors.ExecEngineBindable); ok {

@@ -10,22 +10,22 @@ import (
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
-// TestRunParallelEquivalence is the admissibility proof for the worker
-// pool: for every tested seed and worker count, RunParallel must produce a
-// Campaign deep-equal to serial Run — same Outcomes order, same confusion
+// TestRunCtxWorkerEquivalence is the admissibility proof for the worker
+// pool: for every tested seed and worker count, RunCtx must produce a
+// Campaign deep-equal to the one-worker run — same Outcomes order, same confusion
 // matrices, same By* split maps. Any divergence means parallelism changed
 // the science, which is never acceptable.
-func TestRunParallelEquivalence(t *testing.T) {
+func TestRunCtxWorkerEquivalence(t *testing.T) {
 	corpus := testCorpus(t, 50, 3)
 	tools := testTools(t)
 	for _, seed := range []uint64{1, 7, 42} {
-		serial, err := Run(corpus, tools, seed)
+		serial, err := runSeed(corpus, tools, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 13} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				par, err := RunParallel(corpus, tools, seed, workers)
+				par, err := runSeed(corpus, tools, seed, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,40 +54,23 @@ func TestRunParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunParallelDefaultWorkers exercises the workers<=0 =>
+// TestRunCtxDefaultWorkers exercises the workers<=0 =>
 // GOMAXPROCS(0) path.
-func TestRunParallelDefaultWorkers(t *testing.T) {
+func TestRunCtxDefaultWorkers(t *testing.T) {
 	corpus := testCorpus(t, 20, 1)
 	tools := testTools(t)
-	serial, err := Run(corpus, tools, 9)
+	serial, err := runSeed(corpus, tools, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, -1} {
-		par, err := RunParallel(corpus, tools, 9, workers)
+		par, err := runSeed(corpus, tools, 9, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("workers=%d diverged from serial", workers)
 		}
-	}
-}
-
-// TestRunParallelValidation mirrors the serial input checks on the
-// parallel entry point.
-func TestRunParallelValidation(t *testing.T) {
-	corpus := testCorpus(t, 5, 1)
-	tools := testTools(t)
-	if _, err := RunParallel(nil, tools, 1, 4); err == nil {
-		t.Error("nil corpus accepted")
-	}
-	if _, err := RunParallel(corpus, nil, 1, 4); err == nil {
-		t.Error("no tools accepted")
-	}
-	dup := []detectors.Tool{detectors.NewSignatureSAST("x"), detectors.NewSignatureSAST("x")}
-	if _, err := RunParallel(corpus, dup, 1, 4); err == nil {
-		t.Error("duplicate tool names accepted")
 	}
 }
 
@@ -102,13 +85,13 @@ func (f failingTool) Analyze(cs workload.Case, _ *stats.RNG) ([]detectors.Report
 	return nil, fmt.Errorf("%s always fails", f.name)
 }
 
-// TestRunParallelPropagatesErrors asserts a failing tool aborts the
+// TestRunCtxPropagatesErrors asserts a failing tool aborts the
 // campaign under every worker count.
-func TestRunParallelPropagatesErrors(t *testing.T) {
+func TestRunCtxPropagatesErrors(t *testing.T) {
 	corpus := testCorpus(t, 10, 1)
 	tools := []detectors.Tool{failingTool{name: "broken"}}
 	for _, workers := range []int{1, 4} {
-		if _, err := RunParallel(corpus, tools, 1, workers); err == nil {
+		if _, err := runSeed(corpus, tools, 1, workers); err == nil {
 			t.Errorf("workers=%d: failing tool did not abort the campaign", workers)
 		}
 	}

@@ -5,8 +5,8 @@ package harness
 // different process (internal/dist workers), and the per-cell records
 // merged back into a Campaign byte-identical to a local run.
 //
-// The split is sound because of the same two invariants the parallel
-// harness rests on (see parallel.go): RNG streams are pre-split over the
+// The split is sound because of the same two invariants RunCtx rests
+// on (see its doc in exec.go): RNG streams are pre-split over the
 // FULL corpus in serial order — a shard execution derives exactly the
 // generator states a local run would hand those cases — and the merge
 // folds cells in (tool, case) order, the same accumulation sequence as
@@ -19,6 +19,7 @@ import (
 	"runtime"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
+	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func RunShardCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eng := newEngine(corpus, tools, opts)
+	eng := newEngine(corpus, tools, opts, compile.NewEngine())
 	return eng.runCells(ctx, lo, hi, workers, false)
 }
 

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/dsn2015/vdbench"
@@ -159,6 +161,82 @@ func TestWarmRestartServesCachedResults(t *testing.T) {
 	}
 	if g.count() != 0 {
 		t.Fatalf("warm restart executed %d campaigns, want 0", g.count())
+	}
+}
+
+// TestReplayToleratesRetiredConfigFields: journals written before the
+// Interpreter and OracleExhaustive experiment-config fields were retired
+// carry both in every submitted record. Replay decodes configs with
+// plain json.Unmarshal, which ignores unknown fields, so such a job
+// restores under its unchanged cache key and serves its stored result.
+func TestReplayToleratesRetiredConfigFields(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickCfg()
+
+	first := mustNew(t, Options{Workers: 1, DataDir: dir})
+	job, err := first.Submit("e1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWait(t, job)
+	res, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.Render("text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+
+	// Rewrite the journal in the older format: the same records, with
+	// the retired fields appended to each submitted config.
+	path := filepath.Join(dir, "journal.jsonl")
+	j, records, _, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	j, _, _, err = journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		if rec.Type == recSubmitted {
+			old := strings.TrimSuffix(string(rec.Config), "}") + `,"Interpreter":true,"OracleExhaustive":true}`
+			rec.Config = json.RawMessage(old)
+		}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	g := newGate()
+	second := mustNewService(t, Options{Workers: 1, DataDir: dir}, g.run)
+	defer second.Close()
+	if rec := second.Recovery(); rec.Restored != 1 || rec.Rehydrated != 1 || rec.Requeued != 0 {
+		t.Fatalf("recovery = %+v, want the old-format job restored and rehydrated", rec)
+	}
+	restored, ok := second.Job(job.ID())
+	if !ok {
+		t.Fatalf("job %s lost across restart", job.ID())
+	}
+	if restored.Key() != job.Key() || restored.Key() != vdbench.ExperimentCacheKey("e1", cfg) {
+		t.Fatalf("restored key %s, want %s", restored.Key(), job.Key())
+	}
+	restoredRes, err := restored.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := restoredRes.Render("text"); got != want {
+		t.Fatal("restored job's result diverges from the original")
+	}
+	if g.count() != 0 {
+		t.Fatalf("replay executed %d campaigns, want 0", g.count())
 	}
 }
 

@@ -13,10 +13,9 @@
 // its own opinions: it must reproduce ExecuteInSession exactly, including
 // oracle-visible taint provenance, session-store effects and reject
 // unwinding. The differential test suite (every workload template, every
-// knob combination, fuzzed services) and the end-to-end experiment
-// byte-identity pins enforce this; the interpreter stays available behind
-// Engine's interpret flag (harness Options.Interpreter) as the reference
-// escape hatch.
+// knob combination, fuzzed services) and the campaign- and corpus-level
+// reference tests enforce this; the interpreter stays reachable through
+// NewReferenceEngine as the reference those tests compare against.
 package compile
 
 import (

@@ -159,7 +159,7 @@ func runDifferential(t *testing.T, ctx string, eng *compile.Engine, svc *svclang
 // entire template library: every template × every supported kind ×
 // vulnerable/safe, on oracle-pool and seeded random requests.
 func TestExecDifferentialTemplates(t *testing.T) {
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	for _, tmpl := range workload.Templates() {
 		for _, kind := range tmpl.Kinds {
 			for _, vulnerable := range []bool{true, false} {
@@ -180,7 +180,7 @@ func TestAnalyzeDifferentialTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive oracle differential skipped in -short")
 	}
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	for _, tmpl := range workload.Templates() {
 		for _, kind := range tmpl.Kinds {
 			for _, vulnerable := range []bool{true, false} {
@@ -234,14 +234,14 @@ func observeStream(t *testing.T, eng *compile.Engine, svc *svclang.Service, req 
 
 // TestObserveDifferentialTemplates locks the streaming observation path
 // to the materialising one on both engines: the VM's Observe stream,
-// the interpret-mode engine's Observe stream and the interpreter's
+// the reference engine's Observe stream and the interpreter's
 // Result.Events must agree event for event — IDs, kinds, silence,
 // values, structure fingerprints, rejection and session-store effects.
 // This is the contract the pentester's zero-allocation probing stands
 // on.
 func TestObserveDifferentialTemplates(t *testing.T) {
-	vm := compile.NewEngine(false)
-	interp := compile.NewEngine(true)
+	vm := compile.NewEngine()
+	interp := compile.NewReferenceEngine()
 	for _, tmpl := range workload.Templates() {
 		for _, kind := range tmpl.Kinds {
 			for _, vulnerable := range []bool{true, false} {
@@ -292,21 +292,18 @@ func TestObserveDifferentialTemplates(t *testing.T) {
 	}
 }
 
-// TestEngineInterpreterMode checks the escape hatch is a true
-// pass-through: an interpret-mode engine and the raw interpreter are the
-// same function.
+// TestEngineInterpreterMode checks the reference engine's execution is
+// a true pass-through: NewReferenceEngine and the raw interpreter are
+// the same function.
 func TestEngineInterpreterMode(t *testing.T) {
-	eng := compile.NewEngine(true)
-	if !eng.Interpreting() {
-		t.Fatal("NewEngine(true).Interpreting() = false")
-	}
+	eng := compile.NewReferenceEngine()
 	tmpl := workload.Templates()[0]
 	svc, _ := tmpl.Build("interp_svc", tmpl.Kinds[0], true)
 	for _, req := range diffRequests(svc)[:6] {
 		ref, refErr := svclang.Execute(svc, req)
 		got, gotErr := eng.Execute(svc, req)
 		if (refErr == nil) != (gotErr == nil) || !reflect.DeepEqual(ref, got) {
-			t.Fatalf("interpret-mode engine diverged on %v", req)
+			t.Fatalf("reference engine diverged on %v", req)
 		}
 	}
 }
@@ -324,7 +321,7 @@ func FuzzExecDifferential(f *testing.F) {
 			}
 		}
 	}
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	f.Fuzz(func(t *testing.T, src, p1, p2, p3 string) {
 		svc, err := svclang.ParseOne(src)
 		if err != nil {

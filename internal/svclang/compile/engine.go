@@ -8,14 +8,19 @@ import (
 )
 
 // Engine is the execution seam the rest of the benchmark runs through: a
-// compiled-program cache plus an arena pool, or — when constructed with
-// interpret=true — a transparent pass-through to the reference
-// tree-walking interpreter. One engine is shared by every tool in a
-// campaign (the harness binds it like the cfg compile cache), so each
-// service compiles exactly once no matter how many probes hit it.
+// compiled-program cache plus an arena pool. One engine is shared by
+// every tool in a campaign (the harness binds it like the cfg compile
+// cache), so each service compiles exactly once no matter how many
+// probes hit it.
+//
+// The two mode fields select the reference implementations the
+// differential suites compare against: interpret delegates execution to
+// the tree-walking interpreter, exhaustive derives ground truth with the
+// unpruned oracle search. Production engines (NewEngine) set neither;
+// NewReferenceEngine sets both.
 type Engine struct {
-	interpret        bool
-	oracleExhaustive bool
+	interpret  bool
+	exhaustive bool
 
 	mu    sync.Mutex
 	progs map[*svclang.Service]*progEntry
@@ -35,30 +40,25 @@ type progEntry struct {
 	err  error
 }
 
-// NewEngine returns an execution engine. interpret=true bypasses the
-// compiler entirely and delegates to svclang.ExecuteInSession — the
-// escape hatch behind harness Options.Interpreter and the reference
-// side of every differential test.
-func NewEngine(interpret bool) *Engine {
-	e := &Engine{interpret: interpret, progs: map[*svclang.Service]*progEntry{}}
+// NewEngine returns the execution engine every campaign and corpus runs
+// on: the bytecode VM, with ground truth derived by the influence-guided
+// (pruned) oracle search.
+func NewEngine() *Engine { return newEngine(false, false) }
+
+// NewReferenceEngine returns an engine that executes services on the
+// reference tree-walking interpreter and derives ground truth with the
+// exhaustive oracle search. It exists only for tests: the differential
+// suites run a campaign or corpus through it and require the result
+// deep-equal to the NewEngine one. Both engines produce identical
+// outputs, so no production path has a reason to pay for the reference
+// one; vdlint's compiledexec analyzer rejects any non-test call.
+func NewReferenceEngine() *Engine { return newEngine(true, true) }
+
+func newEngine(interpret, exhaustive bool) *Engine {
+	e := &Engine{interpret: interpret, exhaustive: exhaustive, progs: map[*svclang.Service]*progEntry{}}
 	e.pool.New = func() any { return new(arena) }
 	return e
 }
-
-// Interpreting reports whether this engine runs the reference interpreter.
-func (e *Engine) Interpreting() bool { return e.interpret }
-
-// SetOracleExhaustive switches Analyze to the unpruned reference
-// search — the escape hatch behind the -oracle-exhaustive CLI flags,
-// symmetric to the -interpreter engine escape hatch. The labels and
-// witnesses are identical either way (the differential suite enforces
-// it); the exhaustive mode exists so any doubt about the pruning can
-// be settled by re-deriving the expensive way. Set before first use;
-// the mode is part of the oracle cache key.
-func (e *Engine) SetOracleExhaustive(v bool) { e.oracleExhaustive = v }
-
-// OracleExhaustive reports whether Analyze runs the unpruned search.
-func (e *Engine) OracleExhaustive() bool { return e.oracleExhaustive }
 
 // Program returns the compiled program for svc, compiling on first use.
 func (e *Engine) Program(svc *svclang.Service) (*Program, error) {
@@ -163,17 +163,17 @@ func (e *Engine) probe(svc *svclang.Service, req svclang.Request, store *svclang
 // Analyze derives ground truth for svc, like svclang.Analyze but with
 // every probe executed through this engine — and, on the VM, judged
 // through the streaming probe path instead of materialised Results.
-// The search is influence-guided unless SetOracleExhaustive opted into
-// the unpruned reference enumeration. Results are memoised in the
+// The search is influence-guided except on the reference engine, which
+// runs the unpruned exhaustive enumeration. Results are memoised in the
 // process-wide content-addressed oracle cache (oraclecache.go), so
 // identical service bodies are derived once per mode.
 func (e *Engine) Analyze(svc *svclang.Service) ([]svclang.GroundTruth, error) {
-	return oracleLookup(svc, e.interpret, e.oracleExhaustive, func() ([]svclang.GroundTruth, error) {
+	return oracleLookup(svc, e.interpret, e.exhaustive, func() ([]svclang.GroundTruth, error) {
 		probe := e.probe
 		if e.interpret {
 			probe = interpProbe
 		}
-		if e.oracleExhaustive {
+		if e.exhaustive {
 			return svclang.AnalyzeProbingExhaustive(svc, probe)
 		}
 		return svclang.AnalyzeProbing(svc, probe)

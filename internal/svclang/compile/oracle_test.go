@@ -43,8 +43,7 @@ func analyzeAllModes(t *testing.T, ctx string, svc *svclang.Service) []svclang.G
 	var ref []svclang.GroundTruth
 	var refName string
 	for i, m := range analyzeModes() {
-		eng := compile.NewEngine(m.interpret)
-		eng.SetOracleExhaustive(m.exhaustive)
+		eng := compile.NewEngineMode(m.interpret, m.exhaustive)
 		got, err := eng.Analyze(svc)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", ctx, m.name, err)
@@ -89,8 +88,7 @@ func TestAnalyzePrunedExhaustiveMatrixCorpora(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle corpus matrix skipped in -short")
 	}
-	exh := compile.NewEngine(false)
-	exh.SetOracleExhaustive(true)
+	exh := compile.NewEngineMode(false, true)
 	for _, seed := range diffSeeds {
 		corpus, err := workload.Generate(workload.Config{Services: 40, TargetPrevalence: 0.35, Seed: seed})
 		if err != nil {
@@ -127,7 +125,7 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 	svcA := mustParseOne(t, "service cache_a\n"+body)
 	svcB := mustParseOne(t, "service cache_b\n"+body)
 
-	engA := compile.NewEngine(false)
+	engA := compile.NewEngine()
 	h0, m0 := compile.OracleCacheTotals()
 	first, err := engA.Analyze(svcA)
 	if err != nil {
@@ -141,7 +139,7 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 	// A renamed service through a different engine is a hit, and a hit
 	// executes no probes at all.
 	probes0 := svclang.OracleTotalsSnapshot().Probes
-	engB := compile.NewEngine(false)
+	engB := compile.NewEngine()
 	second, err := engB.Analyze(svcB)
 	if err != nil {
 		t.Fatal(err)
@@ -172,11 +170,11 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 		t.Fatalf("witness mutation leaked into the cache:\nfirst=%+v\nthird=%+v", first, third)
 	}
 
-	// The mode bits partition the cache: the exhaustive escape hatch and
-	// the interpreter engine derive their own entries.
+	// The mode bits partition the cache: the exhaustive search and the
+	// interpreter engine derive their own entries, so a cached pruned
+	// result never answers a reference request.
 	for _, m := range analyzeModes()[1:] {
-		eng := compile.NewEngine(m.interpret)
-		eng.SetOracleExhaustive(m.exhaustive)
+		eng := compile.NewEngineMode(m.interpret, m.exhaustive)
 		_, mBefore := compile.OracleCacheTotals()
 		got, err := eng.Analyze(svcA)
 		if err != nil {

@@ -19,10 +19,11 @@ import (
 // telemetry it composes with: keyed by the SHA-256 of the canonical
 // printed source with the name line stripped, plus the mode bits
 // (interpreter vs VM, pruned vs exhaustive). The mode bits are part of
-// the key even though every mode provably derives the same labels —
-// collapsing them would let a cached pruned result answer an exhaustive
-// escape-hatch request, masking exactly the divergence that mode exists
-// to expose.
+// the key even though every mode provably derives the same labels: the
+// reference engine (NewReferenceEngine) exists to re-derive ground truth
+// independently, and collapsing the bits would let a cached pruned
+// result answer a reference request, masking exactly the divergence the
+// differential tests are there to expose.
 //
 // Entries singleflight like progEntry: the first caller derives under
 // the entry's once while the cache stays unlocked for other keys.

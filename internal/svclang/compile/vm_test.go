@@ -93,7 +93,7 @@ func poisonArena(a *arena) {
 // arena returned to the pool full of garbage (stale taint bits, stale
 // store slots, junk runes) must not leak anything into the next request.
 func TestPoisonedArenaReuse(t *testing.T) {
-	eng := NewEngine(false)
+	eng := NewEngine()
 	for _, src := range []string{vmTestSrc, vmStoreSrc} {
 		svc := mustParse(t, src)
 		reqs := []svclang.Request{
@@ -153,7 +153,7 @@ func TestCompileErrorsMatchInterpreter(t *testing.T) {
 	if _, err := Compile(nil); err == nil || err.Error() != "svclang: nil service" {
 		t.Fatalf("Compile(nil) = %v", err)
 	}
-	eng := NewEngine(false)
+	eng := NewEngine()
 	if _, err := eng.Execute(nil, svclang.Request{}); err == nil || err.Error() != "svclang: nil service" {
 		t.Fatalf("Execute(nil) = %v", err)
 	}
@@ -173,7 +173,7 @@ func TestCompileErrorsMatchInterpreter(t *testing.T) {
 // compares raw bytes, where U+FFFD normalisation of the needle would
 // change the answer).
 func TestInvalidUTF8Needle(t *testing.T) {
-	eng := NewEngine(false)
+	eng := NewEngine()
 	for _, needle := range []string{"\xff", "a\xffb", "\xf0\x28"} {
 		svc := &svclang.Service{
 			Name:   "NB",
@@ -229,7 +229,7 @@ func TestAllocBudgetExecute(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	eng := NewEngine(false)
+	eng := NewEngine()
 	svc := mustParse(t, vmTestSrc)
 	req := svclang.Request{"id": "abc123", "mode": "alpha"}
 	// Warm: compile the program and grow the pooled arena to steady state.
@@ -251,7 +251,7 @@ func TestAllocBudgetExecute(t *testing.T) {
 // TestProgramCacheSingleflight: one compilation per service no matter how
 // many executions, with hit/miss telemetry.
 func TestProgramCacheSingleflight(t *testing.T) {
-	eng := NewEngine(false)
+	eng := NewEngine()
 	svc := mustParse(t, vmTestSrc)
 	req := svclang.Request{"id": "abc123", "mode": "alpha"}
 	for i := 0; i < 10; i++ {
@@ -312,7 +312,7 @@ func TestConcatDeepNesting(t *testing.T) {
 	}
 	src := "\nservice Deep\n  param id\n  sink sql " + expr + "\nend\n"
 	svc := mustParse(t, src)
-	eng := NewEngine(false)
+	eng := NewEngine()
 	req := svclang.Request{"id": "a'b"}
 	ref, err := svclang.Execute(svc, req)
 	if err != nil {

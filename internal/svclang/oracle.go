@@ -417,7 +417,7 @@ func AnalyzeProbing(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 // value pool over every parameter assignment (two-request sequences for
 // stateful services) with no pruning and no early exit. It is the
 // reference the pruned search is differentially locked against, and the
-// engine behind the -oracle-exhaustive escape hatch.
+// search behind compile.NewReferenceEngine.
 func AnalyzeProbingExhaustive(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 	return analyzeProbing(svc, probe, oracleModeExhaustive)
 }

@@ -263,12 +263,15 @@ func runCtxFirst(pass *Pass) {
 // ExecuteInSession, Observe, Analyze) rather than the raw tree-walking
 // entry points of package svclang. A raw svclang.Execute in a detector
 // or the harness silently bypasses the shared program cache and the
-// arena pool, costing a compile per probe; the engine's interpret mode
-// exists for the cases that genuinely need the reference interpreter.
-// Tests are exempt (the differential suites exist to call both).
+// arena pool, costing a compile per probe. It also keeps
+// compile.NewReferenceEngine test-only: outside package compile itself,
+// no non-test code in the module may construct the reference engine,
+// whose outputs the differential suites prove identical to the
+// production engine's at many times the cost. Tests are exempt (the
+// differential suites exist to call both).
 var CompiledExec = &Analyzer{
 	Name: "compiledexec",
-	Doc:  "execution-path packages must run services through compile.Engine, not raw svclang.Execute/Analyze",
+	Doc:  "execution-path packages must run services through compile.Engine, not raw svclang.Execute/Analyze; compile.NewReferenceEngine is test-only",
 	Run:  runCompiledExec,
 }
 
@@ -291,10 +294,12 @@ var rawExecFuncs = map[string]bool{
 }
 
 func runCompiledExec(pass *Pass) {
-	if pass.Pkg.Kind != UnitPrimary || !inPackageSet(pass, execPathPackages) {
+	svclangPath := pass.Prog.ModulePath + "/internal/svclang"
+	compilePath := svclangPath + "/compile"
+	if pass.Pkg.Kind != UnitPrimary || pass.Pkg.Path == compilePath {
 		return
 	}
-	svclangPath := pass.Prog.ModulePath + "/internal/svclang"
+	execPath := inPackageSet(pass, execPathPackages)
 	for _, file := range pass.Pkg.Owned {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -302,14 +307,18 @@ func runCompiledExec(pass *Pass) {
 				return true
 			}
 			callee := staticCallee(pass.Pkg.TypesInfo, call)
-			if callee == nil || callee.Pkg() == nil {
+			if callee == nil || callee.Pkg() == nil || callee.Type().(*types.Signature).Recv() != nil {
 				return true
 			}
-			if callee.Pkg().Path() == svclangPath && callee.Type().(*types.Signature).Recv() == nil &&
-				rawExecFuncs[callee.Name()] {
+			switch {
+			case execPath && callee.Pkg().Path() == svclangPath && rawExecFuncs[callee.Name()]:
 				pass.Reportf(call.Pos(),
 					"package %s calls svclang.%s directly; execute through compile.Engine so programs compile once and arenas pool",
 					pass.Pkg.Path, callee.Name())
+			case callee.Pkg().Path() == compilePath && callee.Name() == "NewReferenceEngine":
+				pass.Reportf(call.Pos(),
+					"package %s calls compile.NewReferenceEngine outside a test; the reference engine exists for differential tests only, use compile.NewEngine",
+					pass.Pkg.Path)
 			}
 			return true
 		})

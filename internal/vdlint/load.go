@@ -33,10 +33,14 @@ const (
 	// under test. It is never imported by other units.
 	UnitTestAugmented
 	// UnitExternalTest is the external test package (package foo_test).
-	// Its import of the package under test resolves to the primary unit;
-	// the export_test.go idiom (external tests reaching symbols declared
-	// in in-package test files) is not supported and surfaces as a type
-	// error.
+	// Its import of the package under test resolves to the primary unit,
+	// so type identity stays consistent with every other module package
+	// it imports. Only when that fails to type-check does the loader
+	// retry against the test-augmented unit: the export_test.go idiom
+	// (external tests reaching symbols declared in in-package test
+	// files). An external test that needs those symbols AND passes the
+	// package's own types through another module package is not
+	// supported and surfaces as a type error.
 	UnitExternalTest
 )
 
@@ -76,9 +80,10 @@ type Package struct {
 	Types     *types.Package
 	TypesInfo *types.Info
 
-	imports []string   // unique import paths of Files
-	deps    []*Package // module-internal units this unit waits for
-	level   int        // 0-based topological level
+	imports   []string   // unique import paths of Files
+	deps      []*Package // module-internal units this unit waits for
+	augmented *Package   // external test units: the export_test.go fallback for the package under test
+	level     int        // 0-based topological level
 }
 
 // IsTest reports whether the unit carries test files.
@@ -267,6 +272,7 @@ func (prog *Program) splitUnits(rel string, byName map[string][]*ast.File) ([]*P
 	sortFiles(external)
 
 	var units []*Package
+	var augmented *Package
 	if len(primaryFiles) > 0 {
 		u := &Package{Path: pkgPath, Dir: rel, Name: primary, Kind: UnitPrimary,
 			Files: primaryFiles, Owned: primaryFiles}
@@ -275,12 +281,13 @@ func (prog *Program) splitUnits(rel string, byName map[string][]*ast.File) ([]*P
 	}
 	if len(inPkgTest) > 0 {
 		all := append(append([]*ast.File{}, primaryFiles...), inPkgTest...)
-		units = append(units, &Package{Path: pkgPath, Dir: rel, Name: primary, Kind: UnitTestAugmented,
-			Files: all, Owned: inPkgTest})
+		augmented = &Package{Path: pkgPath, Dir: rel, Name: primary, Kind: UnitTestAugmented,
+			Files: all, Owned: inPkgTest}
+		units = append(units, augmented)
 	}
 	if len(external) > 0 {
 		units = append(units, &Package{Path: pkgPath + "_test", Dir: rel, Name: primary + "_test", Kind: UnitExternalTest,
-			Files: external, Owned: external})
+			Files: external, Owned: external, augmented: augmented})
 	}
 	for _, u := range units {
 		u.imports = collectImports(u.Files)
@@ -323,6 +330,9 @@ func (prog *Program) resolveDeps() error {
 				return fmt.Errorf("vdlint: %s (%s) imports %s, which has no buildable files", u.Path, u.Kind, imp)
 			}
 			u.deps = append(u.deps, dep)
+			if u.augmented != nil && imp == u.augmented.Path {
+				u.deps = append(u.deps, u.augmented)
+			}
 		}
 	}
 	// Diamond check runs after every unit's deps are wired — reaches
@@ -528,18 +538,36 @@ func (prog *Program) importPath(path string) (*types.Package, error) {
 }
 
 // unitImporter adapts a Program to types.Importer for one unit check.
-type unitImporter struct{ prog *Program }
+// A non-nil under resolves its own path to that unit instead of the
+// primary one.
+type unitImporter struct {
+	prog  *Program
+	under *Package
+}
 
 func (ui unitImporter) Import(path string) (*types.Package, error) {
+	if ui.under != nil && path == ui.under.Path {
+		return ui.under.Types, nil
+	}
 	return ui.prog.importPath(path)
 }
 
 // check type-checks one unit. Its module-internal dependencies must have
-// completed; the driver's level ordering guarantees that.
+// completed; the driver's level ordering guarantees that. An external
+// test unit that does not type-check against the primary package under
+// test is retried against the test-augmented one (see UnitExternalTest).
 func (prog *Program) check(u *Package) error {
+	err := prog.checkWith(u, nil)
+	if err != nil && u.augmented != nil && prog.checkWith(u, u.augmented) == nil {
+		return nil
+	}
+	return err
+}
+
+func (prog *Program) checkWith(u, under *Package) error {
 	var firstErr error
 	conf := types.Config{
-		Importer: unitImporter{prog},
+		Importer: unitImporter{prog: prog, under: under},
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err

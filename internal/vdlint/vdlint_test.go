@@ -145,6 +145,28 @@ const A = 2 // would collide with a.go if the constraint were ignored
 	}
 }
 
+// TestLoadExternalTestReachesExportTest: the export_test.go idiom — an
+// external test using a symbol an in-package test file exports — falls
+// back to the test-augmented unit and type-checks.
+func TestLoadExternalTestReachesExportTest(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":                    fixtureGomod,
+		"internal/x/x.go":           "package x\nfunc hidden() int { return 1 }\n",
+		"internal/x/export_test.go": "package x\nvar Hidden = hidden\n",
+		"internal/x/ext_test.go":    "package x_test\nimport (\n\t\"testing\"\n\t\"example.com/fix/internal/x\"\n)\nfunc TestExt(t *testing.T) { _ = x.Hidden() }\n",
+	})
+	prog := loadFixture(t, root)
+	if err := prog.EnsureTyped(newTestBudget()); err != nil {
+		t.Fatalf("export_test.go idiom did not type-check: %v", err)
+	}
+	ext := prog.Packages[2]
+	for _, imp := range ext.Types.Imports() {
+		if imp.Path() == "example.com/fix/internal/x" && imp != prog.Packages[1].Types {
+			t.Fatal("external test did not resolve to the test-augmented unit")
+		}
+	}
+}
+
 func TestLoadRejectsTestImportDiamond(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod":               fixtureGomod,

@@ -122,19 +122,6 @@ type Config struct {
 	Mix DifficultyMix
 	// Seed drives all random choices.
 	Seed uint64
-	// Interpreter labels the corpus through the reference tree-walking
-	// interpreter instead of the default bytecode VM. Labels are engine-
-	// independent (the differential suite pins the engines to each other);
-	// the flag mirrors harness Options.Interpreter for end-to-end
-	// equivalence runs.
-	Interpreter bool
-	// OracleExhaustive labels the corpus through the unpruned reference
-	// oracle search instead of the default influence-guided one. Labels
-	// and witnesses are search-independent (the pruning differential
-	// suite pins the searches to each other); the flag is the
-	// -oracle-exhaustive escape hatch for settling any doubt the
-	// expensive way.
-	OracleExhaustive bool
 }
 
 // Validate reports whether the configuration is usable.
@@ -161,6 +148,17 @@ var ErrLabelMismatch = errors.New("workload: template expectation disagrees with
 // verified against the ground-truth oracle; any disagreement aborts
 // generation with ErrLabelMismatch.
 func Generate(cfg Config) (*Corpus, error) {
+	return generate(cfg, compile.NewEngine())
+}
+
+// generate is Generate on a caller-supplied engine: the seam through
+// which tests label a corpus on compile.NewReferenceEngine and require
+// it deep-equal to the production one. One engine serves the whole
+// generation run: the oracle's probe search dominates corpus cost, and
+// the engine compiles each service once across its probe executions
+// (while the process-wide oracle cache elides repeat derivations of
+// identical bodies entirely).
+func generate(cfg Config, eng *compile.Engine) (*Corpus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -173,13 +171,6 @@ func Generate(cfg Config) (*Corpus, error) {
 		kinds = svclang.AllSinkKinds()
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	// One execution engine for the whole generation run: the oracle's
-	// probe search dominates corpus cost, and the engine compiles each
-	// service once across its probe executions (while the process-wide
-	// oracle cache elides repeat derivations of identical bodies
-	// entirely).
-	eng := compile.NewEngine(cfg.Interpreter)
-	eng.SetOracleExhaustive(cfg.OracleExhaustive)
 	corpus := &Corpus{Config: cfg}
 	buckets := map[Difficulty][]Template{
 		Easy:   TemplatesByDifficulty(Easy),

@@ -32,7 +32,7 @@ func FromServices(services []*svclang.Service) (*Corpus, error) {
 	}
 	corpus := &Corpus{}
 	seen := make(map[string]bool, len(services))
-	eng := compile.NewEngine(false)
+	eng := compile.NewEngine()
 	for _, svc := range services {
 		if svc == nil {
 			return nil, fmt.Errorf("workload: nil service")

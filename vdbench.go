@@ -234,30 +234,6 @@ func RunCampaignCtx(ctx context.Context, corpus *Corpus, tools []Tool, opts Camp
 	return harness.RunCtx(ctx, corpus, tools, opts)
 }
 
-// RunCampaign executes every tool over every corpus case and scores the
-// reports at sink granularity. The seed drives simulated tools only; real
-// tools are deterministic.
-//
-// Deprecated: use RunCampaignCtx, which adds cancellation, per-tool
-// deadlines, retries and partial-result policies. RunCampaign is
-// RunCampaignCtx with a background context and CampaignOptions{Seed:
-// seed, Workers: 1}, kept for existing callers.
-func RunCampaign(corpus *Corpus, tools []Tool, seed uint64) (*Campaign, error) {
-	return harness.Run(corpus, tools, seed)
-}
-
-// RunCampaignParallel is RunCampaign over a worker pool. The result is
-// byte-identical to RunCampaign for every worker count. workers <= 0
-// selects runtime.GOMAXPROCS(0).
-//
-// Deprecated: use RunCampaignCtx, which adds cancellation, per-tool
-// deadlines, retries and partial-result policies. RunCampaignParallel is
-// RunCampaignCtx with a background context and CampaignOptions{Seed:
-// seed, Workers: workers}, kept for existing callers.
-func RunCampaignParallel(corpus *Corpus, tools []Tool, seed uint64, workers int) (*Campaign, error) {
-	return harness.RunParallel(corpus, tools, seed, workers)
-}
-
 // WithCampaignProgress returns a context carrying fn as the campaign
 // progress listener: any campaign executed under the returned context —
 // directly via RunCampaignCtx or through RunExperimentCtx — reports each
@@ -377,7 +353,7 @@ func ResultFormats() []string { return experiments.Formats() }
 // ExperimentCacheKey returns the content address of an experiment run: a
 // SHA-256 over the experiment ID and every result-affecting field of the
 // configuration. Workers is excluded because experiment output is
-// byte-identical for every worker count (see RunCampaignParallel), which
+// byte-identical for every worker count (see RunCampaignCtx), which
 // is precisely the invariance that makes memoising results sound — the
 // serving layer (internal/service, cmd/vdserved) keys its result cache
 // and singleflight table on this.

@@ -1,6 +1,7 @@
 package vdbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaign, err := RunCampaign(corpus, tools, 1)
+	campaign, err := RunCampaignCtx(context.Background(), corpus, tools, CampaignOptions{Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +48,12 @@ func TestFacadeParallelCampaignMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunCampaign(corpus, tools, 1)
+	serial, err := RunCampaignCtx(context.Background(), corpus, tools, CampaignOptions{Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		par, err := RunCampaignParallel(corpus, tools, 1, workers)
+		par, err := RunCampaignCtx(context.Background(), corpus, tools, CampaignOptions{Seed: 1, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaign, err := RunCampaign(corpus, []Tool{combo}, 1)
+	campaign, err := RunCampaignCtx(context.Background(), corpus, []Tool{combo}, CampaignOptions{Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestFacadeStatsHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaign, err := RunCampaign(corpus, tools, 2)
+	campaign, err := RunCampaignCtx(context.Background(), corpus, tools, CampaignOptions{Seed: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
