@@ -9,6 +9,7 @@ package vdbench
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/ranking"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/svclang/cfg"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
@@ -242,18 +244,42 @@ func benchCase(b *testing.B) workload.Case {
 	return workload.Case{Service: svc, Template: "guarded-splice", Difficulty: workload.Hard, Truths: truths}
 }
 
-func BenchmarkTaintSAST(b *testing.B) {
-	cs := benchCase(b)
-	tool := detectors.NewTaintSAST(detectors.TaintSASTConfig{
-		Name: "bench", SinkAware: true, ValidatorAware: true,
-		PruneDeadBranches: true, TrackLoops: true,
-	})
+// BenchmarkStaticSuite runs the five taint-analysis tools of the standard
+// suite (ts-* and df-*) over a 1000-service seed-1 corpus, bound to one
+// fresh compile cache per iteration as a campaign binds them, so B/op
+// counts the CFG lowerings the tools share as well as their analyses.
+func BenchmarkStaticSuite(b *testing.B) {
+	corpus, err := workload.Generate(workload.Config{Services: 1000, TargetPrevalence: 0.4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	suite, err := detectors.StandardSuite()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var static []detectors.Tool
+	for _, tool := range suite {
+		if name := tool.Name(); strings.HasPrefix(name, "ts-") || strings.HasPrefix(name, "df-") {
+			static = append(static, tool)
+		}
+	}
+	if len(static) != 5 {
+		b.Fatalf("standard suite has %d taint-analysis tools, want 5", len(static))
+	}
 	rng := stats.NewRNG(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tool.Analyze(cs, rng); err != nil {
-			b.Fatal(err)
+		cc := cfg.NewCache()
+		for _, tool := range static {
+			if cct, ok := tool.(detectors.CompileCacheable); ok {
+				tool = cct.WithCompileCache(cc)
+			}
+			for _, cs := range corpus.Cases {
+				if _, err := tool.Analyze(cs, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package dataflow implements a generic monotone dataflow framework: a
 // join-semilattice interface and a worklist fixpoint solver over an
 // arbitrary directed graph. It is the engine room for CFG-based analyses
-// (see internal/svclang/cfg and the DataflowSAST detector): the client
+// (see internal/svclang/cfg and the detectors taint analyser): the client
 // supplies the lattice and a monotone transfer function, the solver
 // iterates to the least fixpoint, joining facts at merge points and
 // converging around loops instead of relying on a fixed pass count.
@@ -15,6 +15,7 @@ package dataflow
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Lattice describes a join-semilattice over facts of type T. Join must be
@@ -74,7 +75,8 @@ const visitBudget = 1 << 12
 // only happens when the transfer function is not monotone.
 func Solve[T any](g Graph, lat Lattice[T], entryFact T, f Transfer[T]) Result[T] {
 	n := g.NumNodes()
-	res := Result[T]{In: make([]T, n), Out: make([]T, n)}
+	facts := make([]T, 2*n)
+	res := Result[T]{In: facts[:n:n], Out: facts[n:]}
 	for i := 0; i < n; i++ {
 		res.In[i] = lat.Bottom()
 		res.Out[i] = lat.Bottom()
@@ -83,24 +85,26 @@ func Solve[T any](g Graph, lat Lattice[T], entryFact T, f Transfer[T]) Result[T]
 		return res
 	}
 
-	order := rpo(g)
-	entry := g.Entry()
-	res.In[entry] = entryFact
-
 	// pos maps node IDs to reverse-postorder positions (-1 for nodes the
 	// entry cannot reach); pending is a packed bitset over those
 	// positions, so "earliest pending node in RPO" is a trailing-zeros
 	// scan over a few words instead of a linear walk of the order slice.
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
+	// pos, the visit counters and the order share one allocation; the
+	// bitset lives on the stack for graphs of up to 256 nodes.
+	ints := make([]int, 3*n)
+	pos, visitsPerNode := ints[:n:n], ints[n:2*n:2*n]
+	order := rpo(g, pos, ints[2*n:2*n])
+	entry := g.Entry()
+	res.In[entry] = entryFact
+
+	var small [4]uint64
+	pending := small[:]
+	if words := (len(order) + 63) / 64; words <= len(small) {
+		pending = small[:words]
+	} else {
+		pending = make([]uint64, words)
 	}
-	for i, id := range order {
-		pos[id] = i
-	}
-	pending := make([]uint64, (len(order)+63)/64)
 	pending[pos[entry]>>6] |= 1 << (uint(pos[entry]) & 63)
-	visitsPerNode := make([]int, n)
 	for {
 		node := -1
 		for w, word := range pending {
@@ -136,24 +140,28 @@ func Solve[T any](g Graph, lat Lattice[T], entryFact T, f Transfer[T]) Result[T]
 }
 
 // rpo returns the reverse postorder of the nodes reachable from the
-// entry.
-func rpo(g Graph) []int {
-	seen := make([]bool, g.NumNodes())
-	var post []int
+// entry, built in buf (which must have capacity NumNodes()). On return
+// pos, which must have length NumNodes(), maps each reached node to its
+// position in the order and every other node to -1.
+func rpo(g Graph, pos, buf []int) []int {
+	for i := range pos {
+		pos[i] = -1
+	}
+	post := buf
 	var walk func(id int)
 	walk = func(id int) {
-		seen[id] = true
+		pos[id] = 0 // seen
 		for _, s := range g.Succs(id) {
-			if !seen[s] {
+			if pos[s] < 0 {
 				walk(s)
 			}
 		}
 		post = append(post, id)
 	}
 	walk(g.Entry())
-	order := make([]int, len(post))
+	slices.Reverse(post)
 	for i, id := range post {
-		order[len(post)-1-i] = id
+		pos[id] = i
 	}
-	return order
+	return post
 }

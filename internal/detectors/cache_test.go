@@ -43,7 +43,8 @@ func TestCachedDataflowMatchesUncached(t *testing.T) {
 
 // TestCacheSharedAcrossToolsWithEqualOptions checks the cross-tool payoff:
 // df-precise and df-stateless lower with the same cfg.Options, so after
-// one tool has analysed a case the other's build is a hit.
+// one tool has analysed a case the other's build is a hit; across the
+// standard suite, lowerings are shared by every tool with equal options.
 func TestCacheSharedAcrossToolsWithEqualOptions(t *testing.T) {
 	cs := buildCase(t, "direct-splice", svclang.SinkSQL, true)
 	cc := cfg.NewCache()
@@ -62,6 +63,41 @@ func TestCacheSharedAcrossToolsWithEqualOptions(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("second tool did not hit the shared cache")
 	}
+
+	t.Run("StandardSuite", func(t *testing.T) {
+		// The suite's five taint-analysis tools lower with three option
+		// sets: ts-precise, df-precise and df-stateless share one,
+		// ts-aggressive (no pruning) and ts-lite (no pruning, loops
+		// skipped) have one each. Every other lookup is a hit.
+		suite, err := StandardSuite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := templateCases(t)
+		cc := cfg.NewCache()
+		bound := 0
+		for _, tool := range suite {
+			cct, ok := tool.(CompileCacheable)
+			if !ok {
+				continue
+			}
+			bound++
+			cached := cct.WithCompileCache(cc)
+			for _, cs := range cases {
+				analyze(t, cached, cs)
+			}
+		}
+		if bound != 5 {
+			t.Fatalf("%d suite tools are CompileCacheable, want the 5 taint analysers", bound)
+		}
+		hits, misses := cc.Stats()
+		if want := uint64(3 * len(cases)); misses != want {
+			t.Fatalf("misses = %d, want 3 option sets × %d cases = %d", misses, len(cases), want)
+		}
+		if want := uint64(2 * len(cases)); hits != want {
+			t.Fatalf("hits = %d, want %d", hits, want)
+		}
+	})
 }
 
 // TestCombinedAndRestrictedForwardCache checks that the wrappers rebind

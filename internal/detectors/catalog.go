@@ -7,8 +7,9 @@ import (
 )
 
 // StandardSuite returns the benchmark campaign's tool set: six static
-// tools (four AST-walker taint configurations plus two CFG dataflow
-// engines), two penetration testers and one simulated heuristic tool. The
+// tools (five configurations of the CFG taint analyser — three
+// path-insensitive, two path-sensitive — plus a signature scanner), two
+// penetration testers and one simulated heuristic tool. The
 // mix reproduces the qualitative spread of the published campaigns —
 // static analysis trades precision for recall, penetration testing the
 // reverse — with each tool's wrong results caused by a documented
@@ -50,36 +51,32 @@ func StandardSuite() ([]Tool, error) {
 	// grep-sast: signature matching without flow sensitivity.
 	tools = append(tools, NewSignatureSAST("grep-sast"))
 
-	// df-precise: the CFG/worklist engine at ts-precise's knob settings
-	// plus path sensitivity. Branch-condition refinement clears validated
-	// in-branch splices the walker family false-alarms on; the diagonal
+	// df-precise: ts-precise's knob settings plus path sensitivity.
+	// Branch-condition refinement clears validated in-branch splices the
+	// path-insensitive configurations false-alarm on; the diagonal
 	// sanitizer model remains its one blind spot.
-	tools = append(tools, NewDataflowSAST(DataflowSASTConfig{
-		TaintSASTConfig: TaintSASTConfig{
-			Name:              "df-precise",
-			SinkAware:         true,
-			DiagonalAdequacy:  true,
-			ValidatorAware:    true,
-			PruneDeadBranches: true,
-			TrackLoops:        true,
-			TrackStores:       true,
-		},
-		PathSensitive: true,
+	tools = append(tools, NewTaintSAST(TaintSASTConfig{
+		Name:              "df-precise",
+		SinkAware:         true,
+		DiagonalAdequacy:  true,
+		ValidatorAware:    true,
+		PruneDeadBranches: true,
+		TrackLoops:        true,
+		TrackStores:       true,
+		PathSensitive:     true,
 	}))
 
-	// df-stateless: the same engine without session-store modelling — the
+	// df-stateless: df-precise without session-store modelling — the
 	// common real-world configuration that misses second-order (stored)
 	// flows.
-	tools = append(tools, NewDataflowSAST(DataflowSASTConfig{
-		TaintSASTConfig: TaintSASTConfig{
-			Name:              "df-stateless",
-			SinkAware:         true,
-			DiagonalAdequacy:  true,
-			ValidatorAware:    true,
-			PruneDeadBranches: true,
-			TrackLoops:        true,
-		},
-		PathSensitive: true,
+	tools = append(tools, NewTaintSAST(TaintSASTConfig{
+		Name:              "df-stateless",
+		SinkAware:         true,
+		DiagonalAdequacy:  true,
+		ValidatorAware:    true,
+		PruneDeadBranches: true,
+		TrackLoops:        true,
+		PathSensitive:     true,
 	}))
 
 	// pt-deep: thorough penetration tester with input exploration and the

@@ -70,7 +70,7 @@ func TestSolverFixpointOnGeneratedCFGs(t *testing.T) {
 		Name:      "prop",
 		SinkAware: true,
 	}
-	tool := &dataflowSAST{cfg: DataflowSASTConfig{TaintSASTConfig: cfgKnobs}}
+	tool := &taintSAST{cfg: cfgKnobs}
 	services := 0
 	for _, seed := range []uint64{3, 11, 2015} {
 		corpus, err := workload.Generate(workload.Config{
@@ -91,31 +91,20 @@ func TestSolverFixpointOnGeneratedCFGs(t *testing.T) {
 	}
 }
 
-func checkFixpoint(t *testing.T, tool *dataflowSAST, svc *svclang.Service) {
+func checkFixpoint(t *testing.T, tool *taintSAST, svc *svclang.Service) {
 	t.Helper()
 	g := cfg.Build(svc, cfg.Options{}) // loops tracked: the hard case for convergence
-	run := &dataflowRun{
-		tool:       tool,
-		svc:        svc,
-		found:      map[int]Report{},
-		slots:      slotTable(svc),
-		storeSlots: storeSlotTable(svc),
-	}
-	run.store = make([]absVal, len(run.storeSlots))
-	run.nextStore = make([]absVal, len(run.storeSlots))
-	entry := make([]absVal, len(run.slots))
-	for _, p := range svc.Params {
-		entry[run.slots[p]] = absVal{dangerous: allKindsMask()}
-	}
+	run := newDataflowRun(tool, g)
+	run.nextStore = make([]absVal, len(g.StoreKeys))
 	transfer := func(n int, in taintFact) taintFact {
 		return run.transfer(g.Blocks[n], in)
 	}
 	lat := taintLattice{}
-	res := dataflow.Solve[taintFact](g, lat, taintFact{live: true, vars: entry}, transfer)
+	res := dataflow.Solve[taintFact](g, lat, run.entryFact(), transfer)
 
-	if bound := g.NumNodes() * latticeHeight(len(run.slots)); res.Visits > bound {
+	if bound := g.NumNodes() * latticeHeight(len(g.Vars)); res.Visits > bound {
 		t.Fatalf("%s: %d visits exceeds |blocks|·height = %d·%d = %d",
-			svc.Name, res.Visits, g.NumNodes(), latticeHeight(len(run.slots)), bound)
+			svc.Name, res.Visits, g.NumNodes(), latticeHeight(len(g.Vars)), bound)
 	}
 	// The solution is a fixpoint: every out-fact is the transfer of its
 	// in-fact, and every reachable edge's flow is absorbed by the

@@ -1,9 +1,10 @@
 // Package detectors implements the vulnerability detection tools the
 // benchmark evaluates. Three families are provided:
 //
-//   - a configurable static taint analyser (taintSAST) whose imprecision
-//     knobs reproduce the classic false-positive/false-negative mechanisms
-//     of real static analysis tools;
+//   - a configurable static taint analyser (taintSAST, a CFG dataflow
+//     engine) whose imprecision knobs reproduce the classic
+//     false-positive/false-negative mechanisms of real static analysis
+//     tools;
 //   - a signature-based static tool (signatureSAST) modelling grep-like
 //     scanners with flow-insensitive matching;
 //   - a differential penetration tester (pentester) that attacks services
@@ -24,6 +25,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/svclang/cfg"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
@@ -90,6 +92,17 @@ type ContextAnalyzer interface {
 	// AnalyzeContext is Analyze with cancellation. Implementations must
 	// return promptly (with any error) once ctx is done.
 	AnalyzeContext(ctx context.Context, cs workload.Case, rng *stats.RNG) ([]Report, error)
+}
+
+// CompileCacheable is implemented by tools that lower services through
+// internal/svclang/cfg and can share one per-campaign compile cache. The
+// harness rebinds such tools before a campaign so the parse/lowering work
+// for a case happens once per distinct option set, not once per tool.
+type CompileCacheable interface {
+	// WithCompileCache returns a copy of the tool bound to cc. The
+	// receiver is not mutated and the copy's reports are identical; only
+	// redundant CFG construction is shared.
+	WithCompileCache(cc *cfg.Cache) Tool
 }
 
 // ExecEngineBindable is implemented by tools that execute services (the

@@ -115,7 +115,8 @@ func collectNames(svc *svclang.Service) []string {
 }
 
 func TestToolsInvariantUnderAlphaRenaming(t *testing.T) {
-	tools := []Tool{precise(), aggressive(), lite(), trueMatrix(), NewSignatureSAST("sig"), deepPT(), fastPT()}
+	tools := []Tool{precise(), aggressive(), lite(), trueMatrix(), dfPrecise(), dfStateless(),
+		NewSignatureSAST("sig"), deepPT(), fastPT()}
 	for _, tpl := range workload.Templates() {
 		for _, vulnerable := range []bool{false, true} {
 			kind := tpl.Kinds[0]

@@ -1,11 +1,14 @@
 package detectors
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"github.com/dsn2015/vdbench/internal/dataflow"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/svclang/cfg"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -41,21 +44,43 @@ type TaintSASTConfig struct {
 	// When false every load reads as clean — false negatives on
 	// second-order (stored) flows.
 	TrackStores bool
+	// PathSensitive: the analyser interprets branch conditions along CFG
+	// edges — a variable that passed matches()/eq() validation is clean on
+	// the holding edge, and edges contradicting a constant condition are
+	// infeasible. When false, taint from both arms of a branch is joined
+	// before any sink inside them is judged, as a joined-environment
+	// walker would — false positives on validated in-branch splices.
+	// Refinement only ever removes reports, never adds them.
+	PathSensitive bool
 }
 
-// taintSAST is a flow-sensitive, path-insensitive abstract interpreter
-// over the mini-language: the same architecture as industrial taint
-// analysers, at mini scale.
+// taintSAST is a flow-sensitive taint analyser built the way industrial
+// SAST engines are: the service is lowered to a basic-block CFG
+// (internal/svclang/cfg) and taint facts are propagated to a worklist
+// fixpoint (internal/dataflow) with joins at merge points and convergence
+// around loops.
 type taintSAST struct {
 	cfg TaintSASTConfig
+	// cache, when non-nil, memoises the lowered CFG per (service,
+	// options) across every cache-bound tool in a campaign. nil builds
+	// directly; reports are identical either way.
+	cache *cfg.Cache
 }
 
 var _ Tool = (*taintSAST)(nil)
+var _ CompileCacheable = (*taintSAST)(nil)
 
 // NewTaintSAST builds a static taint analyser with the given
 // configuration.
-func NewTaintSAST(cfg TaintSASTConfig) Tool {
-	return &taintSAST{cfg: cfg}
+func NewTaintSAST(config TaintSASTConfig) Tool {
+	return &taintSAST{cfg: config}
+}
+
+// WithCompileCache implements CompileCacheable.
+func (t *taintSAST) WithCompileCache(cc *cfg.Cache) Tool {
+	clone := *t
+	clone.cache = cc
+	return &clone
 }
 
 func (t *taintSAST) Name() string { return t.cfg.Name }
@@ -87,36 +112,19 @@ func (a absVal) join(b absVal) absVal {
 	return absVal{dangerous: a.dangerous | b.dangerous, sanitized: a.sanitized || b.sanitized}
 }
 
-// absEnv maps variable names to abstract values.
-type absEnv map[string]absVal
-
-func (e absEnv) clone() absEnv {
-	out := make(absEnv, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
-func (e absEnv) joinWith(other absEnv) {
-	for k, v := range other {
-		e[k] = e[k].join(v)
-	}
-}
-
 // absSource abstracts where evalExpr reads variable and session-store
-// state from: the AST walker keeps map environments, the CFG engine keeps
-// slot vectors. Implementations are pointer receivers carrying a
-// "current environment" field, so sharing the evaluator costs no
-// allocation per expression.
+// state from: the engine keeps slot vectors, the reference walker the
+// differential tests compare against keeps map environments.
+// Implementations are pointer receivers carrying a "current environment"
+// field, so sharing the evaluator costs no allocation per expression.
 type absSource interface {
 	varAbs(name string) absVal
 	storeAbs(key string) absVal
 }
 
 // sanitizesUnder applies the configured adequacy model. It is shared by
-// the AST walker and the CFG dataflow engine, which must agree on
-// expression semantics exactly (the differential tests pin this).
+// the engine and the reference walker, which must agree on expression
+// semantics exactly (the differential tests pin this).
 func (cfg TaintSASTConfig) sanitizesUnder(b svclang.Builtin, k svclang.SinkKind) bool {
 	if !cfg.SinkAware {
 		// Any sanitizer is believed to clear everything.
@@ -143,191 +151,11 @@ func (cfg TaintSASTConfig) sanitizesUnder(b svclang.Builtin, k svclang.SinkKind)
 	return b.Sanitizes(k)
 }
 
-// Analyze implements Tool.
-func (t *taintSAST) Analyze(cs workload.Case, _ *stats.RNG) ([]Report, error) {
-	svc := cs.Service
-	if svc == nil {
-		return nil, fmt.Errorf("detectors: %s: nil service", t.cfg.Name)
-	}
-	env := make(absEnv, len(svc.Params)+4)
-	for _, p := range svc.Params {
-		env[p] = absVal{dangerous: allKindsMask()}
-	}
-	st := &taintState{tool: t, svc: svc, found: map[int]Report{}, store: absEnv{}}
-	// Stateful services need a second pass so that taint stored by "late"
-	// statements reaches loads that appear earlier in the body (a load in
-	// request N observes what request N-1 stored). The store state is the
-	// only thing carried between passes; the variable environment restarts,
-	// exactly as it does per request at runtime.
-	passes := 1
-	if t.cfg.TrackStores && svc.UsesStore() {
-		passes = 2
-	}
-	for i := 0; i < passes; i++ {
-		passEnv := env.clone()
-		st.stmts(svc.Body, passEnv)
-	}
-	reports := make([]Report, 0, len(st.found))
-	for _, r := range st.found {
-		reports = append(reports, r)
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].SinkID < reports[j].SinkID })
-	return reports, nil
-}
-
-type taintState struct {
-	tool  *taintSAST
-	svc   *svclang.Service
-	found map[int]Report
-	// store is the abstract session store, keyed by store key; it persists
-	// across analysis passes (weak updates only).
-	store absEnv
-	// curEnv is the environment the expression under evaluation reads
-	// from; expr sets it before handing the state to evalExpr (the
-	// absSource seam).
-	curEnv absEnv
-}
-
-var _ absSource = (*taintState)(nil)
-
-func (s *taintState) varAbs(name string) absVal  { return s.curEnv[name] }
-func (s *taintState) storeAbs(key string) absVal { return s.store[key] }
-
-// stmts analyses a statement list under env, mutating env in place. It
-// returns true when the list always rejects (every path ends in Reject).
-func (s *taintState) stmts(list []svclang.Stmt, env absEnv) bool {
-	for _, st := range list {
-		if s.stmt(st, env) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *taintState) stmt(st svclang.Stmt, env absEnv) bool {
-	switch v := st.(type) {
-	case svclang.VarDecl:
-		env[v.Name] = absVal{}
-	case svclang.Assign:
-		env[v.Name] = s.expr(v.Expr, env)
-	case svclang.Reject:
-		return true
-	case svclang.Store:
-		if s.tool.cfg.TrackStores {
-			val := s.expr(v.Expr, env)
-			s.store[v.Key] = s.store[v.Key].join(val)
-		}
-	case svclang.Sink:
-		val := s.expr(v.Expr, env)
-		if val.dangerous&maskOf(v.Kind) != 0 {
-			conf := 0.9
-			if val.sanitized {
-				// The value passed a sanitizer yet remains dangerous:
-				// report with lower confidence, as real tools do for
-				// "possibly insufficient sanitisation" findings.
-				conf = 0.6
-			}
-			if _, dup := s.found[v.ID]; !dup {
-				s.found[v.ID] = Report{
-					Service:    s.svc.Name,
-					SinkID:     v.ID,
-					Kind:       v.Kind,
-					Confidence: conf,
-				}
-			}
-		}
-	case svclang.Repeat:
-		if !s.tool.cfg.TrackLoops {
-			return false // loop body invisible to the analyser
-		}
-		// Three passes reach the fixpoint for this finite lattice and the
-		// assignment chains the language allows; sinks are recorded on
-		// every pass (deduplicated by ID).
-		for i := 0; i < 3; i++ {
-			if s.stmts(v.Body, env) {
-				return false // reject inside a loop: conservatively continue
-			}
-		}
-	case svclang.If:
-		// Constant conditions: a pruning analyser follows only the live
-		// branch.
-		if lit, ok := v.Cond.(svclang.BoolLit); ok && s.tool.cfg.PruneDeadBranches {
-			if lit.Value {
-				return s.stmts(v.Then, env)
-			}
-			return s.stmts(v.Else, env)
-		}
-		thenEnv := env.clone()
-		elseEnv := env.clone()
-		thenRejects := s.stmts(v.Then, thenEnv)
-		elseRejects := s.stmts(v.Else, elseEnv)
-		switch {
-		case thenRejects && elseRejects:
-			return true
-		case thenRejects:
-			replace(env, elseEnv)
-			s.applyValidator(v.Cond, false, env)
-		case elseRejects:
-			replace(env, thenEnv)
-			s.applyValidator(v.Cond, true, env)
-		default:
-			replace(env, thenEnv)
-			env.joinWith(elseEnv)
-		}
-	}
-	return false
-}
-
-// replace overwrites dst with src in place.
-func replace(dst, src absEnv) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// applyValidator narrows the environment after a validate-and-reject
-// pattern: when the surviving path implies matches(x, class), variable x
-// is clean. condHolds states whether the condition is true on the
-// surviving path.
-func (s *taintState) applyValidator(cond svclang.Cond, condHolds bool, env absEnv) {
-	if !s.tool.cfg.ValidatorAware {
-		return
-	}
-	// Peel negations, flipping the polarity.
-	for {
-		if n, ok := cond.(svclang.Not); ok {
-			cond = n.Inner
-			condHolds = !condHolds
-			continue
-		}
-		break
-	}
-	m, ok := cond.(svclang.Match)
-	if !ok || !condHolds {
-		return
-	}
-	id, ok := m.Expr.(svclang.Ident)
-	if !ok {
-		return
-	}
-	env[id.Name] = absVal{}
-}
-
-// expr computes the abstract value of an expression.
-func (s *taintState) expr(e svclang.Expr, env absEnv) absVal {
-	s.curEnv = env
-	return evalExpr(s.tool.cfg, e, s)
-}
-
 // evalExpr computes the abstract value of an expression under the
-// variable environment and abstract session store exposed by src. Both
-// static engines — the AST walker above and the CFG dataflow engine in
-// dataflowsast.go — share this definition, so any report divergence
-// between them can only come from control flow, never from expression
-// semantics.
+// variable environment and abstract session store exposed by src. The
+// engine and the reference walker share this definition, so any report
+// divergence between them can only come from control flow, never from
+// expression semantics.
 func evalExpr(cfg TaintSASTConfig, e svclang.Expr, src absSource) absVal {
 	switch v := e.(type) {
 	case svclang.Lit:
@@ -362,4 +190,302 @@ func evalExpr(cfg TaintSASTConfig, e svclang.Expr, src absSource) absVal {
 	default:
 		return absVal{dangerous: allKindsMask()} // unknown node: be conservative
 	}
+}
+
+// taintFact is the dataflow fact: live marks reachable-so-far code (the
+// lattice bottom is the unreached fact), vars is the abstract variable
+// environment as a slot vector — one absVal (a kind bitset plus the
+// sanitized flag) per name the service binds, indexed by cfg.Graph.VarSlot.
+// Joining and comparing are elementwise loops over a few machine words and
+// cloning a fact is one slice copy.
+type taintFact struct {
+	live bool
+	vars []absVal
+}
+
+// taintLattice is the join-semilattice over taintFact. Facts are treated
+// as immutable: Join returns fresh state and the transfer function clones
+// before mutating.
+type taintLattice struct{}
+
+var _ dataflow.Lattice[taintFact] = taintLattice{}
+
+func (taintLattice) Bottom() taintFact { return taintFact{} }
+
+func (taintLattice) Join(a, b taintFact) taintFact {
+	switch {
+	case !a.live:
+		return b
+	case !b.live:
+		return a
+	}
+	n := len(a.vars)
+	if len(b.vars) > n {
+		n = len(b.vars)
+	}
+	vars := make([]absVal, n)
+	copy(vars, a.vars)
+	for i, v := range b.vars {
+		vars[i] = vars[i].join(v)
+	}
+	return taintFact{live: true, vars: vars}
+}
+
+func (taintLattice) Equal(a, b taintFact) bool {
+	if a.live != b.live {
+		return false
+	}
+	if !a.live {
+		return true
+	}
+	// Slots past a vector's end read as the zero value, so a short vector
+	// and its zero-padded extension are the same environment.
+	long, short := a.vars, b.vars
+	if len(short) > len(long) {
+		long, short = short, long
+	}
+	for i, v := range short {
+		if long[i] != v {
+			return false
+		}
+	}
+	for _, v := range long[len(short):] {
+		if v != (absVal{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// Analyze implements Tool.
+func (t *taintSAST) Analyze(cs workload.Case, _ *stats.RNG) ([]Report, error) {
+	svc := cs.Service
+	if svc == nil {
+		return nil, fmt.Errorf("detectors: %s: nil service", t.cfg.Name)
+	}
+	g := t.cache.Build(svc, cfg.Options{
+		PruneConstantBranches: t.cfg.PruneDeadBranches,
+		SkipLoops:             !t.cfg.TrackLoops,
+	})
+	run := newDataflowRun(t, g)
+	// Stateful services need a second pass: a load in request N observes
+	// what request N-1 stored, so pass 2 reads the store image
+	// accumulated by pass 1. Within a pass the store snapshot is fixed
+	// (writes land in the next pass's image), which keeps the transfer
+	// function monotone during the solve. The variable environment
+	// restarts each pass, exactly as it does per request at runtime. A
+	// service that writes no key would replay pass 1 exactly, so it gets
+	// one pass.
+	passes := 1
+	if t.cfg.TrackStores && len(g.StoreKeys) > 0 {
+		passes = 2
+	}
+	for i := 0; i < passes; i++ {
+		run.nextStore = append([]absVal(nil), run.store...)
+		dataflow.Solve[taintFact](g, taintLattice{}, run.entryFact(),
+			func(n int, in taintFact) taintFact {
+				return run.transfer(g.Blocks[n], in)
+			})
+		run.store = run.nextStore
+	}
+	slices.SortFunc(run.found, func(a, b Report) int { return cmp.Compare(a.SinkID, b.SinkID) })
+	return run.found, nil
+}
+
+// dataflowRun is the per-analysis state shared across solver passes.
+type dataflowRun struct {
+	tool *taintSAST
+	g    *cfg.Graph
+	// found holds one report per flagged sink, in discovery order.
+	found []Report
+	// store is the read snapshot for the current pass, indexed by
+	// cfg.Graph.StoreSlot; nextStore accumulates writes (weak joins) for
+	// the following pass.
+	store     []absVal
+	nextStore []absVal
+	// curVars is the environment the statement being transferred reads
+	// from; transfer sets it before interpreting a block (the absSource
+	// seam shared with the reference walker's evalExpr). owned reports
+	// whether the block has cloned it from its in-fact yet.
+	curVars []absVal
+	owned   bool
+}
+
+var _ absSource = (*dataflowRun)(nil)
+
+func newDataflowRun(t *taintSAST, g *cfg.Graph) *dataflowRun {
+	return &dataflowRun{
+		tool:  t,
+		g:     g,
+		store: make([]absVal, len(g.StoreKeys)),
+	}
+}
+
+// entryFact is the state at the service entry: every parameter (the
+// first slots of the graph's Vars) is attacker-controlled for every sink
+// kind, every declared variable is clean.
+func (r *dataflowRun) entryFact() taintFact {
+	vars := make([]absVal, len(r.g.Vars))
+	for i := range r.g.Service.Params {
+		vars[i] = absVal{dangerous: allKindsMask()}
+	}
+	return taintFact{live: true, vars: vars}
+}
+
+func (r *dataflowRun) varAbs(name string) absVal {
+	if i := r.g.VarSlot(name); i >= 0 {
+		return r.curVars[i]
+	}
+	return absVal{}
+}
+
+func (r *dataflowRun) storeAbs(key string) absVal {
+	if i := r.g.StoreSlot(key); i >= 0 {
+		return r.store[i]
+	}
+	return absVal{}
+}
+
+// transfer interprets one basic block. Sinks are recorded as a side
+// effect with first-report-wins deduplication: the solver's reverse-
+// postorder worklist evaluates each block first with its earliest
+// (smallest) in-fact, so the recorded confidence matches the reference
+// walker's first-pass recording.
+func (r *dataflowRun) transfer(blk *cfg.Block, in taintFact) taintFact {
+	if !in.live {
+		return taintFact{}
+	}
+	// Facts are immutable, so the block starts by reading in's vector and
+	// setVar clones it on the first write that changes a slot; a block
+	// that changes nothing passes its in-fact through without allocating.
+	// A vector shorter than the slot count (slots past its end are the
+	// zero value by the lattice's convention) is zero-extended up front.
+	r.curVars, r.owned = in.vars, false
+	if len(in.vars) < len(r.g.Vars) {
+		r.curVars, r.owned = make([]absVal, len(r.g.Vars)), true
+		copy(r.curVars, in.vars)
+	}
+	for _, instr := range blk.Instrs {
+		if instr.Refine != nil {
+			if !r.refine(*instr.Refine) {
+				return taintFact{} // infeasible edge: the path is dead
+			}
+			continue
+		}
+		switch v := instr.Stmt.(type) {
+		case svclang.VarDecl:
+			r.setVar(v.Name, absVal{})
+		case svclang.Assign:
+			r.setVar(v.Name, r.eval(v.Expr))
+		case svclang.Store:
+			if r.tool.cfg.TrackStores {
+				val := r.eval(v.Expr)
+				i := r.g.StoreSlot(v.Key)
+				r.nextStore[i] = r.nextStore[i].join(val)
+			}
+		case svclang.Sink:
+			val := r.eval(v.Expr)
+			if val.dangerous&maskOf(v.Kind) != 0 {
+				conf := 0.9
+				if val.sanitized {
+					// The value passed a sanitizer yet remains dangerous:
+					// report with lower confidence, as real tools do for
+					// "possibly insufficient sanitisation" findings.
+					conf = 0.6
+				}
+				if !slices.ContainsFunc(r.found, func(rep Report) bool { return rep.SinkID == v.ID }) {
+					r.found = append(r.found, Report{
+						Service:    r.g.Service.Name,
+						SinkID:     v.ID,
+						Kind:       v.Kind,
+						Confidence: conf,
+					})
+				}
+			}
+		case svclang.Reject:
+			// Terminator: the block has no fallthrough successor (or, for
+			// an always-rejecting loop body, flows its state to the loop
+			// exit), so nothing to do here.
+		}
+	}
+	return taintFact{live: true, vars: r.curVars}
+}
+
+func (r *dataflowRun) eval(e svclang.Expr) absVal {
+	return evalExpr(r.tool.cfg, e, r)
+}
+
+// setVar clears or sets a named slot of the block's environment, cloning
+// the in-fact's vector first if the block does not own it yet; every name
+// a validated service assigns is a parameter or declared, so the lookup
+// cannot miss.
+func (r *dataflowRun) setVar(name string, v absVal) {
+	i := r.g.VarSlot(name)
+	if r.curVars[i] == v {
+		return
+	}
+	if !r.owned {
+		r.curVars, r.owned = slices.Clone(r.curVars), true
+	}
+	r.curVars[i] = v
+}
+
+// refine interprets a synthetic Refine instruction against the block's
+// environment, updating it through setVar. It returns false when the
+// refinement proves the edge infeasible.
+func (r *dataflowRun) refine(ref cfg.Refine) bool {
+	cond, holds := ref.Cond, ref.Holds
+	// Peel negations, flipping the polarity.
+	for {
+		n, ok := cond.(svclang.Not)
+		if !ok {
+			break
+		}
+		cond = n.Inner
+		holds = !holds
+	}
+	switch ref.Gate {
+	case cfg.GateValidator:
+		// Join-point narrowing after validate-and-reject: on the surviving
+		// path a matches() condition holds, so the validated variable is
+		// clean. Path-insensitive analysers perform this too.
+		if !r.tool.cfg.ValidatorAware {
+			return true
+		}
+		m, ok := cond.(svclang.Match)
+		if !ok || !holds {
+			return true
+		}
+		if id, ok := m.Expr.(svclang.Ident); ok {
+			r.setVar(id.Name, absVal{})
+		}
+	case cfg.GatePath:
+		if !r.tool.cfg.PathSensitive {
+			return true
+		}
+		switch c := cond.(type) {
+		case svclang.BoolLit:
+			// An edge contradicting a constant condition is infeasible.
+			return c.Value == holds
+		case svclang.Match:
+			// On the holding edge the variable passed class validation:
+			// its content is inert in every sink context the workload
+			// uses. The failing edge tells us nothing (the value is merely
+			// not all-in-class).
+			if holds {
+				if id, ok := c.Expr.(svclang.Ident); ok {
+					r.setVar(id.Name, absVal{})
+				}
+			}
+		case svclang.Eq:
+			// On the holding edge the variable equals a program literal,
+			// so the attacker no longer controls it.
+			if holds {
+				if id, ok := c.Expr.(svclang.Ident); ok {
+					r.setVar(id.Name, absVal{})
+				}
+			}
+		}
+	}
+	return true
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/dsn2015/vdbench/internal/core"
@@ -211,9 +212,11 @@ func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
 	// SAST misses wrong-sanitizer and loop-carried flows, the pentester
 	// misses silent and guarded sinks. Their combination is therefore the
 	// interesting one.
-	sast := detectors.NewTaintSAST(detectors.TaintSASTConfig{Name: "ts-lite", SinkAware: false})
-	dast := detectors.NewPentester(detectors.PentesterConfig{Name: "pt-deep", ExploreInputs: true})
-	grep := detectors.NewSignatureSAST("grep-sast")
+	members, err := suiteTools("ts-lite", "pt-deep", "grep-sast")
+	if err != nil {
+		return Result{}, err
+	}
+	sast, dast, grep := members[0], members[1], members[2]
 	union, err := detectors.NewCombined("sast∪dast", detectors.Union, []detectors.Tool{sast, dast})
 	if err != nil {
 		return Result{}, err
@@ -253,6 +256,25 @@ func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
 		Title:  "Tool combination (extension)",
 		Tables: []*report.Table{tbl},
 	}, nil
+}
+
+// suiteTools returns the named tools of detectors.StandardSuite in the
+// order given, so an experiment that runs a subset of the suite cannot
+// drift from the catalogue's configurations.
+func suiteTools(names ...string) ([]detectors.Tool, error) {
+	suite, err := detectors.StandardSuite()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]detectors.Tool, len(names))
+	for i, name := range names {
+		idx := slices.IndexFunc(suite, func(t detectors.Tool) bool { return t.Name() == name })
+		if idx < 0 {
+			return nil, fmt.Errorf("experiments: standard suite has no tool %q", name)
+		}
+		out[i] = suite[idx]
+	}
+	return out, nil
 }
 
 // E15DecisionImpact closes the loop: for each scenario, rank the campaign

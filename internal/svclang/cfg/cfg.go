@@ -5,15 +5,20 @@
 // analysis only has to interpret straight-line instruction lists and join
 // facts at merge points.
 //
-// The lowering preserves the observable semantics of the AST walker in
-// internal/detectors at parity options, and additionally records, as
-// synthetic Refine instructions, the branch conditions that are known to
-// hold on each edge. A path-sensitive analysis can interpret those
-// refinements (the AST walker cannot express them); a path-insensitive one
-// simply ignores them.
+// The lowering preserves the observable semantics of the reference AST
+// walker that the internal/detectors differential tests compare against,
+// at parity options, and additionally records, as synthetic Refine
+// instructions, the branch conditions that are known to hold on each
+// edge. A path-sensitive analysis interprets those refinements (the
+// walker's joined-environment traversal cannot express them); a
+// path-insensitive one simply ignores them.
 package cfg
 
-import "github.com/dsn2015/vdbench/internal/svclang"
+import (
+	"slices"
+
+	"github.com/dsn2015/vdbench/internal/svclang"
+)
 
 // Gate classifies a Refine instruction by the control-flow construct that
 // justifies it.
@@ -23,7 +28,8 @@ const (
 	// GateValidator marks a join-point refinement after a one-armed
 	// validate-and-reject branch: exactly one arm always rejects, so on the
 	// surviving path the branch condition is known with the recorded
-	// polarity. This is the classic narrowing the AST walker also performs.
+	// polarity. This is the classic narrowing the reference walker also
+	// performs.
 	GateValidator Gate = iota + 1
 	// GatePath marks a branch-edge refinement: the condition holds (or
 	// fails) at the head of the then (or else) arm. Only a path-sensitive
@@ -67,19 +73,20 @@ type Block struct {
 	ID int
 	// Instrs is the straight-line instruction list.
 	Instrs []Instr
-	// Succs lists successor blocks in deterministic lowering order (then
-	// before else, loop back edge before loop exit).
-	Succs []*Block
+	// Succs lists successor block IDs in deterministic lowering order
+	// (then before else, loop back edge before loop exit).
+	Succs []int
 }
 
 // Options tune the lowering to match an analyser's capabilities.
 type Options struct {
 	// PruneConstantBranches lowers only the live arm of a constant
-	// condition; the dead arm becomes an unreachable subgraph. Mirrors the
-	// walker's PruneDeadBranches knob.
+	// condition; the dead arm becomes an unreachable subgraph. Serves the
+	// analyser's PruneDeadBranches knob, mirroring the reference walker.
 	PruneConstantBranches bool
 	// SkipLoops lowers repeat bodies as unreachable subgraphs, making loop
-	// sinks invisible. Mirrors the walker's !TrackLoops behaviour.
+	// sinks invisible. Serves the analyser's !TrackLoops setting,
+	// mirroring the reference walker.
 	SkipLoops bool
 }
 
@@ -91,10 +98,23 @@ type Graph struct {
 	Service *svclang.Service
 	// Blocks lists every block, indexed by ID.
 	Blocks []*Block
-	// SinkBlock maps each sink ID to the ID of the block holding it —
-	// per-sink provenance for tests and diagnostics.
-	SinkBlock map[int]int
+	// Vars lists every name the service can bind — parameters first, then
+	// declared variables in lowering order — so an analysis can keep its
+	// environment as a vector indexed by VarSlot.
+	Vars []string
+	// StoreKeys lists every session-store key the service writes, in
+	// lowering order, indexed by StoreSlot.
+	StoreKeys []string
 }
+
+// VarSlot returns the index of name in Vars, or -1 if the service never
+// binds it. Services bind a handful of names, so a linear scan beats a
+// map on both time and the memory each cached graph keeps live.
+func (g *Graph) VarSlot(name string) int { return slices.Index(g.Vars, name) }
+
+// StoreSlot returns the index of key in StoreKeys, or -1 if the service
+// never writes it.
+func (g *Graph) StoreSlot(key string) int { return slices.Index(g.StoreKeys, key) }
 
 // NumNodes, Entry and Succs make *Graph satisfy the dataflow.Graph
 // interface.
@@ -105,14 +125,9 @@ func (g *Graph) NumNodes() int { return len(g.Blocks) }
 // Entry returns the entry block's ID (always 0).
 func (g *Graph) Entry() int { return 0 }
 
-// Succs returns the successor IDs of block n in lowering order.
-func (g *Graph) Succs(n int) []int {
-	out := make([]int, len(g.Blocks[n].Succs))
-	for i, s := range g.Blocks[n].Succs {
-		out[i] = s.ID
-	}
-	return out
-}
+// Succs returns the successor IDs of block n in lowering order. The
+// slice is the block's own; callers must not modify it.
+func (g *Graph) Succs(n int) []int { return g.Blocks[n].Succs }
 
 // ReversePostorder returns the blocks reachable from the entry in reverse
 // postorder of a depth-first walk that follows successors in lowering
@@ -125,8 +140,8 @@ func (g *Graph) ReversePostorder() []*Block {
 	walk = func(b *Block) {
 		seen[b.ID] = true
 		for _, s := range b.Succs {
-			if !seen[s.ID] {
-				walk(s)
+			if !seen[s] {
+				walk(g.Blocks[s])
 			}
 		}
 		post = append(post, b)
@@ -144,7 +159,7 @@ func (g *Graph) ReversePostorder() []*Block {
 // code end up in blocks unreachable from the entry.
 func Build(svc *svclang.Service, opts Options) *Graph {
 	b := &builder{
-		g:    &Graph{Service: svc, SinkBlock: map[int]int{}},
+		g:    &Graph{Service: svc, Vars: append([]string(nil), svc.Params...)},
 		opts: opts,
 	}
 	b.cur = b.newBlock()
@@ -165,12 +180,19 @@ func (b *builder) newBlock() *Block {
 }
 
 func (b *builder) link(from, to *Block) {
-	from.Succs = append(from.Succs, to)
+	from.Succs = append(from.Succs, to.ID)
 }
 
 func (b *builder) emit(in Instr) {
-	if s, ok := in.Stmt.(svclang.Sink); ok {
-		b.g.SinkBlock[s.ID] = b.cur.ID
+	switch s := in.Stmt.(type) {
+	case svclang.VarDecl:
+		if b.g.VarSlot(s.Name) < 0 {
+			b.g.Vars = append(b.g.Vars, s.Name)
+		}
+	case svclang.Store:
+		if b.g.StoreSlot(s.Key) < 0 {
+			b.g.StoreKeys = append(b.g.StoreKeys, s.Key)
+		}
 	}
 	b.cur.Instrs = append(b.cur.Instrs, in)
 }

@@ -1,6 +1,7 @@
 package cfg_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/svclang"
@@ -11,6 +12,19 @@ func ident(name string) svclang.Ident { return svclang.Ident{Name: name} }
 
 func sink(id int) svclang.Sink {
 	return svclang.Sink{ID: id, Kind: svclang.SinkSQL, Expr: ident("x")}
+}
+
+// sinkBlock returns the ID of the block holding sink id, or -1 if no
+// block does.
+func sinkBlock(g *cfg.Graph, id int) int {
+	for _, blk := range g.Blocks {
+		for _, in := range blk.Instrs {
+			if s, ok := in.Stmt.(svclang.Sink); ok && s.ID == id {
+				return blk.ID
+			}
+		}
+	}
+	return -1
 }
 
 // reachable returns the set of block IDs reachable from the entry.
@@ -42,7 +56,7 @@ func TestStraightLineSingleBlock(t *testing.T) {
 	if g.NumNodes() != 1 {
 		t.Fatalf("straight-line service lowered to %d blocks, want 1", g.NumNodes())
 	}
-	if got := g.SinkBlock[0]; got != 0 {
+	if got := sinkBlock(g, 0); got != 0 {
 		t.Fatalf("sink 0 in block %d, want entry", got)
 	}
 	if len(g.Succs(0)) != 0 {
@@ -69,9 +83,9 @@ func TestBranchLoweringShape(t *testing.T) {
 		t.Fatalf("branch head has %d successors, want 2", len(entrySuccs))
 	}
 	thenID, elseID := entrySuccs[0], entrySuccs[1]
-	if g.SinkBlock[0] != thenID || g.SinkBlock[1] != elseID {
-		t.Fatalf("sink provenance: got then=%d else=%d, SinkBlock=%v",
-			thenID, elseID, g.SinkBlock)
+	if sinkBlock(g, 0) != thenID || sinkBlock(g, 1) != elseID {
+		t.Fatalf("sink provenance: got then=%d else=%d, sinks in %d and %d",
+			thenID, elseID, sinkBlock(g, 0), sinkBlock(g, 1))
 	}
 	// Both arms open with a GatePath refinement of opposite polarity.
 	thenRef := g.Blocks[thenID].Instrs[0].Refine
@@ -83,7 +97,7 @@ func TestBranchLoweringShape(t *testing.T) {
 		t.Fatalf("refinement polarity wrong: then=%+v else=%+v", thenRef, elseRef)
 	}
 	// Both arms converge on the join block holding sink 2.
-	join := g.SinkBlock[2]
+	join := sinkBlock(g, 2)
 	if got := g.Succs(thenID); len(got) != 1 || got[0] != join {
 		t.Fatalf("then arm succs = %v, want [%d]", got, join)
 	}
@@ -105,7 +119,7 @@ func TestValidateAndRejectRefinesJoin(t *testing.T) {
 		},
 	}
 	g := cfg.Build(svc, cfg.Options{})
-	join := g.Blocks[g.SinkBlock[0]]
+	join := g.Blocks[sinkBlock(g, 0)]
 	ref := join.Instrs[0].Refine
 	if ref == nil || ref.Gate != cfg.GateValidator {
 		t.Fatalf("join block lacks validator refinement: %+v", join.Instrs[0])
@@ -140,8 +154,8 @@ func TestPostRejectCodeUnreachable(t *testing.T) {
 		},
 	}
 	g := cfg.Build(svc, cfg.Options{})
-	blk, ok := g.SinkBlock[0]
-	if !ok {
+	blk := sinkBlock(g, 0)
+	if blk < 0 {
 		t.Fatal("lowering dropped the post-reject sink; it must stay total")
 	}
 	if reachable(g)[blk] {
@@ -163,16 +177,16 @@ func TestConstantBranchPruning(t *testing.T) {
 	}
 	pruned := cfg.Build(svc, cfg.Options{PruneConstantBranches: true})
 	seen := reachable(pruned)
-	if seen[pruned.SinkBlock[0]] {
+	if seen[sinkBlock(pruned, 0)] {
 		t.Fatal("pruned dead arm still reachable")
 	}
-	if !seen[pruned.SinkBlock[1]] {
+	if !seen[sinkBlock(pruned, 1)] {
 		t.Fatal("live arm of pruned constant branch unreachable")
 	}
 	// Without pruning, both arms are ordinary branch targets.
 	plain := cfg.Build(svc, cfg.Options{})
 	seen = reachable(plain)
-	if !seen[plain.SinkBlock[0]] || !seen[plain.SinkBlock[1]] {
+	if !seen[sinkBlock(plain, 0)] || !seen[sinkBlock(plain, 1)] {
 		t.Fatal("unpruned constant branch lost an arm")
 	}
 }
@@ -190,7 +204,7 @@ func TestLoopLowering(t *testing.T) {
 		},
 	}
 	g := cfg.Build(svc, cfg.Options{})
-	body := g.SinkBlock[0]
+	body := sinkBlock(g, 0)
 	succs := g.Succs(body)
 	if len(succs) != 2 {
 		t.Fatalf("loop body exit has %d successors, want back edge + exit", len(succs))
@@ -199,16 +213,16 @@ func TestLoopLowering(t *testing.T) {
 	if succs[0] != body {
 		t.Fatalf("first successor %d is not the back edge to %d", succs[0], body)
 	}
-	if succs[1] != g.SinkBlock[1] {
-		t.Fatalf("loop exit %d does not hold sink 1 (block %d)", succs[1], g.SinkBlock[1])
+	if succs[1] != sinkBlock(g, 1) {
+		t.Fatalf("loop exit %d does not hold sink 1 (block %d)", succs[1], sinkBlock(g, 1))
 	}
 
 	skipped := cfg.Build(svc, cfg.Options{SkipLoops: true})
 	seen := reachable(skipped)
-	if seen[skipped.SinkBlock[0]] {
+	if seen[sinkBlock(skipped, 0)] {
 		t.Fatal("skipped loop body reachable")
 	}
-	if !seen[skipped.SinkBlock[1]] {
+	if !seen[sinkBlock(skipped, 1)] {
 		t.Fatal("code after skipped loop unreachable")
 	}
 }
@@ -228,10 +242,10 @@ func TestRejectingLoopBodyRoutesToExit(t *testing.T) {
 	}
 	g := cfg.Build(svc, cfg.Options{})
 	seen := reachable(g)
-	if seen[g.SinkBlock[0]] {
+	if seen[sinkBlock(g, 0)] {
 		t.Fatal("post-reject loop sink reachable")
 	}
-	if !seen[g.SinkBlock[1]] {
+	if !seen[sinkBlock(g, 1)] {
 		t.Fatal("loop exit unreachable: rejecting body must still flow to the exit")
 	}
 }
@@ -271,8 +285,8 @@ func TestReversePostorderStartsAtEntry(t *testing.T) {
 	}
 	for _, b := range order {
 		for _, s := range b.Succs {
-			if s.ID != b.ID && pos[s.ID] < pos[b.ID] && !isBackEdge(b, s) {
-				t.Fatalf("forward edge %d->%d goes backwards in RPO", b.ID, s.ID)
+			if s != b.ID && pos[s] < pos[b.ID] && !isBackEdge(g, b.ID, s) {
+				t.Fatalf("forward edge %d->%d goes backwards in RPO", b.ID, s)
 			}
 		}
 	}
@@ -280,20 +294,53 @@ func TestReversePostorderStartsAtEntry(t *testing.T) {
 
 // isBackEdge approximates back-edge detection for the test graph: an edge
 // to a block that can reach its source again.
-func isBackEdge(from, to *cfg.Block) bool {
+func isBackEdge(g *cfg.Graph, from, to int) bool {
 	seen := map[int]bool{}
-	stack := []*cfg.Block{to}
+	stack := []int{to}
 	for len(stack) > 0 {
-		b := stack[len(stack)-1]
+		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if b.ID == from.ID {
+		if n == from {
 			return true
 		}
-		if seen[b.ID] {
+		if seen[n] {
 			continue
 		}
-		seen[b.ID] = true
-		stack = append(stack, b.Succs...)
+		seen[n] = true
+		stack = append(stack, g.Succs(n)...)
 	}
 	return false
+}
+
+func TestSlotTables(t *testing.T) {
+	svc := &svclang.Service{
+		Name:   "slots",
+		Params: []string{"x", "y"},
+		Body: []svclang.Stmt{
+			svclang.VarDecl{Name: "a"},
+			svclang.Store{Key: "k1", Expr: ident("x")},
+			svclang.If{
+				Cond: svclang.BoolLit{Value: false},
+				Then: []svclang.Stmt{svclang.VarDecl{Name: "dead"}, svclang.Store{Key: "k2", Expr: ident("y")}},
+			},
+			svclang.Repeat{Count: 2, Body: []svclang.Stmt{svclang.VarDecl{Name: "b"}, svclang.Store{Key: "k1", Expr: ident("a")}}},
+		},
+	}
+	// Pruned and skipped code still binds its names: the tables are a
+	// function of the service alone, identical under every option set.
+	for _, opts := range []cfg.Options{{}, {PruneConstantBranches: true, SkipLoops: true}} {
+		g := cfg.Build(svc, opts)
+		if want := []string{"x", "y", "a", "dead", "b"}; !slices.Equal(g.Vars, want) {
+			t.Fatalf("%+v: Vars = %v, want %v", opts, g.Vars, want)
+		}
+		if want := []string{"k1", "k2"}; !slices.Equal(g.StoreKeys, want) {
+			t.Fatalf("%+v: StoreKeys = %v, want %v", opts, g.StoreKeys, want)
+		}
+		if g.VarSlot("b") != 4 || g.VarSlot("nope") != -1 {
+			t.Fatalf("%+v: VarSlot(b) = %d, VarSlot(nope) = %d", opts, g.VarSlot("b"), g.VarSlot("nope"))
+		}
+		if g.StoreSlot("k2") != 1 || g.StoreSlot("k3") != -1 {
+			t.Fatalf("%+v: StoreSlot(k2) = %d, StoreSlot(k3) = %d", opts, g.StoreSlot("k2"), g.StoreSlot("k3"))
+		}
+	}
 }
