@@ -41,6 +41,7 @@ import (
 	"sync"
 
 	"github.com/dsn2015/vdbench/internal/harness"
+	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/telemetry"
@@ -164,18 +165,10 @@ func (s CampaignSpec) shardRanges(n int) []shardRange {
 // corpusCacheSize bounds the process-local corpus cache. Coordinators,
 // in-process workers and merging clients share it, so one campaign's
 // corpus is generated once per process no matter how many shards touch
-// it.
+// it — concurrent misses on one config collapse onto one generation.
 const corpusCacheSize = 4
 
-var (
-	corpusCacheMu sync.Mutex
-	corpusCache   []corpusCacheEntry // most recently used last
-)
-
-type corpusCacheEntry struct {
-	key    string
-	corpus *workload.Corpus
-}
+var corpusCache = memo.New[string, *workload.Corpus](corpusCacheSize, nil)
 
 // corpusKey is the content address of a generation config. Unlike shard
 // keys it includes every field — the cached value is the corpus itself,
@@ -191,36 +184,14 @@ func corpusKey(cfg workload.Config) string {
 // generation (the harness only reads them), so sharing one instance
 // across goroutines is safe.
 func corpusFor(cfg workload.Config) (*workload.Corpus, error) {
-	key := corpusKey(cfg)
-	corpusCacheMu.Lock()
-	for i, e := range corpusCache {
-		if e.key == key {
-			// Move to the back: most recently used.
-			corpusCache = append(append(corpusCache[:i:i], corpusCache[i+1:]...), e)
-			corpusCacheMu.Unlock()
-			return e.corpus, nil
+	corpus, _, err := corpusCache.Do(corpusKey(cfg), func(string) (*workload.Corpus, error) {
+		corpus, err := workload.Generate(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("dist: corpus: %w", err)
 		}
-	}
-	corpusCacheMu.Unlock()
-
-	corpus, err := workload.Generate(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("dist: corpus: %w", err)
-	}
-
-	corpusCacheMu.Lock()
-	defer corpusCacheMu.Unlock()
-	for _, e := range corpusCache {
-		if e.key == key {
-			// A concurrent generation won; identical by determinism.
-			return e.corpus, nil
-		}
-	}
-	corpusCache = append(corpusCache, corpusCacheEntry{key: key, corpus: corpus})
-	if len(corpusCache) > corpusCacheSize {
-		corpusCache = corpusCache[1:]
-	}
-	return corpus, nil
+		return corpus, nil
+	})
+	return corpus, err
 }
 
 // oracleObserver folds the process-wide ground-truth oracle counters —

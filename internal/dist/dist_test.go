@@ -15,6 +15,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/detectors/faulty"
 	"github.com/dsn2015/vdbench/internal/harness"
+	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/telemetry"
 	"github.com/dsn2015/vdbench/internal/workload"
@@ -580,6 +581,39 @@ func TestCorpusCacheReusesCorpora(t *testing.T) {
 	}
 }
 
+// TestCorpusCacheSingleflight: concurrent shards that miss on one config
+// share one generation — every caller gets the same instance and the
+// cache records exactly one miss.
+func TestCorpusCacheSingleflight(t *testing.T) {
+	saved := corpusCache
+	corpusCache = memo.New[string, *workload.Corpus](corpusCacheSize, nil)
+	defer func() { corpusCache = saved }()
+	cfg := testWorkload(4242)
+	const n = 8
+	got := make([]*workload.Corpus, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := corpusFor(cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = c
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c == nil || c != got[0] {
+			t.Fatalf("caller %d got corpus %p, want the shared %p", i, c, got[0])
+		}
+	}
+	if hits, misses, _ := corpusCache.Stats(); misses != 1 || hits != n-1 {
+		t.Fatalf("corpus cache recorded %d misses / %d hits for one config, want 1 / %d", misses, hits, n-1)
+	}
+}
+
 // TestCorpusKeyCoversEveryConfigField walks workload.Config by
 // reflection, perturbs each leaf in isolation, and demands that the
 // corpus key changes. A field the key missed would let two configs share
@@ -639,6 +673,12 @@ func TestDistributedOracleCacheCounters(t *testing.T) {
 	// leaves the derivations in the process-wide oracle cache.
 	want := localCampaign(t, wcfg, opts)
 
+	// Drop the process-local corpus cache: the distributed run must now
+	// regenerate the corpus, and that regeneration is what consults the
+	// oracle cache the baseline just filled. The swap happens before any
+	// cluster goroutine exists, so none of them can observe the old cache.
+	corpusCache = memo.New[string, *workload.Corpus](corpusCacheSize, nil)
+
 	// The cluster is constructed after the baseline, so its observers
 	// baseline past the local run and attribute only distributed work.
 	coord := NewCoordinator(CoordinatorOptions{})
@@ -664,13 +704,6 @@ func TestDistributedOracleCacheCounters(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-
-	// Drop the process-local corpus cache: the distributed run must now
-	// regenerate the corpus, and that regeneration is what consults the
-	// oracle cache the baseline just filled.
-	corpusCacheMu.Lock()
-	corpusCache = nil
-	corpusCacheMu.Unlock()
 
 	client := NewClient(srv.URL)
 	client.PollWait = 50 * time.Millisecond

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"slices"
+
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang/cfg"
@@ -9,57 +11,46 @@ import (
 
 // bindCompileCache rebinds every cache-aware tool to one shared compile
 // cache scoped to this campaign, so a case's CFG is lowered once per
-// distinct option set instead of once per tool per pass. The rebinding is
-// a copy (callers' tools are untouched) and reports are identical with or
-// without the cache. Tools that do not implement detectors.CompileCacheable
-// pass through unchanged.
+// distinct option set instead of once per tool per pass. Reports are
+// identical with or without the cache.
 func bindCompileCache(tools []detectors.Tool) []detectors.Tool {
-	anyCacheable := false
-	for _, t := range tools {
-		if _, ok := t.(detectors.CompileCacheable); ok {
-			anyCacheable = true
-			break
+	var cc *cfg.Cache
+	return rebind(tools, func(t detectors.CompileCacheable) detectors.Tool {
+		if cc == nil {
+			cc = cfg.NewCache()
 		}
-	}
-	if !anyCacheable {
-		return tools
-	}
-	cc := cfg.NewCache()
-	bound := make([]detectors.Tool, len(tools))
-	for i, t := range tools {
-		if cct, ok := t.(detectors.CompileCacheable); ok {
-			bound[i] = cct.WithCompileCache(cc)
-		} else {
-			bound[i] = t
-		}
-	}
-	return bound
+		return t.WithCompileCache(cc)
+	})
 }
 
 // bindExecEngine rebinds every service-executing tool to eng, the one
 // execution engine scoped to this campaign, so each service compiles
-// once no matter how many tools and workers probe it. Mirrors
-// bindCompileCache: rebinding is a copy, results are engine-independent
-// (pinned by the differential suite), and tools that do not implement
-// detectors.ExecEngineBindable pass through unchanged.
+// once no matter how many tools and workers probe it. Results are
+// engine-independent (pinned by the differential suite).
 func bindExecEngine(tools []detectors.Tool, eng *compile.Engine) []detectors.Tool {
-	anyExec := false
-	for _, t := range tools {
-		if _, ok := t.(detectors.ExecEngineBindable); ok {
-			anyExec = true
-			break
-		}
-	}
-	if !anyExec {
-		return tools
-	}
-	bound := make([]detectors.Tool, len(tools))
+	return rebind(tools, func(t detectors.ExecEngineBindable) detectors.Tool {
+		return t.WithExecEngine(eng)
+	})
+}
+
+// rebind returns tools with every tool that implements B replaced by
+// bind's bound copy of it. The rebinding is a copy — the caller's slice
+// and tools are untouched — and tools that do not implement B pass
+// through unchanged; with no such tool, tools itself is returned.
+func rebind[B any](tools []detectors.Tool, bind func(B) detectors.Tool) []detectors.Tool {
+	var bound []detectors.Tool
 	for i, t := range tools {
-		if et, ok := t.(detectors.ExecEngineBindable); ok {
-			bound[i] = et.WithExecEngine(eng)
-		} else {
-			bound[i] = t
+		b, ok := t.(B)
+		if !ok {
+			continue
 		}
+		if bound == nil {
+			bound = slices.Clone(tools)
+		}
+		bound[i] = bind(b)
+	}
+	if bound == nil {
+		return tools
 	}
 	return bound
 }

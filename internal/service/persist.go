@@ -269,8 +269,7 @@ func (s *Service) replayLocked(records []journal.Record, stats journal.ReplaySta
 
 		if st.finished && st.status == StatusDone {
 			if res, ok := s.storedResult(rec.Key); ok {
-				size := resultSize(res)
-				s.cache.put(rec.Key, res, size)
+				s.cacheResult(rec.Key, res)
 				s.recovery.Rehydrated++
 				s.completeRestored(job, StatusDone, res, nil)
 				continue

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/dsn2015/vdbench"
+	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/telemetry"
 )
 
@@ -223,8 +224,8 @@ type Service struct {
 	opts  Options
 	run   runner
 	reg   *telemetry.Registry
-	cache *resultCache
-	known map[string]bool // experiment catalogue
+	cache *memo.Cache[string, vdbench.ExperimentResult] // written only by cacheResult
+	known map[string]bool                               // experiment catalogue
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -311,7 +312,7 @@ func newService(opts Options, run runner) (*Service, error) {
 		opts:     opts,
 		run:      run,
 		reg:      reg,
-		cache:    newResultCache(opts.CacheBytes),
+		cache:    memo.New[string](opts.CacheBytes, resultSize),
 		known:    map[string]bool{},
 		jobs:     map[string]*Job{},
 		inflight: map[string]*Job{},
@@ -434,7 +435,7 @@ func (s *Service) Submit(experiment string, cfg vdbench.ExperimentConfig) (*Job,
 	}
 	s.mSubmitted.Inc()
 
-	res, hit := s.cache.get(key)
+	res, hit := s.cache.Get(key)
 	if hit {
 		s.mCacheHit.Inc()
 	} else if res, hit = s.storedResult(key); hit {
@@ -442,7 +443,7 @@ func (s *Service) Submit(experiment string, cfg vdbench.ExperimentConfig) (*Job,
 		// the result (evicted earlier, or computed by a previous process).
 		// Promote it back into the LRU and answer without a campaign.
 		s.mBlobHits.Inc()
-		s.cache.put(key, res, resultSize(res))
+		s.cacheResult(key, res)
 	} else {
 		s.mCacheMiss.Inc()
 	}
@@ -681,13 +682,13 @@ func (s *Service) execute(job *Job) {
 	// key-equal job finishing, or replay re-enqueueing the same key
 	// twice). Determinism makes the cached result indistinguishable from
 	// a fresh campaign, so serve it and free the worker immediately.
-	if res, ok := s.cache.get(job.key); ok {
+	if res, ok := s.cache.Get(job.key); ok {
 		s.finishFromCache(job, res)
 		return
 	}
 	if res, ok := s.storedResult(job.key); ok {
 		s.mBlobHits.Inc()
-		s.cache.put(job.key, res, resultSize(res))
+		s.cacheResult(job.key, res)
 		s.finishFromCache(job, res)
 		return
 	}
@@ -731,11 +732,7 @@ func (s *Service) execute(job *Job) {
 		// second, so a journaled "done" always points at a blob that was
 		// durable before it. A crash between the two replays as a requeue.
 		s.persistResult(job.key, res)
-		evicted := s.cache.put(job.key, res, resultSize(res))
-		s.mEvicted.Add(uint64(evicted))
-		entries, bytes := s.cache.stats()
-		s.gCacheEntries.Set(int64(entries))
-		s.gCacheBytes.Set(bytes)
+		s.cacheResult(job.key, res)
 		job.casStatus(StatusRunning, StatusDone, res, nil)
 		s.mCompleted.Inc()
 		s.journalFinished(job, StatusDone, nil)
@@ -779,6 +776,17 @@ func (s *Service) observeCompileCache() {
 	s.compileMu.Unlock()
 	s.mCompileHit.Add(dh)
 	s.mCompileMiss.Add(dm)
+}
+
+// cacheResult stores res in the byte-budgeted result LRU and refreshes
+// the cache telemetry: this insertion's evictions and both gauges. Keys
+// are vdbench.ExperimentCacheKey content addresses of pure experiments,
+// so a hit is provably equivalent to re-running the campaign.
+func (s *Service) cacheResult(key string, res vdbench.ExperimentResult) {
+	s.mEvicted.Add(uint64(s.cache.Put(key, res)))
+	entries, bytes := s.cache.Len()
+	s.gCacheEntries.Set(int64(entries))
+	s.gCacheBytes.Set(bytes)
 }
 
 // resultSize is the cache accounting size of a result: the length of its

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -461,40 +462,37 @@ func TestJobHistoryBounded(t *testing.T) {
 	}
 }
 
-func TestResultCacheLRUEviction(t *testing.T) {
-	c := newResultCache(100)
-	res := func(id string) vdbench.ExperimentResult { return vdbench.ExperimentResult{ID: id} }
-	if ev := c.put("a", res("a"), 40); ev != 0 {
-		t.Fatalf("evicted %d on first put", ev)
+// TestResultCacheAccountingOnEveryInsertion: every path that inserts into
+// the result cache reports its evictions and refreshes the gauges, not
+// only the post-campaign one. A cache that holds one result runs A, then
+// B (evicting A), then is asked for A again: the blob-store promotion
+// evicts B, so two evictions are counted and the gauges describe A alone.
+func TestResultCacheAccountingOnEveryInsertion(t *testing.T) {
+	run := func(_ context.Context, id string, _ vdbench.ExperimentConfig) (vdbench.ExperimentResult, error) {
+		// Distinct sizes, so stale gauges cannot pass for fresh ones.
+		return vdbench.ExperimentResult{ID: id, Title: "stub " + strings.Repeat(id, len(id)*8)}, nil
 	}
-	c.put("b", res("b"), 40)
-	if _, ok := c.get("a"); !ok { // refresh a: b becomes LRU
-		t.Fatal("a missing")
+	a, _ := run(context.Background(), "e1", quickCfg())
+	b, _ := run(context.Background(), "e10", quickCfg())
+	sizeA, sizeB := resultSize(a), resultSize(b)
+	svc := mustNewService(t, Options{Workers: 1, DataDir: t.TempDir(), CacheBytes: max(sizeA, sizeB)}, run)
+	defer svc.Close()
+	for _, id := range []string{"e1", "e10", "e1"} {
+		job, err := svc.Submit(id, quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustWait(t, job)
 	}
-	if ev := c.put("c", res("c"), 40); ev != 1 {
-		t.Fatalf("evicted %d, want 1", ev)
+	if got := counterValue(svc, "vd_journal_blob_hits_total"); got != 1 {
+		t.Fatalf("vd_journal_blob_hits_total = %d, want 1 (the resubmitted A)", got)
 	}
-	if _, ok := c.get("b"); ok {
-		t.Fatal("LRU entry b survived eviction")
+	if got := counterValue(svc, "vd_cache_evictions_total"); got != 2 {
+		t.Fatalf("vd_cache_evictions_total = %d, want 2", got)
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("recently used entry a was evicted")
-	}
-	entries, bytes := c.stats()
-	if entries != 2 || bytes != 80 {
-		t.Fatalf("stats = %d entries / %d bytes, want 2 / 80", entries, bytes)
-	}
-	// Oversized entries are refused outright.
-	if ev := c.put("huge", res("huge"), 1000); ev != 0 {
-		t.Fatalf("oversized put evicted %d", ev)
-	}
-	if _, ok := c.get("huge"); ok {
-		t.Fatal("entry larger than the whole budget was stored")
-	}
-	// A disabled cache (budget <= 0) never stores.
-	d := newResultCache(-1)
-	d.put("x", res("x"), 1)
-	if _, ok := d.get("x"); ok {
-		t.Fatal("disabled cache stored an entry")
+	entries := svc.Metrics().Gauge("vd_cache_entries", "").Value()
+	bytes := svc.Metrics().Gauge("vd_cache_bytes", "").Value()
+	if entries != 1 || bytes != sizeA {
+		t.Fatalf("gauges = %d entries / %d bytes, want 1 / %d (A alone)", entries, bytes, sizeA)
 	}
 }

@@ -19,9 +19,9 @@ type ReplFunc func(r rune) []rune
 type builtinMode int
 
 const (
-	builtinCharwise builtinMode = iota
-	builtinModeConcat           // variadic concatenation (dedicated VM opcode)
-	builtinModeTrim             // edge-space slicing, shares backing arrays
+	builtinCharwise   builtinMode = iota
+	builtinModeConcat             // variadic concatenation (dedicated VM opcode)
+	builtinModeTrim               // edge-space slicing, shares backing arrays
 )
 
 // builtinSpec is one builtin's table entry.

@@ -1,9 +1,9 @@
 package cfg
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/svclang"
 )
 
@@ -17,10 +17,7 @@ import (
 // A nil *Cache is valid and simply falls through to Build, which lets
 // tools carry an optional cache without nil checks at every build site.
 type Cache struct {
-	mu sync.Mutex
-	m  map[cacheKey]*cacheEntry
-
-	hits, misses atomic.Uint64
+	m *memo.Cache[cacheKey, *Graph]
 }
 
 type cacheKey struct {
@@ -28,15 +25,13 @@ type cacheKey struct {
 	opts Options
 }
 
-type cacheEntry struct {
-	once  sync.Once
-	graph *Graph
-}
-
 // NewCache returns an empty compile cache.
 func NewCache() *Cache {
-	return &Cache{m: map[cacheKey]*cacheEntry{}}
+	return &Cache{m: memo.New[cacheKey, *Graph](0, nil)}
 }
+
+// buildKey is the cache's fill: a capture-free Build of one key.
+func buildKey(k cacheKey) (*Graph, error) { return Build(k.svc, k.opts), nil }
 
 // Build returns the memoised graph for (svc, opts), lowering it on first
 // use. Concurrent callers for the same key are collapsed onto a single
@@ -47,27 +42,13 @@ func (c *Cache) Build(svc *svclang.Service, opts Options) *Graph {
 	if c == nil {
 		return Build(svc, opts)
 	}
-	key := cacheKey{svc: svc, opts: opts}
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	built := false
-	e.once.Do(func() {
-		e.graph = Build(svc, opts)
-		built = true
-	})
-	if built {
-		c.misses.Add(1)
-		totalMisses.Add(1)
-	} else {
-		c.hits.Add(1)
+	g, hit, _ := c.m.Do(cacheKey{svc: svc, opts: opts}, buildKey)
+	if hit {
 		totalHits.Add(1)
+	} else {
+		totalMisses.Add(1)
 	}
-	return e.graph
+	return g
 }
 
 // Stats returns this cache's lookup counts: hits served from memory and
@@ -76,7 +57,8 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	hits, misses, _ = c.m.Stats()
+	return hits, misses
 }
 
 // Process-wide totals across every Cache instance, for telemetry

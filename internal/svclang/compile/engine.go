@@ -2,8 +2,8 @@ package compile
 
 import (
 	"sync"
-	"sync/atomic"
 
+	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/svclang"
 )
 
@@ -22,22 +22,11 @@ type Engine struct {
 	interpret  bool
 	exhaustive bool
 
-	mu    sync.Mutex
-	progs map[*svclang.Service]*progEntry
+	// progs memoises Compile per service, unbounded: the first caller
+	// compiles while concurrent callers for that service wait.
+	progs *memo.Cache[*svclang.Service, *Program]
 
 	pool sync.Pool
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// progEntry singleflights compilation per service, mirroring cfg.Cache:
-// the first caller compiles under the entry's once while the engine map
-// stays unlocked for other services.
-type progEntry struct {
-	once sync.Once
-	prog *Program
-	err  error
 }
 
 // NewEngine returns the execution engine every campaign and corpus runs
@@ -55,34 +44,21 @@ func NewEngine() *Engine { return newEngine(false, false) }
 func NewReferenceEngine() *Engine { return newEngine(true, true) }
 
 func newEngine(interpret, exhaustive bool) *Engine {
-	e := &Engine{interpret: interpret, exhaustive: exhaustive, progs: map[*svclang.Service]*progEntry{}}
+	e := &Engine{interpret: interpret, exhaustive: exhaustive, progs: memo.New[*svclang.Service, *Program](0, nil)}
 	e.pool.New = func() any { return new(arena) }
 	return e
 }
 
 // Program returns the compiled program for svc, compiling on first use.
 func (e *Engine) Program(svc *svclang.Service) (*Program, error) {
-	e.mu.Lock()
-	ent, ok := e.progs[svc]
-	if !ok {
-		ent = &progEntry{}
-		e.progs[svc] = ent
-	}
-	e.mu.Unlock()
-	if ok {
-		e.hits.Add(1)
-	} else {
-		e.misses.Add(1)
-	}
-	ent.once.Do(func() {
-		ent.prog, ent.err = Compile(svc)
-	})
-	return ent.prog, ent.err
+	p, _, err := e.progs.Do(svc, Compile)
+	return p, err
 }
 
 // Stats returns the program-cache hit/miss counters.
 func (e *Engine) Stats() (hits, misses uint64) {
-	return e.hits.Load(), e.misses.Load()
+	hits, misses, _ = e.progs.Stats()
+	return hits, misses
 }
 
 // Execute runs the service on one request with a fresh session store,

@@ -1,12 +1,10 @@
 package compile
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/svclang"
 )
 
@@ -25,12 +23,11 @@ import (
 // result answer a reference request, masking exactly the divergence the
 // differential tests are there to expose.
 //
-// Entries singleflight like progEntry: the first caller derives under
-// the entry's once while the cache stays unlocked for other keys.
-// Recency is tracked MRU with a bounded capacity; an in-flight entry
-// may be evicted, in which case its waiters still complete against the
-// detached entry. Results are deep-copied on every return (producer
-// included) so no caller can corrupt a cached witness.
+// The cache is a bounded memo: the first caller derives while the cache
+// stays unlocked for other keys, least-recently-used entries are evicted
+// past the capacity, and an in-flight entry that is evicted still
+// completes for its waiters. Results are deep-copied on every return
+// (producer included) so no caller can corrupt a cached witness.
 
 // oracleCacheCap bounds the cache to a few thousand services — far
 // above any one corpus (hundreds), far below memory relevance.
@@ -41,25 +38,7 @@ type oracleKey struct {
 	mode uint8
 }
 
-type oracleEntry struct {
-	once   sync.Once
-	truths []svclang.GroundTruth
-	err    error
-}
-
-var (
-	oracleMu    sync.Mutex
-	oracleCache = map[oracleKey]*list.Element{}
-	oracleMRU   list.List // of oracleElem, front = most recent
-
-	oracleHits   atomic.Uint64
-	oracleMisses atomic.Uint64
-)
-
-type oracleElem struct {
-	key oracleKey
-	ent *oracleEntry
-}
+var oracleCache = memo.New[oracleKey, []svclang.GroundTruth](oracleCacheCap, nil)
 
 // oracleCacheKey derives the content address of svc under the given
 // mode bits. The printed form is canonical (Print ∘ Parse is the
@@ -84,37 +63,12 @@ func oracleCacheKey(svc *svclang.Service, interpret, exhaustive bool) oracleKey 
 // oracleLookup memoises derive under the service's content address,
 // returning a deep copy of the cached ground truth.
 func oracleLookup(svc *svclang.Service, interpret, exhaustive bool, derive func() ([]svclang.GroundTruth, error)) ([]svclang.GroundTruth, error) {
-	key := oracleCacheKey(svc, interpret, exhaustive)
-
-	oracleMu.Lock()
-	el, ok := oracleCache[key]
-	if ok {
-		oracleMRU.MoveToFront(el)
-	} else {
-		el = oracleMRU.PushFront(oracleElem{key: key, ent: &oracleEntry{}})
-		oracleCache[key] = el
-		if oracleMRU.Len() > oracleCacheCap {
-			back := oracleMRU.Back()
-			oracleMRU.Remove(back)
-			delete(oracleCache, back.Value.(oracleElem).key)
-		}
+	truths, _, err := oracleCache.Do(oracleCacheKey(svc, interpret, exhaustive),
+		func(oracleKey) ([]svclang.GroundTruth, error) { return derive() })
+	if err != nil {
+		return nil, err
 	}
-	oracleMu.Unlock()
-
-	if ok {
-		oracleHits.Add(1)
-	} else {
-		oracleMisses.Add(1)
-	}
-
-	ent := el.Value.(oracleElem).ent
-	ent.once.Do(func() {
-		ent.truths, ent.err = derive()
-	})
-	if ent.err != nil {
-		return nil, ent.err
-	}
-	return svclang.CloneGroundTruths(ent.truths), nil
+	return svclang.CloneGroundTruths(truths), nil
 }
 
 // OracleCacheTotals returns the process-wide oracle-cache counters:
@@ -123,5 +77,6 @@ func oracleLookup(svc *svclang.Service, interpret, exhaustive bool, derive func(
 // producer and hit by its waiters). Both values are monotone;
 // cmd/vdserved and the dist daemons fold their deltas onto /metrics.
 func OracleCacheTotals() (hits, misses uint64) {
-	return oracleHits.Load(), oracleMisses.Load()
+	hits, misses, _ = oracleCache.Stats()
+	return hits, misses
 }
