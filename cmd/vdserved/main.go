@@ -53,6 +53,7 @@ import (
 	"github.com/dsn2015/vdbench"
 	"github.com/dsn2015/vdbench/internal/dist"
 	"github.com/dsn2015/vdbench/internal/service"
+	"github.com/dsn2015/vdbench/internal/telemetry"
 )
 
 func main() {
@@ -266,27 +267,10 @@ func runWorker(ctx context.Context, addr, join string, out io.Writer) error {
 
 	var draining atomic.Bool
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz/live", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /healthz/ready", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if draining.Load() || !wk.Ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_, _ = io.WriteString(w, "draining\n")
-			return
-		}
-		_, _ = io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = io.WriteString(w, wk.Registry().Snapshot())
-	})
+	mux.HandleFunc("GET /healthz/live", telemetry.Live)
+	mux.HandleFunc("GET /healthz", telemetry.Live)
+	mux.HandleFunc("GET /healthz/ready", telemetry.Ready(func() bool { return !draining.Load() && wk.Ready() }))
+	mux.Handle("GET /metrics", wk.Registry())
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -62,10 +62,10 @@ type coordMetrics struct {
 	campCompleted    *telemetry.Counter
 	campFailed       *telemetry.Counter
 	shardSeconds     *telemetry.Histogram
-	oracle           *oracleObserver
 }
 
 func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
+	harness.RegisterProcessCounters(reg)
 	return coordMetrics{
 		workers:          reg.Gauge("vd_dist_workers", "registered workers"),
 		workersLost:      reg.Counter("vd_dist_workers_lost_total", "workers expired after missed heartbeats"),
@@ -77,7 +77,6 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 		campCompleted:    reg.Counter("vd_dist_campaigns_completed_total", "campaigns merged successfully"),
 		campFailed:       reg.Counter("vd_dist_campaigns_failed_total", "campaigns that failed (policy abort, reassignment exhaustion, shutdown)"),
 		shardSeconds:     reg.Histogram("vd_dist_shard_seconds", "shard turnaround from lease to accepted report", 0.01, 0.1, 0.5, 1, 5, 30, 120),
-		oracle:           newOracleObserver(reg),
 	}
 }
 
@@ -349,7 +348,6 @@ func (c *Coordinator) Submit(spec CampaignSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.metrics.oracle.observe()
 	ranges := spec.shardRanges(len(corpus.Cases))
 
 	c.mu.Lock()
@@ -536,7 +534,6 @@ func (c *Coordinator) assemble(camp *campaignState) (*harness.Campaign, [][]harn
 	if err != nil {
 		return nil, nil, err
 	}
-	c.metrics.oracle.observe()
 	tools, err := BuildSuite(camp.spec.Suite)
 	if err != nil {
 		return nil, nil, err

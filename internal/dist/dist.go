@@ -38,13 +38,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/dsn2015/vdbench/internal/harness"
 	"github.com/dsn2015/vdbench/internal/memo"
-	"github.com/dsn2015/vdbench/internal/svclang"
-	"github.com/dsn2015/vdbench/internal/svclang/compile"
-	"github.com/dsn2015/vdbench/internal/telemetry"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -192,52 +188,4 @@ func corpusFor(cfg workload.Config) (*workload.Corpus, error) {
 		return corpus, nil
 	})
 	return corpus, err
-}
-
-// oracleObserver folds the process-wide ground-truth oracle counters —
-// the probe search totals and the content-addressed oracle cache — onto
-// one registry as vd_oracle_* counters, using the same monotone-delta
-// scheme internal/service applies to the engine counters: the baseline
-// is taken at construction, so only growth that happens while this
-// observer's owner is running is attributed to it.
-type oracleObserver struct {
-	mu                   sync.Mutex
-	last                 svclang.OracleTotals
-	lastHits, lastMisses uint64
-
-	probes, pruned, earlyExits *telemetry.Counter
-	cacheHits, cacheMisses     *telemetry.Counter
-}
-
-func newOracleObserver(reg *telemetry.Registry) *oracleObserver {
-	o := &oracleObserver{
-		probes:      reg.Counter("vd_oracle_probes_total", "ground-truth oracle probes executed"),
-		pruned:      reg.Counter("vd_oracle_pruned_total", "ground-truth oracle probes pruned by the influence analysis"),
-		earlyExits:  reg.Counter("vd_oracle_early_exits_total", "oracle sweeps stopped early with every sink proven vulnerable"),
-		cacheHits:   reg.Counter("vd_oracle_cache_hits_total", "ground-truth derivations served from the content-addressed oracle cache"),
-		cacheMisses: reg.Counter("vd_oracle_cache_misses_total", "ground-truth derivations the oracle cache had to compute"),
-	}
-	o.last = svclang.OracleTotalsSnapshot()
-	o.lastHits, o.lastMisses = compile.OracleCacheTotals()
-	return o
-}
-
-// observe folds counter growth since the previous observation into the
-// registry. Call it after any operation that may regenerate a corpus.
-func (o *oracleObserver) observe() {
-	tot := svclang.OracleTotalsSnapshot()
-	hits, misses := compile.OracleCacheTotals()
-	o.mu.Lock()
-	dp := tot.Probes - o.last.Probes
-	dq := tot.Pruned - o.last.Pruned
-	de := tot.EarlyExits - o.last.EarlyExits
-	dh, dm := hits-o.lastHits, misses-o.lastMisses
-	o.last = tot
-	o.lastHits, o.lastMisses = hits, misses
-	o.mu.Unlock()
-	o.probes.Add(dp)
-	o.pruned.Add(dq)
-	o.earlyExits.Add(de)
-	o.cacheHits.Add(dh)
-	o.cacheMisses.Add(dm)
 }

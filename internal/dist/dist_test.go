@@ -727,7 +727,9 @@ func TestDistributedOracleCacheCounters(t *testing.T) {
 	for _, reg := range regs {
 		snap := reg.Snapshot()
 		for _, name := range []string{"vd_oracle_probes_total", "vd_oracle_pruned_total",
-			"vd_oracle_early_exits_total", "vd_oracle_cache_hits_total", "vd_oracle_cache_misses_total"} {
+			"vd_oracle_early_exits_total", "vd_oracle_cache_hits_total", "vd_oracle_cache_misses_total",
+			"vd_compile_cache_hits_total", "vd_compile_cache_misses_total",
+			"vd_exec_recovered_panics_total", "vd_exec_timeouts_total", "vd_exec_errors_total", "vd_exec_retries_total"} {
 			if !strings.Contains(snap, name) {
 				t.Fatalf("registry missing %s:\n%s", name, snap)
 			}

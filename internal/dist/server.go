@@ -10,11 +10,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"github.com/dsn2015/vdbench/internal/harness"
+	"github.com/dsn2015/vdbench/internal/telemetry"
 )
 
 // maxSpecBytes bounds campaign submissions (a config, not a corpus).
@@ -82,10 +82,10 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /dist/v1/campaigns", c.handleSubmit)
 	mux.HandleFunc("GET /dist/v1/campaigns/{id}", c.handleStatus)
 	mux.HandleFunc("GET /dist/v1/campaigns/{id}/cells", c.handleCells)
-	mux.HandleFunc("GET /healthz/live", handleLive)
-	mux.HandleFunc("GET /healthz/ready", c.handleReady)
-	mux.HandleFunc("GET /healthz", handleLive)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	mux.HandleFunc("GET /healthz/live", telemetry.Live)
+	mux.HandleFunc("GET /healthz/ready", telemetry.Ready(c.Ready))
+	mux.HandleFunc("GET /healthz", telemetry.Live)
+	mux.Handle("GET /metrics", c.opts.Registry)
 	return mux
 }
 
@@ -231,24 +231,4 @@ func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	distWriteJSON(w, http.StatusOK, cells)
-}
-
-func handleLive(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = io.WriteString(w, "ok\n")
-}
-
-func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !c.Ready() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, "draining\n")
-		return
-	}
-	_, _ = io.WriteString(w, "ok\n")
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = io.WriteString(w, c.opts.Registry.Snapshot())
 }

@@ -32,7 +32,6 @@ type workerMetrics struct {
 	shardsFailed  *telemetry.Counter
 	staleReports  *telemetry.Counter
 	shardSeconds  *telemetry.Histogram
-	oracle        *oracleObserver
 }
 
 // Worker pulls shards from a coordinator and executes them under the
@@ -57,6 +56,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()
 	}
+	harness.RegisterProcessCounters(opts.Registry)
 	return &Worker{
 		opts: opts,
 		hc:   opts.HTTPClient,
@@ -66,7 +66,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 			shardsFailed:  opts.Registry.Counter("vd_dist_worker_shards_failed_total", "shards whose local execution failed"),
 			staleReports:  opts.Registry.Counter("vd_dist_worker_stale_reports_total", "reports rejected for a stale lease"),
 			shardSeconds:  opts.Registry.Histogram("vd_dist_worker_shard_seconds", "local shard execution time", 0.01, 0.1, 0.5, 1, 5, 30, 120),
-			oracle:        newOracleObserver(opts.Registry),
 		},
 		now: time.Now,
 	}
@@ -230,9 +229,6 @@ func (wk *Worker) execute(ctx context.Context, id string, asn ShardAssignment) {
 	start := wk.now()
 	cells, execErr := wk.runShard(ctx, asn)
 	wk.metrics.shardSeconds.Observe(wk.now().Sub(start).Seconds())
-	// The shard may have regenerated its corpus (and with it the ground
-	// truth); fold the oracle counters onto this worker's registry.
-	wk.metrics.oracle.observe()
 
 	req := ReportRequest{Worker: id, Campaign: asn.Campaign, Lease: asn.Lease}
 	if execErr != nil {

@@ -27,7 +27,10 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
+	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/svclang/cfg"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
+	"github.com/dsn2015/vdbench/internal/telemetry"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -272,8 +275,8 @@ var (
 )
 
 // ExecTotalsSnapshot returns the cumulative fault counters across every
-// campaign this process has run. Totals are monotone; consumers fold
-// deltas (see internal/service).
+// campaign this process has run. Totals are monotone; daemons export
+// them through RegisterProcessCounters.
 func ExecTotalsSnapshot() ExecTotals {
 	return ExecTotals{
 		RecoveredPanics: execPanics.Load(),
@@ -281,6 +284,36 @@ func ExecTotalsSnapshot() ExecTotals {
 		Errors:          execErrors.Load(),
 		Retries:         execRetries.Load(),
 	}
+}
+
+// RegisterProcessCounters registers the process-wide engine counters on
+// reg — compile cache, execution faults, ground-truth oracle search and
+// oracle cache — as scrape-time counters (telemetry.Registry.CounterFunc).
+// Each reports the process growth since its registration, so a daemon
+// that registers at construction sees only the work done while it runs.
+// It is the one reader of the process-global totals: every daemon role
+// calls it on its registry instead of folding snapshots itself.
+func RegisterProcessCounters(reg *telemetry.Registry) {
+	reg.CounterFunc("vd_compile_cache_hits_total", "campaign CFG builds served from the shared compile cache",
+		func() uint64 { h, _ := cfg.CacheTotals(); return h })
+	reg.CounterFunc("vd_compile_cache_misses_total", "campaign CFG builds that lowered a graph",
+		func() uint64 { _, m := cfg.CacheTotals(); return m })
+
+	reg.CounterFunc("vd_exec_recovered_panics_total", "tool panics recovered by the execution engine", execPanics.Load)
+	reg.CounterFunc("vd_exec_timeouts_total", "tool invocations abandoned at the per-tool deadline", execTimeouts.Load)
+	reg.CounterFunc("vd_exec_errors_total", "tool invocations that returned a non-retryable error", execErrors.Load)
+	reg.CounterFunc("vd_exec_retries_total", "tool invocations retried after a retryable failure", execRetries.Load)
+
+	reg.CounterFunc("vd_oracle_probes_total", "ground-truth oracle probes executed",
+		func() uint64 { return svclang.OracleTotalsSnapshot().Probes })
+	reg.CounterFunc("vd_oracle_pruned_total", "ground-truth oracle probes pruned by the influence analysis",
+		func() uint64 { return svclang.OracleTotalsSnapshot().Pruned })
+	reg.CounterFunc("vd_oracle_early_exits_total", "oracle sweeps stopped early with every sink proven vulnerable",
+		func() uint64 { return svclang.OracleTotalsSnapshot().EarlyExits })
+	reg.CounterFunc("vd_oracle_cache_hits_total", "ground-truth derivations served from the content-addressed oracle cache",
+		func() uint64 { h, _ := compile.OracleCacheTotals(); return h })
+	reg.CounterFunc("vd_oracle_cache_misses_total", "ground-truth derivations the oracle cache had to compute",
+		func() uint64 { _, m := compile.OracleCacheTotals(); return m })
 }
 
 // CellResult is the execution engine's record of one (tool, case) cell:

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/dsn2015/vdbench"
+	"github.com/dsn2015/vdbench/internal/telemetry"
 )
 
 // maxBodyBytes bounds job-submission bodies; experiment requests are a
@@ -96,10 +97,10 @@ func (s *Service) routes() []route {
 		{"GET", "/v1/jobs/{id}/events", s.handleEvents},
 		{"DELETE", "/v1/jobs/{id}", s.handleCancel},
 		{"GET", "/v1/experiments", s.handleExperiments},
-		{"GET", "/healthz/live", s.handleHealthz},
-		{"GET", "/healthz/ready", s.handleReady},
-		{"GET", "/healthz", s.handleHealthz},
-		{"GET", "/metrics", s.handleMetrics},
+		{"GET", "/healthz/live", telemetry.Live},
+		{"GET", "/healthz/ready", telemetry.Ready(func() bool { return !s.Draining() })},
+		{"GET", "/healthz", telemetry.Live},
+		{"GET", "/metrics", s.reg.ServeHTTP},
 	}
 }
 
@@ -418,26 +419,6 @@ func (s *Service) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 		Experiments []vdbench.ExperimentInfo `json:"experiments"`
 		Formats     []string                 `json:"formats"`
 	}{vdbench.Experiments(), vdbench.ResultFormats()})
-}
-
-func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = io.WriteString(w, "ok\n")
-}
-
-func (s *Service) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.Draining() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, "draining\n")
-		return
-	}
-	_, _ = io.WriteString(w, "ok\n")
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = io.WriteString(w, s.reg.Snapshot())
 }
 
 // formatContentTypes maps render formats to response content types.

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/dsn2015/vdbench"
+	"github.com/dsn2015/vdbench/internal/harness"
 	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/telemetry"
 )
@@ -260,36 +261,16 @@ type Service struct {
 	seq      uint64 // jobs handed to the queue
 	started  uint64 // jobs taken off the queue
 
-	mSubmitted, mCompleted, mFailed, mCanceled            *telemetry.Counter
-	mCacheHit, mCacheMiss, mEvicted                       *telemetry.Counter
-	mCollapsed                                            *telemetry.Counter
-	mJournalRecords, mJournalErrors                       *telemetry.Counter
-	mJournalReplayed, mJournalTorn                        *telemetry.Counter
-	mJournalMissingBlobs, mJournalOrphanBlobs             *telemetry.Counter
-	mBlobsWritten, mBlobHits                              *telemetry.Counter
-	mSSESubscribers, mSSEEventsSent, mSSEDropped          *telemetry.Counter
-	mCompileHit, mCompileMiss                             *telemetry.Counter
-	mExecPanics, mExecTimeouts, mExecErrors, mExecRetries *telemetry.Counter
-	mOracleProbes, mOraclePruned, mOracleEarlyExits       *telemetry.Counter
-	mOracleCacheHit, mOracleCacheMiss                     *telemetry.Counter
-	gQueueDepth, gCacheEntries, gCacheBytes               *telemetry.Gauge
-	hCampaign                                             *telemetry.Histogram
-
-	// compileMu guards the delta tracking that maps the process-wide
-	// monotone compile-cache totals onto this service's counters.
-	compileMu                  sync.Mutex
-	lastCompHits, lastCompMiss uint64
-
-	// execMu guards the same delta tracking for the execution engine's
-	// fault totals (recovered panics, deadline expiries, retries).
-	execMu   sync.Mutex
-	lastExec vdbench.ExecTotals
-
-	// oracleMu guards the delta tracking for the ground-truth oracle's
-	// search and cache totals.
-	oracleMu                         sync.Mutex
-	lastOracle                       vdbench.OracleTotals
-	lastOracleHits, lastOracleMisses uint64
+	mSubmitted, mCompleted, mFailed, mCanceled   *telemetry.Counter
+	mCacheHit, mCacheMiss, mEvicted              *telemetry.Counter
+	mCollapsed                                   *telemetry.Counter
+	mJournalRecords, mJournalErrors              *telemetry.Counter
+	mJournalReplayed, mJournalTorn               *telemetry.Counter
+	mJournalMissingBlobs, mJournalOrphanBlobs    *telemetry.Counter
+	mBlobsWritten, mBlobHits                     *telemetry.Counter
+	mSSESubscribers, mSSEEventsSent, mSSEDropped *telemetry.Counter
+	gQueueDepth, gCacheEntries, gCacheBytes      *telemetry.Gauge
+	hCampaign                                    *telemetry.Histogram
 }
 
 // New builds and starts a service backed by vdbench.RunExperimentCtx.
@@ -340,20 +321,6 @@ func newService(opts Options, run runner) (*Service, error) {
 		mSSEEventsSent:  reg.Counter("vd_sse_events_sent_total", "SSE frames written to subscribers"),
 		mSSEDropped:     reg.Counter("vd_sse_dropped_total", "progress snapshots coalesced away under subscriber backpressure"),
 
-		mCompileHit:  reg.Counter("vd_compile_cache_hits_total", "campaign CFG builds served from the shared compile cache"),
-		mCompileMiss: reg.Counter("vd_compile_cache_misses_total", "campaign CFG builds that lowered a graph"),
-
-		mExecPanics:   reg.Counter("vd_exec_recovered_panics_total", "tool panics recovered by the execution engine"),
-		mExecTimeouts: reg.Counter("vd_exec_timeouts_total", "tool invocations abandoned at the per-tool deadline"),
-		mExecErrors:   reg.Counter("vd_exec_errors_total", "tool invocations that returned a non-retryable error"),
-		mExecRetries:  reg.Counter("vd_exec_retries_total", "tool invocations retried after a retryable failure"),
-
-		mOracleProbes:     reg.Counter("vd_oracle_probes_total", "ground-truth oracle probes executed"),
-		mOraclePruned:     reg.Counter("vd_oracle_pruned_total", "ground-truth oracle probes pruned by the influence analysis"),
-		mOracleEarlyExits: reg.Counter("vd_oracle_early_exits_total", "oracle sweeps stopped early with every sink proven vulnerable"),
-		mOracleCacheHit:   reg.Counter("vd_oracle_cache_hits_total", "ground-truth derivations served from the content-addressed oracle cache"),
-		mOracleCacheMiss:  reg.Counter("vd_oracle_cache_misses_total", "ground-truth derivations the oracle cache had to compute"),
-
 		gQueueDepth:   reg.Gauge("vd_queue_depth", "jobs queued and not yet running"),
 		gCacheEntries: reg.Gauge("vd_cache_entries", "entries in the result cache"),
 		gCacheBytes:   reg.Gauge("vd_cache_bytes", "bytes accounted to the result cache"),
@@ -362,13 +329,9 @@ func newService(opts Options, run runner) (*Service, error) {
 			0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120),
 	}
 	s.events.dropped = s.mSSEDropped
-	// Baseline the compile-cache and execution-fault deltas at
-	// construction: only growth that happens while this service is
-	// running is attributed to it.
-	s.lastCompHits, s.lastCompMiss = vdbench.CompileCacheTotals()
-	s.lastExec = vdbench.ExecutionTotals()
-	s.lastOracle = vdbench.OracleSearchTotals()
-	s.lastOracleHits, s.lastOracleMisses = vdbench.OracleCacheTotals()
+	// The process counters baseline here, at construction: only growth
+	// that happens while this service is running is attributed to it.
+	harness.RegisterProcessCounters(reg)
 	for _, id := range vdbench.ExperimentIDs() {
 		s.known[id] = true
 	}
@@ -709,9 +672,6 @@ func (s *Service) execute(job *Job) {
 	s.reg.Histogram("vd_experiment_"+job.experiment+"_seconds",
 		"latency of experiment "+job.experiment+" in seconds",
 		0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120).Observe(elapsed)
-	s.observeCompileCache()
-	s.observeExecTotals()
-	s.observeOracleTotals()
 
 	switch {
 	case err != nil && job.ctx.Err() != nil &&
@@ -764,20 +724,6 @@ func (s *Service) finishFromCache(job *Job, res vdbench.ExperimentResult) {
 	s.mu.Unlock()
 }
 
-// observeCompileCache folds the growth of the process-wide compile-cache
-// totals since the last observation into this service's counters. The
-// totals are monotone, so each delta is attributed exactly once even with
-// several workers finishing concurrently.
-func (s *Service) observeCompileCache() {
-	hits, misses := vdbench.CompileCacheTotals()
-	s.compileMu.Lock()
-	dh, dm := hits-s.lastCompHits, misses-s.lastCompMiss
-	s.lastCompHits, s.lastCompMiss = hits, misses
-	s.compileMu.Unlock()
-	s.mCompileHit.Add(dh)
-	s.mCompileMiss.Add(dm)
-}
-
 // cacheResult stores res in the byte-budgeted result LRU and refreshes
 // the cache telemetry: this insertion's evictions and both gauges. Keys
 // are vdbench.ExperimentCacheKey content addresses of pure experiments,
@@ -797,48 +743,6 @@ func resultSize(res vdbench.ExperimentResult) int64 {
 		return int64(len(res.String()))
 	}
 	return int64(len(b))
-}
-
-// observeExecTotals folds the growth of the execution engine's
-// process-wide fault totals (recovered panics, deadline expiries,
-// non-retryable errors, retries) since the last observation into this
-// service's counters, the same delta scheme as observeCompileCache.
-func (s *Service) observeExecTotals() {
-	tot := vdbench.ExecutionTotals()
-	s.execMu.Lock()
-	dp := tot.RecoveredPanics - s.lastExec.RecoveredPanics
-	dt := tot.Timeouts - s.lastExec.Timeouts
-	de := tot.Errors - s.lastExec.Errors
-	dr := tot.Retries - s.lastExec.Retries
-	s.lastExec = tot
-	s.execMu.Unlock()
-	s.mExecPanics.Add(dp)
-	s.mExecTimeouts.Add(dt)
-	s.mExecErrors.Add(de)
-	s.mExecRetries.Add(dr)
-}
-
-// observeOracleTotals folds the growth of the ground-truth oracle's
-// process-wide search counters (probes executed, probes pruned, early
-// exits) and content-addressed cache counters since the last observation
-// into this service's counters, the same delta scheme as
-// observeCompileCache.
-func (s *Service) observeOracleTotals() {
-	tot := vdbench.OracleSearchTotals()
-	hits, misses := vdbench.OracleCacheTotals()
-	s.oracleMu.Lock()
-	dp := tot.Probes - s.lastOracle.Probes
-	dq := tot.Pruned - s.lastOracle.Pruned
-	de := tot.EarlyExits - s.lastOracle.EarlyExits
-	dh, dm := hits-s.lastOracleHits, misses-s.lastOracleMisses
-	s.lastOracle = tot
-	s.lastOracleHits, s.lastOracleMisses = hits, misses
-	s.oracleMu.Unlock()
-	s.mOracleProbes.Add(dp)
-	s.mOraclePruned.Add(dq)
-	s.mOracleEarlyExits.Add(de)
-	s.mOracleCacheHit.Add(dh)
-	s.mOracleCacheMiss.Add(dm)
 }
 
 // BeginDrain flips readiness off without stopping work: /healthz/ready

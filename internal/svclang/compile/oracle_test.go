@@ -3,6 +3,7 @@ package compile_test
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/svclang"
@@ -117,11 +118,16 @@ func mustParseOne(t *testing.T, src string) *svclang.Service {
 	return svc
 }
 
+// oracleCacheRuns numbers the invocations of
+// TestOracleCacheContentAddressed, so each one derives a body the
+// process-wide oracle cache has never seen (go test -count=N).
+var oracleCacheRuns atomic.Uint64
+
 // TestOracleCacheContentAddressed pins the cache contract: one
 // derivation per distinct (body, mode), shared across engines and
 // service names, with zero probes on a hit and deep-copied results.
 func TestOracleCacheContentAddressed(t *testing.T) {
-	body := "  param p0\n  sink sql concat(\"SELECT oraclecache_probe '\", p0, \"'\")\nend\n"
+	body := fmt.Sprintf("  param p0\n  sink sql concat(\"SELECT oraclecache_probe_%d '\", p0, \"'\")\nend\n", oracleCacheRuns.Add(1))
 	svcA := mustParseOne(t, "service cache_a\n"+body)
 	svcB := mustParseOne(t, "service cache_b\n"+body)
 

@@ -74,8 +74,8 @@ func oracleLookup(svc *svclang.Service, interpret, exhaustive bool, derive func(
 // OracleCacheTotals returns the process-wide oracle-cache counters:
 // hits served a memoised ground-truth derivation, misses ran one (or
 // are running one — an in-flight entry counts as missed by its
-// producer and hit by its waiters). Both values are monotone;
-// cmd/vdserved and the dist daemons fold their deltas onto /metrics.
+// producer and hit by its waiters). Both values are monotone; every
+// daemon role exports them through harness.RegisterProcessCounters.
 func OracleCacheTotals() (hits, misses uint64) {
 	hits, misses, _ = oracleCache.Stats()
 	return hits, misses

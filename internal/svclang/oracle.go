@@ -391,9 +391,8 @@ var (
 )
 
 // OracleTotalsSnapshot returns the current oracle search counters. The
-// counters are process-wide and monotone; consumers that need
-// per-campaign numbers fold deltas, as internal/service does for the
-// other engine counters.
+// counters are process-wide and monotone; daemons export them through
+// harness.RegisterProcessCounters.
 func OracleTotalsSnapshot() OracleTotals {
 	return OracleTotals{
 		Probes:     oracleProbesTotal.Load(),

@@ -3,7 +3,9 @@
 // and a registry with a deterministic text snapshot (Prometheus-style
 // exposition format, names sorted). It carries the /metrics endpoint of
 // cmd/vdserved and is built so the harness hot path can be instrumented
-// later without pulling in a dependency.
+// later without pulling in a dependency. The operational handlers every
+// daemon role serves — liveness, readiness and /metrics — live here too
+// (see Live, Ready and Registry.ServeHTTP).
 //
 // All operations are safe for concurrent use and allocation-free on the
 // update path (histogram observation is a bucket search plus a few
@@ -12,26 +14,42 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric.
+// Counter is a monotonically increasing metric. It either counts its
+// own Inc/Add calls or, when built by Registry.CounterFunc, reads an
+// external monotone source at scrape time.
 type Counter struct {
 	v atomic.Uint64
+
+	// src and base are set once, by CounterFunc, before the counter is
+	// shared: Value reports src() - base.
+	src  func() uint64
+	base uint64
 }
 
-// Inc adds one.
+// Inc adds one. Calling it on a counter built by CounterFunc is a
+// programming error: Value reads the source and ignores the increment.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative; counters only go up).
+// Add adds n (n must be non-negative; counters only go up). Like Inc,
+// it must not be called on a counter built by CounterFunc.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 {
+	if c.src != nil {
+		return c.src() - c.base
+	}
+	return c.v.Load()
+}
 
 // Gauge is a metric that can go up and down.
 type Gauge struct {
@@ -145,6 +163,27 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
+// CounterFunc returns the counter with the given name, creating it on
+// first use as a view of the monotone source fn: fn is read once now as
+// the baseline, and again whenever the counter's Value or the registry's
+// Snapshot is taken, so the counter reports only the growth since
+// registration. Registration is idempotent by name and the first one
+// wins: a later CounterFunc or Counter call on the name returns the
+// same counter. Like Counter, it panics when the name is already a
+// different metric kind.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.counters[name]; ok {
+		return c
+	}
+	r.mustBeFree(name, "counter")
+	c := &Counter{src: fn, base: fn()}
+	r.counters[name] = c
+	r.help[name] = help
+	return c
+}
+
 // Gauge returns the gauge with the given name, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	r.mu.Lock()
@@ -223,6 +262,33 @@ func (r *Registry) Snapshot() string {
 		}
 	}
 	return sb.String()
+}
+
+// ServeHTTP serves the registry's Snapshot as the /metrics endpoint.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = io.WriteString(w, r.Snapshot())
+}
+
+// Live is the liveness handler: a process that can answer is alive.
+func Live(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = io.WriteString(w, "ok\n")
+}
+
+// Ready returns the readiness handler: 200 "ok" while ready reports
+// true, 503 "draining" otherwise, so health-checkers stop routing work
+// to a process that is shutting down or not yet useful.
+func Ready(ready func() bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if !ready() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_, _ = io.WriteString(w, "draining\n")
+			return
+		}
+		_, _ = io.WriteString(w, "ok\n")
+	}
 }
 
 // formatBound renders a float compactly and unambiguously ("0.5", "10").

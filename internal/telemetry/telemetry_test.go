@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -144,5 +147,80 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got, want := h.Sum(), 0.5*goroutines*each; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("histogram sum = %g, want %g (lost CAS updates)", got, want)
+	}
+}
+
+// TestCounterFuncReadsSourceGrowth pins the scrape-time counter: it
+// excludes source growth from before registration, tracks the source
+// afterwards without any fold call, and renders as a plain counter.
+func TestCounterFuncReadsSourceGrowth(t *testing.T) {
+	var src atomic.Uint64
+	src.Add(40) // growth before registration belongs to someone else
+	r := NewRegistry()
+	c := r.CounterFunc("src_total", "a sourced counter", src.Load)
+	if c.Value() != 0 {
+		t.Fatalf("fresh sourced counter = %d, want 0", c.Value())
+	}
+	src.Add(3)
+	if c.Value() != 3 {
+		t.Fatalf("sourced counter = %d, want 3", c.Value())
+	}
+	src.Add(2)
+	if got, want := r.Snapshot(), "# HELP src_total a sourced counter\n# TYPE src_total counter\nsrc_total 5\n"; got != want {
+		t.Fatalf("snapshot = %q, want %q", got, want)
+	}
+}
+
+func TestCounterFuncIdempotentByName(t *testing.T) {
+	var a, b atomic.Uint64
+	r := NewRegistry()
+	c := r.CounterFunc("src_total", "first", a.Load)
+	if r.CounterFunc("src_total", "second", b.Load) != c {
+		t.Fatal("second CounterFunc returned a different counter")
+	}
+	if r.Counter("src_total", "") != c {
+		t.Fatal("Counter on a sourced name returned a different counter")
+	}
+	a.Add(1)
+	b.Add(10)
+	if c.Value() != 1 {
+		t.Fatalf("counter = %d, want the first source's growth 1", c.Value())
+	}
+}
+
+func TestCounterFuncKindCollisionPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("x", "")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sourced counter reusing a gauge name accepted")
+		}
+	}()
+	r.CounterFunc("x", "", func() uint64 { return 0 })
+}
+
+// TestOperationalHandlers pins the bytes every daemon role serves on its
+// health and metrics endpoints.
+func TestOperationalHandlers(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total", "a counter").Inc()
+	const plain = "text/plain; charset=utf-8"
+	for _, tc := range []struct {
+		name        string
+		h           http.Handler
+		code        int
+		contentType string
+		body        string
+	}{
+		{"live", http.HandlerFunc(Live), http.StatusOK, plain, "ok\n"},
+		{"ready", Ready(func() bool { return true }), http.StatusOK, plain, "ok\n"},
+		{"draining", Ready(func() bool { return false }), http.StatusServiceUnavailable, plain, "draining\n"},
+		{"metrics", r, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", r.Snapshot()},
+	} {
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		if ct := rec.Header().Get("Content-Type"); rec.Code != tc.code || ct != tc.contentType || rec.Body.String() != tc.body {
+			t.Errorf("%s = %d %q %q, want %d %q %q", tc.name, rec.Code, ct, rec.Body.String(), tc.code, tc.contentType, tc.body)
+		}
 	}
 }

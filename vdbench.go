@@ -60,8 +60,6 @@ import (
 	"github.com/dsn2015/vdbench/internal/scenario"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
-	"github.com/dsn2015/vdbench/internal/svclang/cfg"
-	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -123,8 +121,6 @@ type (
 	ExecError = harness.ExecError
 	// FailureKind classifies how a cell failed (panic, timeout, error).
 	FailureKind = harness.FailureKind
-	// ExecTotals is the process-wide snapshot of engine fault counters.
-	ExecTotals = harness.ExecTotals
 	// CampaignProgressEvent describes one finished (tool, case) cell of a
 	// running campaign: monotone done/total counts plus the cell's
 	// confusion-matrix delta for incremental metric estimates.
@@ -133,10 +129,6 @@ type (
 	// from campaign worker goroutines and must be concurrency-safe and
 	// fast (buffer and shed in the listener, not the campaign).
 	CampaignProgressFunc = harness.ProgressFunc
-	// OracleTotals is the process-wide snapshot of ground-truth oracle
-	// search counters: probes executed, probes pruned away by the
-	// influence analysis, and sweeps cut short by early exit.
-	OracleTotals = svclang.OracleTotals
 	// ContextTool is an optional Tool extension for implementations that
 	// observe cancellation mid-analysis; the execution engine passes such
 	// tools the per-attempt deadline context.
@@ -259,40 +251,6 @@ func IsRetryable(err error) bool { return detectors.IsRetryable(err) }
 // accept exactly this set.
 func ParseDegradedPolicy(s string) (DegradedPolicy, error) {
 	return harness.ParseDegradedPolicy(s)
-}
-
-// ExecutionTotals returns the process-wide cumulative fault counters of
-// the campaign execution engine: recovered panics, deadline expiries,
-// exhausted errors and retries across every campaign this process has
-// run. Totals are monotone; cmd/vdserved folds their deltas onto
-// /metrics.
-func ExecutionTotals() ExecTotals { return harness.ExecTotalsSnapshot() }
-
-// CompileCacheTotals returns the process-wide compile-cache counters:
-// hits served a memoised control-flow graph, misses lowered one. The
-// parallel campaign harness shares one cache per campaign across every
-// CFG-based tool, so misses grow with distinct (service, options) pairs
-// and hits with the redundant builds the cache absorbed. Both values are
-// monotonically non-decreasing; cmd/vdserved exposes them on /metrics.
-func CompileCacheTotals() (hits, misses uint64) {
-	return cfg.CacheTotals()
-}
-
-// OracleSearchTotals returns the process-wide cumulative counters of the
-// ground-truth oracle's probe search: probes executed, probes the
-// influence-guided plan pruned away, and sweeps stopped early once every
-// sink was proven vulnerable. Executed + pruned always equals the size
-// of the exhaustive probe space, so the pair measures the pruning ratio
-// directly. Totals are monotone; cmd/vdserved folds their deltas onto
-// /metrics.
-func OracleSearchTotals() OracleTotals { return svclang.OracleTotalsSnapshot() }
-
-// OracleCacheTotals returns the process-wide content-addressed oracle
-// cache counters: hits served a memoised ground-truth derivation for a
-// structurally identical service, misses derived one. Both values are
-// monotonically non-decreasing; cmd/vdserved exposes them on /metrics.
-func OracleCacheTotals() (hits, misses uint64) {
-	return compile.OracleCacheTotals()
 }
 
 // DefaultPropConfig returns the property-analysis configuration used by
