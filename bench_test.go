@@ -342,20 +342,31 @@ func BenchmarkKendallTau(b *testing.B) {
 	}
 }
 
+// benchCodes draws n uniform codes in [0, 16) and returns them with
+// their mean-code statistic.
+func benchCodes(seed uint64, n int) ([]uint8, func(cnt *[16]int) float64) {
+	rng := stats.NewRNG(seed)
+	codes := make([]uint8, n)
+	for i := range codes {
+		codes[i] = uint8(rng.Intn(16))
+	}
+	return codes, func(cnt *[16]int) float64 {
+		sum := 0
+		for code, k := range cnt {
+			sum += code * k
+		}
+		return float64(sum) / float64(n)
+	}
+}
+
 func BenchmarkBootstrapMean(b *testing.B) {
 	rng := stats.NewRNG(5)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
+	codes, mean := benchCodes(5, 500)
 	cfg := stats.BootstrapConfig{Resamples: 200, Confidence: 0.95}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stats.Bootstrap(rng, xs, cfg, func(s []float64) float64 {
-			m, _ := stats.Mean(s)
-			return m
-		}); err != nil {
+		if _, err := stats.BootstrapCodes(rng, codes, cfg, mean); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -477,23 +488,16 @@ func BenchmarkAllExperiments(b *testing.B) {
 
 // BenchmarkBootstrapWorkers sweeps the resampling loop's worker budget on
 // a bootstrap large enough for per-block fan-out to matter. Intervals are
-// byte-identical across sub-benchmarks (TestBootstrapIdenticalAcrossWorkers).
+// byte-identical across sub-benchmarks (TestBootstrapCodesMatchesIndexed).
 func BenchmarkBootstrapWorkers(b *testing.B) {
-	seedRNG := stats.NewRNG(5)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = seedRNG.NormFloat64()
-	}
+	codes, mean := benchCodes(5, 2000)
 	for _, workers := range campaignWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := stats.BootstrapConfig{Resamples: 2000, Confidence: 0.95, Workers: workers}
 			rng := stats.NewRNG(6)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := stats.Bootstrap(rng, xs, cfg, func(s []float64) float64 {
-					m, _ := stats.Mean(s)
-					return m
-				}); err != nil {
+				if _, err := stats.BootstrapCodes(rng, codes, cfg, mean); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -116,8 +116,8 @@ func (r *Runner) E4MetricValues(ctx context.Context) (Result, error) {
 		row := []string{res.Tool}
 		for _, id := range []string{metrics.IDF1, metrics.IDMCC} {
 			m := metrics.MustByID(id)
-			iv, err := stats.BootstrapIndexed(rng.Split(), len(res.Outcomes), bootCfg, func(idx []int) float64 {
-				v, err := m.ValueOr(codes.Confusion(idx), worstFallback(m))
+			iv, err := stats.BootstrapCodes(rng.Split(), codes, bootCfg, func(cnt *[16]int) float64 {
+				v, err := m.ValueOr(codes.Fold(cnt), worstFallback(m))
 				if err != nil {
 					return worstFallback(m)
 				}
@@ -210,12 +210,13 @@ func worstFallback(m metrics.Metric) float64 {
 	return m.Lo
 }
 
-// pairDelta is E7's resampled statistic: the goodness-oriented delta of
-// metric m, tool a minus tool b, over the sinks at idx, with undefined
-// values replaced by the metric's worst value. A metric error counts as a
-// zero delta (sign-unstable).
-func pairDelta(codes harness.PairCodes, m metrics.Metric, idx []int) float64 {
-	ca, cb := codes.Confusions(idx)
+// pairCountsDelta is E7's resampled statistic: the goodness-oriented
+// delta of metric m, tool a minus tool b, over a resample of the pair's
+// joint code table with per-code counts cnt, with undefined values
+// replaced by the metric's worst value. A metric error counts as a zero
+// delta (sign-unstable).
+func pairCountsDelta(codes harness.PairCodes, m metrics.Metric, cnt *[16]int) float64 {
+	ca, cb := codes.Fold(cnt)
 	va, err := m.ValueOr(ca, worstFallback(m))
 	if err != nil {
 		return 0
@@ -263,7 +264,7 @@ func (r *Runner) E7Discrimination(ctx context.Context) (Result, error) {
 		cellRNGs[i] = rng.Split()
 	}
 	// Each pair's outcomes are encoded once as joint one-byte codes; a
-	// resample then only counts codes (see harness.PairCodes).
+	// resample then only tallies codes (see harness.PairCodes).
 	pairCodes := make([]harness.PairCodes, nPairs)
 	for pair := range pairCodes {
 		pairCodes[pair], err = harness.NewPairCodes(&camp.Results[order[pair]], &camp.Results[order[pair+1]])
@@ -276,8 +277,8 @@ func (r *Runner) E7Discrimination(ctx context.Context) (Result, error) {
 		pair, mi := cell/len(ids), cell%len(ids)
 		codes := pairCodes[pair]
 		m := metrics.MustByID(ids[mi])
-		frac, err := stats.SignStability(cellRNGs[cell], len(codes), r.cfg.BootstrapResamples, func(idx []int) float64 {
-			return pairDelta(codes, m, idx)
+		frac, err := stats.SignStabilityCodes(cellRNGs[cell], codes, r.cfg.BootstrapResamples, func(cnt *[16]int) float64 {
+			return pairCountsDelta(codes, m, cnt)
 		})
 		if err != nil {
 			return err

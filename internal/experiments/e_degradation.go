@@ -63,31 +63,35 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 	missCells := make(map[string][]cell, len(catalog))
 	byzCells := make(map[string][]cell, len(catalog))
 
-	var ledgerSkip *harness.Campaign // panic mode @10%, for the ledger table
+	// Each degraded campaign is folded into its cells as soon as it has
+	// run, so at most one is live at a time; only the ledger table's
+	// results outlive the sweep.
+	score := func(camp *harness.Campaign, cells map[string][]cell) {
+		for _, m := range catalog {
+			mean, max, n := e18Distortion(baseline, camp, m)
+			cells[m.ID] = append(cells[m.ID], cell{mean, max, n})
+		}
+	}
+	var ledgerSkip []harness.ToolResult // panic mode @10%, for the ledger table
 	for i, rate := range e18Rates {
 		skipCamp, err := r.e18Campaign(ctx, corpus, tools, faulty.ModePanic, rate, harness.DegradedSkip, harness.RetryPolicy{})
 		if err != nil {
 			return Result{}, err
 		}
+		score(skipCamp, skipCells)
+		if i == 2 { // rate 0.10
+			ledgerSkip = skipCamp.Results
+		}
 		missCamp, err := r.e18Campaign(ctx, corpus, tools, faulty.ModePanic, rate, harness.DegradedCountMiss, harness.RetryPolicy{})
 		if err != nil {
 			return Result{}, err
 		}
+		score(missCamp, missCells)
 		byzCamp, err := r.e18Campaign(ctx, corpus, tools, faulty.ModeByzantine, rate, harness.DegradedSkip, harness.RetryPolicy{})
 		if err != nil {
 			return Result{}, err
 		}
-		if i == 2 { // rate 0.10
-			ledgerSkip = skipCamp
-		}
-		for _, m := range catalog {
-			mean, max, n := e18Distortion(baseline, skipCamp, m)
-			skipCells[m.ID] = append(skipCells[m.ID], cell{mean, max, n})
-			mean, max, n = e18Distortion(baseline, missCamp, m)
-			missCells[m.ID] = append(missCells[m.ID], cell{mean, max, n})
-			mean, max, n = e18Distortion(baseline, byzCamp, m)
-			byzCells[m.ID] = append(byzCells[m.ID], cell{mean, max, n})
-		}
+		score(byzCamp, byzCells)
 	}
 
 	rateHeader := func() []string {
@@ -126,7 +130,7 @@ func (r *Runner) E18Degradation(ctx context.Context) (Result, error) {
 	t4 := report.NewTable(
 		"E18d: execution ledger, panic faults at 10% (skip policy)",
 		"tool", "cases", "succeeded", "failed", "panics", "timeouts", "errors", "attempts", "retries")
-	for _, res := range ledgerSkip.Results {
+	for _, res := range ledgerSkip {
 		l := res.Exec
 		t4.AddRowValues(res.Tool, l.Cases, l.Succeeded, l.Failed, l.RecoveredPanics, l.Timeouts, l.Errors, l.Attempts, l.Retries)
 	}

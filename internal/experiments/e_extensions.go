@@ -200,11 +200,7 @@ func (r *Runner) E13MicroMacro(ctx context.Context) (Result, error) {
 // (precision <= each member); intersection keeps only common findings
 // (the reverse); majority voting sits between.
 func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
-	corpus, err := workload.Generate(workload.Config{
-		Services:         r.cfg.Services,
-		TargetPrevalence: r.cfg.Prevalence,
-		Seed:             r.cfg.Seed,
-	})
+	corpus, err := r.sharedCorpus()
 	if err != nil {
 		return Result{}, err
 	}

@@ -181,6 +181,10 @@ type Runner struct {
 	profiles     []metricprop.Profile
 	profilesErr  error
 
+	corpusOnce sync.Once
+	corpus     *workload.Corpus
+	corpusErr  error
+
 	campaignMu   sync.Mutex
 	campaignDone bool
 	campaign     *harness.Campaign
@@ -269,20 +273,34 @@ func (r *Runner) CampaignCtx(ctx context.Context) (*harness.Campaign, error) {
 	return r.campaign, r.campaignErr
 }
 
-func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
-	wcfg := workload.Config{
+// workloadConfig is the configuration of the benchmark corpus.
+func (r *Runner) workloadConfig() workload.Config {
+	return workload.Config{
 		Services:         r.cfg.Services,
 		TargetPrevalence: r.cfg.Prevalence,
 		Seed:             r.cfg.Seed,
 	}
+}
+
+// sharedCorpus returns the benchmark corpus, generating it on first use.
+// The in-process campaign and E14 run on this one corpus; with a remote
+// campaign executor only E14 asks for it.
+func (r *Runner) sharedCorpus() (*workload.Corpus, error) {
+	r.corpusOnce.Do(func() {
+		r.corpus, r.corpusErr = workload.Generate(r.workloadConfig())
+	})
+	return r.corpus, r.corpusErr
+}
+
+func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
 	if r.exec != nil {
-		campaign, err := r.exec.ExecuteCampaign(ctx, wcfg, "standard", r.cfg.execOptions())
+		campaign, err := r.exec.ExecuteCampaign(ctx, r.workloadConfig(), "standard", r.cfg.execOptions())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: campaign: %w", err)
 		}
 		return campaign, nil
 	}
-	corpus, err := workload.Generate(wcfg)
+	corpus, err := r.sharedCorpus()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: corpus: %w", err)
 	}

@@ -37,6 +37,21 @@ func refDelta(a, b *harness.ToolResult, m metrics.Metric, idx []int) float64 {
 	return m.Goodness(va) - m.Goodness(vb)
 }
 
+// countAt counts the codes at the given indices one by one: the
+// per-index path the tally kernel replaced.
+func countAt(codes []uint8, idx []int) *[16]int {
+	var cnt [16]int
+	for _, i := range idx {
+		cnt[codes[i]]++
+	}
+	return &cnt
+}
+
+// pairDelta is E7's statistic over the sinks at idx.
+func pairDelta(codes harness.PairCodes, m metrics.Metric, idx []int) float64 {
+	return pairCountsDelta(codes, m, countAt(codes, idx))
+}
+
 // randomResult draws n outcomes with the given label and flag rates.
 func randomResult(rng *stats.RNG, n int, pVuln, pFlag float64) *harness.ToolResult {
 	res := &harness.ToolResult{Outcomes: make([]harness.SinkOutcome, n)}
@@ -93,10 +108,11 @@ func TestResampleKernelMatchesOutcomeSummation(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantA, wantB := refConfusion(a.Outcomes, idx), refConfusion(b.Outcomes, idx)
-			if gotA, gotB := pair.Confusions(idx); gotA != wantA || gotB != wantB {
+			if gotA, gotB := pair.Fold(countAt(pair, idx)); gotA != wantA || gotB != wantB {
 				t.Fatalf("%s: pair kernel %+v / %+v, want %+v / %+v", name, gotA, gotB, wantA, wantB)
 			}
-			if got := a.Codes().Confusion(idx); got != wantA {
+			codes := a.Codes()
+			if got := codes.Fold(countAt(codes, idx)); got != wantA {
 				t.Fatalf("%s: single-tool kernel %+v, want %+v", name, got, wantA)
 			}
 			for _, id := range ids {

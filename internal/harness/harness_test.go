@@ -233,12 +233,29 @@ func TestSinkOutcomeConfusion(t *testing.T) {
 	}
 }
 
-// recallDelta is the recall delta (tool a minus tool b) over the sinks at
-// idx, computed through the joint code table.
-func recallDelta(t *testing.T, codes PairCodes, idx []int) float64 {
-	t.Helper()
+// Confusion and Confusions are the per-index folds the tally kernel
+// replaced: they pool the outcomes at the given indices (repeats count
+// repeatedly) by counting codes index by index.
+func (c OutcomeCodes) Confusion(idx []int) metrics.Confusion {
+	var cnt [16]int
+	for _, i := range idx {
+		cnt[c[i]]++
+	}
+	return c.Fold(&cnt)
+}
+
+func (p PairCodes) Confusions(idx []int) (a, b metrics.Confusion) {
+	var cnt [16]int
+	for _, i := range idx {
+		cnt[p[i]]++
+	}
+	return p.Fold(&cnt)
+}
+
+// recallDelta is the recall delta, tool a minus tool b, between the two
+// matrices.
+func recallDelta(ca, cb metrics.Confusion) float64 {
 	rec := metrics.MustByID(metrics.IDRecall)
-	ca, cb := codes.Confusions(idx)
 	va, err := rec.Value(ca)
 	if err != nil {
 		return 0
@@ -263,7 +280,7 @@ func TestPairCodesFullIndexDelta(t *testing.T) {
 		idx[i] = i
 	}
 	// Full-index delta must equal the difference of the overall values.
-	delta := recallDelta(t, codes, idx)
+	delta := recallDelta(codes.Confusions(idx))
 	rec := metrics.MustByID(metrics.IDRecall)
 	va, _ := a.MetricValue(rec)
 	vb, _ := b.MetricValue(rec)
@@ -291,8 +308,8 @@ func TestPairCodesWithSignStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := stats.SignStability(stats.NewRNG(3), len(codes), 200, func(idx []int) float64 {
-		return recallDelta(t, codes, idx)
+	frac, err := stats.SignStabilityCodes(stats.NewRNG(3), codes, 200, func(cnt *[16]int) float64 {
+		return recallDelta(codes.Fold(cnt))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,12 +7,12 @@ import (
 )
 
 // Outcome codes name the confusion-matrix cell of one sink outcome in a
-// single byte. The bootstrap kernels below resample these codes instead
-// of the outcomes themselves: a resample counts one byte per drawn index
-// and folds the counts into a matrix, so it never copies an outcome. The
-// folded matrices hold the same integers as summing SinkOutcome.Confusion
-// over the same indices, so every metric computed from them is
-// bit-identical.
+// single byte. The bootstrap resamples these codes instead of the
+// outcomes themselves: stats.Tally counts one byte per drawn index and
+// Fold turns the counts into a matrix, so a resample never copies an
+// outcome. The folded matrices hold the same integers as summing
+// SinkOutcome.Confusion over the same indices, so every metric computed
+// from them is bit-identical.
 const (
 	codeTP = iota
 	codeFP
@@ -55,14 +55,10 @@ func (r *ToolResult) Codes() OutcomeCodes {
 	return codes
 }
 
-// Confusion pools the outcomes at the given indices (repeats count
-// repeatedly) into a confusion matrix.
-func (c OutcomeCodes) Confusion(idx []int) metrics.Confusion {
-	var cnt [4]int
-	for _, i := range idx {
-		cnt[c[i]&3]++ // codes are < 4; the mask drops the bounds check
-	}
-	return foldCounts(&cnt)
+// Fold turns the per-code counts of a resample of c (see stats.Tally)
+// into a confusion matrix.
+func (OutcomeCodes) Fold(cnt *[16]int) metrics.Confusion {
+	return foldCounts((*[4]int)(cnt[:4]))
 }
 
 // PairCodes is the joint resampling table of two tools from the same
@@ -83,13 +79,9 @@ func NewPairCodes(a, b *ToolResult) (PairCodes, error) {
 	return codes, nil
 }
 
-// Confusions pools the outcomes at the given indices into the two tools'
-// confusion matrices.
-func (p PairCodes) Confusions(idx []int) (a, b metrics.Confusion) {
-	var cnt [16]int
-	for _, i := range idx {
-		cnt[p[i]&15]++ // joint codes are < 16
-	}
+// Fold turns the per-code counts of a resample of p (see stats.Tally)
+// into the two tools' confusion matrices.
+func (PairCodes) Fold(cnt *[16]int) (a, b metrics.Confusion) {
 	var ca, cb [4]int
 	for code, n := range cnt {
 		ca[code>>2] += n

@@ -431,24 +431,12 @@ func chanceSpread(m metrics.Metric) float64 {
 }
 
 // sampleMatrix draws a binomially sampled confusion matrix for a tool of
-// quality q on a workload with the given positives/negatives split.
+// quality q on a workload with the given positives/negatives split: one
+// Bernoulli(TPR) draw per positive, then one Bernoulli(FPR) per negative.
 func sampleMatrix(rng *stats.RNG, q ToolQuality, positives, negatives int) metrics.Confusion {
-	var c metrics.Confusion
-	for i := 0; i < positives; i++ {
-		if rng.Bernoulli(q.TPR) {
-			c.TP++
-		} else {
-			c.FN++
-		}
-	}
-	for i := 0; i < negatives; i++ {
-		if rng.Bernoulli(q.FPR) {
-			c.FP++
-		} else {
-			c.TN++
-		}
-	}
-	return c
+	tp := rng.CountBernoulli(positives, q.TPR)
+	fp := rng.CountBernoulli(negatives, q.FPR)
+	return metrics.Confusion{TP: tp, FN: positives - tp, FP: fp, TN: negatives - fp}
 }
 
 // stability estimates the sampling standard deviation of the metric at the

@@ -263,6 +263,45 @@ func TestSampleMatrixTotals(t *testing.T) {
 	}
 }
 
+// refSampleMatrix is the per-draw loop sampleMatrix replaced.
+func refSampleMatrix(rng *stats.RNG, q ToolQuality, positives, negatives int) metrics.Confusion {
+	var c metrics.Confusion
+	for i := 0; i < positives; i++ {
+		if rng.Bernoulli(q.TPR) {
+			c.TP++
+		} else {
+			c.FN++
+		}
+	}
+	for i := 0; i < negatives; i++ {
+		if rng.Bernoulli(q.FPR) {
+			c.FP++
+		} else {
+			c.TN++
+		}
+	}
+	return c
+}
+
+// TestSampleMatrixMatchesPerDrawLoop holds the batch kernel to the
+// per-draw loop: the same matrix and the same generator state after, for
+// the qualities the analysis samples and the degenerate rates.
+func TestSampleMatrixMatchesPerDrawLoop(t *testing.T) {
+	qs := []ToolQuality{refQuality, betterQuality, worseQuality, {TPR: 0, FPR: 1}, {TPR: 1, FPR: 0}, {TPR: 0.5, FPR: 0.5}}
+	for i, q := range qs {
+		for _, n := range [][2]int{{0, 0}, {1, 0}, {210, 390}, {700, 1300}} {
+			got, want := stats.NewRNG(uint64(i)), stats.NewRNG(uint64(i))
+			gc, wc := sampleMatrix(got, q, n[0], n[1]), refSampleMatrix(want, q, n[0], n[1])
+			if gc != wc {
+				t.Fatalf("%+v %v: matrix %+v, want %+v", q, n, gc, wc)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("%+v %v: stream diverged after sampling (%#x vs %#x)", q, n, g, w)
+			}
+		}
+	}
+}
+
 func TestSensitivitiesRecallVsPrecision(t *testing.T) {
 	rec := analyze(t, metrics.IDRecall)
 	prec := analyze(t, metrics.IDPrecision)

@@ -62,8 +62,10 @@ func BenchmarkPercentileBoundsSort(b *testing.B) {
 	}
 }
 
-// BenchmarkSignStability measures the E7 inner loop: the index buffer now
-// doubles as the identity permutation, so the whole call allocates once.
+// BenchmarkSignStability measures the per-index reference E7 ran on
+// before the tally kernel (see BenchmarkTally for the draw loop alone):
+// the index buffer doubles as the identity permutation, so the whole call
+// allocates once.
 func BenchmarkSignStability(b *testing.B) {
 	rng := NewRNG(12)
 	b.ReportAllocs()
@@ -74,4 +76,64 @@ func BenchmarkSignStability(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTally measures one resample of a 1500-entry code table, the
+// E7/E4 inner loop, against the per-index Intn loop it replaced. Both
+// consume the same stream (TestTallyMatchesIntn).
+func BenchmarkTally(b *testing.B) {
+	const n = 1500
+	codes := make([]uint8, n)
+	for i := range codes {
+		codes[i] = uint8(i % 16)
+	}
+	b.Run("kernel", func(b *testing.B) {
+		rng := NewRNG(13)
+		var cnt [16]int
+		for i := 0; i < b.N; i++ {
+			rng.Tally(codes, &cnt)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/draw")
+	})
+	b.Run("intn-loop", func(b *testing.B) {
+		rng := NewRNG(13)
+		var cnt [16]int
+		for i := 0; i < b.N; i++ {
+			for range n {
+				cnt[codes[rng.Intn(n)]&15]++
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/draw")
+	})
+}
+
+// countSink keeps the benchmarked counts live.
+var countSink int
+
+// BenchmarkCountBernoulli measures the metric-property sampler's draws
+// against the per-call Bernoulli loop they replaced.
+func BenchmarkCountBernoulli(b *testing.B) {
+	const n = 1300
+	b.Run("kernel", func(b *testing.B) {
+		rng := NewRNG(14)
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			hits += rng.CountBernoulli(n, 0.35)
+		}
+		countSink = hits
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/draw")
+	})
+	b.Run("bernoulli-loop", func(b *testing.B) {
+		rng := NewRNG(14)
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			for range n {
+				if rng.Bernoulli(0.35) {
+					hits++
+				}
+			}
+		}
+		countSink = hits
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/draw")
+	})
 }

@@ -58,123 +58,54 @@ func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 // Contains reports whether x lies within the interval (inclusive).
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
-// Bootstrap estimates a percentile confidence interval for the statistic
-// computed by fn over resamples of xs. fn receives a resample (which it
-// must not retain) and returns the statistic value.
-func Bootstrap(rng *RNG, xs []float64, cfg BootstrapConfig, fn func([]float64) float64) (Interval, error) {
+// BootstrapCodes estimates a percentile confidence interval for a
+// statistic of a code table: codes[i] is the code (below 16) of record i,
+// and fn receives the per-code counts of one resample of the records. The
+// point estimate is fn of the table's own counts. A resample is one Tally
+// of the block's stream, which draws exactly the indices an Intn(len(codes))
+// loop would, so the interval is the one an index-materialising bootstrap
+// over the same records computes. fn must not retain cnt.
+func BootstrapCodes(rng *RNG, codes []uint8, cfg BootstrapConfig, fn func(cnt *[16]int) float64) (Interval, error) {
 	if err := cfg.Validate(); err != nil {
 		return Interval{}, err
 	}
-	if len(xs) == 0 {
+	if len(codes) == 0 {
 		return Interval{}, ErrEmpty
 	}
 	if rng == nil {
 		return Interval{}, errors.New("stats: nil RNG")
 	}
-	point := fn(xs)
-	n := len(xs)
+	point := fn(countCodes(codes))
 	estimates := make([]float64, cfg.Resamples)
-	if cfg.Workers <= 1 {
-		buf := make([]float64, n)
-		var blk RNG
-		for start := 0; start < len(estimates); start += bootstrapBlock {
-			rng.splitInto(&blk)
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range buf {
-					buf[i] = xs[blk.Intn(n)]
-				}
-				estimates[b] = fn(buf)
-			}
+	streams := splitBlockStreams(rng, cfg.Resamples)
+	_ = workpool.New(max(cfg.Workers, 1)).ForEach(len(streams), func(_, k int) error {
+		blk := &streams[k]
+		cnt := new([16]int) // fn makes it escape: one per block, not per resample
+		start := k * bootstrapBlock
+		for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
+			*cnt = [16]int{}
+			blk.Tally(codes, cnt)
+			estimates[b] = fn(cnt)
 		}
-	} else {
-		streams := splitBlockStreams(rng, cfg.Resamples)
-		bufs := make([][]float64, cfg.Workers)
-		_ = workpool.New(cfg.Workers).ForEach(len(streams), func(lane, k int) error {
-			buf := bufs[lane]
-			if buf == nil {
-				buf = make([]float64, n)
-				bufs[lane] = buf
-			}
-			blk := &streams[k]
-			start := k * bootstrapBlock
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range buf {
-					buf[i] = xs[blk.Intn(n)]
-				}
-				estimates[b] = fn(buf)
-			}
-			return nil
-		})
-	}
+		return nil
+	})
 	lo, hi := percentileBounds(estimates, cfg.Confidence)
 	return Interval{Point: point, Lo: lo, Hi: hi}, nil
 }
 
-// BootstrapIndexed estimates a percentile confidence interval for a
-// statistic computed from resampled *indices* of a dataset of size n. This
-// supports statistics over structured records (e.g. per-test-case detection
-// outcomes) without copying the records into float slices. It draws the
-// same index streams as Bootstrap, so composing fn with an element lookup
-// reproduces Bootstrap exactly.
-func BootstrapIndexed(rng *RNG, n int, cfg BootstrapConfig, fn func(idx []int) float64) (Interval, error) {
-	if err := cfg.Validate(); err != nil {
-		return Interval{}, err
+// countCodes returns the per-code counts of the whole table.
+func countCodes(codes []uint8) *[16]int {
+	cnt := new([16]int)
+	for _, c := range codes {
+		cnt[c&15]++
 	}
-	if n <= 0 {
-		return Interval{}, ErrEmpty
-	}
-	if rng == nil {
-		return Interval{}, errors.New("stats: nil RNG")
-	}
-	identity := make([]int, n)
-	for i := range identity {
-		identity[i] = i
-	}
-	point := fn(identity)
-	estimates := make([]float64, cfg.Resamples)
-	if cfg.Workers <= 1 {
-		// The identity buffer has served its purpose; reuse it as the
-		// resample buffer instead of allocating a second index slice.
-		idx := identity
-		var blk RNG
-		for start := 0; start < len(estimates); start += bootstrapBlock {
-			rng.splitInto(&blk)
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range idx {
-					idx[i] = blk.Intn(n)
-				}
-				estimates[b] = fn(idx)
-			}
-		}
-	} else {
-		streams := splitBlockStreams(rng, cfg.Resamples)
-		bufs := make([][]int, cfg.Workers)
-		bufs[0] = identity // lane 0 reuses the identity buffer
-		_ = workpool.New(cfg.Workers).ForEach(len(streams), func(lane, k int) error {
-			idx := bufs[lane]
-			if idx == nil {
-				idx = make([]int, n)
-				bufs[lane] = idx
-			}
-			blk := &streams[k]
-			start := k * bootstrapBlock
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range idx {
-					idx[i] = blk.Intn(n)
-				}
-				estimates[b] = fn(idx)
-			}
-			return nil
-		})
-	}
-	lo, hi := percentileBounds(estimates, cfg.Confidence)
-	return Interval{Point: point, Lo: lo, Hi: hi}, nil
+	return cnt
 }
 
 // splitBlockStreams derives one child stream per bootstrap block, in block
-// order, as values in a single allocation. The serial paths derive the
-// same streams lazily with splitInto, so serial and parallel runs see
-// identical generator states for every resample.
+// order, as values in a single allocation. A child's draws never advance
+// its parent, so these are the streams a serial loop splitting each
+// block's child just before drawing it would see.
 func splitBlockStreams(rng *RNG, resamples int) []RNG {
 	streams := make([]RNG, (resamples+bootstrapBlock-1)/bootstrapBlock)
 	for k := range streams {
@@ -183,18 +114,20 @@ func splitBlockStreams(rng *RNG, resamples int) []RNG {
 	return streams
 }
 
-// SignStability returns the fraction of bootstrap resamples in which the
-// statistic computed by fn has the same sign as its point estimate. It is
+// SignStabilityCodes returns the fraction of bootstrap resamples of a
+// code table in which the statistic fn of the per-code counts has the
+// same sign as its point estimate (fn of the table's own counts). It is
 // the discriminative-power measure used by experiment E7: a metric
 // discriminates two tools well when the sign of their metric delta is
 // stable under resampling of the workload.
 //
-// SignStability draws one sequential stream (no per-block splitting): its
-// callers parallelise across (pair, metric) cells with one pre-split RNG
-// per call, which keeps this function's historical draw sequence — and
-// therefore E7's published numbers — unchanged.
-func SignStability(rng *RNG, n int, resamples int, fn func(idx []int) float64) (float64, error) {
-	if n <= 0 {
+// SignStabilityCodes draws one sequential stream (no per-block
+// splitting), one Tally per resample: its callers parallelise across
+// (pair, metric) cells with one pre-split RNG per call, which keeps E7's
+// historical draw sequence — and therefore its published numbers —
+// unchanged. fn must not retain cnt.
+func SignStabilityCodes(rng *RNG, codes []uint8, resamples int, fn func(cnt *[16]int) float64) (float64, error) {
+	if len(codes) == 0 {
 		return 0, ErrEmpty
 	}
 	if resamples <= 0 {
@@ -203,17 +136,13 @@ func SignStability(rng *RNG, n int, resamples int, fn func(idx []int) float64) (
 	if rng == nil {
 		return 0, errors.New("stats: nil RNG")
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	point := fn(idx) // identity pass; idx doubles as the resample buffer
+	cnt := countCodes(codes)
+	point := fn(cnt) // identity pass; cnt doubles as the resample buffer
 	same := 0
-	for b := 0; b < resamples; b++ {
-		for i := range idx {
-			idx[i] = rng.Intn(n)
-		}
-		v := fn(idx)
+	for range resamples {
+		*cnt = [16]int{}
+		rng.Tally(codes, cnt)
+		v := fn(cnt)
 		if (point >= 0 && v >= 0) || (point < 0 && v < 0) {
 			same++
 		}

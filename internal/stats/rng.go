@@ -65,15 +65,24 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next value in the stream.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	u, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return u
+}
+
+// step is one xoshiro256** step: it returns the output for state (s0,
+// s1, s2, s3) and the next state. It inlines, so the batch kernels below
+// run it on state held in locals.
+func step(s0, s1, s2, s3 uint64) (u, n0, n1, n2, n3 uint64) {
+	u = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return u, s0, s1, s2, s3
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -88,16 +97,30 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn called with non-positive n")
 	}
-	// Lemire's nearly-divisionless bounded sampling with rejection to
-	// remove modulo bias.
-	un := uint64(n)
-	for {
-		v := r.Uint64()
-		hi, lo := bits.Mul64(v, un)
-		if lo >= un || lo >= (-un)%un {
-			return int(hi)
-		}
+	return int(r.uint64n(uint64(n)))
+}
+
+// uint64n returns a uniform value in [0, un) for un > 0: Lemire's
+// nearly-divisionless bounded sampling with rejection to remove modulo
+// bias. Only a product whose low word is below un can be biased, so the
+// threshold's division is paid only then.
+func (r *RNG) uint64n(un uint64) uint64 {
+	hi, lo := bits.Mul64(r.Uint64(), un)
+	if lo < un {
+		hi = r.reject(hi, lo, un, -un%un)
 	}
+	return hi
+}
+
+// reject finishes a bounded draw in [0, un) whose first product with un
+// was (hi, lo): while lo falls in the biased band below thresh (2⁶⁴ mod
+// un) it redraws from r. uint64n and Tally share it, so both consume the
+// stream identically on the rare rejection.
+func (r *RNG) reject(hi, lo, un, thresh uint64) uint64 {
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), un)
+	}
+	return hi
 }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).
@@ -109,6 +132,69 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// The batch kernels below consume exactly the stream of their per-call
+// loops — same draws, same order, same final state — but keep the
+// xoshiro256** state in locals for the whole batch and write it back
+// once, instead of loading and storing r.s on every draw. The sampling
+// loops of E4, E7 and the metric-property analysis run on them.
+
+// CountBernoulli returns the number of successes in n calls of
+// Bernoulli(p) and leaves r where those calls would. Like Bernoulli, it
+// draws nothing when p <= 0 or p >= 1. A NaN p draws n times and never
+// succeeds.
+func (r *RNG) CountBernoulli(n int, p float64) int {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	// Float64() < p compares k/2⁵³ with p for the 53-bit integer k; both
+	// scalings by 2⁵³ are exact, so the test is k < ceil(p·2⁵³).
+	var thresh uint64
+	if !math.IsNaN(p) { // uint64(NaN) is implementation-defined
+		thresh = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	hits := 0
+	var u uint64
+	for range n {
+		u, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		if u>>11 < thresh {
+			hits++
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return hits
+}
+
+// Tally draws len(codes) indices as Intn(len(codes)) would and adds one
+// to cnt[codes[i]] for each drawn i: one bootstrap resample of a code
+// table, counted without materialising its indices. Codes must be below
+// 16.
+func (r *RNG) Tally(codes []uint8, cnt *[16]int) {
+	if len(codes) == 0 {
+		return
+	}
+	un := uint64(len(codes))
+	// Intn accepts when lo >= un || lo >= thresh; thresh < un, so the
+	// second test alone decides, and its division is hoisted here.
+	thresh := -un % un
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var u uint64
+	for range codes {
+		u, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(u, un)
+		if lo < thresh {
+			r.s = [4]uint64{s0, s1, s2, s3}
+			hi = r.reject(hi, lo, un, thresh)
+			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+		}
+		cnt[codes[hi]&15]++
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // NormFloat64 returns a standard-normal value using the polar
