@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/dsn2015/vdbench/internal/dist"
 )
@@ -185,7 +184,7 @@ func TestRunDistributedMatchesLocal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		wk := dist.NewWorker(dist.WorkerOptions{Join: srv.URL, PollInterval: 5 * time.Millisecond})
+		wk := dist.NewWorker(dist.WorkerOptions{Join: srv.URL})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -165,90 +165,64 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			rec.Records, *dataDir, rec.Restored, rec.Rehydrated, rec.Requeued, rec.Torn, rec.MissingBlobs, rec.OrphanBlobs)
 	}
 
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		svc.Close()
-		return err
-	}
-	srv := &http.Server{
-		Handler:           svc.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	fmt.Fprintf(out, "vdserved listening on http://%s\n", ln.Addr())
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		svc.Close()
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(out, "vdserved: shutting down (draining running campaigns)")
-	// Flip readiness first so health-checkers stop routing work here
-	// while the listener is still answering in-flight requests.
-	svc.BeginDrain()
-	//vdlint:ignore ctxflow ctx is already cancelled here; the drain budget needs a fresh root or shutdown would abort instantly
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	shutdownErr := srv.Shutdown(shutdownCtx)
-	// Cancels queued jobs immediately; running campaigns share the drain
-	// budget and are aborted at their next case boundary when it expires.
-	svc.Shutdown(shutdownCtx)
-	if shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed) {
-		return shutdownErr
-	}
-	return nil
+	// svc.Shutdown cancels queued jobs immediately; running campaigns
+	// share the drain budget and are aborted at their next case boundary
+	// when it expires.
+	return serve(ctx, "vdserved", *addr, svc.Handler(), *drain, out, svc.BeginDrain, svc.Shutdown)
 }
 
 // runCoordinator serves the internal/dist coordinator until ctx is
-// cancelled by a signal.
+// cancelled by a signal. Draining releases parked worker pulls, and the
+// campaigns still running once the listener stops are failed.
 func runCoordinator(ctx context.Context, addr string, drain, hbInterval, hbTimeout time.Duration, out io.Writer) error {
 	coord := dist.NewCoordinator(dist.CoordinatorOptions{
 		HeartbeatInterval: hbInterval,
 		HeartbeatTimeout:  hbTimeout,
 	})
+	return serve(ctx, "vdserved coordinator", addr, coord.Handler(), drain, out, coord.BeginDrain,
+		func(context.Context) { _ = coord.Close() })
+}
 
+// serve listens on addr and serves h until ctx is cancelled or a
+// SIGINT/SIGTERM arrives. Shutdown runs in a fixed order: beginDrain
+// flips readiness off (and must release any parked request) while the
+// listener still answers, srv.Shutdown gives in-flight requests the
+// drain budget, and release gets the same budget to stop the role. A
+// failed listen or serve calls release at once.
+func serve(ctx context.Context, name, addr string, h http.Handler, drain time.Duration, out io.Writer,
+	beginDrain func(), release func(context.Context)) error {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		_ = coord.Close()
+		release(context.WithoutCancel(ctx))
 		return err
 	}
 	srv := &http.Server{
-		Handler:           coord.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}
-	fmt.Fprintf(out, "vdserved coordinator listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(out, "%s listening on http://%s\n", name, ln.Addr())
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
-		_ = coord.Close()
+		release(context.WithoutCancel(ctx))
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(out, "vdserved: coordinator shutting down")
-	// Readiness off first, then stop the listener, then fail whatever
-	// campaigns are still running.
-	coord.BeginDrain()
-	//vdlint:ignore ctxflow ctx is already cancelled here; the drain budget needs a fresh root or shutdown would abort instantly
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	fmt.Fprintf(out, "%s: shutting down (draining running campaigns)\n", name)
+	beginDrain()
+	// ctx is already cancelled here: the drain budget must not inherit
+	// that, or shutdown would abort at once.
+	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
 	defer cancel()
 	shutdownErr := srv.Shutdown(shutdownCtx)
-	if err := coord.Close(); err != nil {
-		return err
-	}
+	release(shutdownCtx)
 	if shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed) {
 		return shutdownErr
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -218,7 +219,6 @@ func TestRunDistributedSmoke(t *testing.T) {
 	}
 
 	client := dist.NewClient(base)
-	client.PollWait = 100 * time.Millisecond
 	got, err := client.RunCampaign(ctx, dist.CampaignSpec{
 		Workload:   wcfg,
 		Suite:      "standard",
@@ -242,6 +242,63 @@ func TestRunDistributedSmoke(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("processes did not shut down; coordinator output:\n%s", coordOut.String())
 		}
+	}
+}
+
+// TestRunCoordinatorShutdownReleasesParkedPull cancels a coordinator
+// while a live worker's pull is parked on it: the drain must release the
+// pull, or the HTTP shutdown waits on it for the whole -drain budget.
+func TestRunCoordinatorShutdownReleasesParkedPull(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out syncWriter
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-coordinator", "-addr", "127.0.0.1:0"}, &out) }()
+	base := waitForListener(t, &out, "vdserved coordinator listening on ")
+
+	wctx, stopWorker := context.WithCancel(context.Background())
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- dist.NewWorker(dist.WorkerOptions{Join: base}).Run(wctx) }()
+	defer func() {
+		stopWorker()
+		if err := <-workerDone; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+	waitParkedPull(t)
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("coordinator did not shut down; output:\n%s", out.String())
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("coordinator took %v to shut down with a parked pull, want under 1s", took)
+	}
+}
+
+// waitParkedPull blocks until a goroutine is parked in
+// dist.(*Coordinator).Pull, read from the goroutine dump.
+func waitParkedPull(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[select") && strings.Contains(g, "dist.(*Coordinator).Pull(") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no pull ever parked on the coordinator")
+		}
+		runtime.Gosched()
 	}
 }
 

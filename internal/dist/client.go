@@ -11,6 +11,9 @@ import (
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
+// statusWait is the long-poll window of one campaign status request.
+const statusWait = 10 * time.Second
+
 // Client drives a distributed campaign from the submitting side: submit
 // the spec, long-poll for completion, fetch the assembled cell grid and
 // run the canonical merge LOCALLY. Merging locally is the point — the
@@ -20,11 +23,6 @@ import (
 type Client struct {
 	// Base is the coordinator base URL, e.g. "http://127.0.0.1:8080".
 	Base string
-	// HTTPClient overrides the transport; nil selects a default client.
-	HTTPClient *http.Client
-	// PollWait is the long-poll window per status request; zero selects
-	// ten seconds.
-	PollWait time.Duration
 	// ShardCases overrides the shard granularity of specs built by
 	// ExecuteCampaign; zero keeps the coordinator default.
 	ShardCases int
@@ -33,20 +31,6 @@ type Client struct {
 // NewClient returns a client for the coordinator at base.
 func NewClient(base string) *Client {
 	return &Client{Base: base}
-}
-
-func (cl *Client) hc() *http.Client {
-	if cl.HTTPClient != nil {
-		return cl.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-func (cl *Client) pollWait() time.Duration {
-	if cl.PollWait > 0 {
-		return cl.PollWait
-	}
-	return 10 * time.Second
 }
 
 // RunCampaign executes the spec on the coordinator's worker fleet and
@@ -64,7 +48,7 @@ func (cl *Client) RunCampaign(ctx context.Context, spec CampaignSpec) (*harness.
 	}
 
 	var sub SubmitResponse
-	if _, err := httpJSON(ctx, cl.hc(), http.MethodPost, cl.Base+"/dist/v1/campaigns", spec, &sub); err != nil {
+	if _, err := httpJSON(ctx, http.DefaultClient, http.MethodPost, cl.Base+"/dist/v1/campaigns", spec, &sub); err != nil {
 		return nil, err
 	}
 
@@ -80,7 +64,7 @@ func (cl *Client) RunCampaign(ctx context.Context, spec CampaignSpec) (*harness.
 	}
 
 	var cells [][]harness.CellResult
-	if _, err := httpJSON(ctx, cl.hc(), http.MethodGet, cl.Base+"/dist/v1/campaigns/"+st.ID+"/cells", nil, &cells); err != nil {
+	if _, err := httpJSON(ctx, http.DefaultClient, http.MethodGet, cl.Base+"/dist/v1/campaigns/"+st.ID+"/cells", nil, &cells); err != nil {
 		return nil, err
 	}
 	corpus, err := corpusFor(spec.Workload)
@@ -97,13 +81,13 @@ func (cl *Client) RunCampaign(ctx context.Context, spec CampaignSpec) (*harness.
 // awaitDone long-polls the status endpoint until the campaign reaches a
 // terminal state or ctx is cancelled.
 func (cl *Client) awaitDone(ctx context.Context, id string) (CampaignStatus, error) {
-	url := fmt.Sprintf("%s/dist/v1/campaigns/%s?wait=%s", cl.Base, id, cl.pollWait())
+	url := fmt.Sprintf("%s/dist/v1/campaigns/%s?wait=%s", cl.Base, id, statusWait)
 	for {
 		if err := ctx.Err(); err != nil {
 			return CampaignStatus{}, err
 		}
 		var st CampaignStatus
-		if _, err := httpJSON(ctx, cl.hc(), http.MethodGet, url, nil, &st); err != nil {
+		if _, err := httpJSON(ctx, http.DefaultClient, http.MethodGet, url, nil, &st); err != nil {
 			return CampaignStatus{}, err
 		}
 		if st.State != "running" {

@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dsn2015/vdbench/internal/harness"
 	"github.com/dsn2015/vdbench/internal/telemetry"
-	"github.com/dsn2015/vdbench/internal/workpool"
 )
+
+// maxReassign bounds how many times one shard may be reassigned after
+// worker loss before its campaign fails.
+const maxReassign = 3
 
 // CoordinatorOptions tunes coordination behaviour; the zero value is
 // usable.
@@ -22,12 +24,6 @@ type CoordinatorOptions struct {
 	// HeartbeatTimeout is how long a worker may stay silent before its
 	// shards are reassigned; zero selects five intervals.
 	HeartbeatTimeout time.Duration
-	// MaxReassign bounds how many times one shard may be reassigned
-	// after worker loss before its campaign fails; zero selects 3.
-	MaxReassign int
-	// MergeWorkers sizes the budget used to assemble reported shards
-	// into the full cell grid; <= 0 selects GOMAXPROCS.
-	MergeWorkers int
 	// Registry receives the coordinator's metrics; nil selects a fresh
 	// private registry.
 	Registry *telemetry.Registry
@@ -39,9 +35,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 5 * o.HeartbeatInterval
-	}
-	if o.MaxReassign <= 0 {
-		o.MaxReassign = 3
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.NewRegistry()
@@ -109,11 +102,10 @@ type campaignState struct {
 	// shardCells is indexed [shard][tool][case-lo] and filled by reports.
 	shardCells [][][]harness.CellResult
 
-	state    string // "running", "done", "failed"
-	err      error
-	campaign *harness.Campaign
-	cells    [][]harness.CellResult // assembled full grid, set when done
-	done     chan struct{}
+	state string // "running", "done", "failed"
+	err   error
+	cells [][]harness.CellResult // assembled full grid, set when done
+	done  chan struct{}
 }
 
 // workerState tracks one registered worker.
@@ -129,23 +121,25 @@ type workerState struct {
 type Coordinator struct {
 	opts    CoordinatorOptions
 	metrics coordMetrics
-	budget  *workpool.Budget
 
 	// now is the injected clock (only ever the time.Now value outside
 	// tests); keeping the call behind a field keeps the package inside
 	// the detrand discipline while still observing real latency.
 	now func() time.Time
 
-	draining atomic.Bool
-
 	mu           sync.Mutex
 	closed       bool
+	draining     bool
 	workers      map[string]*workerState
 	campaigns    map[string]*campaignState
 	pending      []*shardState // FIFO; reassigned shards go to the front
 	nextWorker   uint64
 	nextCampaign uint64
 
+	// wake is closed and replaced (under mu) whenever a parked Pull may
+	// have something new to see: a pending shard, its worker's expiry,
+	// drain or close.
+	wake chan struct{}
 	done chan struct{} // closed by Close; stops worker watchdogs
 }
 
@@ -155,10 +149,10 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return &Coordinator{
 		opts:      opts,
 		metrics:   newCoordMetrics(opts.Registry),
-		budget:    workpool.New(opts.MergeWorkers),
 		now:       time.Now,
 		workers:   map[string]*workerState{},
 		campaigns: map[string]*campaignState{},
+		wake:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 }
@@ -166,23 +160,29 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 // Registry exposes the coordinator's metric registry (for /metrics).
 func (c *Coordinator) Registry() *telemetry.Registry { return c.opts.Registry }
 
-// HeartbeatInterval returns the cadence workers should beat at.
-func (c *Coordinator) HeartbeatInterval() time.Duration { return c.opts.HeartbeatInterval }
-
 // BeginDrain flips readiness off ahead of shutdown, so health-checking
 // clients stop routing new campaigns here while in-flight work finishes.
-// Idempotent.
-func (c *Coordinator) BeginDrain() { c.draining.Store(true) }
+// It releases every parked Pull that has nothing to lease, so an HTTP
+// server shutdown does not wait on them. Idempotent.
+func (c *Coordinator) BeginDrain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.draining = true
+	c.wakeLocked()
+}
 
 // Ready reports whether the coordinator should receive new work: it is
 // neither draining nor closed.
 func (c *Coordinator) Ready() bool {
-	if c.draining.Load() {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return !c.closed
+	return !c.draining && !c.closed
+}
+
+// wakeLocked releases every parked Pull to re-check its conditions.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Close fails every running campaign with ErrClosed and stops the worker
@@ -195,6 +195,7 @@ func (c *Coordinator) Close() error {
 	}
 	c.closed = true
 	close(c.done)
+	c.wakeLocked()
 	ids := make([]string, 0, len(c.campaigns))
 	for id := range c.campaigns {
 		ids = append(ids, id)
@@ -282,6 +283,7 @@ func (c *Coordinator) expireWorker(id string) {
 	delete(c.workers, id)
 	c.metrics.workers.Set(int64(len(c.workers)))
 	c.metrics.workersLost.Inc()
+	c.wakeLocked() // the worker's own parked pull must see the expiry
 	keys := make([]string, 0, len(w.assigned))
 	for k := range w.assigned {
 		keys = append(keys, k)
@@ -301,7 +303,7 @@ func (c *Coordinator) requeueLocked(st *shardState) {
 	c.metrics.shardsAssigned.Add(-1)
 	st.worker = ""
 	st.reassigns++
-	if st.reassigns > c.opts.MaxReassign {
+	if st.reassigns > maxReassign {
 		st.state = "pending"
 		c.failCampaignLocked(st.camp, fmt.Errorf("dist: campaign %s: shard %s lost %d workers, giving up",
 			st.camp.id, st.key[:12], st.reassigns))
@@ -311,6 +313,7 @@ func (c *Coordinator) requeueLocked(st *shardState) {
 	c.pending = append([]*shardState{st}, c.pending...)
 	c.metrics.shardsPending.Add(1)
 	c.metrics.shardsReassigned.Inc()
+	c.wakeLocked()
 }
 
 // failCampaignLocked moves a running campaign to the failed state and
@@ -383,6 +386,7 @@ func (c *Coordinator) Submit(spec CampaignSpec) (string, error) {
 	c.campaigns[camp.id] = camp
 	c.metrics.shardsPending.Add(int64(len(ranges)))
 	c.metrics.campSubmitted.Inc()
+	c.wakeLocked()
 	return camp.id, nil
 }
 
@@ -396,18 +400,44 @@ type ShardAssignment struct {
 	Lease    uint64       `json:"lease"`
 }
 
-// Pull leases the next pending shard to the worker. ok is false when no
-// work is available — the worker should poll again after a beat.
-func (c *Coordinator) Pull(workerID string) (ShardAssignment, bool, error) {
+// Pull leases the next pending shard to the worker, parking until one is
+// pending. It returns ErrUnknownWorker once the worker expires,
+// ErrDraining when the coordinator drains with nothing pending, and
+// ErrClosed once it closes. ok is false only when ctx ends first; a pull
+// whose ctx has ended never takes a lease.
+func (c *Coordinator) Pull(ctx context.Context, workerID string) (ShardAssignment, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ShardAssignment{}, false, ErrClosed
+	for {
+		if c.closed {
+			return ShardAssignment{}, false, ErrClosed
+		}
+		w, ok := c.workers[workerID]
+		if !ok {
+			return ShardAssignment{}, false, ErrUnknownWorker
+		}
+		if ctx.Err() != nil {
+			return ShardAssignment{}, false, nil
+		}
+		if asn, ok := c.leaseLocked(w); ok {
+			return asn, true, nil
+		}
+		if c.draining {
+			return ShardAssignment{}, false, ErrDraining
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
 	}
-	w, ok := c.workers[workerID]
-	if !ok {
-		return ShardAssignment{}, false, ErrUnknownWorker
-	}
+}
+
+// leaseLocked assigns the first pending shard of a running campaign to
+// the worker; ok is false when none is pending.
+func (c *Coordinator) leaseLocked(w *workerState) (ShardAssignment, bool) {
 	for len(c.pending) > 0 {
 		st := c.pending[0]
 		c.pending = c.pending[1:]
@@ -416,7 +446,7 @@ func (c *Coordinator) Pull(workerID string) (ShardAssignment, bool, error) {
 			continue
 		}
 		st.state = "assigned"
-		st.worker = workerID
+		st.worker = w.id
 		st.lease++
 		st.assignedAt = c.now()
 		w.assigned[st.key] = st
@@ -428,9 +458,9 @@ func (c *Coordinator) Pull(workerID string) (ShardAssignment, bool, error) {
 			Lo:       st.lo,
 			Hi:       st.hi,
 			Lease:    st.lease,
-		}, true, nil
+		}, true
 	}
-	return ShardAssignment{}, false, nil
+	return ShardAssignment{}, false
 }
 
 // Report delivers one executed shard. A non-empty execErr means the
@@ -501,12 +531,13 @@ func (c *Coordinator) checkShardShape(camp *campaignState, st *shardState, cells
 	return nil
 }
 
-// finalize assembles the full cell grid and runs the canonical merge.
-// Runs outside the coordinator lock; shard grids are immutable once
-// reported, and the publishing step re-checks the campaign is still
-// running (Close may have failed it concurrently).
+// finalize assembles the full cell grid and runs the canonical merge,
+// whose error (a policy abort) fails the campaign. Runs outside the
+// coordinator lock; shard grids are immutable once reported, and the
+// publishing step re-checks the campaign is still running (Close may
+// have failed it concurrently).
 func (c *Coordinator) finalize(camp *campaignState) {
-	campaign, cells, err := c.assemble(camp)
+	cells, err := assemble(camp)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -519,7 +550,6 @@ func (c *Coordinator) finalize(camp *campaignState) {
 		c.metrics.campFailed.Inc()
 	} else {
 		camp.state = "done"
-		camp.campaign = campaign
 		camp.cells = cells
 		c.metrics.campCompleted.Inc()
 	}
@@ -527,37 +557,30 @@ func (c *Coordinator) finalize(camp *campaignState) {
 }
 
 // assemble regenerates corpus and tools, stitches the shard grids into
-// the full [tool][case] grid (fanning out over the merge budget) and
-// applies the canonical MergeShards fold.
-func (c *Coordinator) assemble(camp *campaignState) (*harness.Campaign, [][]harness.CellResult, error) {
+// the full [tool][case] grid and applies the canonical MergeShards fold,
+// keeping only its error: clients merge the grid themselves.
+func assemble(camp *campaignState) ([][]harness.CellResult, error) {
 	corpus, err := corpusFor(camp.spec.Workload)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tools, err := BuildSuite(camp.spec.Suite)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	full := make([][]harness.CellResult, camp.nTools)
 	for t := range full {
 		full[t] = make([]harness.CellResult, camp.nCases)
 	}
-	err = c.budget.ForEach(len(camp.shards), func(_, i int) error {
-		st := camp.shards[i]
-		grid := camp.shardCells[i]
-		for t := range grid {
-			copy(full[t][st.lo:st.hi], grid[t])
+	for i, st := range camp.shards {
+		for t, row := range camp.shardCells[i] {
+			copy(full[t][st.lo:st.hi], row)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	campaign, err := harness.MergeShards(corpus, tools, full, camp.spec.Options.Degraded)
-	if err != nil {
-		return nil, nil, err
+	if _, err := harness.MergeShards(corpus, tools, full, camp.spec.Options.Degraded); err != nil {
+		return nil, err
 	}
-	return campaign, full, nil
+	return full, nil
 }
 
 // CampaignStatus is the wire description of a campaign's progress.
@@ -628,26 +651,4 @@ func (c *Coordinator) Cells(id string) ([][]harness.CellResult, error) {
 	default:
 		return nil, ErrNotDone
 	}
-}
-
-// Wait blocks until the campaign completes and returns its merged
-// Campaign — the in-process equivalent of the client path.
-func (c *Coordinator) Wait(ctx context.Context, id string) (*harness.Campaign, error) {
-	c.mu.Lock()
-	camp, ok := c.campaigns[id]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownCampaign, id)
-	}
-	select {
-	case <-camp.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if camp.state == "failed" {
-		return nil, camp.err
-	}
-	return camp.campaign, nil
 }

@@ -19,12 +19,13 @@
 //     applied over the assembled grid exactly as serial execution would.
 //
 // The protocol is stdlib HTTP+JSON: workers register with the
-// coordinator, heartbeat, pull content-addressed shards, execute them
-// under the fault-tolerant engine and report the raw CellResult records
-// back. A worker that stops heartbeating has its shards deterministically
-// reassigned (bounded by MaxReassign); a shard reported under a stale
-// lease is politely discarded — by determinism the surviving execution
-// is byte-identical anyway.
+// coordinator, heartbeat, pull content-addressed shards (a pull parks on
+// the coordinator until a shard is pending), execute them under the
+// fault-tolerant engine and report the raw CellResult records back. A
+// worker that stops heartbeating has its shards deterministically
+// reassigned, at most three times per shard before the campaign fails;
+// a shard reported under a stale lease is politely discarded — by
+// determinism the surviving execution is byte-identical anyway.
 //
 // This package is part of the deterministic set checked by
 // internal/vdlint: non-test code never reads the wall clock directly
@@ -53,6 +54,9 @@ const DefaultShardCases = 32
 var (
 	// ErrClosed is returned for operations on a closed coordinator.
 	ErrClosed = errors.New("dist: coordinator closed")
+	// ErrDraining is returned for a pull that finds nothing pending on a
+	// draining coordinator, so the worker backs off instead of parking.
+	ErrDraining = errors.New("dist: coordinator draining")
 	// ErrUnknownWorker is returned for pulls and heartbeats from a worker
 	// the coordinator does not know (never registered, or expired). The
 	// worker's recovery is to register again.

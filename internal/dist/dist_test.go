@@ -47,8 +47,33 @@ func localCampaign(t *testing.T, wcfg workload.Config, opts harness.Options) *ha
 	return camp
 }
 
+// waitCampaign blocks until the campaign ends and merges its cell grid
+// the way Client.RunCampaign does.
+func waitCampaign(ctx context.Context, coord *Coordinator, id string, spec CampaignSpec) (*harness.Campaign, error) {
+	st, err := coord.WaitStatus(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	if st.State == "running" {
+		return nil, ctx.Err()
+	}
+	cells, err := coord.Cells(id)
+	if err != nil {
+		return nil, err
+	}
+	corpus, err := corpusFor(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	tools, err := BuildSuite(spec.Suite)
+	if err != nil {
+		return nil, err
+	}
+	return harness.MergeShards(corpus, tools, cells, spec.Options.Degraded)
+}
+
 // startCluster brings up a coordinator behind httptest and n workers
-// polling it, and tears everything down with the test.
+// pulling from it, and tears everything down with the test.
 func startCluster(t *testing.T, copts CoordinatorOptions, n int) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	coord := NewCoordinator(copts)
@@ -56,7 +81,7 @@ func startCluster(t *testing.T, copts CoordinatorOptions, n int) (*Coordinator, 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wk := NewWorker(WorkerOptions{Join: srv.URL, PollInterval: 5 * time.Millisecond})
+		wk := NewWorker(WorkerOptions{Join: srv.URL})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -99,7 +124,6 @@ func TestDistributedMatchesLocalMatrix(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					_, srv := startCluster(t, CoordinatorOptions{}, procs)
 					client := NewClient(srv.URL)
-					client.PollWait = 50 * time.Millisecond
 					got, err := client.RunCampaign(context.Background(), CampaignSpec{
 						Workload:   wcfg,
 						Suite:      "standard",
@@ -148,7 +172,7 @@ func TestDistributedSurvivesWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := coord.Pull(blackHole); err != nil || !ok {
+	if _, ok, err := coord.Pull(context.Background(), blackHole); err != nil || !ok {
 		t.Fatalf("black-hole pull: ok=%v err=%v", ok, err)
 	}
 
@@ -158,7 +182,7 @@ func TestDistributedSurvivesWorkerLoss(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = NewWorker(WorkerOptions{Join: srv.URL, PollInterval: 2 * time.Millisecond}).Run(doomedCtx)
+		_ = NewWorker(WorkerOptions{Join: srv.URL}).Run(doomedCtx)
 	}()
 	go func() {
 		wctx, wcancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
@@ -174,7 +198,7 @@ func TestDistributedSurvivesWorkerLoss(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = NewWorker(WorkerOptions{Join: srv.URL, PollInterval: 2 * time.Millisecond}).Run(ctx)
+			_ = NewWorker(WorkerOptions{Join: srv.URL}).Run(ctx)
 		}()
 	}
 	defer wg.Wait()
@@ -182,7 +206,7 @@ func TestDistributedSurvivesWorkerLoss(t *testing.T) {
 
 	wctx, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer wcancel()
-	got, err := coord.Wait(wctx, id)
+	got, err := waitCampaign(wctx, coord, id, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +243,7 @@ func TestStaleLeaseReportRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asn1, ok, err := coord.Pull(w1)
+	asn1, ok, err := coord.Pull(context.Background(), w1)
 	if err != nil || !ok {
 		t.Fatalf("pull: ok=%v err=%v", ok, err)
 	}
@@ -239,29 +263,20 @@ func TestStaleLeaseReportRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Let w1 expire, then hand the shard to w2, beating w2 while we wait.
+	// w1's own pull parks until w1 expires; then w2 registers and takes
+	// the requeued shard.
+	deadline, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	if _, _, err := coord.Pull(deadline, w1); err != ErrUnknownWorker {
+		t.Fatalf("w1 pull: got %v, want ErrUnknownWorker after expiry", err)
+	}
 	w2, err := coord.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var asn2 ShardAssignment
-	deadline, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer dcancel()
-	for {
-		if err := coord.Heartbeat(w2); err != nil {
-			t.Fatal(err)
-		}
-		asn2, ok, err = coord.Pull(w2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			break
-		}
-		if deadline.Err() != nil {
-			t.Fatal("shard never reassigned after worker expiry")
-		}
-		waitCtx(deadline, 5*time.Millisecond)
+	asn2, ok, err := coord.Pull(deadline, w2)
+	if err != nil || !ok {
+		t.Fatalf("shard never reassigned after worker expiry: ok=%v err=%v", ok, err)
 	}
 	if asn2.Key != asn1.Key {
 		t.Fatalf("reassigned key %s != original %s", asn2.Key, asn1.Key)
@@ -281,27 +296,29 @@ func TestStaleLeaseReportRejected(t *testing.T) {
 	}
 	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer wcancel()
-	if _, err := coord.Wait(wctx, id); err != nil {
+	if _, err := waitCampaign(wctx, coord, id, spec); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestReassignmentExhaustionFailsCampaign starves a shard of workers:
-// every leaseholder vanishes, and after MaxReassign requeues the
+// every leaseholder vanishes, and after maxReassign requeues the
 // campaign fails instead of spinning forever.
 func TestReassignmentExhaustionFailsCampaign(t *testing.T) {
 	wcfg := testWorkload(5)
 	coord := NewCoordinator(CoordinatorOptions{
 		HeartbeatInterval: 5 * time.Millisecond,
 		HeartbeatTimeout:  20 * time.Millisecond,
-		MaxReassign:       2,
 	})
 	defer coord.Close()
 	id, err := coord.Submit(CampaignSpec{Workload: wcfg, Suite: "standard", Options: harness.Options{Seed: 5}, ShardCases: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each round: a fresh worker leases the shard and goes silent.
+	// Each round: a fresh worker's pull parks until the previous
+	// leaseholder expires, leases the requeued shard and goes silent.
+	// The last pull finds the campaign failed and parks until its own
+	// worker expires.
 	deadline, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
 	for {
@@ -322,10 +339,9 @@ func TestReassignmentExhaustionFailsCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := coord.Pull(w); err != nil {
+		if _, _, err := coord.Pull(deadline, w); err != nil && err != ErrUnknownWorker {
 			t.Fatal(err)
 		}
-		waitCtx(deadline, 5*time.Millisecond)
 	}
 }
 
@@ -390,7 +406,6 @@ func TestDistributedFaultySkipMatchesLocal(t *testing.T) {
 
 	_, srv := startCluster(t, CoordinatorOptions{}, 2)
 	client := NewClient(srv.URL)
-	client.PollWait = 50 * time.Millisecond
 	got, err := client.RunCampaign(context.Background(), CampaignSpec{
 		Workload: wcfg, Suite: suite, Options: opts, ShardCases: 3,
 	})
@@ -432,7 +447,6 @@ func TestDistributedAbortErrorMatchesLocal(t *testing.T) {
 
 	_, srv := startCluster(t, CoordinatorOptions{}, 2)
 	client := NewClient(srv.URL)
-	client.PollWait = 50 * time.Millisecond
 	_, distErr := client.RunCampaign(context.Background(), CampaignSpec{
 		Workload: wcfg, Suite: suite, Options: opts, ShardCases: 3,
 	})
@@ -687,7 +701,7 @@ func TestDistributedOracleCacheCounters(t *testing.T) {
 	workerRegs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
 	var wg sync.WaitGroup
 	for _, reg := range workerRegs {
-		wk := NewWorker(WorkerOptions{Join: srv.URL, PollInterval: 5 * time.Millisecond, Registry: reg})
+		wk := NewWorker(WorkerOptions{Join: srv.URL, Registry: reg})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -706,7 +720,6 @@ func TestDistributedOracleCacheCounters(t *testing.T) {
 	}()
 
 	client := NewClient(srv.URL)
-	client.PollWait = 50 * time.Millisecond
 	got, err := client.RunCampaign(ctx, CampaignSpec{
 		Workload:   wcfg,
 		Suite:      "standard",

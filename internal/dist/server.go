@@ -24,9 +24,9 @@ const maxSpecBytes = 1 << 20
 // ledgers, so the cap is generous.
 const maxReportBytes = 256 << 20
 
-// maxStatusWait bounds campaign long-polls regardless of the client's
-// requested wait.
-const maxStatusWait = 10 * time.Minute
+// maxWait bounds every long-poll: a parked worker pull, and a campaign
+// status wait regardless of the client's requested wait.
+const maxWait = 10 * time.Minute
 
 // RegisterResponse is the reply to a worker registration.
 type RegisterResponse struct {
@@ -38,8 +38,7 @@ type RegisterResponse struct {
 	HeartbeatTimeout  time.Duration `json:"heartbeat_timeout"`
 }
 
-// PullResponse is the reply to a work pull; Assignment is nil when no
-// shard is pending.
+// PullResponse is the reply to a work pull that leased a shard.
 type PullResponse struct {
 	Assignment *ShardAssignment `json:"assignment,omitempty"`
 }
@@ -64,7 +63,9 @@ type SubmitResponse struct {
 //
 //	POST /dist/v1/workers                 register; returns worker ID and heartbeat contract
 //	POST /dist/v1/workers/{id}/heartbeat  sign of life (204; 404 once expired — re-register)
-//	POST /dist/v1/workers/{id}/pull       lease the next shard (200 with assignment, or 204)
+//	POST /dist/v1/workers/{id}/pull       lease the next shard, parking until one is pending (200 with
+//	                                      assignment; 204 only at the wait bound; 404 once expired;
+//	                                      503 while draining or closed)
 //	POST /dist/v1/shards/{key}/result     report an executed shard (204; 409 stale lease)
 //	POST /dist/v1/campaigns               submit a campaign spec (202 with ID)
 //	GET  /dist/v1/campaigns/{id}          status; ?wait=30s long-polls for a terminal state
@@ -108,7 +109,7 @@ func distWriteError(w http.ResponseWriter, code int, format string, args ...any)
 // errStatus maps the package's sentinel errors to HTTP status codes.
 func errStatus(err error) int {
 	switch {
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownWorker), errors.Is(err, ErrUnknownCampaign):
 		return http.StatusNotFound
@@ -141,7 +142,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
-	asn, ok, err := c.Pull(r.PathValue("id"))
+	ctx, cancel := context.WithTimeout(r.Context(), maxWait)
+	defer cancel()
+	asn, ok, err := c.Pull(ctx, r.PathValue("id"))
 	if err != nil {
 		distWriteError(w, errStatus(err), "%v", err)
 		return
@@ -193,7 +196,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			distWriteError(w, http.StatusBadRequest, "bad wait duration %q", waitSpec)
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), min(d, maxStatusWait))
+		ctx, cancel := context.WithTimeout(r.Context(), min(d, maxWait))
 		defer cancel()
 		st, err := c.WaitStatus(ctx, id)
 		if err != nil {

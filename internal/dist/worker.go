@@ -14,12 +14,6 @@ import (
 type WorkerOptions struct {
 	// Join is the coordinator base URL, e.g. "http://127.0.0.1:8080".
 	Join string
-	// PollInterval is the idle wait between pulls that found no work;
-	// zero selects the coordinator's heartbeat interval.
-	PollInterval time.Duration
-	// HTTPClient overrides the transport; nil selects a dedicated
-	// default client.
-	HTTPClient *http.Client
 	// Registry receives the worker's metrics; nil selects a fresh
 	// private registry.
 	Registry *telemetry.Registry
@@ -37,7 +31,9 @@ type workerMetrics struct {
 // Worker pulls shards from a coordinator and executes them under the
 // fault-tolerant harness engine. Create with NewWorker, drive with Run.
 type Worker struct {
-	opts    WorkerOptions
+	opts WorkerOptions
+	// hc has no Timeout: a pull parks on the coordinator until a shard
+	// is pending, and only ctx may cut it short.
 	hc      *http.Client
 	metrics workerMetrics
 
@@ -50,16 +46,13 @@ type Worker struct {
 
 // NewWorker returns a worker that will join the given coordinator.
 func NewWorker(opts WorkerOptions) *Worker {
-	if opts.HTTPClient == nil {
-		opts.HTTPClient = &http.Client{}
-	}
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()
 	}
 	harness.RegisterProcessCounters(opts.Registry)
 	return &Worker{
 		opts: opts,
-		hc:   opts.HTTPClient,
+		hc:   &http.Client{},
 		metrics: workerMetrics{
 			registrations: opts.Registry.Counter("vd_dist_worker_registrations_total", "registrations with the coordinator (including re-registrations)"),
 			shardsDone:    opts.Registry.Counter("vd_dist_worker_shards_done_total", "shards executed and reported"),
@@ -103,18 +96,10 @@ func (wk *Worker) Run(ctx context.Context) error {
 		if interval <= 0 {
 			interval = time.Second
 		}
-		poll := wk.opts.PollInterval
-		if poll <= 0 {
-			poll = interval
-		}
 
-		// The heartbeat loop owns the registration: when it sees a 404
-		// the registration is gone and the main loop must re-register.
 		hbCtx, stopHB := context.WithCancel(ctx)
-		lost := make(chan struct{}, 1)
-		go wk.heartbeatLoop(hbCtx, reg.Worker, interval, lost)
-
-		wk.workLoop(ctx, reg.Worker, poll, lost)
+		go wk.heartbeatLoop(hbCtx, reg.Worker, interval)
+		wk.workLoop(ctx, reg.Worker, interval)
 		stopHB()
 		wk.registered.Store(false)
 		if ctx.Err() != nil {
@@ -142,84 +127,41 @@ func (wk *Worker) register(ctx context.Context) RegisterResponse {
 	}
 }
 
-// heartbeatLoop beats at the contract interval until ctx is cancelled or
-// the coordinator no longer knows the worker (404), which it signals on
-// lost.
-func (wk *Worker) heartbeatLoop(ctx context.Context, id string, interval time.Duration, lost chan<- struct{}) {
+// heartbeatLoop beats at the contract interval until ctx is cancelled.
+// Errors are ridden out: the coordinator's timeout, not ours, decides
+// when the registration is gone, and the work loop learns of it from
+// the pull.
+func (wk *Worker) heartbeatLoop(ctx context.Context, id string, interval time.Duration) {
 	url := wk.opts.Join + "/dist/v1/workers/" + id + "/heartbeat"
 	for {
 		waitCtx(ctx, interval)
 		if ctx.Err() != nil {
 			return
 		}
-		status, err := httpJSON(ctx, wk.hc, http.MethodPost, url, nil, nil)
-		if err != nil && status == http.StatusNotFound {
-			select {
-			case lost <- struct{}{}:
-			default:
-			}
-			return
-		}
-		// Transport errors are ridden out: the coordinator's timeout, not
-		// ours, decides when the registration is gone.
+		_, _ = httpJSON(ctx, wk.hc, http.MethodPost, url, nil, nil)
 	}
 }
 
 // workLoop pulls and executes shards until ctx is cancelled or the
 // registration is lost; Run decides (via ctx) whether to re-register or
-// stop.
-func (wk *Worker) workLoop(ctx context.Context, id string, poll time.Duration, lost <-chan struct{}) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-lost:
-			return
-		default:
+// stop. Each pull parks on the coordinator until a shard is pending.
+func (wk *Worker) workLoop(ctx context.Context, id string, interval time.Duration) {
+	url := wk.opts.Join + "/dist/v1/workers/" + id + "/pull"
+	for ctx.Err() == nil {
+		var pr PullResponse
+		status, err := httpJSON(ctx, wk.hc, http.MethodPost, url, nil, &pr)
+		switch {
+		case status == http.StatusNotFound:
+			return // the registration expired: Run registers again
+		case err != nil:
+			// A transport error, or 503 from a draining or closed
+			// coordinator: back off one heartbeat interval.
+			waitCtx(ctx, interval)
+		case pr.Assignment != nil:
+			wk.execute(ctx, id, *pr.Assignment)
 		}
-		asn, ok, err := wk.pull(ctx, id)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			// A 404 means the registration expired between heartbeats:
-			// hand back to Run to re-register. Transport errors just wait
-			// a beat and retry.
-			if wk.lostRegistration(err) {
-				return
-			}
-			waitCtx(ctx, poll)
-			continue
-		}
-		if !ok {
-			waitCtx(ctx, poll)
-			continue
-		}
-		wk.execute(ctx, id, asn)
+		// 204: the park reached the coordinator's wait bound; pull again.
 	}
-}
-
-// lostRegistration recognises the unknown-worker reply in a pull error.
-func (wk *Worker) lostRegistration(err error) bool {
-	// The helper folds the status into the error text; a 404 on pull can
-	// only mean the registration expired.
-	return err != nil && errIsStatus(err, http.StatusNotFound)
-}
-
-// pull leases the next shard, if any.
-func (wk *Worker) pull(ctx context.Context, id string) (ShardAssignment, bool, error) {
-	var pr PullResponse
-	status, err := httpJSON(ctx, wk.hc, http.MethodPost, wk.opts.Join+"/dist/v1/workers/"+id+"/pull", nil, &pr)
-	if err != nil {
-		if status == http.StatusNotFound {
-			return ShardAssignment{}, false, statusError{status: status, err: err}
-		}
-		return ShardAssignment{}, false, err
-	}
-	if status == http.StatusNoContent || pr.Assignment == nil {
-		return ShardAssignment{}, false, nil
-	}
-	return *pr.Assignment, true, nil
 }
 
 // execute runs one shard locally and reports the outcome. Local
@@ -281,19 +223,4 @@ func (wk *Worker) report(ctx context.Context, key string, req ReportRequest) {
 		}
 		waitCtx(ctx, time.Second)
 	}
-}
-
-// statusError carries an HTTP status alongside the transport error so
-// callers can branch on it with errIsStatus.
-type statusError struct {
-	status int
-	err    error
-}
-
-func (e statusError) Error() string { return e.err.Error() }
-func (e statusError) Unwrap() error { return e.err }
-
-func errIsStatus(err error, status int) bool {
-	se, ok := err.(statusError)
-	return ok && se.status == status
 }
