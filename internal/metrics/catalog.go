@@ -130,9 +130,8 @@ func FBeta(beta float64) Metric {
 	}
 }
 
-// buildCatalog constructs every metric in the study. Called once from
-// package initialisation of the exported Catalog slice; kept as a function
-// so tests can rebuild a fresh copy.
+// buildCatalog constructs every metric in the study. Catalog calls it for
+// each fresh copy; ByID resolves through catalogIndex, built from it once.
 func buildCatalog() []Metric {
 	all := []Metric{
 		{
@@ -549,20 +548,26 @@ func CatalogIDs() []string {
 	return ids
 }
 
-// ByID returns the metric with the given ID or alias. The boolean reports
-// whether it was found.
-func ByID(id string) (Metric, bool) {
+// catalogIndex resolves every ID and alias to its metric. It is built
+// once: in catalogue order, a metric's ID and then its aliases, the first
+// insert of a name winning, which is the order a linear scan would find.
+var catalogIndex = func() map[string]Metric {
+	idx := map[string]Metric{}
 	for _, m := range buildCatalog() {
-		if m.ID == id {
-			return m, true
-		}
-		for _, a := range m.Aliases {
-			if a == id {
-				return m, true
+		for _, name := range append([]string{m.ID}, m.Aliases...) {
+			if _, taken := idx[name]; !taken {
+				idx[name] = m
 			}
 		}
 	}
-	return Metric{}, false
+	return idx
+}()
+
+// ByID returns the metric with the given ID or alias. The boolean reports
+// whether it was found.
+func ByID(id string) (Metric, bool) {
+	m, ok := catalogIndex[id]
+	return m, ok
 }
 
 // MustByID returns the metric with the given ID and panics when it is

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -233,6 +235,43 @@ func TestByIDAndAliases(t *testing.T) {
 	m, ok = ByID(IDMCC)
 	if !ok || m.ID != IDMCC {
 		t.Fatal("direct lookup failed")
+	}
+}
+
+// scanCatalog is the lookup ByID made before it had an index: a linear
+// scan of a fresh catalogue, a metric's ID before its aliases.
+func scanCatalog(name string) (Metric, bool) {
+	for _, m := range Catalog() {
+		if m.ID == name || slices.Contains(m.Aliases, name) {
+			return m, true
+		}
+	}
+	return Metric{}, false
+}
+
+func TestByIDIndexMatchesLinearScan(t *testing.T) {
+	probes := []Confusion{refMatrix, {}, {TP: 5}, {FP: 3, TN: 9}, {FN: 4, TN: 1}, {TP: 1, FP: 1, FN: 1, TN: 1}}
+	for _, m := range Catalog() {
+		for _, name := range append([]string{m.ID}, m.Aliases...) {
+			want, _ := scanCatalog(name)
+			got, ok := ByID(name)
+			if !ok {
+				t.Fatalf("ByID(%q) not found", name)
+			}
+			if got.ID != want.ID || got.Name != want.Name || got.Formula != want.Formula ||
+				!slices.Equal(got.Aliases, want.Aliases) || got.Orientation != want.Orientation ||
+				got.ChanceCorrected != want.ChanceCorrected || got.Reference != want.Reference ||
+				got.Lo != want.Lo || got.Hi != want.Hi {
+				t.Fatalf("ByID(%q) = %+v, linear scan gives %+v", name, got, want)
+			}
+			for _, c := range probes {
+				gv, gerr := got.Value(c)
+				wv, werr := want.Value(c)
+				if gv != wv && !(math.IsNaN(gv) && math.IsNaN(wv)) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("ByID(%q) on %s = %v, %v; linear scan gives %v, %v", name, c, gv, gerr, wv, werr)
+				}
+			}
+		}
 	}
 }
 

@@ -15,10 +15,19 @@ import (
 )
 
 // Table is a simple rectangular table with a title and column headers.
+//
+// The data rows are packed: every cell's bytes sit back to back in one
+// buffer, cellEnd[k] is where cell k ends, and rowEnd[i] is the number of
+// cells rows 0..i hold. A finished experiment result keeps its tables for
+// as long as the job service caches it, and one buffer with two offset
+// slices costs far less heap than a string header and an allocation per
+// cell. Every renderer reads the rows through rows.
 type Table struct {
 	Title   string
 	Headers []string
-	rows    [][]string
+	cells   []byte
+	cellEnd []uint32
+	rowEnd  []uint32
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -26,10 +35,15 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row. Rows shorter than the header are padded; longer
-// rows are accepted verbatim (the renderer widens the table).
+// AddRow appends a copy of cells as a row. Rows shorter than the header
+// are padded; longer rows are accepted verbatim (the renderer widens the
+// table).
 func (t *Table) AddRow(cells ...string) {
-	t.rows = append(t.rows, cells)
+	for _, c := range cells {
+		t.cells = append(t.cells, c...)
+		t.cellEnd = append(t.cellEnd, uint32(len(t.cells)))
+	}
+	t.rowEnd = append(t.rowEnd, uint32(len(t.cellEnd)))
 }
 
 // AddRowValues appends a row of arbitrary values formatted with %v, except
@@ -50,19 +64,31 @@ func (t *Table) AddRowValues(cells ...any) {
 }
 
 // NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return len(t.rowEnd) }
 
-// Rows returns a copy of the data rows, each padded to the header width
-// (longer rows are returned verbatim, matching the text renderer).
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		row := make([]string, max(len(r), len(t.Headers)))
-		copy(row, r)
+// rows returns the data rows, each padded with empty cells to at least
+// width. It is the one accessor every renderer reads the table through;
+// the cells are substrings of one copy of the buffer.
+func (t *Table) rows(width int) [][]string {
+	all := string(t.cells)
+	out := make([][]string, len(t.rowEnd))
+	cell, from := 0, uint32(0)
+	for i, end := range t.rowEnd {
+		row := make([]string, max(int(end)-cell, width))
+		for k := range int(end) - cell {
+			to := t.cellEnd[cell]
+			row[k] = all[from:to]
+			from = to
+			cell++
+		}
 		out[i] = row
 	}
 	return out
 }
+
+// Rows returns a copy of the data rows, each padded to the header width
+// (longer rows are returned verbatim, matching the text renderer).
+func (t *Table) Rows() [][]string { return t.rows(len(t.Headers)) }
 
 // MarshalJSON encodes the table with its rows padded like Rows, so the
 // JSON form and the text form describe the same rectangle.
@@ -82,7 +108,8 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 // so every renderer (String, CSV, Markdown, JSON) produces byte-identical
 // output from a decoded table. Gob is the persistence codec of the
 // durable job store — the JSON form cannot serve there because it pads
-// rows and nulls non-finite values.
+// rows and nulls non-finite values. Persisted journals and blobs hold
+// this shape, so it must not change with the in-memory layout.
 type gobTable struct {
 	Title   string
 	Headers []string
@@ -93,7 +120,7 @@ type gobTable struct {
 // drop the unexported rows.
 func (t *Table) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobTable{t.Title, t.Headers, t.rows}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(gobTable{t.Title, t.Headers, t.rows(0)}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -105,7 +132,10 @@ func (t *Table) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
-	t.Title, t.Headers, t.rows = w.Title, w.Headers, w.Rows
+	*t = Table{Title: w.Title, Headers: w.Headers}
+	for _, r := range w.Rows {
+		t.AddRow(r...)
+	}
 	return nil
 }
 
@@ -123,8 +153,9 @@ func FormatFloat(v float64) string {
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
+	rows := t.rows(0)
 	cols := len(t.Headers)
-	for _, r := range t.rows {
+	for _, r := range rows {
 		if len(r) > cols {
 			cols = len(r)
 		}
@@ -138,7 +169,7 @@ func (t *Table) String() string {
 		}
 	}
 	measure(t.Headers)
-	for _, r := range t.rows {
+	for _, r := range rows {
 		measure(r)
 	}
 	var sb strings.Builder
@@ -169,7 +200,7 @@ func (t *Table) String() string {
 	}
 	sb.WriteString(strings.Repeat("-", total+2*(cols-1)))
 	sb.WriteByte('\n')
-	for _, r := range t.rows {
+	for _, r := range rows {
 		writeRow(r)
 	}
 	return sb.String()
@@ -189,7 +220,7 @@ func (t *Table) CSV() string {
 		sb.WriteByte('\n')
 	}
 	writeRow(t.Headers)
-	for _, r := range t.rows {
+	for _, r := range t.rows(0) {
 		writeRow(r)
 	}
 	return sb.String()
@@ -210,7 +241,7 @@ func (t *Table) Markdown() string {
 	}
 	sb.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
 	sb.WriteString("|" + strings.Repeat(" --- |", len(t.Headers)) + "\n")
-	for _, r := range t.rows {
+	for _, r := range t.rows(0) {
 		cells := make([]string, len(t.Headers))
 		for i := range cells {
 			if i < len(r) {
