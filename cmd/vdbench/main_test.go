@@ -174,7 +174,7 @@ func TestRunOutDirWritesArtefacts(t *testing.T) {
 	}
 }
 
-// TestRunDistributedMatchesLocal runs an experiment through the
+// TestRunDistributedMatchesLocal runs experiments through the
 // -distributed flag against an in-process coordinator with two workers
 // and requires the rendered output to be byte-identical to the plain
 // local run.
@@ -202,15 +202,18 @@ func TestRunDistributedMatchesLocal(t *testing.T) {
 		}
 	}()
 
-	var local, remote strings.Builder
-	if err := run(context.Background(), []string{"-quick", "e3"}, &local); err != nil {
-		t.Fatal(err)
-	}
-	args := []string{"-quick", "-distributed", srv.URL, "-shard-cases", "3", "e3"}
-	if err := run(context.Background(), args, &remote); err != nil {
-		t.Fatal(err)
-	}
-	if local.String() != remote.String() {
-		t.Fatal("-distributed changed the experiment output")
+	// E14 replays the campaign, so it must also work on a merged one.
+	for _, id := range []string{"e3", "e14"} {
+		var local, remote strings.Builder
+		if err := run(context.Background(), []string{"-quick", id}, &local); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-quick", "-distributed", srv.URL, "-shard-cases", "3", id}
+		if err := run(context.Background(), args, &remote); err != nil {
+			t.Fatal(err)
+		}
+		if local.String() != remote.String() {
+			t.Fatalf("-distributed changed the %s output", id)
+		}
 	}
 }

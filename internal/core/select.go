@@ -106,6 +106,18 @@ func orderOf(ids []string, scores []float64) []int {
 	return order
 }
 
+// winner returns orderOf(ids, scores)[0] without sorting: the highest
+// score, ties broken by the smaller metric ID, then by the lower index.
+func winner(ids []string, scores []float64) int {
+	best := 0
+	for i := 1; i < len(scores); i++ {
+		if scores[i] > scores[best] || (scores[i] == scores[best] && ids[i] < ids[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
 // Select performs the analytical selection (weighted sum of criterion
 // scores under the scenario's importance weights) — the paper's
 // per-scenario metric analysis.
@@ -296,30 +308,38 @@ func WinnerStability(s scenario.Scenario, profiles []metricprop.Profile, sigma f
 	if err != nil {
 		return StabilityResult{}, err
 	}
-	base, err := mcda.AHP(consensus, problem)
+	// Only the judgments change between trials: one scorer, one perturbed
+	// matrix and the scorer's buffers serve every trial.
+	scorer, err := mcda.NewAHPScorer(problem)
 	if err != nil {
 		return StabilityResult{}, err
 	}
-	baseOrder := orderOf(problem.Alternatives, base.Scores)
-	baseWinner := problem.Alternatives[baseOrder[0]]
+	base, err := scorer.Score(consensus)
+	if err != nil {
+		return StabilityResult{}, err
+	}
+	baseScores := append([]float64(nil), base.Scores...)
+	baseWinner := problem.Alternatives[winner(problem.Alternatives, baseScores)]
+	noisy, err := mcda.NewPairwise(consensus.N())
+	if err != nil {
+		return StabilityResult{}, err
+	}
 
 	agree := 0
 	var tauSum float64
 	tauCount := 0
 	for i := 0; i < trials; i++ {
-		noisy, err := mcda.Perturb(consensus, sigma, rng)
+		if err := mcda.PerturbInto(noisy, consensus, sigma, rng); err != nil {
+			return StabilityResult{}, err
+		}
+		res, err := scorer.Score(noisy)
 		if err != nil {
 			return StabilityResult{}, err
 		}
-		res, err := mcda.AHP(noisy, problem)
-		if err != nil {
-			return StabilityResult{}, err
-		}
-		order := orderOf(problem.Alternatives, res.Scores)
-		if problem.Alternatives[order[0]] == baseWinner {
+		if problem.Alternatives[winner(problem.Alternatives, res.Scores)] == baseWinner {
 			agree++
 		}
-		if tau, err := ranking.KendallTau(base.Scores, res.Scores); err == nil {
+		if tau, err := ranking.KendallTau(baseScores, res.Scores); err == nil {
 			tauSum += tau
 			tauCount++
 		}

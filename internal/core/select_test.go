@@ -264,3 +264,21 @@ func TestValidateDeterministic(t *testing.T) {
 		t.Fatal("validation nondeterministic")
 	}
 }
+
+// TestWinnerStabilityAllocationsDoNotGrowWithTrials: every trial reuses
+// the perturbed matrix and the AHP scorer's buffers, so a run allocates
+// the same at 30 trials as at 300.
+func TestWinnerStabilityAllocationsDoNotGrowWithTrials(t *testing.T) {
+	profiles := catalogProfiles(t)
+	s := scenario.Scenarios()[1]
+	allocs := func(trials int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := WinnerStability(s, profiles, 0.2, trials, stats.NewRNG(3)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(30), allocs(300); few != many {
+		t.Fatalf("WinnerStability allocates %v times at 30 trials and %v at 300", few, many)
+	}
+}

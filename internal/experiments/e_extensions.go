@@ -200,32 +200,18 @@ func (r *Runner) E13MicroMacro(ctx context.Context) (Result, error) {
 // (precision <= each member); intersection keeps only common findings
 // (the reverse); majority voting sits between.
 func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
-	corpus, err := r.sharedCorpus()
+	base, err := r.CampaignCtx(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	// ts-lite and pt-deep have complementary blind spots: the lightweight
-	// SAST misses wrong-sanitizer and loop-carried flows, the pentester
-	// misses silent and guarded sinks. Their combination is therefore the
-	// interesting one.
-	members, err := suiteTools("ts-lite", "pt-deep", "grep-sast")
+	// The members replay the shared campaign, which has already run them
+	// on this corpus: they ignore their RNG, so a replayed case reports
+	// exactly what re-running the member would.
+	members, err := replayMembers(base, e14Members...)
 	if err != nil {
 		return Result{}, err
 	}
-	sast, dast, grep := members[0], members[1], members[2]
-	union, err := detectors.NewCombined("sast∪dast", detectors.Union, []detectors.Tool{sast, dast})
-	if err != nil {
-		return Result{}, err
-	}
-	inter, err := detectors.NewCombined("sast∩dast", detectors.Intersection, []detectors.Tool{sast, dast})
-	if err != nil {
-		return Result{}, err
-	}
-	maj, err := detectors.NewCombined("majority-2of3", detectors.Majority, []detectors.Tool{sast, dast, grep})
-	if err != nil {
-		return Result{}, err
-	}
-	camp, err := harness.RunCtx(ctx, corpus, []detectors.Tool{sast, dast, grep, union, inter, maj}, r.cfg.execOptions())
+	camp, err := r.e14Campaign(ctx, base.Corpus, members)
 	if err != nil {
 		return Result{}, err
 	}
@@ -254,23 +240,47 @@ func (r *Runner) E14Combination(ctx context.Context) (Result, error) {
 	}, nil
 }
 
-// suiteTools returns the named tools of detectors.StandardSuite in the
-// order given, so an experiment that runs a subset of the suite cannot
-// drift from the catalogue's configurations.
-func suiteTools(names ...string) ([]detectors.Tool, error) {
-	suite, err := detectors.StandardSuite()
+// e14Members are the standard-suite tools E14 combines. ts-lite and
+// pt-deep have complementary blind spots: the lightweight SAST misses
+// wrong-sanitizer and loop-carried flows, the pentester misses silent and
+// guarded sinks. Their combination is therefore the interesting one.
+var e14Members = []string{"ts-lite", "pt-deep", "grep-sast"}
+
+// e14Campaign runs the members (sast, dast, grep, in e14Members order)
+// and their three combinations over corpus.
+func (r *Runner) e14Campaign(ctx context.Context, corpus *workload.Corpus, members []detectors.Tool) (*harness.Campaign, error) {
+	sast, dast, grep := members[0], members[1], members[2]
+	union, err := detectors.NewCombined("sast∪dast", detectors.Union, []detectors.Tool{sast, dast})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]detectors.Tool, len(names))
-	for i, name := range names {
-		idx := slices.IndexFunc(suite, func(t detectors.Tool) bool { return t.Name() == name })
-		if idx < 0 {
-			return nil, fmt.Errorf("experiments: standard suite has no tool %q", name)
-		}
-		out[i] = suite[idx]
+	inter, err := detectors.NewCombined("sast∩dast", detectors.Intersection, []detectors.Tool{sast, dast})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	maj, err := detectors.NewCombined("majority-2of3", detectors.Majority, []detectors.Tool{sast, dast, grep})
+	if err != nil {
+		return nil, err
+	}
+	return harness.RunCtx(ctx, corpus, []detectors.Tool{sast, dast, grep, union, inter, maj}, r.cfg.execOptions())
+}
+
+// replayMembers returns replay tools of the named results of camp, in the
+// order given.
+func replayMembers(camp *harness.Campaign, names ...string) ([]detectors.Tool, error) {
+	sub := harness.Campaign{Corpus: camp.Corpus, Results: make([]harness.ToolResult, len(names))}
+	for i, name := range names {
+		idx := slices.IndexFunc(camp.Results, func(res harness.ToolResult) bool { return res.Tool == name })
+		if idx < 0 {
+			return nil, fmt.Errorf("experiments: campaign has no tool %q", name)
+		}
+		sub.Results[i] = camp.Results[idx]
+	}
+	tools, err := harness.ReplayTools(&sub)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: replay campaign: %w", err)
+	}
+	return tools, nil
 }
 
 // E15DecisionImpact closes the loop: for each scenario, rank the campaign

@@ -181,10 +181,6 @@ type Runner struct {
 	profiles     []metricprop.Profile
 	profilesErr  error
 
-	corpusOnce sync.Once
-	corpus     *workload.Corpus
-	corpusErr  error
-
 	campaignMu   sync.Mutex
 	campaignDone bool
 	campaign     *harness.Campaign
@@ -282,16 +278,6 @@ func (r *Runner) workloadConfig() workload.Config {
 	}
 }
 
-// sharedCorpus returns the benchmark corpus, generating it on first use.
-// The in-process campaign and E14 run on this one corpus; with a remote
-// campaign executor only E14 asks for it.
-func (r *Runner) sharedCorpus() (*workload.Corpus, error) {
-	r.corpusOnce.Do(func() {
-		r.corpus, r.corpusErr = workload.Generate(r.workloadConfig())
-	})
-	return r.corpus, r.corpusErr
-}
-
 func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
 	if r.exec != nil {
 		campaign, err := r.exec.ExecuteCampaign(ctx, r.workloadConfig(), "standard", r.cfg.execOptions())
@@ -300,7 +286,7 @@ func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
 		}
 		return campaign, nil
 	}
-	corpus, err := r.sharedCorpus()
+	corpus, err := workload.Generate(r.workloadConfig())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: corpus: %w", err)
 	}

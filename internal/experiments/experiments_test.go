@@ -478,14 +478,15 @@ func TestE3MatchesGoldenAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestResamplingExperimentsMatchGoldenAcrossWorkers pins the three experiments
-// whose statistics run on the resampling kernels and on baseline replay
-// (E4's bootstrap intervals, E7's sign stability, E18's fault campaigns)
+// TestResamplingExperimentsMatchGoldenAcrossWorkers pins the experiments
+// whose statistics run on the resampling kernels, on baseline replay and
+// on reused MCDA buffers (E4's bootstrap intervals, E7's sign stability,
+// E10's perturbed panels, E14's replayed members, E18's fault campaigns)
 // at two worker counts. Regenerate deliberately with:
 //
-//	for e in e4 e7 e18; do go run ./cmd/vdbench -quick -workers 1 $e > internal/experiments/testdata/${e}_golden.txt; done
+//	for e in e4 e7 e10 e14 e18; do go run ./cmd/vdbench -quick -workers 1 $e > internal/experiments/testdata/${e}_golden.txt; done
 func TestResamplingExperimentsMatchGoldenAcrossWorkers(t *testing.T) {
-	ids := []string{"e4", "e7", "e18"}
+	ids := []string{"e4", "e7", "e10", "e14", "e18"}
 	golden := map[string]string{}
 	for _, id := range ids {
 		b, err := os.ReadFile("testdata/" + id + "_golden.txt")

@@ -75,7 +75,7 @@ func TestAllIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // ownCampaignDrivers are the drivers that build and run a campaign of
-// their own instead of sharing the Runner's cached one.
+// their own, E14's on replays of the Runner's cached one.
 func ownCampaignDrivers(r *Runner) map[string]func(context.Context) (Result, error) {
 	return map[string]func(context.Context) (Result, error){
 		"e13": r.E13MicroMacro,
@@ -102,10 +102,15 @@ func TestOwnCampaignDriversHonourCancel(t *testing.T) {
 }
 
 // TestOwnCampaignDriversReportProgress: a harness.WithProgress listener
-// on the context sees every cell of the E13 and E14 campaigns.
+// on the context sees every cell of the E13 and E14 campaigns. The shared
+// campaign is memoised first, so the listener sees only the drivers' own
+// campaigns; TestE14ColdRunnerReportsBothCampaigns covers a cold runner.
 func TestOwnCampaignDriversReportProgress(t *testing.T) {
 	r, err := NewRunner(tinyConfig(1, 2))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Campaign(); err != nil {
 		t.Fatal(err)
 	}
 	for id, run := range ownCampaignDrivers(r) {
@@ -128,6 +133,45 @@ func TestOwnCampaignDriversReportProgress(t *testing.T) {
 			t.Errorf("%s: saw %d events of total %d over %d tools, want %d tools × %d cases",
 				id, events, total, len(tools), rows, tinyConfig(1, 2).Services)
 		}
+	}
+}
+
+// TestE14ColdRunnerReportsBothCampaigns: on a cold runner E14 first runs
+// the 9-tool shared campaign under the caller's context, so the listener
+// sees that run's 9N cells and then E14's own 6N, each run complete under
+// its own ID.
+func TestE14ColdRunnerReportsBothCampaigns(t *testing.T) {
+	cfg := tinyConfig(1, 2)
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	events := map[uint64]int{}
+	totals := map[uint64]int{}
+	ctx := harness.WithProgress(context.Background(), func(ev harness.ProgressEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		events[ev.Run]++
+		totals[ev.Run] = ev.Total
+	})
+	if _, err := r.E14Combination(ctx); err != nil {
+		t.Fatal(err)
+	}
+	base, err := r.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cfg.Services
+	var sum int
+	for run, k := range events {
+		if k != totals[run] {
+			t.Errorf("run %d: %d events of total %d", run, k, totals[run])
+		}
+		sum += k
+	}
+	if len(events) != 2 || sum != len(base.Results)*n+6*n {
+		t.Fatalf("saw %d events over %d runs, want %d×%d + 6×%d over 2", sum, len(events), len(base.Results), n, n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
@@ -184,5 +185,51 @@ func TestE18ReplayMatchesRealTools(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again.Results, baseline.Results) {
 		t.Fatal("fault-free replay differs from the baseline campaign")
+	}
+}
+
+// TestE14ReplayMatchesRealTools carries the guarantee that re-running
+// E14's members used to give: at several seeds, the 6-tool campaign over
+// replays of the shared campaign equals the one over the real members.
+func TestE14ReplayMatchesRealTools(t *testing.T) {
+	ctx := context.Background()
+	suite, err := detectors.StandardSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := make([]detectors.Tool, len(e14Members))
+	for i, name := range e14Members {
+		idx := slices.IndexFunc(suite, func(tool detectors.Tool) bool { return tool.Name() == name })
+		if idx < 0 {
+			t.Fatalf("standard suite has no tool %q", name)
+		}
+		real[i] = suite[idx]
+	}
+	for _, seed := range []uint64{1, 7, 42} {
+		cfg := QuickConfig()
+		cfg.Seed = seed
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := r.CampaignCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.e14Campaign(ctx, base.Corpus, real)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replays, err := replayMembers(base, e14Members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.e14Campaign(ctx, base.Corpus, replays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("seed %d: replayed E14 campaign differs from the real-tool campaign", seed)
+		}
 	}
 }

@@ -441,12 +441,17 @@ func (e *engine) runCells(ctx context.Context, lo, hi, workers int, abortOnFault
 	// events never alter scheduling or results, so a campaign with a
 	// listener is byte-identical to one without.
 	var done atomic.Int64
+	var run uint64
 	listener := ProgressFromContext(ctx)
+	if listener != nil {
+		run = runSeq.Add(1)
+	}
 	report := func(t, c int, ce CellResult) {
 		if listener == nil {
 			return
 		}
 		listener(ProgressEvent{
+			Run:       run,
 			Done:      int(done.Add(1)),
 			Total:     nTools * nCases,
 			Tool:      e.tools[t].Name(),

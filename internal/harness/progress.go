@@ -11,6 +11,7 @@ package harness
 
 import (
 	"context"
+	"sync/atomic"
 
 	"github.com/dsn2015/vdbench/internal/metrics"
 )
@@ -19,7 +20,15 @@ import (
 // campaign. Done counts finished cells across the whole run (monotone,
 // each event carries a unique value); Total is the number of cells the
 // run will execute, so Done == Total on the final event.
+//
+// One context can carry several runs (an experiment may run the shared
+// campaign and then campaigns of its own), so every event names its run:
+// Done and Total count within that run only.
 type ProgressEvent struct {
+	// Run identifies the campaign run (one RunCtx or shard execution)
+	// the cell belongs to. Run IDs are unique within a process, never 0,
+	// and increase in the order runs start.
+	Run uint64 `json:"run"`
 	// Done is the number of cells finished so far, this one included;
 	// Total is the cell count of the run (tools × cases in range).
 	Done  int `json:"done"`
@@ -43,6 +52,9 @@ type ProgressEvent struct {
 type ProgressFunc func(ProgressEvent)
 
 type progressCtxKey struct{}
+
+// runSeq allocates ProgressEvent.Run IDs.
+var runSeq atomic.Uint64
 
 // WithProgress returns a context that carries fn as the campaign
 // progress listener. Any campaign executed under the returned context

@@ -72,6 +72,27 @@ func TestProgressEventsCoverEveryCell(t *testing.T) {
 	}
 }
 
+// TestProgressEventsCarryTheirRun: every event of one campaign run names
+// the same run, and a later run on the same context gets a larger ID.
+func TestProgressEventsCarryTheirRun(t *testing.T) {
+	runIDs := func(events []ProgressEvent) map[uint64]int {
+		ids := map[uint64]int{}
+		for _, ev := range events {
+			ids[ev.Run]++
+		}
+		return ids
+	}
+	_, first := collectProgress(t, 4)
+	_, second := collectProgress(t, 1)
+	a, b := runIDs(first), runIDs(second)
+	if len(a) != 1 || len(b) != 1 {
+		t.Fatalf("run IDs per campaign = %v and %v, want one each", a, b)
+	}
+	if first[0].Run == 0 || second[0].Run <= first[0].Run {
+		t.Fatalf("run IDs %d then %d, want non-zero and increasing", first[0].Run, second[0].Run)
+	}
+}
+
 func TestProgressListenerDoesNotChangeResults(t *testing.T) {
 	corpus := testCorpus(t, 25, 1)
 	plain, err := RunCtx(context.Background(), corpus, testTools(t), Options{Seed: 42, Workers: 2})

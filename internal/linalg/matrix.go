@@ -117,14 +117,20 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 		return nil, fmt.Errorf("%w: %dx%d x vector(%d)", ErrDimension, m.rows, m.cols, len(v))
 	}
 	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
+	m.mulVecInto(out, v)
+	return out, nil
+}
+
+// mulVecInto writes m·v into out; the caller guarantees the shapes.
+func (m *Matrix) mulVecInto(out, v []float64) {
+	for i := range out {
+		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
-		for j := 0; j < m.cols; j++ {
-			s += m.data[i*m.cols+j] * v[j]
+		for j, x := range row {
+			s += x * v[j]
 		}
 		out[i] = s
 	}
-	return out, nil
 }
 
 // IsSquare reports whether m has equal row and column counts.
@@ -163,7 +169,23 @@ type PowerIterationResult struct {
 // dominant eigenvalue real and simple by Perron–Frobenius). It returns an
 // error if the matrix is not square, contains non-positive entries, or the
 // iteration fails to converge within maxIter iterations to tolerance tol.
+// It is Run on a fresh workspace, so the eigenvector is the caller's.
 func PowerIteration(m *Matrix, maxIter int, tol float64) (PowerIterationResult, error) {
+	var w PowerWorkspace
+	return w.Run(m, maxIter, tol)
+}
+
+// PowerWorkspace holds the vectors a power iteration works in. Reusing one
+// workspace across Run calls keeps them allocation-free once its buffers
+// have grown to the matrix dimension. The zero value is ready to use; a
+// workspace is not safe for concurrent use.
+type PowerWorkspace struct {
+	v, next, av []float64
+}
+
+// Run is PowerIteration in the workspace's buffers. The result's
+// Eigenvector aliases the workspace and is overwritten by the next Run.
+func (w *PowerWorkspace) Run(m *Matrix, maxIter int, tol float64) (PowerIterationResult, error) {
 	if !m.IsSquare() {
 		return PowerIterationResult{}, fmt.Errorf("%w: power iteration needs a square matrix, got %dx%d", ErrDimension, m.rows, m.cols)
 	}
@@ -174,23 +196,18 @@ func PowerIteration(m *Matrix, maxIter int, tol float64) (PowerIterationResult, 
 		return PowerIterationResult{}, errors.New("linalg: tolerance must be positive")
 	}
 	n := m.rows
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if m.At(i, j) <= 0 || math.IsNaN(m.At(i, j)) || math.IsInf(m.At(i, j), 0) {
-				return PowerIterationResult{}, fmt.Errorf("linalg: power iteration requires strictly positive finite entries, found %g at (%d,%d)", m.At(i, j), i, j)
-			}
+	for k, x := range m.data {
+		if x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return PowerIterationResult{}, fmt.Errorf("linalg: power iteration requires strictly positive finite entries, found %g at (%d,%d)", x, k/n, k%n)
 		}
 	}
-	v := make([]float64, n)
+	w.v, w.next, w.av = resize(w.v, n), resize(w.next, n), resize(w.av, n)
+	v, next, av := w.v, w.next, w.av
 	for i := range v {
 		v[i] = 1 / float64(n)
 	}
-	var lambda float64
 	for iter := 1; iter <= maxIter; iter++ {
-		next, err := m.MulVec(v)
-		if err != nil {
-			return PowerIterationResult{}, err
-		}
+		m.mulVecInto(next, v)
 		var sum float64
 		for _, x := range next {
 			sum += x
@@ -203,7 +220,7 @@ func PowerIteration(m *Matrix, maxIter int, tol float64) (PowerIterationResult, 
 		}
 		// Rayleigh-style eigenvalue estimate: mean of componentwise ratios
 		// (Av)_i / v_i. For positive matrices every component is valid.
-		av, _ := m.MulVec(next)
+		m.mulVecInto(av, next)
 		var est float64
 		for i := range next {
 			est += av[i] / next[i]
@@ -213,11 +230,18 @@ func PowerIteration(m *Matrix, maxIter int, tol float64) (PowerIterationResult, 
 		for i := range v {
 			delta += math.Abs(next[i] - v[i])
 		}
-		v = next
-		lambda = est
+		v, next = next, v
 		if delta < tol {
-			return PowerIterationResult{Eigenvalue: lambda, Eigenvector: v, Iterations: iter}, nil
+			return PowerIterationResult{Eigenvalue: est, Eigenvector: v, Iterations: iter}, nil
 		}
 	}
 	return PowerIterationResult{}, fmt.Errorf("linalg: power iteration did not converge in %d iterations", maxIter)
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }

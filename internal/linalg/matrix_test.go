@@ -2,8 +2,12 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
+
+	"github.com/dsn2015/vdbench/internal/stats"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -250,5 +254,84 @@ func TestIsSquare(t *testing.T) {
 	rect, _ := New(2, 3)
 	if !sq.IsSquare() || rect.IsSquare() {
 		t.Fatal("IsSquare wrong")
+	}
+}
+
+// powerIterationRef is the allocating power iteration PowerWorkspace.Run
+// replaced, with its own matrix-vector product, kept as the reference its
+// floating-point operations must reproduce exactly.
+func powerIterationRef(m *Matrix, maxIter int, tol float64) (PowerIterationResult, error) {
+	n := m.rows
+	mulVec := func(v []float64) []float64 {
+		out := make([]float64, n)
+		for i := 0; i < n; i++ {
+			var s float64
+			for j := 0; j < n; j++ {
+				s += m.At(i, j) * v[j]
+			}
+			out[i] = s
+		}
+		return out
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 1 / float64(n)
+	}
+	for iter := 1; iter <= maxIter; iter++ {
+		next := mulVec(v)
+		var sum float64
+		for _, x := range next {
+			sum += x
+		}
+		for i := range next {
+			next[i] /= sum
+		}
+		av := mulVec(next)
+		var est float64
+		for i := range next {
+			est += av[i] / next[i]
+		}
+		est /= float64(n)
+		var delta float64
+		for i := range v {
+			delta += math.Abs(next[i] - v[i])
+		}
+		v = next
+		if delta < tol {
+			return PowerIterationResult{Eigenvalue: est, Eigenvector: v, Iterations: iter}, nil
+		}
+	}
+	return PowerIterationResult{}, fmt.Errorf("linalg: power iteration did not converge in %d iterations", maxIter)
+}
+
+// TestPowerWorkspaceMatchesReference runs one reused workspace over random
+// positive reciprocal matrices of growing and shrinking size and requires
+// every result to equal the reference bit for bit.
+func TestPowerWorkspaceMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(1)
+	var w PowerWorkspace
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(14)
+		m, _ := New(n, n)
+		for i := 0; i < n; i++ {
+			m.Set(i, i, 1)
+			for j := i + 1; j < n; j++ {
+				x := math.Exp(2 * rng.NormFloat64())
+				m.Set(i, j, x)
+				m.Set(j, i, 1/x)
+			}
+		}
+		maxIter := 10000
+		if trial%10 == 0 {
+			maxIter = 2 // exercise the non-convergence error
+		}
+		want, wantErr := powerIterationRef(m, maxIter, 1e-12)
+		got, gotErr := w.Run(m, maxIter, 1e-12)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("trial %d: error %v, want %v", trial, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): %+v, want %+v", trial, n, got, want)
+		}
 	}
 }

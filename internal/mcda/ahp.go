@@ -112,25 +112,45 @@ type Priorities struct {
 // Consistent reports whether the judgments pass Saaty's CR < 0.1 rule.
 func (p Priorities) Consistent() bool { return p.CR < 0.1 }
 
+// randomIndexFor returns Saaty's random index for an n×n judgment matrix:
+// 0 for n <= 2, whose reciprocal matrices are always consistent, and an
+// error past the end of the table.
+func randomIndexFor(n int) (float64, error) {
+	switch {
+	case n-1 < len(randomIndex) && randomIndex[n-1] > 0:
+		return randomIndex[n-1], nil
+	case n <= 2:
+		return 0, nil
+	default:
+		return 0, fmt.Errorf("mcda: no random index for n = %d", n)
+	}
+}
+
 // Priorities derives the priority vector and consistency diagnostics from
 // the pairwise judgments.
 func (p *Pairwise) Priorities() (Priorities, error) {
+	ri, riErr := randomIndexFor(p.N())
+	return p.priorities(new(linalg.PowerWorkspace), ri, riErr)
+}
+
+// priorities is Priorities in the workspace w, given the random index ri
+// (or its lookup error riErr) for p's dimension. The weights alias w.
+func (p *Pairwise) priorities(w *linalg.PowerWorkspace, ri float64, riErr error) (Priorities, error) {
 	n := p.N()
-	res, err := linalg.PowerIteration(p.m, 10000, 1e-12)
+	res, err := w.Run(p.m, 10000, 1e-12)
 	if err != nil {
 		return Priorities{}, fmt.Errorf("mcda: priority derivation: %w", err)
+	}
+	if riErr != nil {
+		return Priorities{}, riErr
 	}
 	ci := (res.Eigenvalue - float64(n)) / float64(n-1)
 	if ci < 0 {
 		ci = 0 // numerical guard: lambdaMax >= n analytically
 	}
 	var cr float64
-	if n-1 < len(randomIndex) && randomIndex[n-1] > 0 {
-		cr = ci / randomIndex[n-1]
-	} else if n <= 2 {
-		cr = 0 // 2x2 reciprocal matrices are always consistent
-	} else {
-		return Priorities{}, fmt.Errorf("mcda: no random index for n = %d", n)
+	if ri > 0 {
+		cr = ci / ri
 	}
 	return Priorities{
 		Weights:   res.Eigenvector,
@@ -161,23 +181,66 @@ func AHP(judgments *Pairwise, p Problem) (AHPResult, error) {
 	if judgments == nil {
 		return AHPResult{}, errors.New("mcda: nil judgments")
 	}
+	s, err := NewAHPScorer(p)
+	if err != nil {
+		return AHPResult{}, err
+	}
+	return s.Score(judgments)
+}
+
+// AHPScorer runs AHP on one fixed problem under many judgment matrices.
+// What does not depend on the judgments is done once by NewAHPScorer:
+// validating the problem, min-max normalising its columns and looking up
+// Saaty's random index. Each Score derives the priorities and the
+// weighted sum in buffers the scorer reuses. A scorer is not safe for
+// concurrent use.
+type AHPScorer struct {
+	p     Problem
+	norm  [][]float64
+	ri    float64
+	riErr error
+
+	power  linalg.PowerWorkspace
+	w      []float64 // criteria weights scaled to sum to one
+	scores []float64
+}
+
+// NewAHPScorer prepares AHP runs over p.
+func NewAHPScorer(p Problem) (*AHPScorer, error) {
 	if err := p.Validate(); err != nil {
-		return AHPResult{}, err
+		return nil, err
 	}
-	if judgments.N() != len(p.Criteria) {
-		return AHPResult{}, fmt.Errorf("mcda: %d×%d judgments for %d criteria", judgments.N(), judgments.N(), len(p.Criteria))
+	ri, riErr := randomIndexFor(len(p.Criteria))
+	return &AHPScorer{
+		p:      p,
+		norm:   normalizeColumnsMinMax(p),
+		ri:     ri,
+		riErr:  riErr,
+		w:      make([]float64, len(p.Criteria)),
+		scores: make([]float64, len(p.Alternatives)),
+	}, nil
+}
+
+// Score is AHP(judgments, p) for the scorer's problem p. The result's
+// slices alias the scorer and are overwritten by the next Score.
+func (s *AHPScorer) Score(judgments *Pairwise) (AHPResult, error) {
+	if judgments == nil {
+		return AHPResult{}, errors.New("mcda: nil judgments")
 	}
-	prio, err := judgments.Priorities()
+	if judgments.N() != len(s.p.Criteria) {
+		return AHPResult{}, fmt.Errorf("mcda: %d×%d judgments for %d criteria", judgments.N(), judgments.N(), len(s.p.Criteria))
+	}
+	prio, err := judgments.priorities(&s.power, s.ri, s.riErr)
 	if err != nil {
 		return AHPResult{}, err
 	}
-	scores, err := WeightedSum(p, prio.Weights)
-	if err != nil {
+	if err := s.p.checkWeights(prio.Weights); err != nil {
 		return AHPResult{}, err
 	}
+	weightedSumInto(s.scores, s.w, s.norm, prio.Weights)
 	return AHPResult{
 		CriteriaWeights: prio.Weights,
-		Scores:          scores,
+		Scores:          s.scores,
 		Consistency:     prio,
 	}, nil
 }

@@ -107,24 +107,28 @@ func WeightedSum(p Problem, weights []float64) ([]float64, error) {
 	if err := p.checkWeights(weights); err != nil {
 		return nil, err
 	}
-	w := append([]float64(nil), weights...)
+	out := make([]float64, len(p.Alternatives))
+	weightedSumInto(out, make([]float64, len(weights)), normalizeColumnsMinMax(p), weights)
+	return out, nil
+}
+
+// weightedSumInto writes into out each normalised row's weighted sum under
+// weights scaled to sum to one; w receives the scaled weights.
+func weightedSumInto(out, w []float64, norm [][]float64, weights []float64) {
 	var sum float64
-	for _, x := range w {
+	for _, x := range weights {
 		sum += x
 	}
-	for i := range w {
-		w[i] /= sum
+	for j, x := range weights {
+		w[j] = x / sum
 	}
-	norm := normalizeColumnsMinMax(p)
-	out := make([]float64, len(p.Alternatives))
-	for i := range out {
+	for i, row := range norm {
 		var s float64
-		for j := range p.Criteria {
-			s += w[j] * norm[i][j]
+		for j, x := range w {
+			s += x * row[j]
 		}
 		out[i] = s
 	}
-	return out, nil
 }
 
 // TOPSIS ranks alternatives by closeness to the ideal solution: vector-
@@ -205,18 +209,36 @@ func Perturb(pw *Pairwise, sigma float64, rng *stats.RNG) (*Pairwise, error) {
 	if pw == nil {
 		return nil, errors.New("mcda: nil pairwise matrix")
 	}
-	if sigma < 0 {
-		return nil, fmt.Errorf("mcda: negative sigma %g", sigma)
-	}
-	if rng == nil {
-		return nil, errors.New("mcda: nil RNG")
-	}
 	out, err := NewPairwise(pw.N())
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < pw.N(); i++ {
-		for j := i + 1; j < pw.N(); j++ {
+	if err := PerturbInto(out, pw, sigma, rng); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PerturbInto is Perturb writing into dst, which must have pw's dimension
+// and may be pw itself. It draws one normal per upper-triangular entry, in
+// row-major order, and overwrites every off-diagonal judgment of dst. On
+// error dst holds a partial perturbation.
+func PerturbInto(dst, pw *Pairwise, sigma float64, rng *stats.RNG) error {
+	if dst == nil || pw == nil {
+		return errors.New("mcda: nil pairwise matrix")
+	}
+	if sigma < 0 {
+		return fmt.Errorf("mcda: negative sigma %g", sigma)
+	}
+	if rng == nil {
+		return errors.New("mcda: nil RNG")
+	}
+	n := pw.N()
+	if dst.N() != n {
+		return fmt.Errorf("mcda: perturbing a %d×%d matrix into a %d×%d one", n, n, dst.N(), dst.N())
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
 			noisy := pw.At(i, j) * math.Exp(sigma*rng.NormFloat64())
 			// Clamp to the Saaty scale bounds to stay a plausible judgment.
 			if noisy < 1.0/9.0 {
@@ -225,12 +247,12 @@ func Perturb(pw *Pairwise, sigma float64, rng *stats.RNG) (*Pairwise, error) {
 			if noisy > 9 {
 				noisy = 9
 			}
-			if err := out.Set(i, j, noisy); err != nil {
-				return nil, err
+			if err := dst.Set(i, j, noisy); err != nil {
+				return err
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // WeightedProduct ranks alternatives by the weighted product of min-max

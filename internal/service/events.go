@@ -32,7 +32,10 @@ type ToolProgress struct {
 
 // ProgressUpdate is one cumulative progress snapshot of a running job:
 // monotone done/total cell counts plus per-tool incremental estimates.
-// Later snapshots subsume earlier ones.
+// Later snapshots subsume earlier ones. A job may run several campaigns
+// (the shared campaign and then its own, or E18's fault campaigns):
+// Done and Total count the cells of every run seen so far, and Tools
+// shows the newest run only.
 type ProgressUpdate struct {
 	Job   string `json:"job"`
 	Done  int    `json:"done"`
@@ -43,8 +46,8 @@ type ProgressUpdate struct {
 }
 
 // progressAggregator folds per-cell progress events into cumulative
-// snapshots. One exists per running campaign; the harness calls observe
-// from its worker goroutines.
+// snapshots. One exists per running job; the harness calls observe from
+// its worker goroutines.
 type progressAggregator struct {
 	job string
 	hub *eventHub
@@ -53,28 +56,46 @@ type progressAggregator struct {
 	done   int
 	total  int
 	failed int
+	runs   map[uint64]bool // campaign runs seen
+	newest uint64          // the run byTool accumulates
 	byTool map[string]vdbench.Confusion
 }
 
 func newProgressAggregator(job string, hub *eventHub) *progressAggregator {
-	return &progressAggregator{job: job, hub: hub, byTool: map[string]vdbench.Confusion{}}
+	return &progressAggregator{job: job, hub: hub, runs: map[uint64]bool{}, byTool: map[string]vdbench.Confusion{}}
 }
 
 // observe folds one harness progress event and publishes the resulting
 // snapshot. It is the installed vdbench.CampaignProgressFunc, so it
 // must stay fast and non-blocking: snapshot building is O(tools) and
 // publish is a mailbox swap.
+//
+// The first event of a run adds the run's Total. A run that starts later
+// than every run seen so far replaces the tool rows; events of older
+// runs still count towards done, but never into a row, so no row adds up
+// cells from two runs.
 func (a *progressAggregator) observe(ev vdbench.CampaignProgressEvent) {
 	a.mu.Lock()
+	if !a.runs[ev.Run] {
+		a.runs[ev.Run] = true
+		a.total += ev.Total
+		if len(a.runs) == 1 || ev.Run > a.newest {
+			a.newest = ev.Run
+			clear(a.byTool)
+		}
+	}
 	a.done++
-	a.total = ev.Total
 	if ev.Failed {
 		a.failed++
 	}
-	a.byTool[ev.Tool] = a.byTool[ev.Tool].Add(ev.Confusion)
-	snap := a.snapshotLocked()
+	if ev.Run == a.newest {
+		a.byTool[ev.Tool] = a.byTool[ev.Tool].Add(ev.Confusion)
+	}
+	// Publishing under a.mu keeps the published sequence in done order:
+	// a worker preempted between building its snapshot and publishing it
+	// would otherwise overwrite a newer one.
+	a.hub.publish(a.job, a.snapshotLocked())
 	a.mu.Unlock()
-	a.hub.publish(a.job, snap)
 }
 
 // snapshotLocked renders the cumulative state; callers hold a.mu. The

@@ -188,6 +188,73 @@ func TestSSEStreamsMonotonicProgress(t *testing.T) {
 	}
 }
 
+// TestSSEProgressAcrossCampaigns runs real quick jobs that execute more
+// than one campaign under the job's context: e14 runs the shared campaign
+// and then its own, e18 the shared campaign and then its fault campaigns.
+// Every progress frame must have done <= total, the last one done ==
+// total, and its rows must come from one run: E18's last fault campaign
+// covers each tool's cases once.
+func TestSSEProgressAcrossCampaigns(t *testing.T) {
+	release := make(chan struct{})
+	run := func(ctx context.Context, id string, cfg vdbench.ExperimentConfig) (vdbench.ExperimentResult, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return vdbench.ExperimentResult{}, ctx.Err()
+		}
+		return vdbench.RunExperimentCtx(ctx, id, cfg)
+	}
+	_, ts := newTestAPI(t, Options{Workers: 1}, run)
+
+	ids := []string{"e14", "e18"}
+	streams := make([]*bufio.Reader, len(ids))
+	for i, id := range ids {
+		st := submitJob(t, ts.URL, fmt.Sprintf(`{"experiment":%q,"quick":true}`, id))
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		streams[i] = bufio.NewReader(resp.Body)
+		if f, ok := readFrame(streams[i]); !ok || f.Event != "status" {
+			t.Fatalf("%s: first frame = %+v, want a status frame", id, f)
+		}
+	}
+	close(release) // both subscribers attached; let the jobs run
+
+	cases := vdbench.QuickExperimentConfig().Services
+	for i, id := range ids {
+		var last progressFrame
+		frames := 0
+		for {
+			f, ok := readFrame(streams[i])
+			if !ok {
+				t.Fatalf("%s: stream ended without a terminal status frame", id)
+			}
+			if f.Event == "status" {
+				break
+			}
+			var u progressFrame
+			if err := json.Unmarshal([]byte(f.Data), &u); err != nil {
+				t.Fatal(err)
+			}
+			if u.Done > u.Total || u.Done <= last.Done {
+				t.Fatalf("%s: frame done %d of total %d after done %d", id, u.Done, u.Total, last.Done)
+			}
+			last = u
+			frames++
+		}
+		if frames == 0 || last.Done != last.Total {
+			t.Fatalf("%s: final progress frame done %d of total %d over %d frames", id, last.Done, last.Total, frames)
+		}
+		for _, tp := range last.Tools {
+			if c := tp.Confusion; c.TP+c.FP+c.FN+c.TN > cases*4 {
+				t.Fatalf("%s: tool %s row %+v adds up cells from more than one run", id, tp.Tool, c)
+			}
+		}
+	}
+}
+
 // TestSSESlowSubscriberDoesNotStallCampaign connects a subscriber that
 // never reads: the campaign must still emit thousands of events and
 // finish promptly, with the backpressure showing up as coalesced drops
