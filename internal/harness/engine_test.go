@@ -46,7 +46,7 @@ func TestReferenceEngineCampaignEquivalence(t *testing.T) {
 // eroding. Re-measure with
 // `go test -run TestAllocBudgetCampaign -v .` and update deliberately
 // when the campaign legitimately grows.
-const campaignAllocBudget = 36_600
+const campaignAllocBudget = 24_600
 
 // TestAllocBudgetCampaign is the campaign-level allocation budget of the
 // bytecode-execution work: the whole 200-service standard-suite campaign
@@ -76,6 +76,42 @@ func TestAllocBudgetCampaign(t *testing.T) {
 	t.Logf("campaign allocations: %.0f per run (budget %d)", allocs, campaignAllocBudget)
 	if allocs > campaignAllocBudget*1.10 {
 		t.Errorf("campaign allocates %.0f per run, more than 10%% over the %d budget; rerun the measurement and update the budget only for a deliberate cost", allocs, campaignAllocBudget)
+	}
+}
+
+// TestCellLayerAllocatesPerTool: the execution engine allocates per
+// tool, not per (tool, case) cell. A fault-free replayed campaign, whose
+// tools allocate nothing per case, must allocate about as much over 200
+// cases as over 50 — fewer than 50 more objects — serially and with two
+// workers. Skipped under -race (instrumentation allocates).
+func TestCellLayerAllocatesPerTool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	allocs := func(services, workers int) float64 {
+		corpus := testCorpus(t, services, 1)
+		camp, err := RunCtx(context.Background(), corpus, testTools(t), Options{Seed: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tools, err := ReplayTools(camp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := RunCtx(context.Background(), corpus, tools, Options{Seed: 1, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(5, run)
+	}
+	for _, workers := range []int{1, 2} {
+		small, large := allocs(50, workers), allocs(200, workers)
+		t.Logf("workers=%d: %.0f allocations at 50 cases, %.0f at 200", workers, small, large)
+		if large-small >= 50 {
+			t.Errorf("workers=%d: 150 more cases cost %.0f more allocations, want fewer than 50", workers, large-small)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -335,13 +336,20 @@ type CellResult struct {
 	Retries  int `json:"retries"`
 }
 
-// engine carries the immutable campaign state shared by every worker.
+// engine carries the campaign state shared by every worker: the
+// immutable inputs, and one outcome arena per tool that workers score
+// into.
 type engine struct {
 	opts   Options
 	corpus *workload.Corpus
 	tools  []detectors.Tool
-	rngs   [][]*stats.RNG
-	valid  []map[int]bool
+	rngs   [][]stats.RNG
+	// lo and hi bound the cases this engine executes. offs holds the
+	// prefix sums of len(Truths) over [lo, hi): case c's slot in tool t's
+	// arena is arenas[t][offs[c-lo]:offs[c-lo+1]].
+	lo, hi int
+	offs   []int
+	arenas [][]SinkOutcome
 }
 
 // RunCtx executes the campaign under ctx with fault-tolerant semantics.
@@ -366,17 +374,20 @@ type engine struct {
 //     seen serially, no matter which worker runs it or when. Each
 //     (tool, case) pair gets an independent stream, so adding or
 //     removing tools does not perturb the others' draws.
-//  2. Ordered merge: workers write each task's outcome slice into a
-//     dedicated (tool, case) slot, and the final aggregation folds the
-//     slots in corpus order — the same accumulation sequence as a
-//     serial loop.
+//  2. Arena slots, ordered merge: each tool owns one outcome arena sized
+//     to the corpus's sinks, and a successful (tool, case) task scores
+//     straight into that case's fixed slot of it — on the worker, also
+//     when a watchdog goroutine made the tool call. The final
+//     aggregation folds the slots in corpus order, the same
+//     accumulation sequence as a serial loop, compacting the arena in
+//     place into the tool's Outcomes.
 //
 // opts.Workers <= 0 selects runtime.GOMAXPROCS(0); 1 runs inline without
 // spawning goroutines. Tool implementations must be safe for concurrent
 // Analyze calls on distinct cases (the standard suite is: all
-// per-request state lives in the call frame). Under DegradedAbort with
-// one worker, the returned error is exactly the first one serial
-// execution hits.
+// per-request state lives in the call frame). Under DegradedAbort the
+// returned error is exactly the first one serial execution hits, for
+// every worker count, whenever the tools' faults are deterministic.
 func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options) (*Campaign, error) {
 	return runCtx(ctx, corpus, tools, opts, compile.NewEngine())
 }
@@ -398,39 +409,59 @@ func runCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eng := newEngine(corpus, tools, opts, xeng)
-	cells, err := eng.runCells(ctx, 0, len(corpus.Cases), workers, opts.Degraded == DegradedAbort)
+	eng := newEngine(corpus, tools, opts, xeng, 0, len(corpus.Cases))
+	cells, err := eng.runCells(ctx, workers, opts.Degraded == DegradedAbort)
 	if err != nil {
 		return nil, err
 	}
-	return mergeCampaign(corpus, eng.tools, cells, opts.Degraded), nil
+	return mergeCampaign(corpus, eng.tools, cells, eng.arenas, opts.Degraded), nil
 }
 
-// newEngine assembles the immutable campaign state shared by every
-// worker: the campaign-scoped compile cache and execution engine xeng,
-// the pre-split per-(tool, case) RNG streams, and the per-case valid
-// sink sets. The RNG streams always cover the FULL corpus, so a shard
-// execution (runCells over a sub-range) sees exactly the generator
+// newEngine assembles the campaign state for the cases in [lo, hi): the
+// campaign-scoped compile cache and execution engine xeng, the
+// pre-split per-(tool, case) RNG streams, and each tool's outcome arena
+// with the per-case slot offsets. The RNG streams always cover the FULL
+// corpus, so a shard execution (a sub-range) sees exactly the generator
 // state a local full run would.
-func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine) *engine {
+func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine, lo, hi int) *engine {
 	tools = bindCompileCache(tools)
 	tools = bindExecEngine(tools, xeng)
+	offs := make([]int, hi-lo+1)
+	for c := lo; c < hi; c++ {
+		offs[c-lo+1] = offs[c-lo] + len(corpus.Cases[c].Truths)
+	}
+	arenas := make([][]SinkOutcome, len(tools))
+	for t := range arenas {
+		arenas[t] = make([]SinkOutcome, offs[hi-lo])
+	}
 	return &engine{
 		opts:   opts,
 		corpus: corpus,
 		tools:  tools,
 		rngs:   preSplitRNGs(len(tools), len(corpus.Cases), opts.Seed),
-		valid:  validSinkSets(corpus),
+		lo:     lo,
+		hi:     hi,
+		offs:   offs,
+		arenas: arenas,
 	}
 }
 
+// slot is the (tool t, case c) slot of t's arena, capped so that no
+// append through it can reach the next case's slot.
+func (e *engine) slot(t, c int) []SinkOutcome {
+	from, to := e.offs[c-e.lo], e.offs[c-e.lo+1]
+	return e.arenas[t][from:to:to]
+}
+
 // runCells executes every (tool, case) cell whose case index lies in
-// [lo, hi) and returns the records indexed [tool][case-lo]. When
+// [e.lo, e.hi) and returns the records indexed [tool][case-lo]; the
+// Outcomes of a successful record are its arena slot. When
 // abortOnFault is set (DegradedAbort), the first cell fault is
 // campaign-fatal: serial execution returns it immediately, parallel
-// execution drains the queue and returns the earliest error in (tool,
+// execution returns the error of the earliest failed task in (tool,
 // case) order — the one serial execution would have hit first.
-func (e *engine) runCells(ctx context.Context, lo, hi, workers int, abortOnFault bool) ([][]CellResult, error) {
+func (e *engine) runCells(ctx context.Context, workers int, abortOnFault bool) ([][]CellResult, error) {
+	lo, hi := e.lo, e.hi
 	nTools, nCases := len(e.tools), hi-lo
 	cells := make([][]CellResult, nTools)
 	for t := range cells {
@@ -462,12 +493,13 @@ func (e *engine) runCells(ctx context.Context, lo, hi, workers int, abortOnFault
 	}
 
 	if workers == 1 {
+		var rng stats.RNG
 		for t := 0; t < nTools; t++ {
 			for c := lo; c < hi; c++ {
 				if err := ctx.Err(); err != nil {
 					return nil, abortErr(err)
 				}
-				ce, err := e.executeCase(ctx, t, c)
+				ce, err := e.executeCase(ctx, t, c, &rng)
 				if err != nil {
 					return nil, err
 				}
@@ -481,41 +513,38 @@ func (e *engine) runCells(ctx context.Context, lo, hi, workers int, abortOnFault
 		return cells, nil
 	}
 
-	// Parallel: a task pool over the (tool, case) grid. Fatal
-	// conditions (cancellation, or any fault under DegradedAbort) flip
-	// the failed flag so the remaining queue drains; the earliest error
-	// in (tool, case) order is returned, matching serial execution
-	// whenever the same task set got to run.
-	errs := make([][]error, nTools)
-	for t := range errs {
-		errs[t] = make([]error, nCases)
-	}
+	// Parallel: a task pool over the (tool, case) grid, queued in (tool,
+	// case) order. A fatal condition (cancellation, or any fault under
+	// DegradedAbort) is kept if it is the earliest in queue order so far,
+	// and every task queued after it is skipped. Tasks queued before it
+	// were already taken off the queue, so they still finish, and the
+	// error kept at the end is the one serial execution returns.
+	var first earliestErr
+	first.at.Store(math.MaxInt64)
 	type task struct{ tool, cs int }
 	tasks := make(chan task, workers)
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var rng stats.RNG
 			for tk := range tasks {
-				if failed.Load() {
-					continue // fatal error elsewhere; drain the queue
+				at := int64(tk.tool*nCases + tk.cs - lo)
+				if at > first.at.Load() {
+					continue // an earlier task failed; drain the queue
 				}
 				if err := ctx.Err(); err != nil {
-					errs[tk.tool][tk.cs-lo] = abortErr(err)
-					failed.Store(true)
+					first.keep(at, abortErr(err))
 					continue
 				}
-				ce, err := e.executeCase(ctx, tk.tool, tk.cs)
+				ce, err := e.executeCase(ctx, tk.tool, tk.cs, &rng)
 				if err != nil {
-					errs[tk.tool][tk.cs-lo] = err
-					failed.Store(true)
+					first.keep(at, err)
 					continue
 				}
 				if ce.Fault != nil && abortOnFault {
-					errs[tk.tool][tk.cs-lo] = ce.Fault.err
-					failed.Store(true)
+					first.keep(at, ce.Fault.err)
 					continue
 				}
 				cells[tk.tool][tk.cs-lo] = ce
@@ -531,23 +560,38 @@ func (e *engine) runCells(ctx context.Context, lo, hi, workers int, abortOnFault
 	close(tasks)
 	wg.Wait()
 
-	if failed.Load() {
-		for t := range errs {
-			for c := range errs[t] {
-				if errs[t][c] != nil {
-					return nil, errs[t][c]
-				}
-			}
-		}
+	if first.err != nil {
+		return nil, first.err
 	}
 	return cells, nil
 }
 
-// executeCase runs the attempt loop for one (tool, case) cell. The
-// returned error is campaign-fatal (cancellation); per-cell failures are
-// reported through CellResult.Fault so the policy layer can decide.
-func (e *engine) executeCase(ctx context.Context, t, c int) (CellResult, error) {
-	tool, cs := e.tools[t], e.corpus.Cases[c]
+// earliestErr keeps the campaign-fatal error of the earliest task in
+// queue order. at is that task's queue index, math.MaxInt64 while no
+// error is kept; workers read it without the lock to skip later tasks.
+type earliestErr struct {
+	mu  sync.Mutex
+	at  atomic.Int64
+	err error
+}
+
+// keep records err for the task at queue index at unless an earlier
+// task's error is already kept.
+func (f *earliestErr) keep(at int64, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if at < f.at.Load() {
+		f.at.Store(at)
+		f.err = err
+	}
+}
+
+// executeCase runs the attempt loop for one (tool, case) cell, scoring a
+// successful attempt into the cell's arena slot. rng is the worker's
+// scratch generator. The returned error is campaign-fatal
+// (cancellation); per-cell failures are reported through
+// CellResult.Fault so the policy layer can decide.
+func (e *engine) executeCase(ctx context.Context, t, c int, rng *stats.RNG) (CellResult, error) {
 	var ce CellResult
 	maxAttempts := 1 + e.opts.Retry.MaxRetries
 	for attempt := 1; ; attempt++ {
@@ -555,9 +599,9 @@ func (e *engine) executeCase(ctx context.Context, t, c int) (CellResult, error) 
 			return ce, abortErr(err)
 		}
 		ce.Attempts++
-		outs, kind, err := e.runAttempt(ctx, t, c)
+		kind, err := e.runAttempt(ctx, t, c, rng)
 		if err == nil {
-			ce.Outcomes = outs
+			ce.Outcomes = e.slot(t, c)
 			return ce, nil
 		}
 		if ctx.Err() != nil {
@@ -575,8 +619,8 @@ func (e *engine) executeCase(ctx context.Context, t, c int) (CellResult, error) 
 			continue
 		}
 		ce.Fault = &ExecError{
-			Tool:    tool.Name(),
-			Service: cs.Service.Name,
+			Tool:    e.tools[t].Name(),
+			Service: e.corpus.Cases[c].Service.Name,
 			Case:    c,
 			Attempt: attempt,
 			Kind:    kind,
@@ -595,13 +639,14 @@ func (e *engine) executeCase(ctx context.Context, t, c int) (CellResult, error) 
 	}
 }
 
-// runAttempt performs one isolated, deadline-bounded tool invocation.
-// kind is zero on success and classifies the failure otherwise. The
-// attempt consumes a value copy of the cell's RNG stream, so every
-// attempt of a cell replays identical draws.
-func (e *engine) runAttempt(ctx context.Context, t, c int) (outs []SinkOutcome, kind FailureKind, err error) {
+// runAttempt performs one isolated, deadline-bounded tool invocation and
+// scores its reports into the cell's arena slot. kind is zero on
+// success and classifies the failure otherwise. Each attempt draws from
+// a fresh copy of the cell's pre-split RNG stream, so every attempt of a
+// cell replays identical draws: inline, the copy goes into the worker's
+// scratch rng.
+func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind FailureKind, err error) {
 	tool, cs := e.tools[t], e.corpus.Cases[c]
-	attemptRNG := *e.rngs[t][c]
 	timeout := e.opts.PerToolTimeout
 
 	actx := ctx
@@ -611,61 +656,83 @@ func (e *engine) runAttempt(ctx context.Context, t, c int) (outs []SinkOutcome, 
 		defer cancel()
 	}
 
-	call := func() (outs []SinkOutcome, kind FailureKind, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				outs, kind = nil, FailPanic
-				err = fmt.Errorf("harness: %s on %s: recovered panic: %v", tool.Name(), cs.Service.Name, v)
-			}
-		}()
-		outs, err = analyzeCaseCtx(actx, tool, cs, &attemptRNG, e.valid[c])
-		return outs, 0, err
-	}
-
-	// classify maps an attempt error onto a FailureKind, converting
-	// deadline expiry into a deterministic timeout record.
-	classify := func(outs []SinkOutcome, kind FailureKind, err error) ([]SinkOutcome, FailureKind, error) {
-		if err == nil || kind != 0 {
-			return outs, kind, err
-		}
-		if timeout > 0 && actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			return nil, FailTimeout, timeoutError(tool, cs, timeout)
-		}
-		return nil, FailError, err
-	}
-
+	var r toolCall
 	if _, ok := tool.(detectors.ContextAnalyzer); ok || timeout == 0 {
 		// Context-aware tools observe the deadline themselves; tools
-		// without a deadline cannot outlive one. Either way the call can
-		// run inline on this worker — panic isolation is the deferred
-		// recover above.
-		return classify(call())
-	}
-
-	// Plain tool under a deadline: run on a watchdog goroutine we can
-	// abandon. The buffered channel lets a late-finishing tool complete
-	// and be collected by the GC; a tool that never returns leaks its
-	// goroutine — that is the price of deadlines without tool
-	// cooperation, and why detectors.ContextAnalyzer exists.
-	type attemptResult struct {
-		outs []SinkOutcome
-		kind FailureKind
-		err  error
-	}
-	ch := make(chan attemptResult, 1)
-	go func() {
-		o, k, e := call()
-		ch <- attemptResult{o, k, e}
-	}()
-	select {
-	case r := <-ch:
-		return classify(r.outs, r.kind, r.err)
-	case <-actx.Done():
-		if ctx.Err() != nil {
-			return nil, FailTimeout, abortErr(ctx.Err())
+		// without a deadline cannot outlive one. Either way the call
+		// runs inline on this worker.
+		*rng = e.rngs[t][c]
+		r = callTool(actx, tool, cs, rng)
+	} else {
+		// Plain tool under a deadline: call it on a watchdog goroutine
+		// we can abandon. The buffered channel lets a late-finishing
+		// tool complete and be collected by the GC; a tool that never
+		// returns leaks its goroutine — that is the price of deadlines
+		// without tool cooperation, and why detectors.ContextAnalyzer
+		// exists. The goroutine only calls the tool: scoring happens
+		// here, so an abandoned call never writes into the arena.
+		ch := make(chan toolCall, 1)
+		go watchTool(actx, ch, tool, cs, e.rngs[t][c])
+		select {
+		case r = <-ch:
+		case <-actx.Done():
+			if ctx.Err() != nil {
+				return FailTimeout, abortErr(ctx.Err())
+			}
+			return FailTimeout, timeoutError(tool, cs, timeout)
 		}
-		return nil, FailTimeout, timeoutError(tool, cs, timeout)
 	}
+	if r.kind != 0 {
+		return r.kind, r.err
+	}
+	err = r.err
+	if err == nil {
+		err = scoreCase(e.slot(t, c), tool, cs, r.reports)
+	}
+	if err == nil {
+		return 0, nil
+	}
+	// Deadline expiry becomes a deterministic timeout record.
+	if timeout > 0 && actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
+		return FailTimeout, timeoutError(tool, cs, timeout)
+	}
+	return FailError, err
+}
+
+// toolCall is the result of one isolated tool invocation: the reports,
+// or the error with kind FailPanic for a recovered panic and zero
+// otherwise.
+type toolCall struct {
+	reports []detectors.Report
+	kind    FailureKind
+	err     error
+}
+
+// callTool invokes tool on cs under panic isolation. Tools implementing
+// detectors.ContextAnalyzer receive ctx, the per-attempt deadline
+// context; plain tools are invoked without it.
+func callTool(ctx context.Context, tool detectors.Tool, cs workload.Case, rng *stats.RNG) (r toolCall) {
+	defer func() {
+		if v := recover(); v != nil {
+			r = toolCall{kind: FailPanic, err: fmt.Errorf("harness: %s on %s: recovered panic: %v", tool.Name(), cs.Service.Name, v)}
+		}
+	}()
+	if ca, ok := tool.(detectors.ContextAnalyzer); ok {
+		r.reports, r.err = ca.AnalyzeContext(ctx, cs, rng)
+	} else {
+		r.reports, r.err = tool.Analyze(cs, rng)
+	}
+	if r.err != nil {
+		r = toolCall{err: fmt.Errorf("harness: %s on %s: %w", tool.Name(), cs.Service.Name, r.err)}
+	}
+	return r
+}
+
+// watchTool is the watchdog goroutine's body: one callTool on its own
+// copy of the cell's RNG stream, which an abandoned call may keep
+// drawing from after the worker has moved on.
+func watchTool(ctx context.Context, ch chan<- toolCall, tool detectors.Tool, cs workload.Case, rng stats.RNG) {
+	ch <- callTool(ctx, tool, cs, &rng)
 }
 
 // timeoutError is the canonical deadline-expiry record: its text depends
@@ -702,23 +769,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	defer cancel()
 	<-sctx.Done()
 	return ctx.Err()
-}
-
-// degradedOutcomes synthesizes the count-as-miss outcomes for a failed
-// case: every sink unflagged, so vulnerable sinks score as false
-// negatives and clean sinks as true negatives, each marked Degraded.
-func degradedOutcomes(cs workload.Case) []SinkOutcome {
-	out := make([]SinkOutcome, len(cs.Truths))
-	for i, tr := range cs.Truths {
-		out[i] = SinkOutcome{
-			Service:    cs.Service.Name,
-			SinkID:     tr.SinkID,
-			Kind:       tr.Kind,
-			Difficulty: cs.Difficulty,
-			Template:   cs.Template,
-			Vulnerable: tr.Vulnerable,
-			Degraded:   true,
-		}
-	}
-	return out
 }

@@ -271,6 +271,32 @@ func TestRunCtxAbortPolicy(t *testing.T) {
 	}
 }
 
+// TestRunCtxParallelAbortReturnsSerialError: under DegradedAbort with
+// faults on several tools and cases, every worker count returns exactly
+// the error serial execution returns — that of the earliest failed cell
+// in (tool, case) order, not of whichever failed cell a worker hit
+// first.
+func TestRunCtxParallelAbortReturnsSerialError(t *testing.T) {
+	corpus := testCorpus(t, 30, 2)
+	base := testTools(t)[:3]
+	abort := func(workers int) string {
+		tools := faultySuite(t, base, faulty.Config{Mode: faulty.ModePanic, Rate: 0.3, Seed: 11})
+		camp, err := RunCtx(context.Background(), corpus, tools, Options{Seed: 5, Workers: workers})
+		if err == nil || camp != nil {
+			t.Fatalf("workers=%d: abort policy returned camp=%v err=%v", workers, camp, err)
+		}
+		return err.Error()
+	}
+	want := abort(1)
+	for _, workers := range []int{2, 4, 13} {
+		for rep := 0; rep < 5; rep++ {
+			if got := abort(workers); got != want {
+				t.Fatalf("workers=%d: abort error\n%s\nwant the serial\n%s", workers, got, want)
+			}
+		}
+	}
+}
+
 // cancelingTool cancels the campaign context after a fixed number of
 // successful cases — a deterministic stand-in for an external DELETE.
 type cancelingTool struct {

@@ -5,13 +5,12 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/metrics"
-	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
@@ -98,71 +97,45 @@ func validate(corpus *workload.Corpus, tools []detectors.Tool) error {
 	return nil
 }
 
-// validSinkSets precomputes, per case, the set of sink IDs a tool may
-// legitimately report. The sets depend only on the corpus, so they are
-// built once and shared across every tool (and every worker: read-only
-// after construction).
-func validSinkSets(corpus *workload.Corpus) []map[int]bool {
-	sets := make([]map[int]bool, len(corpus.Cases))
-	for i, cs := range corpus.Cases {
-		m := make(map[int]bool, len(cs.Truths))
-		for _, tr := range cs.Truths {
-			m[tr.SinkID] = true
-		}
-		sets[i] = m
+// sinkOutcome is the unflagged outcome of truth tr of case cs.
+func sinkOutcome(cs *workload.Case, tr svclang.GroundTruth) SinkOutcome {
+	return SinkOutcome{
+		Service:    cs.Service.Name,
+		SinkID:     tr.SinkID,
+		Kind:       tr.Kind,
+		Difficulty: cs.Difficulty,
+		Template:   cs.Template,
+		Vulnerable: tr.Vulnerable,
 	}
-	return sets
 }
 
-// analyzeCase runs one tool over one case and scores the reports into
-// per-sink outcomes in truth order. It touches no shared mutable state, so
-// distinct (tool, case) pairs can be analysed concurrently as long as each
-// gets its own RNG.
-func analyzeCase(tool detectors.Tool, cs workload.Case, rng *stats.RNG, valid map[int]bool) ([]SinkOutcome, error) {
-	return analyzeCaseCtx(context.Background(), tool, cs, rng, valid)
-}
-
-// analyzeCaseCtx is analyzeCase with cancellation: tools implementing
-// detectors.ContextAnalyzer receive ctx (the execution engine passes the
-// per-attempt deadline context); plain tools are invoked as before.
-func analyzeCaseCtx(ctx context.Context, tool detectors.Tool, cs workload.Case, rng *stats.RNG, valid map[int]bool) ([]SinkOutcome, error) {
-	var reports []detectors.Report
-	var err error
-	if ca, ok := tool.(detectors.ContextAnalyzer); ok {
-		reports, err = ca.AnalyzeContext(ctx, cs, rng)
-	} else {
-		reports, err = tool.Analyze(cs, rng)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", tool.Name(), cs.Service.Name, err)
-	}
-	flagged := make(map[int]float64, len(reports))
+// scoreCase scores a tool's reports on one case into dst, the case's
+// arena slot: one outcome per truth, in truth order. Every report is
+// checked before any outcome is written, so a rejected attempt leaves
+// dst untouched. The case's Truths list is the valid sink set, scanned
+// linearly. A sink is flagged by its first report; a later report raises
+// its confidence only if strictly higher. Every truth carrying a
+// reported sink ID is flagged.
+func scoreCase(dst []SinkOutcome, tool detectors.Tool, cs workload.Case, reports []detectors.Report) error {
 	for _, r := range reports {
 		if r.Service != cs.Service.Name {
-			return nil, fmt.Errorf("harness: %s reported foreign service %q while analysing %q", tool.Name(), r.Service, cs.Service.Name)
+			return fmt.Errorf("harness: %s reported foreign service %q while analysing %q", tool.Name(), r.Service, cs.Service.Name)
 		}
-		if !valid[r.SinkID] {
-			return nil, fmt.Errorf("harness: %s reported unknown sink %d in %s", tool.Name(), r.SinkID, cs.Service.Name)
-		}
-		if prev, dup := flagged[r.SinkID]; !dup || r.Confidence > prev {
-			flagged[r.SinkID] = r.Confidence
+		if !slices.ContainsFunc(cs.Truths, func(tr svclang.GroundTruth) bool { return tr.SinkID == r.SinkID }) {
+			return fmt.Errorf("harness: %s reported unknown sink %d in %s", tool.Name(), r.SinkID, cs.Service.Name)
 		}
 	}
-	out := make([]SinkOutcome, len(cs.Truths))
 	for i, tr := range cs.Truths {
-		conf, isFlagged := flagged[tr.SinkID]
-		out[i] = SinkOutcome{
-			Service:    cs.Service.Name,
-			SinkID:     tr.SinkID,
-			Kind:       tr.Kind,
-			Difficulty: cs.Difficulty,
-			Template:   cs.Template,
-			Vulnerable: tr.Vulnerable,
-			Flagged:    isFlagged,
-			Confidence: conf,
+		dst[i] = sinkOutcome(&cs, tr)
+	}
+	for _, r := range reports {
+		for i := range dst {
+			if o := &dst[i]; o.SinkID == r.SinkID && (!o.Flagged || r.Confidence > o.Confidence) {
+				o.Flagged, o.Confidence = true, r.Confidence
+			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // mergeCampaign folds per-(tool, case) execution records back into a
@@ -173,7 +146,14 @@ func analyzeCaseCtx(ctx context.Context, tool detectors.Tool, cs workload.Case, 
 // produced them. Failed cells are scored per the degraded policy:
 // skipped (absent from the matrices) or counted as misses via
 // synthesized unflagged outcomes; either way the ledger records them.
-func mergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]CellResult, policy DegradedPolicy) *Campaign {
+//
+// arenas, when non-nil, are the engine's per-tool outcome arenas that
+// execs' Outcomes slot into; each is folded in place and becomes the
+// tool's Outcomes. Under DegradedSkip the arena compacts downward, under
+// DegradedCountMiss the degraded outcomes fill the failed case's slot.
+// With nil arenas (decoded shard records) the outcomes are copied into
+// a fresh buffer by the same fold.
+func mergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]CellResult, arenas [][]SinkOutcome, policy DegradedPolicy) *Campaign {
 	camp := &Campaign{Corpus: corpus}
 	total := corpus.TotalSinks()
 	for toolIdx, tool := range tools {
@@ -183,14 +163,21 @@ func mergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]Ce
 			ByKind:       map[svclang.SinkKind]metrics.Confusion{},
 			ByDifficulty: map[workload.Difficulty]metrics.Confusion{},
 			ByTemplate:   map[string]metrics.Confusion{},
-			Outcomes:     make([]SinkOutcome, 0, total),
 		}
+		var buf []SinkOutcome
+		if arenas != nil {
+			buf = arenas[toolIdx]
+		} else {
+			buf = make([]SinkOutcome, total)
+		}
+		w := 0
 		for caseIdx := range corpus.Cases {
-			ce := execs[toolIdx][caseIdx]
+			cs := &corpus.Cases[caseIdx]
+			ce := &execs[toolIdx][caseIdx]
 			res.Exec.Cases++
 			res.Exec.Attempts += ce.Attempts
 			res.Exec.Retries += ce.Retries
-			outcomes := ce.Outcomes
+			dst := buf[w : w+len(cs.Truths)]
 			if ce.Fault != nil {
 				res.Exec.Failed++
 				res.Exec.FailedCases = append(res.Exec.FailedCases, caseIdx)
@@ -206,19 +193,27 @@ func mergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]Ce
 				if policy != DegradedCountMiss {
 					continue
 				}
-				outcomes = degradedOutcomes(corpus.Cases[caseIdx])
+				for i, tr := range cs.Truths {
+					dst[i] = sinkOutcome(cs, tr)
+					dst[i].Degraded = true
+				}
 			} else {
 				res.Exec.Succeeded++
+				// In an arena, the cell's slot may overlap dst after
+				// skipped cases: copy first, then fold from dst only.
+				copy(dst, ce.Outcomes)
 			}
-			for _, outcome := range outcomes {
-				cell := outcome.Confusion()
+			for i := range dst {
+				o := &dst[i]
+				cell := o.Confusion()
 				res.Overall = res.Overall.Add(cell)
-				res.ByKind[outcome.Kind] = res.ByKind[outcome.Kind].Add(cell)
-				res.ByDifficulty[outcome.Difficulty] = res.ByDifficulty[outcome.Difficulty].Add(cell)
-				res.ByTemplate[outcome.Template] = res.ByTemplate[outcome.Template].Add(cell)
-				res.Outcomes = append(res.Outcomes, outcome)
+				res.ByKind[o.Kind] = res.ByKind[o.Kind].Add(cell)
+				res.ByDifficulty[o.Difficulty] = res.ByDifficulty[o.Difficulty].Add(cell)
+				res.ByTemplate[o.Template] = res.ByTemplate[o.Template].Add(cell)
 			}
+			w += len(dst)
 		}
+		res.Outcomes = buf[:w]
 		camp.Results = append(camp.Results, res)
 	}
 	return camp

@@ -10,7 +10,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
-func testCorpus(t *testing.T, services int, seed uint64) *workload.Corpus {
+func testCorpus(t testing.TB, services int, seed uint64) *workload.Corpus {
 	t.Helper()
 	c, err := workload.Generate(workload.Config{
 		Services:         services,
@@ -23,7 +23,7 @@ func testCorpus(t *testing.T, services int, seed uint64) *workload.Corpus {
 	return c
 }
 
-func testTools(t *testing.T) []detectors.Tool {
+func testTools(t testing.TB) []detectors.Tool {
 	t.Helper()
 	tools, err := detectors.StandardSuite()
 	if err != nil {

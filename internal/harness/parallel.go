@@ -60,13 +60,13 @@ func rebind[B any](tools []detectors.Tool, bind func(B) detectors.Tool) []detect
 // split once per case in corpus order. The derived generators are
 // independent, so handing them to concurrent workers cannot perturb any
 // draw.
-func preSplitRNGs(nTools, nCases int, seed uint64) [][]*stats.RNG {
-	rngs := make([][]*stats.RNG, nTools)
+func preSplitRNGs(nTools, nCases int, seed uint64) [][]stats.RNG {
+	rngs := make([][]stats.RNG, nTools)
 	for t := range rngs {
 		toolRNG := stats.NewRNG(seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15)
-		rngs[t] = make([]*stats.RNG, nCases)
+		rngs[t] = make([]stats.RNG, nCases)
 		for c := range rngs[t] {
-			rngs[t][c] = toolRNG.Split()
+			rngs[t][c] = *toolRNG.Split()
 		}
 	}
 	return rngs

@@ -52,8 +52,8 @@ func RunShardCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eng := newEngine(corpus, tools, opts, compile.NewEngine())
-	return eng.runCells(ctx, lo, hi, workers, false)
+	eng := newEngine(corpus, tools, opts, compile.NewEngine(), lo, hi)
+	return eng.runCells(ctx, workers, false)
 }
 
 // MergeShards assembles the full per-(tool, case) cell grid — produced
@@ -85,6 +85,10 @@ func MergeShards(corpus *workload.Corpus, tools []detectors.Tool, cells [][]Cell
 		}
 		for c := range cells[t] {
 			ce := &cells[t][c]
+			if ce.Retries < 0 || ce.Attempts != ce.Retries+1 {
+				return nil, fmt.Errorf("harness: merge cell (%s, case %d) has %d attempts after %d retries, want retries + 1",
+					tools[t].Name(), c, ce.Attempts, ce.Retries)
+			}
 			if ce.Fault == nil && len(ce.Outcomes) != len(corpus.Cases[c].Truths) {
 				return nil, fmt.Errorf("harness: merge cell (%s, case %d) has %d outcomes, want %d",
 					tools[t].Name(), c, len(ce.Outcomes), len(corpus.Cases[c].Truths))
@@ -100,5 +104,5 @@ func MergeShards(corpus *workload.Corpus, tools []detectors.Tool, cells [][]Cell
 			}
 		}
 	}
-	return mergeCampaign(corpus, tools, cells, policy), nil
+	return mergeCampaign(corpus, tools, cells, nil, policy), nil
 }

@@ -299,8 +299,18 @@ func (a *arena) concat(parts []value) value {
 	j := start
 	for _, p := range parts {
 		copy(a.runes[j:j+len(p.chars)], p.chars)
+		// Read the part's taint one bitset word at a time: re-loading the
+		// word per character, right after a setBit store into the same
+		// bitset, can stall each load behind the store on some heap
+		// layouts. The cached word stays valid because the destination
+		// bits are fresh, so no setBit here touches a bit of any part.
+		var w uint64
 		for i := range p.chars {
-			if p.tainted(i) {
+			idx := p.off + i
+			if i == 0 || idx&63 == 0 {
+				w = p.bits[idx>>6]
+			}
+			if w>>uint(idx&63)&1 != 0 {
 				a.setBit(j + i)
 			}
 		}
