@@ -38,7 +38,7 @@ func benchExperiment(b *testing.B, id string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := runner.Run(id)
+		res, err := runner.RunCtx(context.Background(), id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -445,7 +445,7 @@ func BenchmarkE3CampaignWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := runner.Run("e3")
+				res, err := runner.RunCtx(context.Background(), "e3")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -474,7 +474,7 @@ func BenchmarkAllExperiments(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				results, err := runner.All()
+				results, err := runner.AllCtx(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -99,8 +99,9 @@ func (r *Runner) E4MetricValues(ctx context.Context) (Result, error) {
 	// Second companion: percentile-bootstrap intervals for the two
 	// composite headline metrics. F1 and MCC are not binomial proportions,
 	// so Wilson does not apply; resampling the sink outcomes is the
-	// appropriate error bar. The resampling loops parallelise on the
-	// shared worker budget, with intervals byte-identical at every count.
+	// appropriate error bar. The resampling loops parallelise on a
+	// budget of Config.Workers lanes, with intervals byte-identical at
+	// every count.
 	boot := report.NewTable(
 		fmt.Sprintf("E4c: %d-resample percentile bootstrap 95%% CIs (F1, MCC)", r.cfg.BootstrapResamples),
 		"tool", "f1", "f1 95% CI", "mcc", "mcc 95% CI")

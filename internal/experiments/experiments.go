@@ -1,5 +1,5 @@
 // Package experiments contains one driver per reproduced table and figure
-// (E1–E10 plus the E11–E17 extensions, see DESIGN.md). Each driver renders its result through the
+// (E1–E10 plus the E11–E18 extensions, see DESIGN.md). Each driver renders its result through the
 // report package; the CLI (cmd/vdbench) and the benchmark harness
 // (bench_test.go) both call into this package, so the numbers in a paper
 // rerun and in `go test -bench` are byte-identical.
@@ -41,12 +41,13 @@ type Config struct {
 	// StabilityTrials is the per-sigma trial count of the MCDA
 	// sensitivity analysis (E10).
 	StabilityTrials int
-	// Workers is the shared worker budget for everything a run
-	// parallelises: the campaign harness, the metric property catalogue,
-	// the bootstrap resampling loops and the experiment drivers
-	// themselves. 0 selects runtime.GOMAXPROCS(0), 1 forces serial
-	// execution. Every output is byte-identical for every value (see
-	// harness.RunCtx, stats.Bootstrap, metricprop.AnalyzeCatalog).
+	// Workers sizes every parallel loop of a run. The experiment
+	// drivers and E7's cells share one budget of this size; the campaign
+	// harness, the metric property catalogue and each bootstrap build a
+	// budget of their own from it. 0 selects runtime.GOMAXPROCS(0) (the
+	// bootstrap runs it serially), 1 forces serial execution. Every
+	// output is byte-identical for every value (see harness.RunCtx,
+	// stats.BootstrapCodes, metricprop.AnalyzeCatalog).
 	Workers int
 	// PerToolTimeout, Retry and Degraded are the campaign execution
 	// policy (see harness.Options). Like Workers, they are operational
@@ -112,9 +113,9 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count %d", c.Workers)
 	}
-	// The run has one worker budget. Prop.Workers == 0 inherits it (see
-	// propConfig); any other value must agree with it, otherwise the two
-	// pools would oversubscribe each other behind the caller's back.
+	// The run has one worker count. Prop.Workers == 0 inherits it (see
+	// propConfig); any other value must agree with it, otherwise the
+	// catalogue would run wider than the caller asked behind their back.
 	if c.Prop.Workers != 0 && c.Prop.Workers != c.Workers {
 		return fmt.Errorf("experiments: inconsistent worker budgets: Prop.Workers=%d vs Workers=%d (set Prop.Workers to 0 to inherit the shared budget)", c.Prop.Workers, c.Workers)
 	}
@@ -141,7 +142,7 @@ func (c Config) execOptions() harness.Options {
 
 // Result is one experiment's rendered output.
 type Result struct {
-	// ID is the experiment identifier ("e1".."e10").
+	// ID is the experiment identifier ("e1".."e18").
 	ID string
 	// Title describes the table/figure.
 	Title string
@@ -167,8 +168,8 @@ func (r Result) String() string {
 
 // Runner executes experiments, caching the expensive shared inputs (the
 // metric property profiles and the benchmark campaign) across drivers.
-// A Runner is safe for concurrent use: All runs independent drivers on
-// the shared worker budget, and the lazy inputs are computed exactly once
+// A Runner is safe for concurrent use: AllCtx runs independent drivers
+// on the runner's worker budget, and the lazy inputs are computed exactly once
 // behind sync.Once gates (results and errors are memoised — every input
 // is a deterministic function of the configuration, so a retry would fail
 // identically).
@@ -218,8 +219,8 @@ func (r *Runner) SetCampaignExecutor(exec CampaignExecutor) {
 }
 
 // propConfig resolves the property-analysis configuration against the
-// shared worker budget: Prop.Workers == 0 inherits cfg.Workers (Validate
-// rejects any other mismatch).
+// configured worker count: Prop.Workers == 0 inherits cfg.Workers
+// (Validate rejects any other mismatch).
 func (r *Runner) propConfig() metricprop.Config {
 	p := r.cfg.Prop
 	if p.Workers == 0 {
@@ -240,13 +241,6 @@ func (r *Runner) Profiles() ([]metricprop.Profile, error) {
 		r.profiles = profiles
 	})
 	return r.profiles, r.profilesErr
-}
-
-// Campaign returns the benchmark campaign (standard tool suite over the
-// generated corpus), running it on first use. It is CampaignCtx without
-// cancellation.
-func (r *Runner) Campaign() (*harness.Campaign, error) {
-	return r.CampaignCtx(context.Background())
 }
 
 // CampaignCtx returns the shared benchmark campaign, running it under
@@ -342,11 +336,6 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment by ID. It is RunCtx without cancellation.
-func (r *Runner) Run(id string) (Result, error) {
-	return r.RunCtx(context.Background(), id)
-}
-
 // RunCtx executes one experiment by ID under ctx. Cancellation is
 // observed between experiment stages and, inside campaigns, between
 // cases; a cancelled run returns an error wrapping ctx.Err().
@@ -366,15 +355,9 @@ func (r *Runner) RunCtx(ctx context.Context, id string) (Result, error) {
 	return Result{}, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 }
 
-// All executes every experiment and returns the results in presentation
-// order. It is AllCtx without cancellation.
-func (r *Runner) All() ([]Result, error) {
-	return r.AllCtx(context.Background())
-}
-
 // AllCtx executes every experiment under ctx and returns the results in
-// presentation order. Independent drivers run concurrently on the shared
-// worker budget (Config.Workers); results land in per-driver slots, so
+// presentation order. Independent drivers run concurrently on the
+// runner's worker budget (Config.Workers); results land in per-driver slots, so
 // the output is byte-identical to a serial run at every worker count. On
 // failure the error of the earliest driver (in presentation order) that
 // failed is returned, matching what serial execution would report.

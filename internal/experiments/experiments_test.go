@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"strings"
@@ -65,17 +66,17 @@ func TestIDsAndUnknown(t *testing.T) {
 		t.Fatalf("ids = %v", ids)
 	}
 	r := quickRunner(t)
-	if _, err := r.Run("e99"); err == nil {
+	if _, err := r.RunCtx(context.Background(), "e99"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if _, err := r.Run(" E1 "); err != nil {
+	if _, err := r.RunCtx(context.Background(), " E1 "); err != nil {
 		t.Fatalf("ID normalisation failed: %v", err)
 	}
 }
 
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	r := quickRunner(t)
-	results, err := r.All()
+	results, err := r.AllCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 }
 
 func TestE1CoversCatalog(t *testing.T) {
-	res, err := quickRunner(t).Run("e1")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestE1CoversCatalog(t *testing.T) {
 }
 
 func TestE2PropertyShape(t *testing.T) {
-	res, err := quickRunner(t).Run("e2")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestE2PropertyShape(t *testing.T) {
 
 func TestE3MatricesConsistent(t *testing.T) {
 	r := quickRunner(t)
-	res, err := r.Run("e3")
+	res, err := r.RunCtx(context.Background(), "e3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp, err := r.Campaign()
+	camp, err := r.CampaignCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestE3MatricesConsistent(t *testing.T) {
 }
 
 func TestE4UndefHandling(t *testing.T) {
-	res, err := quickRunner(t).Run("e4")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestE4UndefHandling(t *testing.T) {
 }
 
 func TestE5ShowsDisagreement(t *testing.T) {
-	res, err := quickRunner(t).Run("e5")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestE5ShowsDisagreement(t *testing.T) {
 }
 
 func TestE6Shapes(t *testing.T) {
-	res, err := quickRunner(t).Run("e6")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestE6Shapes(t *testing.T) {
 }
 
 func TestE7StabilityBounds(t *testing.T) {
-	res, err := quickRunner(t).Run("e7")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestE7StabilityBounds(t *testing.T) {
 }
 
 func TestE8FamilyHits(t *testing.T) {
-	res, err := quickRunner(t).Run("e8")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestE8FamilyHits(t *testing.T) {
 }
 
 func TestE9ConsistencyAndAgreement(t *testing.T) {
-	res, err := quickRunner(t).Run("e9")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestE9ConsistencyAndAgreement(t *testing.T) {
 }
 
 func TestE10MonotoneDegradation(t *testing.T) {
-	res, err := quickRunner(t).Run("e10")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +299,11 @@ func TestE10MonotoneDegradation(t *testing.T) {
 
 func TestRunnerCaching(t *testing.T) {
 	r := quickRunner(t)
-	c1, err := r.Campaign()
+	c1, err := r.CampaignCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := r.Campaign()
+	c2, err := r.CampaignCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestRunnerCaching(t *testing.T) {
 }
 
 func TestE11MethodsAgree(t *testing.T) {
-	res, err := quickRunner(t).Run("e11")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestE11MethodsAgree(t *testing.T) {
 }
 
 func TestE12AUCAboveChance(t *testing.T) {
-	res, err := quickRunner(t).Run("e12")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestE12AUCAboveChance(t *testing.T) {
 }
 
 func TestE13GapsBounded(t *testing.T) {
-	res, err := quickRunner(t).Run("e13")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestE13GapsBounded(t *testing.T) {
 }
 
 func TestE16MechanismsLandOnDesignedTools(t *testing.T) {
-	res, err := quickRunner(t).Run("e16")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +418,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"e2", "e3", "e5", "e9", "e16"} {
-		a, err := r1.Run(id)
+		a, err := r1.RunCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := r2.Run(id)
+		b, err := r2.RunCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +442,7 @@ func TestE1MatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := quickRunner(t).Run("e1")
+	res, err := quickRunner(t).RunCtx(context.Background(), "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +469,7 @@ func TestE3MatchesGoldenAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runner.Run("e3")
+		res, err := runner.RunCtx(context.Background(), "e3")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +504,7 @@ func TestResamplingExperimentsMatchGoldenAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range ids {
-			res, err := runner.Run(id)
+			res, err := runner.RunCtx(context.Background(), id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestE4FormatsMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.Run("e4")
+	res, err := runner.RunCtx(context.Background(), "e4")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func renderAll(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := r.All()
+	results, err := r.AllCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestOwnCampaignDriversReportProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Campaign(); err != nil {
+	if _, err := r.CampaignCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for id, run := range ownCampaignDrivers(r) {
@@ -158,7 +158,7 @@ func TestE14ColdRunnerReportsBothCampaigns(t *testing.T) {
 	if _, err := r.E14Combination(ctx); err != nil {
 		t.Fatal(err)
 	}
-	base, err := r.Campaign()
+	base, err := r.CampaignCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +219,25 @@ func TestPropConfigInheritsWorkers(t *testing.T) {
 	}
 	if got := r2.propConfig().Workers; got != 3 {
 		t.Fatalf("explicit Prop.Workers not preserved: %d", got)
+	}
+}
+
+// TestAllCtxCanceledReportsFirstDriver pins AllCtx's error contract: on
+// a canceled context every driver fails, and the run must report the
+// failure serial execution hits first — e1's — at every worker count.
+func TestAllCtxCanceledReportsFirstDriver(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2, 4} {
+		r, err := NewRunner(tinyConfig(1, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 50; rep++ {
+			_, err = r.AllCtx(ctx)
+			if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "e1: ") {
+				t.Fatalf("workers=%d: err = %v, want e1's error wrapping context.Canceled", workers, err)
+			}
+		}
 	}
 }

@@ -20,9 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,6 +30,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/telemetry"
 	"github.com/dsn2015/vdbench/internal/workload"
+	"github.com/dsn2015/vdbench/internal/workpool"
 )
 
 // DegradedPolicy decides what the scoring layer does with a degraded
@@ -102,9 +100,9 @@ type RetryPolicy struct {
 type Options struct {
 	// Seed drives the simulated tools; real tools are deterministic.
 	Seed uint64
-	// Workers sets the pool size; <= 0 selects runtime.GOMAXPROCS(0)
-	// and 1 runs inline without goroutines. Results are identical for
-	// every worker count.
+	// Workers sizes the campaign's workpool budget; <= 0 selects
+	// runtime.GOMAXPROCS(0) and 1 runs inline without goroutines.
+	// Results are identical for every worker count.
 	Workers int
 	// PerToolTimeout bounds each attempt of each (tool, case) pair;
 	// 0 means no deadline. Context-aware tools (detectors.ContextAnalyzer)
@@ -336,8 +334,8 @@ type CellResult struct {
 	Retries  int `json:"retries"`
 }
 
-// engine carries the campaign state shared by every worker: the
-// immutable inputs, and one outcome arena per tool that workers score
+// engine carries the campaign state shared by every lane: the
+// immutable inputs, and one outcome arena per tool that lanes score
 // into.
 type engine struct {
 	opts   Options
@@ -371,23 +369,25 @@ type engine struct {
 //  1. RNG pre-split: the per-(tool, case) RNG streams are derived up front
 //     by walking toolRNG.Split() in exactly the order a serial loop
 //     would, so every task sees the same generator state it would have
-//     seen serially, no matter which worker runs it or when. Each
+//     seen serially, no matter which lane runs it or when. Each
 //     (tool, case) pair gets an independent stream, so adding or
 //     removing tools does not perturb the others' draws.
 //  2. Arena slots, ordered merge: each tool owns one outcome arena sized
 //     to the corpus's sinks, and a successful (tool, case) task scores
-//     straight into that case's fixed slot of it — on the worker, also
+//     straight into that case's fixed slot of it — on the lane, also
 //     when a watchdog goroutine made the tool call. The final
 //     aggregation folds the slots in corpus order, the same
 //     accumulation sequence as a serial loop, compacting the arena in
 //     place into the tool's Outcomes.
 //
+// The cells run on one workpool.ForEach over the (tool, case) grid:
 // opts.Workers <= 0 selects runtime.GOMAXPROCS(0); 1 runs inline without
 // spawning goroutines. Tool implementations must be safe for concurrent
 // Analyze calls on distinct cases (the standard suite is: all
 // per-request state lives in the call frame). Under DegradedAbort the
 // returned error is exactly the first one serial execution hits, for
-// every worker count, whenever the tools' faults are deterministic.
+// every worker count, whenever the tools' faults are deterministic:
+// ForEach returns the error of the lowest failed grid index.
 func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options) (*Campaign, error) {
 	return runCtx(ctx, corpus, tools, opts, compile.NewEngine())
 }
@@ -396,34 +396,34 @@ func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 // through which tests run a campaign on compile.NewReferenceEngine and
 // require it deep-equal to the production one.
 func runCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine) (*Campaign, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := validate(corpus, tools); err != nil {
 		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
+	eng, err := newEngine(corpus, tools, opts, xeng, 0, len(corpus.Cases))
+	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eng := newEngine(corpus, tools, opts, xeng, 0, len(corpus.Cases))
-	cells, err := eng.runCells(ctx, workers, opts.Degraded == DegradedAbort)
+	cells, err := eng.runCells(ctx, opts.Degraded == DegradedAbort)
 	if err != nil {
 		return nil, err
 	}
 	return mergeCampaign(corpus, eng.tools, cells, eng.arenas, opts.Degraded), nil
 }
 
-// newEngine assembles the campaign state for the cases in [lo, hi): the
+// newEngine checks opts and the case range [lo, hi) of a validated
+// corpus, then assembles the campaign state for those cases: the
 // campaign-scoped compile cache and execution engine xeng, the
 // pre-split per-(tool, case) RNG streams, and each tool's outcome arena
 // with the per-case slot offsets. The RNG streams always cover the FULL
 // corpus, so a shard execution (a sub-range) sees exactly the generator
 // state a local full run would.
-func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine, lo, hi int) *engine {
+func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine, lo, hi int) (*engine, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if lo < 0 || hi > len(corpus.Cases) || lo >= hi {
+		return nil, fmt.Errorf("harness: shard range [%d,%d) outside corpus of %d cases", lo, hi, len(corpus.Cases))
+	}
 	tools = bindCompileCache(tools)
 	tools = bindExecEngine(tools, xeng)
 	offs := make([]int, hi-lo+1)
@@ -443,7 +443,7 @@ func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xe
 		hi:     hi,
 		offs:   offs,
 		arenas: arenas,
-	}
+	}, nil
 }
 
 // slot is the (tool t, case c) slot of t's arena, capped so that no
@@ -455,14 +455,17 @@ func (e *engine) slot(t, c int) []SinkOutcome {
 
 // runCells executes every (tool, case) cell whose case index lies in
 // [e.lo, e.hi) and returns the records indexed [tool][case-lo]; the
-// Outcomes of a successful record are its arena slot. When
-// abortOnFault is set (DegradedAbort), the first cell fault is
-// campaign-fatal: serial execution returns it immediately, parallel
-// execution returns the error of the earliest failed task in (tool,
-// case) order — the one serial execution would have hit first.
-func (e *engine) runCells(ctx context.Context, workers int, abortOnFault bool) ([][]CellResult, error) {
-	lo, hi := e.lo, e.hi
-	nTools, nCases := len(e.tools), hi-lo
+// Outcomes of a successful record are its arena slot. The cells run on
+// one workpool.ForEach over the grid in (tool, case) order, with one
+// RNG scratch per lane. Cancellation, and any cell fault when
+// abortOnFault is set (DegradedAbort), is that cell's error, so the
+// campaign fails with the error ForEach returns: the one serial
+// execution hits first.
+func (e *engine) runCells(ctx context.Context, abortOnFault bool) ([][]CellResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	lo, nTools, nCases := e.lo, len(e.tools), e.hi-e.lo
 	cells := make([][]CellResult, nTools)
 	for t := range cells {
 		cells[t] = make([]CellResult, nCases)
@@ -477,117 +480,43 @@ func (e *engine) runCells(ctx context.Context, workers int, abortOnFault bool) (
 	if listener != nil {
 		run = runSeq.Add(1)
 	}
-	report := func(t, c int, ce CellResult) {
-		if listener == nil {
-			return
-		}
-		listener(ProgressEvent{
-			Run:       run,
-			Done:      int(done.Add(1)),
-			Total:     nTools * nCases,
-			Tool:      e.tools[t].Name(),
-			Case:      c,
-			Confusion: cellConfusion(ce.Outcomes),
-			Failed:    ce.Fault != nil,
-		})
-	}
 
-	if workers == 1 {
-		var rng stats.RNG
-		for t := 0; t < nTools; t++ {
-			for c := lo; c < hi; c++ {
-				if err := ctx.Err(); err != nil {
-					return nil, abortErr(err)
-				}
-				ce, err := e.executeCase(ctx, t, c, &rng)
-				if err != nil {
-					return nil, err
-				}
-				if ce.Fault != nil && abortOnFault {
-					return nil, ce.Fault.err
-				}
-				cells[t][c-lo] = ce
-				report(t, c, ce)
-			}
+	pool := workpool.New(e.opts.Workers)
+	rngs := make([]stats.RNG, pool.Workers())
+	err := pool.ForEach(nTools*nCases, func(lane, i int) error {
+		t, c := i/nCases, lo+i%nCases
+		if err := ctx.Err(); err != nil {
+			return abortErr(err)
 		}
-		return cells, nil
-	}
-
-	// Parallel: a task pool over the (tool, case) grid, queued in (tool,
-	// case) order. A fatal condition (cancellation, or any fault under
-	// DegradedAbort) is kept if it is the earliest in queue order so far,
-	// and every task queued after it is skipped. Tasks queued before it
-	// were already taken off the queue, so they still finish, and the
-	// error kept at the end is the one serial execution returns.
-	var first earliestErr
-	first.at.Store(math.MaxInt64)
-	type task struct{ tool, cs int }
-	tasks := make(chan task, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var rng stats.RNG
-			for tk := range tasks {
-				at := int64(tk.tool*nCases + tk.cs - lo)
-				if at > first.at.Load() {
-					continue // an earlier task failed; drain the queue
-				}
-				if err := ctx.Err(); err != nil {
-					first.keep(at, abortErr(err))
-					continue
-				}
-				ce, err := e.executeCase(ctx, tk.tool, tk.cs, &rng)
-				if err != nil {
-					first.keep(at, err)
-					continue
-				}
-				if ce.Fault != nil && abortOnFault {
-					first.keep(at, ce.Fault.err)
-					continue
-				}
-				cells[tk.tool][tk.cs-lo] = ce
-				report(tk.tool, tk.cs, ce)
-			}
-		}()
-	}
-	for t := 0; t < nTools; t++ {
-		for c := lo; c < hi; c++ {
-			tasks <- task{tool: t, cs: c}
+		ce, err := e.executeCase(ctx, t, c, &rngs[lane])
+		if err != nil {
+			return err
 		}
-	}
-	close(tasks)
-	wg.Wait()
-
-	if first.err != nil {
-		return nil, first.err
+		if ce.Fault != nil && abortOnFault {
+			return ce.Fault.err
+		}
+		cells[t][c-lo] = ce
+		if listener != nil {
+			listener(ProgressEvent{
+				Run:       run,
+				Done:      int(done.Add(1)),
+				Total:     nTools * nCases,
+				Tool:      e.tools[t].Name(),
+				Case:      c,
+				Confusion: cellConfusion(ce.Outcomes),
+				Failed:    ce.Fault != nil,
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
 
-// earliestErr keeps the campaign-fatal error of the earliest task in
-// queue order. at is that task's queue index, math.MaxInt64 while no
-// error is kept; workers read it without the lock to skip later tasks.
-type earliestErr struct {
-	mu  sync.Mutex
-	at  atomic.Int64
-	err error
-}
-
-// keep records err for the task at queue index at unless an earlier
-// task's error is already kept.
-func (f *earliestErr) keep(at int64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if at < f.at.Load() {
-		f.at.Store(at)
-		f.err = err
-	}
-}
-
 // executeCase runs the attempt loop for one (tool, case) cell, scoring a
-// successful attempt into the cell's arena slot. rng is the worker's
+// successful attempt into the cell's arena slot. rng is the lane's
 // scratch generator. The returned error is campaign-fatal
 // (cancellation); per-cell failures are reported through
 // CellResult.Fault so the policy layer can decide.
@@ -643,7 +572,7 @@ func (e *engine) executeCase(ctx context.Context, t, c int, rng *stats.RNG) (Cel
 // scores its reports into the cell's arena slot. kind is zero on
 // success and classifies the failure otherwise. Each attempt draws from
 // a fresh copy of the cell's pre-split RNG stream, so every attempt of a
-// cell replays identical draws: inline, the copy goes into the worker's
+// cell replays identical draws: inline, the copy goes into the lane's
 // scratch rng.
 func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind FailureKind, err error) {
 	tool, cs := e.tools[t], e.corpus.Cases[c]
@@ -660,7 +589,7 @@ func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind
 	if _, ok := tool.(detectors.ContextAnalyzer); ok || timeout == 0 {
 		// Context-aware tools observe the deadline themselves; tools
 		// without a deadline cannot outlive one. Either way the call
-		// runs inline on this worker.
+		// runs inline on this lane.
 		*rng = e.rngs[t][c]
 		r = callTool(actx, tool, cs, rng)
 	} else {
@@ -730,7 +659,7 @@ func callTool(ctx context.Context, tool detectors.Tool, cs workload.Case, rng *s
 
 // watchTool is the watchdog goroutine's body: one callTool on its own
 // copy of the cell's RNG stream, which an abandoned call may keep
-// drawing from after the worker has moved on.
+// drawing from after the lane has moved on.
 func watchTool(ctx context.Context, ch chan<- toolCall, tool detectors.Tool, cs workload.Case, rng stats.RNG) {
 	ch <- callTool(ctx, tool, cs, &rng)
 }

@@ -16,7 +16,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
@@ -36,24 +35,14 @@ import (
 // matter how cases were sharded. opts.Degraded is therefore ignored.
 // Cancelling ctx aborts the shard at the next cell boundary.
 func RunShardCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options, lo, hi int) ([][]CellResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := validate(corpus, tools); err != nil {
 		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
+	eng, err := newEngine(corpus, tools, opts, compile.NewEngine(), lo, hi)
+	if err != nil {
 		return nil, err
 	}
-	if lo < 0 || hi > len(corpus.Cases) || lo >= hi {
-		return nil, fmt.Errorf("harness: shard range [%d,%d) outside corpus of %d cases", lo, hi, len(corpus.Cases))
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eng := newEngine(corpus, tools, opts, compile.NewEngine(), lo, hi)
-	return eng.runCells(ctx, workers, false)
+	return eng.runCells(ctx, false)
 }
 
 // MergeShards assembles the full per-(tool, case) cell grid — produced

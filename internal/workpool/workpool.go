@@ -1,9 +1,11 @@
-// Package workpool provides the bounded worker budget shared by the
-// deterministic parallel layers (stats bootstrap blocks, metricprop
-// catalogue analysis, experiment fan-out). It deliberately contains no
+// Package workpool is the one parallel loop of the deterministic
+// packages: the campaign harness's (tool, case) cells, the experiment
+// drivers, E7's cells, stats bootstrap blocks and metricprop catalogue
+// analysis all run on Budget.ForEach. It deliberately contains no
 // scheduling cleverness that could affect results: callers decide the
 // task decomposition and where every task's output lands; the pool only
-// decides *when* each task runs.
+// decides *when* each task runs. On failure it returns the error a
+// serial loop would return first, at every budget size.
 //
 // The design is caller-runs with try-acquire: the goroutine that calls
 // ForEach always executes tasks itself, and helper goroutines are added
@@ -14,6 +16,7 @@
 package workpool
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -51,29 +54,30 @@ func (b *Budget) Workers() int { return b.workers }
 // indices sequentially, so per-lane scratch state (indexed by lane)
 // needs no locking. Lane 0 is always the caller.
 //
-// After the first fn error, remaining unclaimed indices are skipped and
-// the recorded error with the lowest index is returned. Callers that
-// need deterministic outputs must write each index's result into a
-// dedicated slot; ForEach guarantees nothing about completion order.
+// At every budget size, the error returned is the one a serial loop
+// over [0, n) returns first: the error of the lowest failed index, with
+// every index below it run. Indices are claimed in increasing order and
+// a lane stops once it claims an index above the lowest failure kept so
+// far; since claims only grow and the kept index only shrinks, no index
+// below the returned one is ever skipped. Indices above it may or may
+// not have run. Callers that need deterministic outputs must write each
+// index's result into a dedicated slot; ForEach guarantees nothing about
+// completion order. It allocates nothing proportional to n.
 func (b *Budget) ForEach(n int, fn func(lane, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	var next atomic.Int64
-	var failed atomic.Bool
-	errs := make([]error, n)
+	var first lowestErr
+	first.at.Store(math.MaxInt64)
 	runLane := func(lane int) {
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
+			i := next.Add(1) - 1
+			if i >= int64(n) || i > first.at.Load() {
 				return
 			}
-			if failed.Load() {
-				continue // drain remaining indices without running them
-			}
-			if err := fn(lane, i); err != nil {
-				errs[i] = err
-				failed.Store(true)
+			if err := fn(lane, int(i)); err != nil {
+				first.keep(i, err)
 			}
 		}
 	}
@@ -82,34 +86,41 @@ func (b *Budget) ForEach(n int, fn func(lane, i int) error) error {
 	// waiting for one (a nested ForEach would otherwise deadlock against
 	// its own ancestors holding the tokens).
 	var wg sync.WaitGroup
-	maxHelpers := n - 1
-	if maxHelpers > b.workers-1 {
-		maxHelpers = b.workers - 1
-	}
-	helpers := 0
-	for helpers < maxHelpers {
+spawn:
+	for lane := 1; lane < min(n, b.workers); lane++ {
 		select {
 		case <-b.tokens:
-			helpers++
 			wg.Add(1)
-			go func(lane int) {
+			go func() {
 				defer wg.Done()
 				defer func() { b.tokens <- struct{}{} }()
 				runLane(lane)
-			}(helpers)
+			}()
 		default:
-			maxHelpers = helpers // budget exhausted; stop trying
+			break spawn // budget exhausted; stop trying
 		}
 	}
 	runLane(0)
 	wg.Wait()
+	return first.err
+}
 
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
+// lowestErr keeps the error of the lowest failed index. at is that
+// index, math.MaxInt64 while none is kept; lanes read it without the
+// lock to stop claiming indices above it.
+type lowestErr struct {
+	mu  sync.Mutex
+	at  atomic.Int64
+	err error
+}
+
+// keep records err for index i unless a lower index's error is already
+// kept.
+func (f *lowestErr) keep(i int64, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i < f.at.Load() {
+		f.at.Store(i)
+		f.err = err
 	}
-	return nil
 }

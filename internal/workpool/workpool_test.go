@@ -3,6 +3,7 @@ package workpool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,20 +73,49 @@ func TestForEachLanesAreExclusive(t *testing.T) {
 }
 
 func TestForEachReturnsLowestIndexError(t *testing.T) {
-	b := New(1) // serial: both failures are recorded deterministically
-	errA := errors.New("a")
-	errB := errors.New("b")
-	err := b.ForEach(10, func(_, i int) error {
-		switch i {
-		case 3:
-			return errA
-		case 7:
-			return errB
+	// Whatever the budget, ForEach must return what a serial loop
+	// returns: the first failure's error, with every index below it run.
+	const n, repeats = 64, 300
+	for _, workers := range []int{1, 2, 4, 13} {
+		b := New(workers)
+		for rep := 0; rep < repeats; rep++ {
+			k := rep % (n - 4)
+			ran := make([]atomic.Bool, n)
+			err := b.ForEach(n, func(_, i int) error {
+				runtime.Gosched() // let the other lanes interleave
+				ran[i].Store(true)
+				if i >= k && (i-k)%3 == 0 {
+					return fmt.Errorf("index %d", i)
+				}
+				return nil
+			})
+			if want := fmt.Sprintf("index %d", k); err == nil || err.Error() != want {
+				t.Fatalf("workers=%d k=%d: err = %v, want %q", workers, k, err, want)
+			}
+			for i := 0; i < k; i++ {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d k=%d: index %d below the failure did not run", workers, k, i)
+				}
+			}
 		}
-		return nil
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want the index-3 error", err)
+	}
+}
+
+func TestForEachAllocatesNothingProportionalToN(t *testing.T) {
+	b := New(2)
+	bytesFor := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := b.ForEach(n, func(_, _ int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	bytesFor(10) // warm up
+	small, large := bytesFor(10), bytesFor(1_000_000)
+	if large > small+4<<10 {
+		t.Fatalf("ForEach(1e6) allocated %d bytes, ForEach(10) %d: allocation grows with n", large, small)
 	}
 }
 

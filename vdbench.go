@@ -9,10 +9,11 @@
 //     robustness, chance correction, stability, discriminative power, ...);
 //   - a workload generator producing labelled corpora of synthetic web
 //     services with seeded injection vulnerabilities, ground truth verified
-//     by an exhaustive structural-taint oracle;
-//   - a suite of real miniature detection tools (AST-walker and CFG
-//     dataflow taint SASTs, signature SAST, differential penetration
-//     testers) plus calibrated simulated tools;
+//     by an execution oracle that probes every sink over the full payload
+//     pool (influence-guided, with labels equal to exhaustive search);
+//   - a suite of real miniature detection tools (CFG worklist taint
+//     SASTs, signature SAST, differential penetration testers) plus
+//     calibrated simulated tools;
 //   - a campaign harness scoring tools at sink granularity;
 //   - usage scenarios with per-scenario criterion weights, an analytical
 //     metric selector, and MCDA validation (AHP with encoded expert
@@ -98,7 +99,7 @@ type (
 	Validation = core.Validation
 	// Service is a workload program in the mini service language.
 	Service = svclang.Service
-	// ExperimentConfig parameterises the paper experiments E1-E17.
+	// ExperimentConfig parameterises the paper experiments E1-E18.
 	ExperimentConfig = experiments.Config
 	// ExperimentResult is one experiment's rendered tables and figures.
 	// It renders to text, CSV, Markdown or canonical JSON via Render.
@@ -183,9 +184,9 @@ func PrintService(svc *Service) string { return svclang.Print(svc) }
 func LoadWorkload(src string) (*Corpus, error) { return workload.FromSources(src) }
 
 // StandardTools returns the benchmark campaign's standard tool suite:
-// six static tools (four AST-walker taint configurations plus two CFG
-// dataflow engines), two penetration testers and one simulated heuristic
-// tool.
+// six static tools (five configurations of the CFG taint analyser plus
+// the grep-sast signature scanner), two penetration testers and one
+// simulated heuristic tool.
 func StandardTools() ([]Tool, error) { return detectors.StandardSuite() }
 
 // CombineMode selects how CombineTools merges member findings.
@@ -294,7 +295,7 @@ func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConf
 // (same code paths, roughly an order of magnitude faster).
 func QuickExperimentConfig() ExperimentConfig { return experiments.QuickConfig() }
 
-// ExperimentIDs lists the reproducible experiments (e1..e10) in
+// ExperimentIDs lists the reproducible experiments (e1..e18) in
 // presentation order.
 func ExperimentIDs() []string { return experiments.IDs() }
 
