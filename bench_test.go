@@ -23,6 +23,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/svclang/cfg"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -143,32 +144,19 @@ func BenchmarkOracleAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svclang.Analyze(svc); err != nil {
+		if _, err := svclang.AnalyzeProbing(svc, reference.Probe); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchInterpProbe adapts the exported interpreter to the oracle's
-// streaming probe interface, so the two search strategies can be priced
-// against each other without the engine's content-addressed ground-truth
-// cache absorbing the repeat derivations.
-func benchInterpProbe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, obs svclang.ProbeObserver) error {
-	res, err := svclang.ExecuteInSession(svc, req, store)
-	if err != nil {
-		return err
-	}
-	for _, ev := range res.Events {
-		obs(ev.SinkID, ev.Kind, svclang.StructuralTaint(ev.Kind, ev.Value))
-	}
-	return nil
 }
 
 // BenchmarkAnalyzeOracle prices the ground-truth search strategies
 // against each other on the same service: the influence-guided pruned
 // search (the default) versus the exhaustive value-pool sweep. Labels
 // are identical (TestAnalyzePruningMatchesExhaustive); only the probe
-// count moves. BENCH_pr9.json records this pair.
+// count moves. Both run on the interpreter's reference.Probe, outside
+// the engine's content-addressed ground-truth cache, which would absorb
+// the repeat derivations. BENCH_pr9.json records this pair.
 func BenchmarkAnalyzeOracle(b *testing.B) {
 	svc, err := svclang.ParseOne(benchServiceSrc)
 	if err != nil {
@@ -184,7 +172,7 @@ func BenchmarkAnalyzeOracle(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				truths, err := mode.analyze(svc, benchInterpProbe)
+				truths, err := mode.analyze(svc, reference.Probe)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -237,7 +225,7 @@ func benchCase(b *testing.B) workload.Case {
 		b.Fatal("template missing")
 	}
 	svc, _ := tpl.Build("bench", svclang.SinkSQL, true)
-	truths, err := svclang.Analyze(svc)
+	truths, err := svclang.AnalyzeProbing(svc, reference.Probe)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,13 +407,13 @@ func BenchmarkSvclangExecuteVM(b *testing.B) {
 	}
 	eng := compile.NewEngine()
 	req := svclang.Request{"id": "abc123", "mode": "alpha"}
-	if _, err := eng.Execute(svc, req); err != nil { // compile outside the loop
+	if _, err := eng.ExecuteInSession(svc, req, nil); err != nil { // compile outside the loop
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Execute(svc, req); err != nil {
+		if _, err := eng.ExecuteInSession(svc, req, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

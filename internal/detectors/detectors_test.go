@@ -5,6 +5,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -16,7 +17,7 @@ func buildCase(t *testing.T, template string, kind svclang.SinkKind, vulnerable 
 		t.Fatalf("unknown template %q", template)
 	}
 	svc, _ := tpl.Build("case", kind, vulnerable)
-	truths, err := svclang.Analyze(svc)
+	truths, err := svclang.AnalyzeProbing(svc, reference.Probe)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -121,7 +122,7 @@ func TestToolsInvariantUnderAlphaRenaming(t *testing.T) {
 		for _, vulnerable := range []bool{false, true} {
 			kind := tpl.Kinds[0]
 			svc, _ := tpl.Build("orig", kind, vulnerable)
-			truths, err := svclang.Analyze(svc)
+			truths, err := svclang.AnalyzeProbing(svc, reference.Probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func TestToolsInvariantUnderAlphaRenaming(t *testing.T) {
 			if err := renamed.Validate(); err != nil {
 				t.Fatalf("%s: renamed service invalid: %v", tpl.Name, err)
 			}
-			renamedTruths, err := svclang.Analyze(renamed)
+			renamedTruths, err := svclang.AnalyzeProbing(renamed, reference.Probe)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -408,8 +408,13 @@ func (r *Runner) E17Redundancy(ctx context.Context) (Result, error) {
 			goodness[i][p] = m.Goodness(v)
 		}
 	}
+	// Spearman's rho over ranks computed once per metric, not per pair.
+	ranks := make([][]float64, len(cat))
+	for i := range goodness {
+		ranks[i] = ranking.Ranks(goodness[i])
+	}
 	rho := func(a, b int) float64 {
-		v, err := ranking.SpearmanRho(goodness[a], goodness[b])
+		v, err := stats.Pearson(ranks[a], ranks[b])
 		if err != nil {
 			return 0
 		}

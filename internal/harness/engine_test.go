@@ -9,11 +9,12 @@ import (
 	"github.com/dsn2015/vdbench/internal/detectors/faulty"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
 // TestReferenceEngineCampaignEquivalence runs a campaign through the
-// runCtx seam on compile.NewReferenceEngine (the tree-walking
+// runCtx seam on reference.NewEngine (the tree-walking
 // interpreter) and requires it deep-equal to RunCtx on the production
 // bytecode VM, at every worker count. The engines are locked together
 // at the language level by the differential suite in
@@ -23,7 +24,7 @@ func TestReferenceEngineCampaignEquivalence(t *testing.T) {
 	corpus := testCorpus(t, 50, 3)
 	tools := testTools(t)
 	for _, seed := range []uint64{1, 7, 42} {
-		ref, err := runCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: 1}, compile.NewReferenceEngine())
+		ref, err := runCtx(context.Background(), corpus, tools, Options{Seed: seed, Workers: 1}, reference.NewEngine())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -393,8 +393,8 @@ func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 }
 
 // runCtx is RunCtx on a caller-supplied execution engine: the seam
-// through which tests run a campaign on compile.NewReferenceEngine and
-// require it deep-equal to the production one.
+// through which tests run a campaign on the test-only reference.NewEngine
+// and require it deep-equal to the production one.
 func runCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine) (*Campaign, error) {
 	if err := validate(corpus, tools); err != nil {
 		return nil, err

@@ -23,11 +23,12 @@ type BootstrapConfig struct {
 	Resamples int
 	// Confidence is the two-sided confidence level in (0,1), e.g. 0.95.
 	Confidence float64
-	// Workers bounds the resampling concurrency: 0 and 1 run serially on
-	// the calling goroutine, n > 1 uses up to n goroutines. The interval
-	// is byte-identical for every value (see bootstrapBlock). The
-	// statistic fn must then be safe for concurrent calls on distinct
-	// scratch buffers.
+	// Workers bounds the resampling concurrency, read like every other
+	// layer's: 0 means GOMAXPROCS, 1 runs serially on the calling
+	// goroutine, n > 1 uses up to n goroutines. The interval is
+	// byte-identical for every value (see bootstrapBlock). Unless
+	// Workers is 1, the statistic fn must be safe for concurrent calls
+	// on distinct scratch buffers.
 	Workers int
 }
 
@@ -78,7 +79,7 @@ func BootstrapCodes(rng *RNG, codes []uint8, cfg BootstrapConfig, fn func(cnt *[
 	point := fn(countCodes(codes))
 	estimates := make([]float64, cfg.Resamples)
 	streams := splitBlockStreams(rng, cfg.Resamples)
-	_ = workpool.New(max(cfg.Workers, 1)).ForEach(len(streams), func(_, k int) error {
+	_ = workpool.New(cfg.Workers).ForEach(len(streams), func(_, k int) error {
 		blk := &streams[k]
 		cnt := new([16]int) // fn makes it escape: one per block, not per resample
 		start := k * bootstrapBlock

@@ -1,6 +1,11 @@
 package stats
 
-import "testing"
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
 
 // TestBootstrapIdenticalAcrossWorkers is the stats-layer half of the
 // serial ≡ parallel guarantee: for every seed × worker combination the
@@ -89,5 +94,42 @@ func TestBootstrapWorkerCountExceedingBlocks(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("oversubscribed pool changed the interval: %+v vs %+v", got, want)
+	}
+}
+
+// TestBootstrapCodesZeroWorkersRunsParallel pins Workers: 0 to
+// GOMAXPROCS, as every other layer reads it: the first two resample
+// calls must be in flight at once. A serial run blocks the first call
+// at the barrier until the timeout, since the second never starts.
+func TestBootstrapCodesZeroWorkersRunsParallel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	codes := []uint8{0, 1, 2, 3, 1, 1, 0, 2}
+	var calls, arrived atomic.Int32
+	var timedOut atomic.Bool
+	both := make(chan struct{})
+	fn := func(cnt *[16]int) float64 {
+		if calls.Add(1) == 1 {
+			return 0 // the point estimate, on the calling goroutine
+		}
+		switch arrived.Add(1) {
+		case 1:
+			select {
+			case <-both:
+			case <-time.After(5 * time.Second):
+				timedOut.Store(true)
+			}
+		case 2:
+			close(both)
+		}
+		return float64(cnt[1])
+	}
+	cfg := BootstrapConfig{Resamples: 2 * bootstrapBlock, Confidence: 0.9, Workers: 0}
+	if _, err := BootstrapCodes(NewRNG(1), codes, cfg, fn); err != nil {
+		t.Fatal(err)
+	}
+	if timedOut.Load() {
+		t.Fatal("Workers: 0 ran the resamples serially; want GOMAXPROCS workers")
 	}
 }

@@ -14,8 +14,9 @@
 // oracle-visible taint provenance, session-store effects and reject
 // unwinding. The differential test suite (every workload template, every
 // knob combination, fuzzed services) and the campaign- and corpus-level
-// reference tests enforce this; the interpreter stays reachable through
-// NewReferenceEngine as the reference those tests compare against.
+// reference tests enforce this against internal/svclang/reference, whose
+// engine (NewReferenceEngine with the interpreter as its backend) only
+// tests may construct.
 package compile
 
 import (

@@ -8,6 +8,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -21,6 +22,10 @@ import (
 
 // diffSeeds are the seeds the end-to-end determinism suite also uses.
 var diffSeeds = []uint64{1, 7, 42}
+
+// refEngine executes on the reference interpreter; every differential
+// comparison below runs its reference side through it.
+var refEngine = reference.NewEngine()
 
 // requireEqualResults compares two execution results semantically:
 // per-character content and taint, not internal representation.
@@ -125,8 +130,8 @@ func runDifferential(t *testing.T, ctx string, eng *compile.Engine, svc *svclang
 	reqs := diffRequests(svc)
 	for i, req := range reqs {
 		rctx := fmt.Sprintf("%s: req %d %v", ctx, i, req)
-		ref, refErr := svclang.Execute(svc, req)
-		got, gotErr := eng.Execute(svc, req)
+		ref, refErr := refEngine.ExecuteInSession(svc, req, nil)
+		got, gotErr := eng.ExecuteInSession(svc, req, nil)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error: interpreter=%v vm=%v", rctx, refErr, gotErr)
 		}
@@ -141,7 +146,7 @@ func runDifferential(t *testing.T, ctx string, eng *compile.Engine, svc *svclang
 		rctx := fmt.Sprintf("%s: seq %d", ctx, i)
 		refStore, gotStore := svclang.NewSessionStore(), svclang.NewSessionStore()
 		for j, req := range []svclang.Request{reqs[i], reqs[i+1]} {
-			ref, refErr := svclang.ExecuteInSession(svc, req, refStore)
+			ref, refErr := refEngine.ExecuteInSession(svc, req, refStore)
 			got, gotErr := eng.ExecuteInSession(svc, req, gotStore)
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("%s: step %d error: interpreter=%v vm=%v", rctx, j, refErr, gotErr)
@@ -173,9 +178,10 @@ func TestExecDifferentialTemplates(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDifferentialTemplates pins the exhaustive oracle itself:
+// TestAnalyzeDifferentialTemplates pins the oracle's execution seam:
 // ground truth derived through the VM must be identical (witnesses and
-// sequences included) to ground truth derived through the interpreter.
+// sequences included) to the same pruned search run on the reference
+// interpreter's probe.
 func TestAnalyzeDifferentialTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive oracle differential skipped in -short")
@@ -187,7 +193,7 @@ func TestAnalyzeDifferentialTemplates(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/vuln=%v", tmpl.Name, kind, vulnerable)
 				t.Run(name, func(t *testing.T) {
 					svc, _ := tmpl.Build("diff_svc", kind, vulnerable)
-					ref, refErr := svclang.Analyze(svc)
+					ref, refErr := svclang.AnalyzeProbing(svc, reference.Probe)
 					got, gotErr := eng.Analyze(svc)
 					if (refErr == nil) != (gotErr == nil) {
 						t.Fatalf("analyze error: interpreter=%v vm=%v", refErr, gotErr)
@@ -241,7 +247,7 @@ func observeStream(t *testing.T, eng *compile.Engine, svc *svclang.Service, req 
 // on.
 func TestObserveDifferentialTemplates(t *testing.T) {
 	vm := compile.NewEngine()
-	interp := compile.NewReferenceEngine()
+	interp := refEngine
 	for _, tmpl := range workload.Templates() {
 		for _, kind := range tmpl.Kinds {
 			for _, vulnerable := range []bool{true, false} {
@@ -293,15 +299,15 @@ func TestObserveDifferentialTemplates(t *testing.T) {
 }
 
 // TestEngineInterpreterMode checks the reference engine's execution is
-// a true pass-through: NewReferenceEngine and the raw interpreter are
+// a true pass-through: reference.NewEngine and the raw interpreter are
 // the same function.
 func TestEngineInterpreterMode(t *testing.T) {
-	eng := compile.NewReferenceEngine()
+	eng := reference.NewEngine()
 	tmpl := workload.Templates()[0]
 	svc, _ := tmpl.Build("interp_svc", tmpl.Kinds[0], true)
 	for _, req := range diffRequests(svc)[:6] {
 		ref, refErr := svclang.Execute(svc, req)
-		got, gotErr := eng.Execute(svc, req)
+		got, gotErr := eng.ExecuteInSession(svc, req, nil)
 		if (refErr == nil) != (gotErr == nil) || !reflect.DeepEqual(ref, got) {
 			t.Fatalf("reference engine diverged on %v", req)
 		}
@@ -338,8 +344,8 @@ func FuzzExecDifferential(f *testing.F) {
 				req[p] = p3
 			}
 		}
-		ref, refErr := svclang.Execute(svc, req)
-		got, gotErr := eng.Execute(svc, req)
+		ref, refErr := refEngine.ExecuteInSession(svc, req, nil)
+		got, gotErr := eng.ExecuteInSession(svc, req, nil)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("error divergence: interpreter=%v vm=%v\nsrc:\n%s", refErr, gotErr, src)
 		}
@@ -352,7 +358,7 @@ func FuzzExecDifferential(f *testing.F) {
 		// store paths under fuzzing too.
 		refStore, gotStore := svclang.NewSessionStore(), svclang.NewSessionStore()
 		for j := 0; j < 2; j++ {
-			ref, refErr = svclang.ExecuteInSession(svc, req, refStore)
+			ref, refErr = refEngine.ExecuteInSession(svc, req, refStore)
 			got, gotErr = eng.ExecuteInSession(svc, req, gotStore)
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("session error divergence: interpreter=%v vm=%v", refErr, gotErr)

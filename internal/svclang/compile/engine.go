@@ -12,15 +12,8 @@ import (
 // every tool in a campaign (the harness binds it like the cfg compile
 // cache), so each service compiles exactly once no matter how many
 // probes hit it.
-//
-// The two mode fields select the reference implementations the
-// differential suites compare against: interpret delegates execution to
-// the tree-walking interpreter, exhaustive derives ground truth with the
-// unpruned oracle search. Production engines (NewEngine) set neither;
-// NewReferenceEngine sets both.
 type Engine struct {
-	interpret  bool
-	exhaustive bool
+	ref Reference // nil on every production engine; see NewReferenceEngine
 
 	// progs memoises Compile per service, unbounded: the first caller
 	// compiles while concurrent callers for that service wait.
@@ -29,23 +22,30 @@ type Engine struct {
 	pool sync.Pool
 }
 
+// Reference is an independent implementation of the language that an
+// engine delegates execution and ground truth to instead of the VM and
+// the pruned search: internal/svclang/reference, which only tests import.
+type Reference interface {
+	ExecuteInSession(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore) (svclang.Result, error)
+	Analyze(svc *svclang.Service) ([]svclang.GroundTruth, error)
+}
+
 // NewEngine returns the execution engine every campaign and corpus runs
 // on: the bytecode VM, with ground truth derived by the influence-guided
 // (pruned) oracle search.
-func NewEngine() *Engine { return newEngine(false, false) }
-
-// NewReferenceEngine returns an engine that executes services on the
-// reference tree-walking interpreter and derives ground truth with the
-// exhaustive oracle search. It exists only for tests: the differential
-// suites run a campaign or corpus through it and require the result
-// deep-equal to the NewEngine one. Both engines produce identical
-// outputs, so no production path has a reason to pay for the reference
-// one; vdlint's compiledexec analyzer rejects any non-test call.
-func NewReferenceEngine() *Engine { return newEngine(true, true) }
-
-func newEngine(interpret, exhaustive bool) *Engine {
-	e := &Engine{interpret: interpret, exhaustive: exhaustive, progs: memo.New[*svclang.Service, *Program](0, nil)}
+func NewEngine() *Engine {
+	e := &Engine{progs: memo.New[*svclang.Service, *Program](0, nil)}
 	e.pool.New = func() any { return new(arena) }
+	return e
+}
+
+// NewReferenceEngine returns an engine that delegates to ref, for the
+// differential suites that require its campaigns and corpora deep-equal
+// to NewEngine's. vdlint's compiledexec analyzer rejects any non-test
+// call.
+func NewReferenceEngine(ref Reference) *Engine {
+	e := NewEngine()
+	e.ref = ref
 	return e
 }
 
@@ -61,19 +61,13 @@ func (e *Engine) Stats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// Execute runs the service on one request with a fresh session store,
-// like svclang.Execute.
-func (e *Engine) Execute(svc *svclang.Service, req svclang.Request) (svclang.Result, error) {
-	return e.ExecuteInSession(svc, req, nil)
-}
-
 // ExecuteInSession runs the service against an existing session store
 // (nil for a fresh one), like svclang.ExecuteInSession. Compilation
 // errors are exactly the interpreter's validation errors — Compile
 // front-loads the Validate call the interpreter repeats per request.
 func (e *Engine) ExecuteInSession(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore) (svclang.Result, error) {
-	if e.interpret {
-		return svclang.ExecuteInSession(svc, req, store)
+	if e.ref != nil {
+		return e.ref.ExecuteInSession(svc, req, store)
 	}
 	p, err := e.Program(svc)
 	if err != nil {
@@ -102,8 +96,8 @@ type ObserveFunc func(sinkID int, kind svclang.SinkKind, silent bool, chars []ru
 // interpreter, a rejection does not retract the events streamed before
 // it — callers that want HTTP-400 semantics discard on rejected=true.
 func (e *Engine) Observe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, fn ObserveFunc) (rejected bool, err error) {
-	if e.interpret {
-		res, err := svclang.ExecuteInSession(svc, req, store)
+	if e.ref != nil {
+		res, err := e.ref.ExecuteInSession(svc, req, store)
 		if err != nil {
 			return false, err
 		}
@@ -136,36 +130,14 @@ func (e *Engine) probe(svc *svclang.Service, req svclang.Request, store *svclang
 	return nil
 }
 
-// Analyze derives ground truth for svc, like svclang.Analyze but with
-// every probe executed through this engine — and, on the VM, judged
-// through the streaming probe path instead of materialised Results.
-// The search is influence-guided except on the reference engine, which
-// runs the unpruned exhaustive enumeration. Results are memoised in the
-// process-wide content-addressed oracle cache (oraclecache.go), so
-// identical service bodies are derived once per mode.
+// Analyze derives ground truth for svc with the influence-guided oracle
+// search, every probe run on the VM and judged through the streaming
+// probe path, memoised in the process-wide content-addressed oracle
+// cache (oraclecache.go). A reference engine derives independently and
+// bypasses the cache, so a cached VM result can never mask a divergence.
 func (e *Engine) Analyze(svc *svclang.Service) ([]svclang.GroundTruth, error) {
-	return oracleLookup(svc, e.interpret, e.exhaustive, func() ([]svclang.GroundTruth, error) {
-		probe := e.probe
-		if e.interpret {
-			probe = interpProbe
-		}
-		if e.exhaustive {
-			return svclang.AnalyzeProbingExhaustive(svc, probe)
-		}
-		return svclang.AnalyzeProbing(svc, probe)
-	})
-}
-
-// interpProbe adapts the reference interpreter to the oracle's probe
-// seam, judging events with the shared structural-taint table; running
-// it through AnalyzeProbing is exactly svclang.Analyze.
-func interpProbe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, obs svclang.ProbeObserver) error {
-	res, err := svclang.ExecuteInSession(svc, req, store)
-	if err != nil {
-		return err
+	if e.ref != nil {
+		return e.ref.Analyze(svc)
 	}
-	for _, ev := range res.Events {
-		obs(ev.SinkID, ev.Kind, svclang.StructuralTaint(ev.Kind, ev.Value))
-	}
-	return nil
+	return oracleLookup(svc, e.probe)
 }

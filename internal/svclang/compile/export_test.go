@@ -1,6 +1,8 @@
 package compile
 
-// NewEngineMode builds an engine in any (execution, search) pairing, so
-// the external differential tests can cover the full 2×2 matrix and not
-// only the two pairings NewEngine and NewReferenceEngine offer.
-func NewEngineMode(interpret, exhaustive bool) *Engine { return newEngine(interpret, exhaustive) }
+import "github.com/dsn2015/vdbench/internal/svclang"
+
+// VMProbe exposes an engine's streaming oracle probe, so the external
+// matrix tests can run the exhaustive search on the VM, the one
+// (execution, search) pairing no engine offers.
+func VMProbe(e *Engine) svclang.ProbeFunc { return e.probe }

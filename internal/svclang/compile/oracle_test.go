@@ -8,6 +8,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
 
@@ -17,23 +18,25 @@ import (
 // whole template library and over generated corpora at the canonical
 // determinism seeds.
 
-// analyzeModes enumerates the four (engine, search) combinations an
-// oracle derivation can run under.
-func analyzeModes() []struct {
-	name       string
-	interpret  bool
-	exhaustive bool
-} {
-	return []struct {
-		name       string
-		interpret  bool
-		exhaustive bool
-	}{
-		{"vm/pruned", false, false},
-		{"vm/exhaustive", false, true},
-		{"interp/pruned", true, false},
-		{"interp/exhaustive", true, true},
-	}
+// analyzeModes enumerates the four (execution, search) pairings an
+// oracle derivation can run under: the production engine, the
+// reference engine, and the two cross pairings built from the probes.
+var analyzeModes = []struct {
+	name    string
+	analyze func(*svclang.Service) ([]svclang.GroundTruth, error)
+}{
+	{"vm/pruned", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
+		return compile.NewEngine().Analyze(svc)
+	}},
+	{"vm/exhaustive", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
+		return svclang.AnalyzeProbingExhaustive(svc, compile.VMProbe(compile.NewEngine()))
+	}},
+	{"interp/pruned", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
+		return svclang.AnalyzeProbing(svc, reference.Probe)
+	}},
+	{"interp/exhaustive", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
+		return reference.NewEngine().Analyze(svc)
+	}},
 }
 
 // analyzeAllModes derives svc's ground truth under every mode with a
@@ -43,9 +46,8 @@ func analyzeAllModes(t *testing.T, ctx string, svc *svclang.Service) []svclang.G
 	t.Helper()
 	var ref []svclang.GroundTruth
 	var refName string
-	for i, m := range analyzeModes() {
-		eng := compile.NewEngineMode(m.interpret, m.exhaustive)
-		got, err := eng.Analyze(svc)
+	for i, m := range analyzeModes {
+		got, err := m.analyze(svc)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", ctx, m.name, err)
 		}
@@ -89,14 +91,14 @@ func TestAnalyzePrunedExhaustiveMatrixCorpora(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle corpus matrix skipped in -short")
 	}
-	exh := compile.NewEngineMode(false, true)
+	vmProbe := compile.VMProbe(compile.NewEngine())
 	for _, seed := range diffSeeds {
 		corpus, err := workload.Generate(workload.Config{Services: 40, TargetPrevalence: 0.35, Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, cs := range corpus.Cases {
-			want, err := exh.Analyze(cs.Service)
+			want, err := svclang.AnalyzeProbingExhaustive(cs.Service, vmProbe)
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, cs.Service.Name, err)
 			}
@@ -124,8 +126,9 @@ func mustParseOne(t *testing.T, src string) *svclang.Service {
 var oracleCacheRuns atomic.Uint64
 
 // TestOracleCacheContentAddressed pins the cache contract: one
-// derivation per distinct (body, mode), shared across engines and
-// service names, with zero probes on a hit and deep-copied results.
+// derivation per distinct body, shared across engines and service
+// names, with zero probes on a hit and deep-copied results; the
+// reference engine never touches it.
 func TestOracleCacheContentAddressed(t *testing.T) {
 	body := fmt.Sprintf("  param p0\n  sink sql concat(\"SELECT oraclecache_probe_%d '\", p0, \"'\")\nend\n", oracleCacheRuns.Add(1))
 	svcA := mustParseOne(t, "service cache_a\n"+body)
@@ -176,21 +179,22 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 		t.Fatalf("witness mutation leaked into the cache:\nfirst=%+v\nthird=%+v", first, third)
 	}
 
-	// The mode bits partition the cache: the exhaustive search and the
-	// interpreter engine derive their own entries, so a cached pruned
-	// result never answers a reference request.
-	for _, m := range analyzeModes()[1:] {
-		eng := compile.NewEngineMode(m.interpret, m.exhaustive)
-		_, mBefore := compile.OracleCacheTotals()
-		got, err := eng.Analyze(svcA)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if _, mAfter := compile.OracleCacheTotals(); mAfter != mBefore+1 {
-			t.Fatalf("%s: expected a distinct cache entry (misses %d→%d)", m.name, mBefore, mAfter)
-		}
-		if !reflect.DeepEqual(first, got) {
-			t.Fatalf("%s: truth diverged from pruned VM:\n%+v\nvs\n%+v", m.name, first, got)
-		}
+	// The reference engine bypasses the cache: after the cached pruned
+	// derivation above it neither hits nor misses, re-derives by
+	// executing probes, and must agree.
+	h3, m3 := compile.OracleCacheTotals()
+	probes0 = svclang.OracleTotalsSnapshot().Probes
+	ref, err := reference.NewEngine().Analyze(svcA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h4, m4 := compile.OracleCacheTotals(); h4 != h3 || m4 != m3 {
+		t.Fatalf("reference engine touched the cache: hits %d→%d misses %d→%d", h3, h4, m3, m4)
+	}
+	if svclang.OracleTotalsSnapshot().Probes == probes0 {
+		t.Fatal("reference engine executed no probes; it must re-derive, not read a cached result")
+	}
+	if !reflect.DeepEqual(first, ref) {
+		t.Fatalf("reference truth diverged from pruned VM:\n%+v\nvs\n%+v", first, ref)
 	}
 }

@@ -9,19 +9,15 @@ import (
 )
 
 // Content-addressed oracle cache: ground truth is a pure function of a
-// service's body (the name never appears in a GroundTruth) and of the
-// derivation mode, so identical services — template instantiations, the
-// per-worker corpus regenerations of internal/dist, repeated campaign
-// setups in one process — need only one influence-guided search. The
-// cache is process-wide, like the cfg compile cache and the oracle
-// telemetry it composes with: keyed by the SHA-256 of the canonical
-// printed source with the name line stripped, plus the mode bits
-// (interpreter vs VM, pruned vs exhaustive). The mode bits are part of
-// the key even though every mode provably derives the same labels: the
-// reference engine (NewReferenceEngine) exists to re-derive ground truth
-// independently, and collapsing the bits would let a cached pruned
-// result answer a reference request, masking exactly the divergence the
-// differential tests are there to expose.
+// service's body (the name never appears in a GroundTruth), so identical
+// services — template instantiations, the per-worker corpus
+// regenerations of internal/dist, repeated campaign setups in one
+// process — need only one influence-guided search. The cache is
+// process-wide, like the cfg compile cache and the oracle telemetry it
+// composes with, and keyed by the SHA-256 of the canonical printed
+// source with the name line stripped. Only the production derivation
+// is cached: a reference engine (NewReferenceEngine) never reads or
+// writes it.
 //
 // The cache is a bounded memo: the first caller derives while the cache
 // stays unlocked for other keys, least-recently-used entries are evicted
@@ -33,38 +29,29 @@ import (
 // above any one corpus (hundreds), far below memory relevance.
 const oracleCacheCap = 2048
 
-type oracleKey struct {
-	sum  [sha256.Size]byte
-	mode uint8
-}
+type oracleKey = [sha256.Size]byte
 
 var oracleCache = memo.New[oracleKey, []svclang.GroundTruth](oracleCacheCap, nil)
 
-// oracleCacheKey derives the content address of svc under the given
-// mode bits. The printed form is canonical (Print ∘ Parse is the
-// identity on it), and its first line carries exactly the service name,
-// which ground truth is independent of — stripping it lets renamed
-// instantiations of one template share an entry.
-func oracleCacheKey(svc *svclang.Service, interpret, exhaustive bool) oracleKey {
+// oracleCacheKey derives the content address of svc. The printed form
+// is canonical (Print ∘ Parse is the identity on it), and its first
+// line carries exactly the service name, which ground truth is
+// independent of — stripping it lets renamed instantiations of one
+// template share an entry.
+func oracleCacheKey(svc *svclang.Service) oracleKey {
 	src := svclang.Print(svc)
 	if i := strings.IndexByte(src, '\n'); i >= 0 {
 		src = src[i+1:]
 	}
-	var mode uint8
-	if interpret {
-		mode |= 1
-	}
-	if exhaustive {
-		mode |= 2
-	}
-	return oracleKey{sum: sha256.Sum256([]byte(src)), mode: mode}
+	return sha256.Sum256([]byte(src))
 }
 
-// oracleLookup memoises derive under the service's content address,
-// returning a deep copy of the cached ground truth.
-func oracleLookup(svc *svclang.Service, interpret, exhaustive bool, derive func() ([]svclang.GroundTruth, error)) ([]svclang.GroundTruth, error) {
-	truths, _, err := oracleCache.Do(oracleCacheKey(svc, interpret, exhaustive),
-		func(oracleKey) ([]svclang.GroundTruth, error) { return derive() })
+// oracleLookup memoises the pruned search over probe under the
+// service's content address, returning a deep copy of the cached ground
+// truth.
+func oracleLookup(svc *svclang.Service, probe svclang.ProbeFunc) ([]svclang.GroundTruth, error) {
+	truths, _, err := oracleCache.Do(oracleCacheKey(svc),
+		func(oracleKey) ([]svclang.GroundTruth, error) { return svclang.AnalyzeProbing(svc, probe) })
 	if err != nil {
 		return nil, err
 	}

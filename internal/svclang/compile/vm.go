@@ -151,9 +151,9 @@ func materialize(v value) svclang.TString {
 }
 
 // run executes the program on one request. store == nil uses the arena's
-// slot-indexed fresh store (the Execute path); a non-nil store reads and
-// writes the caller's SessionStore with materialised TStrings, exactly
-// like the interpreter. A non-nil obs (black-box observation) or probe
+// slot-indexed fresh store; a non-nil store reads and writes the
+// caller's SessionStore with materialised TStrings, exactly like the
+// interpreter. A non-nil obs (black-box observation) or probe
 // (white-box structural-taint judgment) switches sink events from
 // materialised Result.Events to streamed callbacks over the arena's
 // values — the zero-allocation paths; at most one of the two may be

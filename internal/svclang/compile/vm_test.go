@@ -111,7 +111,7 @@ func TestPoisonedArenaReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Execute(svc, req)
+			got, err := eng.ExecuteInSession(svc, req, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,14 +154,14 @@ func TestCompileErrorsMatchInterpreter(t *testing.T) {
 		t.Fatalf("Compile(nil) = %v", err)
 	}
 	eng := NewEngine()
-	if _, err := eng.Execute(nil, svclang.Request{}); err == nil || err.Error() != "svclang: nil service" {
-		t.Fatalf("Execute(nil) = %v", err)
+	if _, err := eng.ExecuteInSession(nil, svclang.Request{}, nil); err == nil || err.Error() != "svclang: nil service" {
+		t.Fatalf("ExecuteInSession(nil) = %v", err)
 	}
 	bad := &svclang.Service{Name: "Bad", Body: []svclang.Stmt{
 		svclang.Assign{Name: "nope", Expr: svclang.Lit{Value: "x"}},
 	}}
 	_, refErr := svclang.Execute(bad, svclang.Request{})
-	_, gotErr := eng.Execute(bad, svclang.Request{})
+	_, gotErr := eng.ExecuteInSession(bad, svclang.Request{}, nil)
 	if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
 		t.Fatalf("validation error mismatch: interpreter=%v vm=%v", refErr, gotErr)
 	}
@@ -194,7 +194,7 @@ func TestInvalidUTF8Needle(t *testing.T) {
 		for _, param := range []string{"", "\xff", needle, "�", "a�b", "abc"} {
 			req := svclang.Request{"p": param}
 			ref, refErr := svclang.Execute(svc, req)
-			got, gotErr := eng.Execute(svc, req)
+			got, gotErr := eng.ExecuteInSession(svc, req, nil)
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("needle %q param %q: errors %v vs %v", needle, param, refErr, gotErr)
 			}
@@ -233,11 +233,11 @@ func TestAllocBudgetExecute(t *testing.T) {
 	svc := mustParse(t, vmTestSrc)
 	req := svclang.Request{"id": "abc123", "mode": "alpha"}
 	// Warm: compile the program and grow the pooled arena to steady state.
-	if _, err := eng.Execute(svc, req); err != nil {
+	if _, err := eng.ExecuteInSession(svc, req, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {
-		if _, err := eng.Execute(svc, req); err != nil {
+		if _, err := eng.ExecuteInSession(svc, req, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -255,7 +255,7 @@ func TestProgramCacheSingleflight(t *testing.T) {
 	svc := mustParse(t, vmTestSrc)
 	req := svclang.Request{"id": "abc123", "mode": "alpha"}
 	for i := 0; i < 10; i++ {
-		if _, err := eng.Execute(svc, req); err != nil {
+		if _, err := eng.ExecuteInSession(svc, req, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,7 +318,7 @@ func TestConcatDeepNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Execute(svc, req)
+	got, err := eng.ExecuteInSession(svc, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

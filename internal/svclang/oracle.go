@@ -306,30 +306,6 @@ const maxOracleParams = 3
 // oracle enumerates request *pairs* and the space squares.
 const maxStatefulParams = 1
 
-// ExecFunc executes one request of a service against a session store
-// (nil store = fresh store), with the exact semantics of
-// ExecuteInSession. The oracle quantifies over executions through this
-// seam so alternative engines (the bytecode VM in
-// internal/svclang/compile) can drive the exhaustive search without an
-// import cycle; the differential test suite pins engine equivalence.
-type ExecFunc func(svc *Service, req Request, store *SessionStore) (Result, error)
-
-// Analyze computes ground truth for every sink of the service over the
-// oracle's value pool (benign values plus all canonical payloads).
-// Stateless services are labelled against every single-request
-// parameter assignment, services using the session store against every
-// two-request sequence — but the search is influence-guided (see
-// influence.go): assignments that provably cannot change any sink's
-// verdict or first witness are skipped, so the labels and witnesses are
-// exactly those of the exhaustive enumeration at a fraction of its
-// cost. AnalyzeProbingExhaustive runs the unpruned search for
-// differential validation. Analyze uses the reference tree-walking
-// interpreter; AnalyzeWith runs the search through a caller-supplied
-// engine.
-func Analyze(svc *Service) ([]GroundTruth, error) {
-	return AnalyzeWith(svc, ExecuteInSession)
-}
-
 // ProbeObserver receives one sink event of an oracle probe: the sink's
 // ID, its declared kind and the structural-taint judgment of the value
 // that reached it. Silent sinks are reported too — the oracle is
@@ -337,34 +313,13 @@ func Analyze(svc *Service) ([]GroundTruth, error) {
 type ProbeObserver func(sinkID int, kind SinkKind, structuralTaint bool)
 
 // ProbeFunc executes one oracle probe against a session store (nil for
-// a fresh one) and reports every sink event through obs, in program
-// order. It is the streaming counterpart of ExecFunc: an engine that
-// can judge StructuralTaint on its internal value representation avoids
-// materialising a Result per probe, which dominates the cost of ground
-// truth derivation.
+// a fresh one) with the exact semantics of ExecuteInSession, and reports
+// every sink event through obs, in program order. The oracle quantifies
+// over executions through this seam so alternative engines (the bytecode
+// VM in internal/svclang/compile) can drive the search without an
+// import cycle, judging StructuralTaint on their internal value
+// representation instead of materialising a Result per probe.
 type ProbeFunc func(svc *Service, req Request, store *SessionStore, obs ProbeObserver) error
-
-// AnalyzeWith is Analyze with the execution engine supplied by the
-// caller. The engine must reproduce ExecuteInSession semantics exactly
-// (taint provenance included) for the resulting labels to be ground
-// truth; passing ExecuteInSession itself recovers Analyze. Like
-// Analyze, the search is influence-guided; the probes it skips are
-// exactly those that could not have changed the outcome.
-func AnalyzeWith(svc *Service, exec ExecFunc) ([]GroundTruth, error) {
-	if exec == nil {
-		return nil, fmt.Errorf("svclang: nil exec func")
-	}
-	return AnalyzeProbing(svc, func(svc *Service, req Request, store *SessionStore, obs ProbeObserver) error {
-		res, err := exec(svc, req, store)
-		if err != nil {
-			return err
-		}
-		for _, ev := range res.Events {
-			obs(ev.SinkID, ev.Kind, StructuralTaint(ev.Kind, ev.Value))
-		}
-		return nil
-	})
-}
 
 // OracleTotals is a snapshot of the process-wide oracle search
 // counters. Pruned counts probe executions the influence-guided search
@@ -401,11 +356,14 @@ func OracleTotalsSnapshot() OracleTotals {
 	}
 }
 
-// AnalyzeProbing derives ground truth through a streaming probe
-// function, with sink events judged in place of being materialised. The
-// search is influence-guided: a static pass (influence.go) proves most
-// of the exhaustive assignment space incapable of changing any verdict
-// or witness, and only the remainder is executed. The result — labels,
+// AnalyzeProbing computes ground truth for every sink of the service
+// over the oracle's value pool (benign values plus all canonical
+// payloads), executing every probe through probe. Stateless services
+// are labelled against every single-request parameter assignment,
+// services using the session store against every two-request sequence.
+// The search is influence-guided: a static pass (influence.go) proves
+// most of that assignment space incapable of changing any verdict or
+// witness, and only the remainder is executed. The result — labels,
 // witnesses and sequences — is identical to AnalyzeProbingExhaustive on
 // every valid service, which the differential and fuzz suites enforce.
 func AnalyzeProbing(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
@@ -416,7 +374,7 @@ func AnalyzeProbing(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 // value pool over every parameter assignment (two-request sequences for
 // stateful services) with no pruning and no early exit. It is the
 // reference the pruned search is differentially locked against, and the
-// search behind compile.NewReferenceEngine.
+// search behind internal/svclang/reference's engine.
 func AnalyzeProbingExhaustive(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 	return analyzeProbing(svc, probe, oracleModeExhaustive)
 }

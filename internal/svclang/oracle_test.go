@@ -373,7 +373,7 @@ func TestStructureEqual(t *testing.T) {
 
 func TestAnalyzeVulnerableService(t *testing.T) {
 	svc := mustParse(t, vulnSQLSrc)
-	truths, err := Analyze(svc)
+	truths, err := AnalyzeProbing(svc, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestAnalyzeVulnerableService(t *testing.T) {
 func TestAnalyzeSafeService(t *testing.T) {
 	for _, src := range []string{escapedSQLSrc, numericSQLSrc} {
 		svc := mustParse(t, src)
-		truths, err := Analyze(svc)
+		truths, err := AnalyzeProbing(svc, interpProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ service V
   sink sql concat("Q='", id, "'")
 end
 `)
-	truths, err := Analyze(svc)
+	truths, err := AnalyzeProbing(svc, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ service G
   end
 end
 `)
-	truths, err := Analyze(svc)
+	truths, err := AnalyzeProbing(svc, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ service D
   sink sql "SELECT 1"
 end
 `)
-	truths, err := Analyze(svc)
+	truths, err := AnalyzeProbing(svc, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ service L
   sink sql concat("Q='", acc, "'")
 end
 `)
-	truths, err := Analyze(svc)
+	truths, err := AnalyzeProbing(svc, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,17 +503,17 @@ end
 
 func TestAnalyzeTooManyParams(t *testing.T) {
 	svc := &Service{Name: "Big", Params: []string{"a", "b", "c", "d"}}
-	if _, err := Analyze(svc); err == nil {
+	if _, err := AnalyzeProbing(svc, interpProbe); err == nil {
 		t.Fatal("oracle must refuse services beyond its exhaustiveness limit")
 	}
 }
 
 func TestAnalyzeNilAndInvalid(t *testing.T) {
-	if _, err := Analyze(nil); err == nil {
+	if _, err := AnalyzeProbing(nil, interpProbe); err == nil {
 		t.Fatal("nil service accepted")
 	}
 	bad := &Service{Name: "B", Body: []Stmt{Assign{Name: "nope", Expr: Lit{}}}}
-	if _, err := Analyze(bad); err == nil {
+	if _, err := AnalyzeProbing(bad, interpProbe); err == nil {
 		t.Fatal("invalid service accepted")
 	}
 }
@@ -526,7 +526,7 @@ service None
   y = x
 end
 `)
-	truths, err := Analyze(svc)
+	truths, err := AnalyzeProbing(svc, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestStoredTaintSurvivesSession(t *testing.T) {
 
 func TestAnalyzeStoredXSS(t *testing.T) {
 	vuln := mustParse(t, storedXSSSrc)
-	truths, err := Analyze(vuln)
+	truths, err := AnalyzeProbing(vuln, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +647,7 @@ func TestAnalyzeStoredXSS(t *testing.T) {
 	}
 
 	safe := mustParse(t, storedXSSSafeSrc)
-	safeTruths, err := Analyze(safe)
+	safeTruths, err := AnalyzeProbing(safe, interpProbe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +665,7 @@ service TooWide
   store "k" concat(a, b)
 end
 `)
-	if _, err := Analyze(svc); err == nil {
+	if _, err := AnalyzeProbing(svc, interpProbe); err == nil {
 		t.Fatal("stateful service with 2 params must exceed the sequence-labelling limit")
 	}
 }

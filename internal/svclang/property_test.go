@@ -315,8 +315,8 @@ func TestRandomServiceOracleDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		svc := randomService(seed)
 		reassignSinkIDs(svc)
-		t1, err1 := Analyze(svc)
-		t2, err2 := Analyze(svc)
+		t1, err1 := AnalyzeProbing(svc, interpProbe)
+		t2, err2 := AnalyzeProbing(svc, interpProbe)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -337,7 +337,7 @@ func TestRandomServiceWitnessesReproduce(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		svc := randomService(seed)
 		reassignSinkIDs(svc)
-		truths, err := Analyze(svc)
+		truths, err := AnalyzeProbing(svc, interpProbe)
 		if err != nil {
 			t.Fatal(err)
 		}

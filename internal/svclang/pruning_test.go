@@ -7,7 +7,8 @@ import (
 
 // interpProbe adapts the reference interpreter to ProbeFunc, judging
 // events with the shared structural-taint table — the probe the
-// differential suite trusts.
+// differential suite trusts. It is reference.Probe, which tests inside
+// this package cannot import (package reference imports svclang).
 func interpProbe(svc *Service, req Request, store *SessionStore, obs ProbeObserver) error {
 	res, err := ExecuteInSession(svc, req, store)
 	if err != nil {

@@ -259,19 +259,17 @@ func runCtxFirst(pass *Pass) {
 
 // CompiledExec checks that the execution-path packages — the ones that
 // run svclang services inside campaigns and experiments — execute
-// through the compiled engine (compile.Engine's Execute,
-// ExecuteInSession, Observe, Analyze) rather than the raw tree-walking
-// entry points of package svclang. A raw svclang.Execute in a detector
-// or the harness silently bypasses the shared program cache and the
-// arena pool, costing a compile per probe. It also keeps
-// compile.NewReferenceEngine test-only: outside package compile itself,
-// no non-test code in the module may construct the reference engine,
-// whose outputs the differential suites prove identical to the
-// production engine's at many times the cost. Tests are exempt (the
+// through the compiled engine rather than the raw svclang entry points,
+// which bypass the shared program cache and the arena pool. It also
+// keeps the reference implementation test-only, and so out of every
+// production binary: outside internal/svclang/reference, no non-test
+// file may import that package, call compile.NewReferenceEngine, or
+// call the interpreter or the exhaustive search — the package defining
+// a function excepted for its own calls. Tests are exempt (the
 // differential suites exist to call both).
 var CompiledExec = &Analyzer{
 	Name: "compiledexec",
-	Doc:  "execution-path packages must run services through compile.Engine, not raw svclang.Execute/Analyze; compile.NewReferenceEngine is test-only",
+	Doc:  "execution-path packages must run services through compile.Engine, not raw svclang entry points; the reference interpreter, exhaustive search and internal/svclang/reference are test-only",
 	Run:  runCompiledExec,
 }
 
@@ -286,34 +284,50 @@ var execPathPackages = []string{
 	"internal/experiments",
 }
 
-// rawExecFuncs are the interpreter-path entry points of package svclang.
+// rawExecFuncs are the svclang entry points the execution path must
+// reach through compile.Engine instead; true marks those only the
+// reference implementation and tests may call at all.
 var rawExecFuncs = map[string]bool{
 	"Execute": true, "ExecuteInSession": true,
-	"Analyze": true, "AnalyzeWith": true,
-	"AnalyzeProbing": true, "AnalyzeProbingExhaustive": true,
+	"AnalyzeProbing": false, "AnalyzeProbingExhaustive": true,
 }
 
 func runCompiledExec(pass *Pass) {
 	svclangPath := pass.Prog.ModulePath + "/internal/svclang"
 	compilePath := svclangPath + "/compile"
-	if pass.Pkg.Kind != UnitPrimary || pass.Pkg.Path == compilePath {
+	referencePath := svclangPath + "/reference"
+	if pass.Pkg.Kind != UnitPrimary || pass.Pkg.Path == referencePath {
 		return
 	}
 	execPath := inPackageSet(pass, execPathPackages)
 	for _, file := range pass.Pkg.Owned {
+		for _, imp := range file.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == referencePath {
+				pass.Reportf(imp.Path.Pos(),
+					"package %s imports internal/svclang/reference outside a test; the reference implementation exists for differential tests only",
+					pass.Pkg.Path)
+			}
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			callee := staticCallee(pass.Pkg.TypesInfo, call)
-			if callee == nil || callee.Pkg() == nil || callee.Type().(*types.Signature).Recv() != nil {
+			if callee == nil || callee.Pkg() == nil || callee.Type().(*types.Signature).Recv() != nil ||
+				callee.Pkg().Path() == pass.Pkg.Path {
 				return true
 			}
+			testOnly, raw := rawExecFuncs[callee.Name()]
+			raw = raw && callee.Pkg().Path() == svclangPath
 			switch {
-			case execPath && callee.Pkg().Path() == svclangPath && rawExecFuncs[callee.Name()]:
+			case execPath && raw:
 				pass.Reportf(call.Pos(),
 					"package %s calls svclang.%s directly; execute through compile.Engine so programs compile once and arenas pool",
+					pass.Pkg.Path, callee.Name())
+			case raw && testOnly:
+				pass.Reportf(call.Pos(),
+					"package %s calls svclang.%s outside a test; the reference interpreter and exhaustive search exist for differential tests only, use compile.Engine",
 					pass.Pkg.Path, callee.Name())
 			case callee.Pkg().Path() == compilePath && callee.Name() == "NewReferenceEngine":
 				pass.Reportf(call.Pos(),

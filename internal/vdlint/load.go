@@ -38,9 +38,10 @@ const (
 	// it imports. Only when that fails to type-check does the loader
 	// retry against the test-augmented unit: the export_test.go idiom
 	// (external tests reaching symbols declared in in-package test
-	// files). An external test that needs those symbols AND passes the
-	// package's own types through another module package is not
-	// supported and surfaces as a type error.
+	// files). The retry re-checks every module package that imports the
+	// package under test against the augmented unit too, as the go tool
+	// rebuilds them for the test binary, so the package's own types stay
+	// identical when they pass through those packages.
 	UnitExternalTest
 )
 
@@ -539,17 +540,33 @@ func (prog *Program) importPath(path string) (*types.Package, error) {
 
 // unitImporter adapts a Program to types.Importer for one unit check.
 // A non-nil under resolves its own path to that unit instead of the
-// primary one.
+// primary one, and every module package that reaches it to a copy
+// re-checked against it, memoised in rebuilt.
 type unitImporter struct {
-	prog  *Program
-	under *Package
+	prog    *Program
+	under   *Package
+	rebuilt map[string]*types.Package
 }
 
 func (ui unitImporter) Import(path string) (*types.Package, error) {
-	if ui.under != nil && path == ui.under.Path {
+	dep, inModule := ui.prog.byPath[path]
+	switch {
+	case ui.under == nil || !inModule:
+		return ui.prog.importPath(path)
+	case path == ui.under.Path:
 		return ui.under.Types, nil
+	case !ui.prog.reaches(dep, ui.under.Path):
+		return ui.prog.importPath(path)
 	}
-	return ui.prog.importPath(path)
+	if pkg, ok := ui.rebuilt[path]; ok {
+		return pkg, nil
+	}
+	pkg, err := (&types.Config{Importer: ui}).Check(path, ui.prog.Fset, dep.Files, nil)
+	if err != nil {
+		return nil, err
+	}
+	ui.rebuilt[path] = pkg
+	return pkg, nil
 }
 
 // check type-checks one unit. Its module-internal dependencies must have
@@ -567,7 +584,7 @@ func (prog *Program) check(u *Package) error {
 func (prog *Program) checkWith(u, under *Package) error {
 	var firstErr error
 	conf := types.Config{
-		Importer: unitImporter{prog: prog, under: under},
+		Importer: unitImporter{prog: prog, under: under, rebuilt: map[string]*types.Package{}},
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err

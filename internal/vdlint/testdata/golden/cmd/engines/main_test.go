@@ -3,12 +3,15 @@ package main
 import (
 	"testing"
 
+	"example.com/golden/internal/svclang"
 	"example.com/golden/internal/svclang/compile"
+	"example.com/golden/internal/svclang/reference"
 )
 
-// Tests are where the reference engine belongs: no finding here.
+// Tests are where the reference implementation belongs: no finding here.
 func TestReference(t *testing.T) {
-	if compile.NewReferenceEngine() == compile.NewEngine() {
+	if reference.NewEngine() == compile.NewEngine() || compile.NewReferenceEngine(nil) == nil {
 		t.Fatal("engines alias")
 	}
+	_, _ = svclang.Execute(nil, nil)
 }

@@ -7,14 +7,23 @@ package compile
 
 import "example.com/golden/internal/svclang"
 
-type Engine struct{ reference bool }
+type Reference interface {
+	Analyze(s *svclang.Service) error
+}
+
+type Engine struct{ ref Reference }
 
 func NewEngine() *Engine { return &Engine{} }
 
-func NewReferenceEngine() *Engine { return &Engine{reference: true} }
+func NewReferenceEngine(ref Reference) *Engine { return &Engine{ref: ref} }
 
 // defaultEngine shows the package's own code is exempt from the
 // test-only rule.
-var defaultEngine = NewReferenceEngine()
+var defaultEngine = NewReferenceEngine(nil)
 
-func (e *Engine) Analyze(s *svclang.Service) error { return svclang.Analyze(s) }
+func (e *Engine) Analyze(s *svclang.Service) error {
+	if e.ref != nil {
+		return e.ref.Analyze(s)
+	}
+	return svclang.AnalyzeProbing(s)
+}

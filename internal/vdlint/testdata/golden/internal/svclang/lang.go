@@ -7,9 +7,12 @@ type Service struct{}
 type Request map[string]string
 type Result struct{}
 
-func Execute(s *Service, r Request) (Result, error)          { return Result{}, nil }
-func Analyze(s *Service) error                               { return nil }
+// Execute's own call shows the defining package is exempt from the
+// test-only rule.
+func Execute(s *Service, r Request) (Result, error)          { return ExecuteInSession(s, r) }
 func ExecuteInSession(s *Service, r Request) (Result, error) { return Result{}, nil }
+func AnalyzeProbing(s *Service) error                        { return nil }
+func AnalyzeProbingExhaustive(s *Service) error              { return nil }
 
 type SinkKind int
 

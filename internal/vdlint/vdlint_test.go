@@ -167,6 +167,24 @@ func TestLoadExternalTestReachesExportTest(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestRebuildsImporters: an external test that needs an
+// export_test.go symbol AND receives the package's own types through
+// another module package type-checks, because that package is re-checked
+// against the test-augmented unit.
+func TestLoadExternalTestRebuildsImporters(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":                    fixtureGomod,
+		"internal/x/x.go":           "package x\ntype T struct{}\nfunc New() *T { return &T{} }\nfunc hidden() int { return 1 }\n",
+		"internal/x/export_test.go": "package x\nvar Hidden = hidden\n",
+		"internal/y/y.go":           "package y\nimport \"example.com/fix/internal/x\"\nfunc Make() *x.T { return x.New() }\n",
+		"internal/x/ext_test.go":    "package x_test\nimport (\n\t\"testing\"\n\t\"example.com/fix/internal/x\"\n\t\"example.com/fix/internal/y\"\n)\nfunc TestExt(t *testing.T) { var v *x.T = y.Make(); _, _ = v, x.Hidden() }\n",
+	})
+	prog := loadFixture(t, root)
+	if err := prog.EnsureTyped(newTestBudget()); err != nil {
+		t.Fatalf("external test through a rebuilt importer did not type-check: %v", err)
+	}
+}
+
 func TestLoadRejectsTestImportDiamond(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod":               fixtureGomod,
@@ -388,7 +406,7 @@ type Request map[string]string
 type Result struct{}
 func Execute(s *Service, r Request) (Result, error) { return Result{}, nil }
 func ExecuteInSession(s *Service, r Request, st *int) (Result, error) { return Result{}, nil }
-func Analyze(s *Service) error { return nil }
+func AnalyzeProbing(s *Service, probe func()) error { return nil }
 `,
 		"internal/detectors/d.go": `package detectors
 import "example.com/fix/internal/svclang"
@@ -399,7 +417,7 @@ func probe(s *svclang.Service) {
 `,
 		"internal/workload/w.go": `package workload
 import "example.com/fix/internal/svclang"
-func label(s *svclang.Service) { svclang.Analyze(s) } // flagged
+func label(s *svclang.Service) { svclang.AnalyzeProbing(s, nil) } // flagged
 `,
 		"internal/detectors/d_test.go": `package detectors
 import "example.com/fix/internal/svclang"
@@ -407,7 +425,7 @@ func helper(s *svclang.Service) { svclang.Execute(s, nil) } // test file: ignore
 `,
 		"internal/report/free.go": `package report
 import "example.com/fix/internal/svclang"
-func outside(s *svclang.Service) { svclang.Execute(s, nil) } // outside the execution path: ignored
+func outside(s *svclang.Service) { svclang.AnalyzeProbing(s, nil) } // outside the execution path: ignored
 `,
 	})
 	diags := mustRun(t, loadFixture(t, root), []*Analyzer{CompiledExec}, Options{})
@@ -415,7 +433,7 @@ func outside(s *svclang.Service) { svclang.Execute(s, nil) } // outside the exec
 		t.Fatalf("diagnostics = %v, want the three raw calls", diags)
 	}
 	joined := joinMessages(diags)
-	for _, want := range []string{"svclang.Execute", "svclang.ExecuteInSession", "svclang.Analyze"} {
+	for _, want := range []string{"svclang.Execute", "svclang.ExecuteInSession", "svclang.AnalyzeProbing"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("missing %s finding in:\n%s", want, joined)
 		}
@@ -428,14 +446,12 @@ func TestCompiledExecIgnoresEngineCalls(t *testing.T) {
 		"internal/harness/h.go": `package harness
 import "example.com/fix/internal/svclang/compile"
 func run(eng *compile.Engine) {
-	eng.Execute(nil, nil)       // engine method, not the raw entry point
-	eng.ExecuteInSession(nil, nil, nil)
+	eng.ExecuteInSession(nil, nil, nil) // engine method, not the raw entry point
 	eng.Analyze(nil)
 }
 `,
 		"internal/svclang/compile/engine.go": `package compile
 type Engine struct{}
-func (e *Engine) Execute(a, b any) {}
 func (e *Engine) ExecuteInSession(a, b, c any) {}
 func (e *Engine) Analyze(a any) {}
 `,

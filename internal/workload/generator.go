@@ -152,8 +152,8 @@ func Generate(cfg Config) (*Corpus, error) {
 }
 
 // generate is Generate on a caller-supplied engine: the seam through
-// which tests label a corpus on compile.NewReferenceEngine and require
-// it deep-equal to the production one. One engine serves the whole
+// which tests label a corpus on the test-only reference.NewEngine and
+// require it deep-equal to the production one. One engine serves the whole
 // generation run: the oracle's probe search dominates corpus cost, and
 // the engine compiles each service once across its probe executions
 // (while the process-wide oracle cache elides repeat derivations of

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/svclang"
-	"github.com/dsn2015/vdbench/internal/svclang/compile"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 )
 
 // TestGenerateMatchesReferenceEngine labels corpora on the reference
@@ -33,7 +33,7 @@ func TestGenerateMatchesReferenceEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := generate(cfg, compile.NewReferenceEngine())
+			got, err := generate(cfg, reference.NewEngine())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/svclang/reference"
 )
 
 func TestTemplatesCoverAllDifficulties(t *testing.T) {
@@ -56,7 +57,7 @@ func TestAllTemplatesAgreeWithOracle(t *testing.T) {
 				if err := svc.Validate(); err != nil {
 					t.Fatalf("%s/%s vulnerable=%v: invalid service: %v", tpl.Name, kind, vulnerable, err)
 				}
-				truths, err := svclang.Analyze(svc)
+				truths, err := svclang.AnalyzeProbing(svc, reference.Probe)
 				if err != nil {
 					t.Fatalf("%s/%s vulnerable=%v: oracle: %v", tpl.Name, kind, vulnerable, err)
 				}
