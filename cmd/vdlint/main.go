@@ -27,7 +27,6 @@ func main() {
 		skip    = flag.String("skip", "", "comma-separated analyzers to skip")
 		jsonOut = flag.Bool("json", false, "emit diagnostics as a stable JSON array")
 		workers = flag.Int("workers", 0, "parallel type-check/analysis workers (0 = GOMAXPROCS)")
-		impMode = flag.String("importer", "auto", "stdlib import resolution: auto, gclist or source")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: vdlint [flags] [./...]\n\nflags:\n")
@@ -47,7 +46,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	prog, err := vdlint.LoadWith(root, vdlint.LoadOptions{Importer: *impMode})
+	prog, err := vdlint.Load(root)
 	if err != nil {
 		fail(err)
 	}

@@ -148,3 +148,69 @@ func (lastWriterWins) Join(a, b int) int {
 	return b
 }
 func (lastWriterWins) Equal(a, b int) bool { return a == b }
+
+// TestReversePostorderStartsAtEntry checks the order the solver drains
+// its worklist in: it starts at the entry, lists every reachable node
+// exactly once and no other, and every edge that goes backwards in it
+// closes a cycle.
+func TestReversePostorderStartsAtEntry(t *testing.T) {
+	cases := []struct {
+		name string
+		g    testGraph
+	}{
+		{"single", testGraph{nil}},
+		{"chain", testGraph{{1}, {2}, nil}},
+		{"diamond", testGraph{{1, 2}, {3}, {3}, nil}},
+		{"loop", testGraph{{1}, {2, 3}, {1}, nil}},
+		{"self-loop", testGraph{{1}, {1, 2}, nil}},
+		{"unreachable", testGraph{{2}, {2}, nil}},
+		// An if/else into a two-lap loop, the shape of a branch followed
+		// by a repeat statement.
+		{"branch-then-loop", testGraph{{1, 2}, {3}, {3}, {4}, {3, 5}, nil}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.g.NumNodes()
+			pos := make([]int, n)
+			order := rpo(c.g, pos, make([]int, 0, n))
+			if order[0] != c.g.Entry() {
+				t.Fatalf("order starts at node %d, want entry", order[0])
+			}
+			reach := reachableFrom(c.g, c.g.Entry())
+			if len(order) != len(reach) {
+				t.Fatalf("order has %d nodes, %d reachable", len(order), len(reach))
+			}
+			for id := 0; id < n; id++ {
+				if reach[id] != (pos[id] >= 0) {
+					t.Fatalf("node %d: reachable %v, position %d", id, reach[id], pos[id])
+				}
+				if pos[id] >= 0 && order[pos[id]] != id {
+					t.Fatalf("pos[%d] = %d, but order holds %d there", id, pos[id], order[pos[id]])
+				}
+			}
+			for _, u := range order {
+				for _, v := range c.g.Succs(u) {
+					if pos[v] <= pos[u] && !reachableFrom(c.g, v)[u] {
+						t.Fatalf("edge %d->%d goes backwards without closing a cycle", u, v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// reachableFrom returns the set of nodes reachable from start.
+func reachableFrom(g testGraph, start int) map[int]bool {
+	seen := map[int]bool{}
+	stack := []int{start}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[n] {
+			continue
+		}
+		seen[n] = true
+		stack = append(stack, g.Succs(n)...)
+	}
+	return seen
+}

@@ -7,6 +7,7 @@ import (
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/svclang/cfg"
+	"github.com/dsn2015/vdbench/internal/svclang/compile"
 )
 
 // TestCachedDataflowMatchesUncached pins the compile-cache invariant: a
@@ -100,30 +101,40 @@ func TestCacheSharedAcrossToolsWithEqualOptions(t *testing.T) {
 	})
 }
 
-// TestCombinedAndRestrictedForwardCache checks that the wrappers rebind
-// their members: analysing through the wrapped tool must populate the
-// cache, and the reports must match the unbound wrapper's.
-func TestCombinedAndRestrictedForwardCache(t *testing.T) {
+// TestCombinedForwardsCache checks that a combined tool rebinds its
+// members: analysing through the wrapped tool must populate the cache,
+// and the reports must match the unbound wrapper's.
+func TestCombinedForwardsCache(t *testing.T) {
 	cs := buildCase(t, "direct-splice", svclang.SinkSQL, true)
-
 	union, err := NewCombined("df-union", Union, []Tool{dfPrecise(), dfStateless()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqlOnly, err := RestrictKinds(dfPrecise(), svclang.SinkSQL)
+	cc := cfg.NewCache()
+	cached := union.(CompileCacheable).WithCompileCache(cc)
+	if got, want := analyze(t, cached, cs), analyze(t, union, cs); !reflect.DeepEqual(got, want) {
+		t.Fatal("cached reports differ")
+	}
+	if _, misses := cc.Stats(); misses == 0 {
+		t.Fatal("combined tool did not forward the cache to its members")
+	}
+}
+
+// TestCombinedForwardsExecEngine checks that a combined tool rebinds its
+// executing members to the engine it is bound to. Reports do not depend
+// on the engine, so only the engine's own counters show the forwarding.
+func TestCombinedForwardsExecEngine(t *testing.T) {
+	cs := buildCase(t, "direct-splice", svclang.SinkSQL, true)
+	union, err := NewCombined("pt-union", Union, []Tool{aggressive(), deepPT()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tool := range []Tool{union, sqlOnly} {
-		cc := cfg.NewCache()
-		cached := tool.(CompileCacheable).WithCompileCache(cc)
-		want := analyze(t, tool, cs)
-		got := analyze(t, cached, cs)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: cached reports differ", tool.Name())
-		}
-		if _, misses := cc.Stats(); misses == 0 {
-			t.Fatalf("%s: wrapper did not forward the cache to its members", tool.Name())
-		}
+	eng := compile.NewEngine()
+	bound := union.(ExecEngineBindable).WithExecEngine(eng)
+	if got, want := analyze(t, bound, cs), analyze(t, union, cs); !reflect.DeepEqual(got, want) {
+		t.Fatal("engine-bound reports differ")
+	}
+	if _, misses := eng.Stats(); misses == 0 {
+		t.Fatal("combined tool did not forward the engine to its pentester member")
 	}
 }

@@ -167,82 +167,3 @@ func (c *combined) Analyze(cs workload.Case, rng *stats.RNG) ([]Report, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].SinkID < out[j].SinkID })
 	return out, nil
 }
-
-// restricted filters a tool's findings to a set of sink kinds, modelling
-// single-purpose scanners (e.g. a SQL-injection-only tool).
-type restricted struct {
-	inner Tool
-	kinds map[svclang.SinkKind]bool
-	name  string
-}
-
-var _ Tool = (*restricted)(nil)
-var _ CompileCacheable = (*restricted)(nil)
-var _ ExecEngineBindable = (*restricted)(nil)
-
-// WithCompileCache implements CompileCacheable by rebinding the inner tool
-// when it supports a compile cache.
-func (r *restricted) WithCompileCache(cc *cfg.Cache) Tool {
-	clone := *r
-	if cci, ok := r.inner.(CompileCacheable); ok {
-		clone.inner = cci.WithCompileCache(cc)
-	}
-	return &clone
-}
-
-// WithExecEngine implements ExecEngineBindable by rebinding the inner
-// tool when it executes services.
-func (r *restricted) WithExecEngine(eng *compile.Engine) Tool {
-	clone := *r
-	if ei, ok := r.inner.(ExecEngineBindable); ok {
-		clone.inner = ei.WithExecEngine(eng)
-	}
-	return &clone
-}
-
-// RestrictKinds wraps a tool so that it only reports the given sink
-// kinds.
-func RestrictKinds(inner Tool, kinds ...svclang.SinkKind) (Tool, error) {
-	if inner == nil {
-		return nil, errors.New("detectors: nil inner tool")
-	}
-	if len(kinds) == 0 {
-		return nil, errors.New("detectors: RestrictKinds needs at least one kind")
-	}
-	set := make(map[svclang.SinkKind]bool, len(kinds))
-	names := ""
-	for _, k := range kinds {
-		if _, ok := svclang.SinkKindFromString(k.String()); !ok {
-			return nil, fmt.Errorf("detectors: unknown sink kind %d", int(k))
-		}
-		set[k] = true
-		if names != "" {
-			names += "+"
-		}
-		names += k.String()
-	}
-	return &restricted{
-		inner: inner,
-		kinds: set,
-		name:  fmt.Sprintf("%s[%s]", inner.Name(), names),
-	}, nil
-}
-
-func (r *restricted) Name() string { return r.name }
-
-func (r *restricted) Class() Class { return r.inner.Class() }
-
-// Analyze implements Tool.
-func (r *restricted) Analyze(cs workload.Case, rng *stats.RNG) ([]Report, error) {
-	reports, err := r.inner.Analyze(cs, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := reports[:0:0]
-	for _, rep := range reports {
-		if r.kinds[rep.Kind] {
-			out = append(out, rep)
-		}
-	}
-	return out, nil
-}

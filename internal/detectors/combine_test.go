@@ -138,51 +138,3 @@ func TestCombinedPropagatesMemberErrors(t *testing.T) {
 		t.Fatal("nil service should propagate member error")
 	}
 }
-
-func TestRestrictKinds(t *testing.T) {
-	base := aggressive()
-	sqlOnly, err := RestrictKinds(base, svclang.SinkSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sqlOnly.Name() != "aggressive[sql]" {
-		t.Fatalf("name = %q", sqlOnly.Name())
-	}
-	if sqlOnly.Class() != ClassSAST {
-		t.Fatal("class should pass through")
-	}
-	sqlVuln := buildCase(t, "direct-splice", svclang.SinkSQL, true)
-	htmlVuln := buildCase(t, "direct-splice", svclang.SinkHTML, true)
-	if !reportsSink(t, sqlOnly, sqlVuln, 0) {
-		t.Fatal("restricted tool should keep in-scope findings")
-	}
-	if reportsSink(t, sqlOnly, htmlVuln, 0) {
-		t.Fatal("restricted tool should drop out-of-scope findings")
-	}
-}
-
-func TestRestrictKindsValidation(t *testing.T) {
-	if _, err := RestrictKinds(nil, svclang.SinkSQL); err == nil {
-		t.Error("nil inner accepted")
-	}
-	if _, err := RestrictKinds(aggressive()); err == nil {
-		t.Error("empty kind list accepted")
-	}
-	if _, err := RestrictKinds(aggressive(), svclang.SinkKind(42)); err == nil {
-		t.Error("bogus kind accepted")
-	}
-}
-
-func TestRestrictKindsMultiple(t *testing.T) {
-	multi, err := RestrictKinds(aggressive(), svclang.SinkSQL, svclang.SinkXPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Name() != "aggressive[sql+xpath]" {
-		t.Fatalf("name = %q", multi.Name())
-	}
-	xpathVuln := buildCase(t, "direct-splice", svclang.SinkXPath, true)
-	if !reportsSink(t, multi, xpathVuln, 0) {
-		t.Fatal("xpath should be in scope")
-	}
-}

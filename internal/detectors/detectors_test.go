@@ -273,7 +273,7 @@ func TestPentesterNeverFalseAlarms(t *testing.T) {
 }
 
 func TestParametricRates(t *testing.T) {
-	tool, err := NewExactRateTool("sim", 0.8, 0.1)
+	tool, err := NewParametric(ParametricConfig{Name: "sim", DefaultTPR: 0.8, FPR: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +319,10 @@ func TestParametricValidation(t *testing.T) {
 	if _, err := NewParametric(ParametricConfig{Name: "", DefaultTPR: 0.5}); err == nil {
 		t.Error("nameless tool accepted")
 	}
-	if _, err := NewExactRateTool("x", 1.5, 0); err == nil {
+	if _, err := NewParametric(ParametricConfig{Name: "x", DefaultTPR: 1.5}); err == nil {
 		t.Error("TPR > 1 accepted")
 	}
-	if _, err := NewExactRateTool("x", 0.5, -0.1); err == nil {
+	if _, err := NewParametric(ParametricConfig{Name: "x", DefaultTPR: 0.5, FPR: -0.1}); err == nil {
 		t.Error("negative FPR accepted")
 	}
 	if _, err := NewParametric(ParametricConfig{
@@ -333,7 +333,7 @@ func TestParametricValidation(t *testing.T) {
 }
 
 func TestParametricNeedsRNG(t *testing.T) {
-	tool, err := NewExactRateTool("sim", 0.5, 0.1)
+	tool, err := NewParametric(ParametricConfig{Name: "sim", DefaultTPR: 0.5, FPR: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,14 +106,3 @@ func (p *parametric) Analyze(cs workload.Case, rng *stats.RNG) ([]Report, error)
 	}
 	return reports, nil
 }
-
-// NewExactRateTool builds a parametric tool with one TPR for every
-// difficulty. Experiments that sweep workload properties at fixed
-// intrinsic tool quality use these.
-func NewExactRateTool(name string, tpr, fpr float64) (Tool, error) {
-	return NewParametric(ParametricConfig{
-		Name:       name,
-		DefaultTPR: tpr,
-		FPR:        fpr,
-	})
-}

@@ -305,21 +305,13 @@ func (r *Runner) E7Discrimination(ctx context.Context) (Result, error) {
 	// statistically appropriate test, since both tools share every case.
 	mcTbl := report.NewTable("E7b: McNemar paired test per adjacent pair (correct-vs-correct)",
 		"pair", "A-only correct", "B-only correct", "chi2", "p-value", "significant at 0.05")
-	for i := 0; i+1 < len(order); i++ {
-		a := &camp.Results[order[i]]
-		b := &camp.Results[order[i+1]]
-		aCorrect := make([]bool, len(a.Outcomes))
-		bCorrect := make([]bool, len(b.Outcomes))
-		for j := range a.Outcomes {
-			aCorrect[j] = a.Outcomes[j].Vulnerable == a.Outcomes[j].Flagged
-			bCorrect[j] = b.Outcomes[j].Vulnerable == b.Outcomes[j].Flagged
-		}
-		res, err := stats.McNemarFromOutcomes(aCorrect, bCorrect)
+	for i, codes := range pairCodes {
+		res, err := codes.McNemar()
 		if err != nil {
 			return Result{}, err
 		}
 		mcTbl.AddRowValues(
-			fmt.Sprintf("%s vs %s", a.Tool, b.Tool),
+			fmt.Sprintf("%s vs %s", camp.Results[order[i]].Tool, camp.Results[order[i+1]].Tool),
 			res.B, res.C, res.Statistic, res.PValue, yesNo(res.Significant(0.05)),
 		)
 	}

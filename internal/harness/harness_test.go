@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
@@ -297,6 +298,81 @@ func TestPairCodesFullIndexDelta(t *testing.T) {
 	short := &ToolResult{Outcomes: a.Outcomes[1:]}
 	if _, err := NewPairCodes(a, short); err == nil {
 		t.Fatal("misaligned outcome slices accepted")
+	}
+}
+
+// TestPairCodesMcNemar checks the discordant counts on a hand-built
+// pair: tool a is right on sinks 0, 1, 2 and 4, tool b on 0, 4 and 5.
+func TestPairCodesMcNemar(t *testing.T) {
+	// Each outcome's correctness is Vulnerable == Flagged.
+	right, wrong := SinkOutcome{Vulnerable: true, Flagged: true}, SinkOutcome{Flagged: true}
+	a := &ToolResult{Outcomes: []SinkOutcome{right, {}, right, wrong, {}, {Vulnerable: true}}}
+	b := &ToolResult{Outcomes: []SinkOutcome{{}, wrong, {Vulnerable: true}, wrong, right, {}}}
+	codes, err := NewPairCodes(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := codes.McNemar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.B != 2 || res.C != 1 {
+		t.Fatalf("discordant counts = (%d, %d), want (2, 1)", res.B, res.C)
+	}
+	if _, err := PairCodes(nil).McNemar(); !errors.Is(err, stats.ErrEmpty) {
+		t.Fatal("empty table accepted")
+	}
+}
+
+// TestPairCodesMcNemarMatchesOutcomes checks McNemar's discordant counts
+// for every adjacent pair of a real campaign against the per-sink
+// correctness of the two tools' outcomes.
+func TestPairCodesMcNemarMatchesOutcomes(t *testing.T) {
+	camp := runCampaign(t, 40)
+	for i := 0; i+1 < len(camp.Results); i++ {
+		a, b := &camp.Results[i], &camp.Results[i+1]
+		t.Run(a.Tool+"-vs-"+b.Tool, func(t *testing.T) {
+			var onlyA, onlyB int
+			for k, oa := range a.Outcomes {
+				aOK, bOK := oa.Vulnerable == oa.Flagged, b.Outcomes[k].Vulnerable == b.Outcomes[k].Flagged
+				if aOK && !bOK {
+					onlyA++
+				}
+				if bOK && !aOK {
+					onlyB++
+				}
+			}
+			codes, err := NewPairCodes(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := codes.McNemar()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.B != onlyA || res.C != onlyB {
+				t.Fatalf("discordant counts = (%d, %d), outcomes give (%d, %d)", res.B, res.C, onlyA, onlyB)
+			}
+		})
+	}
+}
+
+// TestOverallIsMicroAverage checks that the overall matrix E13 reports as
+// the micro average pools every sink outcome, and so equals the sum of the
+// per-template matrices as well.
+func TestOverallIsMicroAverage(t *testing.T) {
+	camp := runCampaign(t, 40)
+	for _, res := range camp.Results {
+		var pooled, templateSum metrics.Confusion
+		for _, o := range res.Outcomes {
+			pooled = pooled.Add(o.Confusion())
+		}
+		for _, m := range res.ByTemplate {
+			templateSum = templateSum.Add(m)
+		}
+		if pooled != res.Overall || templateSum != res.Overall {
+			t.Errorf("%s: overall %+v, pooled outcomes %+v, template sum %+v", res.Tool, res.Overall, pooled, templateSum)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"github.com/dsn2015/vdbench/internal/metrics"
+	"github.com/dsn2015/vdbench/internal/stats"
 )
 
 // Outcome codes name the confusion-matrix cell of one sink outcome in a
@@ -88,4 +89,24 @@ func (PairCodes) Fold(cnt *[16]int) (a, b metrics.Confusion) {
 		cb[code&3] += n
 	}
 	return foldCounts(&ca), foldCounts(&cb)
+}
+
+// McNemar runs McNemar's paired test on the two tools' classification
+// correctness. A tool is correct on a sink when its code is TP or TN; B
+// counts the sinks only tool a gets right, C those only tool b does.
+func (p PairCodes) McNemar() (stats.McNemarResult, error) {
+	if len(p) == 0 {
+		return stats.McNemarResult{}, stats.ErrEmpty
+	}
+	correct := func(code uint8) bool { return code == codeTP || code == codeTN }
+	var b, c int
+	for _, code := range p {
+		switch aOK, bOK := correct(code>>2), correct(code&3); {
+		case aOK && !bOK:
+			b++
+		case !aOK && bOK:
+			c++
+		}
+	}
+	return stats.McNemar(b, c)
 }

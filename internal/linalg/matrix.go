@@ -1,7 +1,7 @@
 // Package linalg provides the small dense-matrix toolkit needed by the MCDA
-// layer: matrix construction, multiplication, and the principal-eigenvector
-// computation that the Analytic Hierarchy Process uses to turn pairwise
-// comparison matrices into priority vectors.
+// layer: matrix construction and the principal-eigenvector computation that
+// the Analytic Hierarchy Process uses to turn pairwise comparison matrices
+// into priority vectors.
 package linalg
 
 import (
@@ -27,43 +27,8 @@ func New(rows, cols int) (*Matrix, error) {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}, nil
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal,
-// non-zero length. The input is copied.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("linalg: empty matrix")
-	}
-	cols := len(rows[0])
-	m, err := New(len(rows), cols)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: row %d has %d columns, want %d", i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) (*Matrix, error) {
-	m, err := New(n, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at (i, j). Out-of-range indices panic, as with
 // slice indexing.
@@ -84,43 +49,6 @@ func (m *Matrix) check(i, j int) {
 	}
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
-	copy(c.data, m.data)
-	return c
-}
-
-// Mul returns the matrix product m·other.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.cols != other.rows {
-		return nil, fmt.Errorf("%w: %dx%d x %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	out, _ := New(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.cols; j++ {
-				out.data[i*out.cols+j] += a * other.data[k*other.cols+j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m·v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("%w: %dx%d x vector(%d)", ErrDimension, m.rows, m.cols, len(v))
-	}
-	out := make([]float64, m.rows)
-	m.mulVecInto(out, v)
-	return out, nil
-}
-
 // mulVecInto writes m·v into out; the caller guarantees the shapes.
 func (m *Matrix) mulVecInto(out, v []float64) {
 	for i := range out {
@@ -136,22 +64,6 @@ func (m *Matrix) mulVecInto(out, v []float64) {
 // IsSquare reports whether m has equal row and column counts.
 func (m *Matrix) IsSquare() bool { return m.rows == m.cols }
 
-// Normalize1 scales v in place so its entries sum to one and returns v.
-// A zero vector is returned unchanged.
-func Normalize1(v []float64) []float64 {
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	if sum == 0 {
-		return v
-	}
-	for i := range v {
-		v[i] /= sum
-	}
-	return v
-}
-
 // PowerIterationResult carries the dominant eigenpair of a matrix.
 type PowerIterationResult struct {
 	// Eigenvalue is the dominant eigenvalue estimate (lambda_max for AHP
@@ -164,17 +76,6 @@ type PowerIterationResult struct {
 	Iterations int
 }
 
-// PowerIteration computes the dominant eigenpair of a square matrix with
-// positive entries (the AHP setting guarantees positivity, which makes the
-// dominant eigenvalue real and simple by Perron–Frobenius). It returns an
-// error if the matrix is not square, contains non-positive entries, or the
-// iteration fails to converge within maxIter iterations to tolerance tol.
-// It is Run on a fresh workspace, so the eigenvector is the caller's.
-func PowerIteration(m *Matrix, maxIter int, tol float64) (PowerIterationResult, error) {
-	var w PowerWorkspace
-	return w.Run(m, maxIter, tol)
-}
-
 // PowerWorkspace holds the vectors a power iteration works in. Reusing one
 // workspace across Run calls keeps them allocation-free once its buffers
 // have grown to the matrix dimension. The zero value is ready to use; a
@@ -183,8 +84,13 @@ type PowerWorkspace struct {
 	v, next, av []float64
 }
 
-// Run is PowerIteration in the workspace's buffers. The result's
-// Eigenvector aliases the workspace and is overwritten by the next Run.
+// Run computes the dominant eigenpair of a square matrix with positive
+// entries (the AHP setting guarantees positivity, which makes the dominant
+// eigenvalue real and simple by Perron–Frobenius) in the workspace's
+// buffers. It returns an error if the matrix is not square, contains
+// non-positive entries, or the iteration fails to converge within maxIter
+// iterations to tolerance tol. The result's Eigenvector aliases the
+// workspace and is overwritten by the next Run.
 func (w *PowerWorkspace) Run(m *Matrix, maxIter int, tol float64) (PowerIterationResult, error) {
 	if !m.IsSquare() {
 		return PowerIterationResult{}, fmt.Errorf("%w: power iteration needs a square matrix, got %dx%d", ErrDimension, m.rows, m.cols)

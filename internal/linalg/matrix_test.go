@@ -21,33 +21,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("shape = %dx%d", m.Rows(), m.Cols())
-	}
-}
-
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Fatal("element order wrong")
-	}
-	if _, err := FromRows(nil); err == nil {
-		t.Fatal("empty input should fail")
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Fatal("ragged input should fail")
-	}
-}
-
-func TestFromRowsCopies(t *testing.T) {
-	row := []float64{1, 2}
-	m, _ := FromRows([][]float64{row})
-	row[0] = 99
-	if m.At(0, 0) != 1 {
-		t.Fatal("FromRows aliased caller data")
+	if m.Rows() != 2 || m.IsSquare() {
+		t.Fatalf("shape = %d rows, square %v", m.Rows(), m.IsSquare())
 	}
 }
 
@@ -69,82 +44,33 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	m.At(2, 0)
 }
 
-func TestClone(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestIdentityAndMul(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	id, err := Identity(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.Mul(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if p.At(i, j) != m.At(i, j) {
-				t.Fatalf("M*I != M at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestMulKnownProduct(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b, _ := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	p, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{58, 64}, {139, 154}}
-	for i := range want {
-		for j := range want[i] {
-			if p.At(i, j) != want[i][j] {
-				t.Fatalf("product (%d,%d) = %g, want %g", i, j, p.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMulDimensionError(t *testing.T) {
-	a, _ := New(2, 3)
-	b, _ := New(2, 3)
-	if _, err := a.Mul(b); !errors.Is(err, ErrDimension) {
-		t.Fatalf("expected ErrDimension, got %v", err)
-	}
-}
-
+// TestMulVec checks the product the power iteration runs on, for a
+// rectangular matrix so that rows and columns cannot be swapped.
 func TestMulVec(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	v, err := m.MulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
+	m, _ := New(2, 3)
+	for i, x := range []float64{1, 2, 3, 4, 5, 6} {
+		m.Set(i/3, i%3, x)
 	}
-	if v[0] != 3 || v[1] != 7 {
-		t.Fatalf("MulVec = %v", v)
+	out := []float64{-1, -1}
+	m.mulVecInto(out, []float64{1, 0, -1})
+	if out[0] != -2 || out[1] != -2 {
+		t.Fatalf("m·v = %v, want [-2 -2]", out)
 	}
-	if _, err := m.MulVec([]float64{1}); !errors.Is(err, ErrDimension) {
-		t.Fatal("dimension mismatch should fail")
+	m.mulVecInto(out, []float64{1, 1, 1})
+	if out[0] != 6 || out[1] != 15 {
+		t.Fatalf("m·1 = %v, want [6 15]", out)
 	}
 }
 
-func TestNormalize1(t *testing.T) {
-	v := Normalize1([]float64{1, 3})
-	if v[0] != 0.25 || v[1] != 0.75 {
-		t.Fatalf("Normalize1 = %v", v)
+// fill returns the square matrix with the given rows.
+func fill(rows [][]float64) *Matrix {
+	m, _ := New(len(rows), len(rows))
+	for i, r := range rows {
+		for j, x := range r {
+			m.Set(i, j, x)
+		}
 	}
-	z := Normalize1([]float64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatal("zero vector should pass through unchanged")
-	}
+	return m
 }
 
 func TestPowerIterationDiagonal(t *testing.T) {
@@ -155,8 +81,8 @@ func TestPowerIterationDiagonal(t *testing.T) {
 	for i := range rows {
 		rows[i] = []float64{w[i], w[i], w[i]}
 	}
-	m, _ := FromRows(rows)
-	res, err := PowerIteration(m, 1000, 1e-12)
+	m := fill(rows)
+	res, err := new(PowerWorkspace).Run(m, 1000, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +107,8 @@ func TestPowerIterationConsistentAHPMatrix(t *testing.T) {
 			rows[i][j] = w[i] / w[j]
 		}
 	}
-	m, _ := FromRows(rows)
-	res, err := PowerIteration(m, 1000, 1e-12)
+	m := fill(rows)
+	res, err := new(PowerWorkspace).Run(m, 1000, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +123,12 @@ func TestPowerIterationConsistentAHPMatrix(t *testing.T) {
 }
 
 func TestPowerIterationEigenvectorSumsToOne(t *testing.T) {
-	m, _ := FromRows([][]float64{
+	m := fill([][]float64{
 		{1, 2, 4},
 		{0.5, 1, 3},
 		{0.25, 1.0 / 3.0, 1},
 	})
-	res, err := PowerIteration(m, 1000, 1e-12)
+	res, err := new(PowerWorkspace).Run(m, 1000, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,30 +147,30 @@ func TestPowerIterationEigenvectorSumsToOne(t *testing.T) {
 
 func TestPowerIterationValidation(t *testing.T) {
 	rect, _ := New(2, 3)
-	if _, err := PowerIteration(rect, 100, 1e-9); !errors.Is(err, ErrDimension) {
+	if _, err := new(PowerWorkspace).Run(rect, 100, 1e-9); !errors.Is(err, ErrDimension) {
 		t.Fatal("non-square should fail")
 	}
-	withZero, _ := FromRows([][]float64{{1, 0}, {1, 1}})
-	if _, err := PowerIteration(withZero, 100, 1e-9); err == nil {
+	withZero := fill([][]float64{{1, 0}, {1, 1}})
+	if _, err := new(PowerWorkspace).Run(withZero, 100, 1e-9); err == nil {
 		t.Fatal("zero entry should fail")
 	}
-	ok, _ := FromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := PowerIteration(ok, 0, 1e-9); err == nil {
+	ok := fill([][]float64{{1, 1}, {1, 1}})
+	if _, err := new(PowerWorkspace).Run(ok, 0, 1e-9); err == nil {
 		t.Fatal("maxIter=0 should fail")
 	}
-	if _, err := PowerIteration(ok, 100, 0); err == nil {
+	if _, err := new(PowerWorkspace).Run(ok, 100, 0); err == nil {
 		t.Fatal("tol=0 should fail")
 	}
 }
 
 func TestPowerIterationNonConvergence(t *testing.T) {
-	m, _ := FromRows([][]float64{
+	m := fill([][]float64{
 		{1, 9, 0.2},
 		{1.0 / 9.0, 1, 7},
 		{5, 1.0 / 7.0, 1},
 	})
 	// One iteration cannot reach a 1e-15 tolerance on this matrix.
-	if _, err := PowerIteration(m, 1, 1e-15); err == nil {
+	if _, err := new(PowerWorkspace).Run(m, 1, 1e-15); err == nil {
 		t.Fatal("expected non-convergence error")
 	}
 }

@@ -5,20 +5,6 @@ import "errors"
 // ErrNoClasses is returned by aggregations over an empty class list.
 var ErrNoClasses = errors.New("metrics: no per-class matrices to aggregate")
 
-// MicroAverage sums per-class confusion matrices into one pooled matrix.
-// Micro-averaging weighs every instance equally, so frequent vulnerability
-// classes dominate.
-func MicroAverage(perClass []Confusion) (Confusion, error) {
-	if len(perClass) == 0 {
-		return Confusion{}, ErrNoClasses
-	}
-	var out Confusion
-	for _, c := range perClass {
-		out = out.Add(c)
-	}
-	return out, nil
-}
-
 // MacroAverageResult reports a macro-averaged metric value along with how
 // many classes the metric was actually defined on.
 type MacroAverageResult struct {

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Stable metric identifiers. Experiments and scenario definitions refer to
@@ -538,16 +537,6 @@ func Catalog() []Metric {
 	return buildCatalog()
 }
 
-// CatalogIDs returns the IDs of all metrics in catalogue order.
-func CatalogIDs() []string {
-	cat := buildCatalog()
-	ids := make([]string, len(cat))
-	for i, m := range cat {
-		ids[i] = m.ID
-	}
-	return ids
-}
-
 // catalogIndex resolves every ID and alias to its metric. It is built
 // once: in catalogue order, a metric's ID and then its aliases, the first
 // insert of a name winning, which is the order a linear scan would find.
@@ -579,12 +568,4 @@ func MustByID(id string) Metric {
 		panic(fmt.Sprintf("metrics: unknown metric ID %q", id))
 	}
 	return m
-}
-
-// SortedIDs returns all catalogue IDs in lexicographic order. Useful for
-// deterministic map iteration in reports.
-func SortedIDs() []string {
-	ids := CatalogIDs()
-	sort.Strings(ids)
-	return ids
 }

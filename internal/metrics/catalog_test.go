@@ -284,18 +284,6 @@ func TestMustByIDPanics(t *testing.T) {
 	MustByID("nope")
 }
 
-func TestSortedIDs(t *testing.T) {
-	ids := SortedIDs()
-	if len(ids) != len(CatalogIDs()) {
-		t.Fatal("SortedIDs lost entries")
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("IDs not sorted at %d: %q >= %q", i, ids[i-1], ids[i])
-		}
-	}
-}
-
 func TestOrientationHelpers(t *testing.T) {
 	rec := MustByID(IDRecall)
 	if !rec.Better(0.9, 0.5) || rec.Better(0.5, 0.9) {

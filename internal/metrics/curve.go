@@ -143,24 +143,3 @@ func AveragePrecision(xs []ScoredInstance) (float64, error) {
 	}
 	return ap, nil
 }
-
-// AtThreshold classifies the scored sample at the given threshold (score >=
-// threshold predicts "vulnerable") and returns the resulting confusion
-// matrix.
-func AtThreshold(xs []ScoredInstance, threshold float64) Confusion {
-	var c Confusion
-	for _, x := range xs {
-		predicted := x.Score >= threshold
-		switch {
-		case predicted && x.Positive:
-			c.TP++
-		case predicted && !x.Positive:
-			c.FP++
-		case !predicted && x.Positive:
-			c.FN++
-		default:
-			c.TN++
-		}
-	}
-	return c
-}

@@ -175,28 +175,40 @@ func TestAveragePrecisionKnown(t *testing.T) {
 	}
 }
 
-func TestAtThreshold(t *testing.T) {
-	xs := scored(sp(0.9, true), sp(0.6, false), sp(0.4, true), sp(0.2, false))
-	c := AtThreshold(xs, 0.5)
-	want := Confusion{TP: 1, FP: 1, FN: 1, TN: 1}
-	if c != want {
-		t.Fatalf("AtThreshold = %+v, want %+v", c, want)
+// TestROCPointsFlagAtOrAboveThreshold checks each ROC point after the
+// origin against the confusion matrix at one threshold: the k-th point
+// flags every instance scored at or above the k-th highest distinct
+// score, ties included.
+func TestROCPointsFlagAtOrAboveThreshold(t *testing.T) {
+	xs := scored(sp(0.9, true), sp(0.6, false), sp(0.4, true), sp(0.6, true), sp(0.2, false), sp(0.4, false))
+	curve, err := ROC(xs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Threshold below every score flags everything.
-	c = AtThreshold(xs, 0)
-	if c != (Confusion{TP: 2, FP: 2}) {
-		t.Fatalf("all-flagged = %+v", c)
+	thresholds := []float64{0.9, 0.6, 0.4, 0.2}
+	if len(curve) != len(thresholds)+1 {
+		t.Fatalf("curve has %d points, want %d", len(curve), len(thresholds)+1)
 	}
-	// Threshold above every score flags nothing.
-	c = AtThreshold(xs, 2)
-	if c != (Confusion{FN: 2, TN: 2}) {
-		t.Fatalf("none-flagged = %+v", c)
-	}
-}
-
-func TestAtThresholdBoundaryInclusive(t *testing.T) {
-	xs := scored(sp(0.5, true))
-	if c := AtThreshold(xs, 0.5); c.TP != 1 {
-		t.Fatalf("score == threshold should be flagged: %+v", c)
+	for k, th := range thresholds {
+		var c Confusion
+		for _, x := range xs {
+			switch flagged := x.Score >= th; {
+			case flagged && x.Positive:
+				c.TP++
+			case flagged:
+				c.FP++
+			case x.Positive:
+				c.FN++
+			default:
+				c.TN++
+			}
+		}
+		want := ROCPoint{
+			FPR: float64(c.FP) / float64(c.FP+c.TN),
+			TPR: float64(c.TP) / float64(c.TP+c.FN),
+		}
+		if curve[k+1] != want {
+			t.Fatalf("point at threshold %g = %+v, want %+v (confusion %+v)", th, curve[k+1], want, c)
+		}
 	}
 }

@@ -1,8 +1,7 @@
-// Package ranking provides rank-correlation and rank-aggregation
-// utilities: Kendall's tau-b, Spearman's rho, top-k overlap, and Borda
-// aggregation. The experiments use them to quantify how strongly different
-// metrics disagree about tool orderings, and how well MCDA-produced
-// rankings agree with the analytical selection.
+// Package ranking provides rank-correlation utilities: Kendall's tau-b,
+// average ranks, and top-k overlap. The experiments use them to quantify
+// how strongly different metrics disagree about tool orderings, and how
+// well MCDA-produced rankings agree with the analytical selection.
 package ranking
 
 import (
@@ -10,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/dsn2015/vdbench/internal/stats"
 )
 
 // ErrTooShort is returned for samples with fewer than two items.
@@ -85,24 +82,6 @@ func Ranks(scores []float64) []float64 {
 	return ranks
 }
 
-// SpearmanRho computes Spearman's rank correlation (Pearson correlation of
-// average ranks) between two score vectors.
-func SpearmanRho(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, ErrLengthMismatch
-	}
-	if len(a) < 2 {
-		return 0, ErrTooShort
-	}
-	ra := Ranks(a)
-	rb := Ranks(b)
-	rho, err := stats.Pearson(ra, rb)
-	if err != nil {
-		return 0, fmt.Errorf("ranking: %w", err)
-	}
-	return rho, nil
-}
-
 // TopK returns the indices of the k highest scores (ties broken by lower
 // index first, for determinism).
 func TopK(scores []float64, k int) []int {
@@ -143,28 +122,4 @@ func TopKOverlap(a, b []float64, k int) (float64, error) {
 		}
 	}
 	return float64(common) / float64(k), nil
-}
-
-// Borda aggregates multiple score vectors over the same items into Borda
-// counts: each voter awards n-rank points per item (average on ties via
-// average ranks). Higher Borda count means better consensus position.
-func Borda(voters [][]float64) ([]float64, error) {
-	if len(voters) == 0 {
-		return nil, errors.New("ranking: no voters")
-	}
-	n := len(voters[0])
-	if n == 0 {
-		return nil, errors.New("ranking: no items")
-	}
-	out := make([]float64, n)
-	for v, scores := range voters {
-		if len(scores) != n {
-			return nil, fmt.Errorf("ranking: voter %d has %d items, want %d: %w", v, len(scores), n, ErrLengthMismatch)
-		}
-		ranks := Ranks(scores)
-		for i, r := range ranks {
-			out[i] += float64(n) - r
-		}
-	}
-	return out, nil
 }

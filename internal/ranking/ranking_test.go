@@ -80,22 +80,34 @@ func TestRanks(t *testing.T) {
 	}
 }
 
-func TestSpearmanRho(t *testing.T) {
+// TestPearsonOfRanksIsSpearman pins the rank correlation E17 computes:
+// Pearson's r on Ranks is Spearman's rho, 1 - 6·Σd²/(n(n²-1)) without
+// ties.
+func TestPearsonOfRanksIsSpearman(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
-	rho, err := SpearmanRho(a, []float64{2, 4, 6, 8, 10})
-	if err != nil || math.Abs(rho-1) > 1e-12 {
-		t.Fatalf("rho monotone = %g, %v", rho, err)
+	cases := []struct {
+		name string
+		b    []float64
+		want float64
+	}{
+		{"monotone", []float64{2, 4, 6, 8, 10}, 1},
+		{"monotone-nonlinear", []float64{1, 8, 27, 64, 125}, 1},
+		{"reversed", []float64{5, 4, 3, 2, 1}, -1},
+		{"two-swaps", []float64{2, 1, 4, 3, 5}, 0.8}, // Σd² = 4
 	}
-	rho, err = SpearmanRho(a, []float64{5, 4, 3, 2, 1})
-	if err != nil || math.Abs(rho+1) > 1e-12 {
-		t.Fatalf("rho reversed = %g, %v", rho, err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rho, err := stats.Pearson(Ranks(a), Ranks(c.b))
+			if err != nil || math.Abs(rho-c.want) > 1e-12 {
+				t.Fatalf("rho = %g, %v; want %g", rho, err, c.want)
+			}
+		})
 	}
-	if _, err := SpearmanRho(a, []float64{1, 1, 1, 1, 1}); err == nil {
-		t.Fatal("constant sample should be undefined")
-	}
-	if _, err := SpearmanRho([]float64{1}, []float64{1}); !errors.Is(err, ErrTooShort) {
-		t.Fatal("too-short accepted")
-	}
+	t.Run("constant", func(t *testing.T) {
+		if _, err := stats.Pearson(Ranks(a), Ranks([]float64{1, 1, 1, 1, 1})); err == nil {
+			t.Fatal("constant sample should be undefined")
+		}
+	})
 }
 
 func TestTopK(t *testing.T) {
@@ -133,30 +145,6 @@ func TestTopKOverlap(t *testing.T) {
 	}
 }
 
-func TestBorda(t *testing.T) {
-	// Two voters agree: item 0 best.
-	voters := [][]float64{
-		{3, 2, 1},
-		{5, 4, 0},
-	}
-	counts, err := Borda(voters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(counts[0] > counts[1] && counts[1] > counts[2]) {
-		t.Fatalf("Borda = %v", counts)
-	}
-	if _, err := Borda(nil); err == nil {
-		t.Fatal("no voters accepted")
-	}
-	if _, err := Borda([][]float64{{}}); err == nil {
-		t.Fatal("no items accepted")
-	}
-	if _, err := Borda([][]float64{{1, 2}, {1}}); err == nil {
-		t.Fatal("ragged voters accepted")
-	}
-}
-
 // Property: tau and rho are symmetric and bounded on random score vectors.
 func TestCorrelationProperties(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -176,8 +164,8 @@ func TestCorrelationProperties(t *testing.T) {
 		if math.Abs(tau1-tau2) > 1e-12 || tau1 < -1-1e-12 || tau1 > 1+1e-12 {
 			return false
 		}
-		rho1, err1 := SpearmanRho(a, b)
-		rho2, err2 := SpearmanRho(b, a)
+		rho1, err1 := stats.Pearson(Ranks(a), Ranks(b))
+		rho2, err2 := stats.Pearson(Ranks(b), Ranks(a))
 		if err1 != nil || err2 != nil {
 			return true
 		}

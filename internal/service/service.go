@@ -601,16 +601,23 @@ func (s *Service) reapQueued(job *Job) bool {
 	if !job.casStatus(StatusQueued, StatusCanceled, vdbench.ExperimentResult{}, context.Canceled) {
 		return false
 	}
-	job.cancel()
 	s.mCanceled.Inc()
 	s.journalFinished(job, StatusCanceled, nil)
+	s.retire(job)
+	return true
+}
+
+// retire releases a terminal job's context, drops its singleflight entry
+// if it still owns the key, and records it in the bounded history.
+// Callers must not hold s.mu.
+func (s *Service) retire(job *Job) {
+	job.cancel()
 	s.mu.Lock()
 	if s.inflight[job.key] == job {
 		delete(s.inflight, job.key)
 	}
 	s.rememberLocked(job)
 	s.mu.Unlock()
-	return true
 }
 
 // worker drains the job queue until Close.
@@ -697,13 +704,7 @@ func (s *Service) execute(job *Job) {
 		s.mCompleted.Inc()
 		s.journalFinished(job, StatusDone, nil)
 	}
-	job.cancel() // release the job context
-	s.mu.Lock()
-	if s.inflight[job.key] == job {
-		delete(s.inflight, job.key)
-	}
-	s.rememberLocked(job)
-	s.mu.Unlock()
+	s.retire(job)
 }
 
 // finishFromCache completes a running job with a cached result: no
@@ -715,13 +716,7 @@ func (s *Service) finishFromCache(job *Job, res vdbench.ExperimentResult) {
 	job.casStatus(StatusRunning, StatusDone, res, nil)
 	s.mCompleted.Inc()
 	s.journalFinished(job, StatusDone, nil)
-	job.cancel()
-	s.mu.Lock()
-	if s.inflight[job.key] == job {
-		delete(s.inflight, job.key)
-	}
-	s.rememberLocked(job)
-	s.mu.Unlock()
+	s.retire(job)
 }
 
 // cacheResult stores res in the byte-budgeted result LRU and refreshes

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by descriptive statistics that are undefined on an
@@ -74,70 +73,4 @@ func MinMax(xs []float64) (minimum, maximum float64, err error) {
 		}
 	}
 	return minimum, maximum, nil
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between order statistics (the "type 7" estimator used by
-// most statistics packages). xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
-// Summary holds the standard five-figure description of a sample plus the
-// mean and standard deviation. It is the unit the report package renders.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mean, _ := Mean(xs)
-	sd, _ := StdDev(xs)
-	lo, hi, _ := MinMax(xs)
-	p25, _ := Percentile(xs, 25)
-	med, _ := Median(xs)
-	p75, _ := Percentile(xs, 75)
-	return Summary{
-		N:      len(xs),
-		Mean:   mean,
-		StdDev: sd,
-		Min:    lo,
-		P25:    p25,
-		Median: med,
-		P75:    p75,
-		Max:    hi,
-	}, nil
 }

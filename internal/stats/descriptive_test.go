@@ -83,78 +83,8 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 15},
-		{100, 50},
-		{50, 35},
-		{25, 20},
-		{75, 40},
-		{40, 29}, // 15 + 0.6*(35-20) interpolation along sorted order: rank 1.6 → 20 + 0.6*15 = 29
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%g): %v", c.p, err)
-		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty input should fail")
-	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
-		t.Fatal("negative percentile should fail")
-	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
-		t.Fatal("percentile > 100 should fail")
-	}
-}
-
-func TestMedianOddEven(t *testing.T) {
-	m, _ := Median([]float64{1, 3, 2})
-	if m != 2 {
-		t.Fatalf("odd median = %g", m)
-	}
-	m, _ = Median([]float64{1, 2, 3, 4})
-	if m != 2.5 {
-		t.Fatalf("even median = %g", m)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("unexpected summary: %+v", s)
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("Summarize(nil) should fail")
-	}
-}
-
-// Property: for any non-empty sample, min <= p25 <= median <= p75 <= max and
-// the mean lies within [min, max].
+// Property: for any non-empty sample, min <= q25 <= median <= q75 <= max
+// and the mean lies within [min, max].
 func TestSummaryOrderingProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -168,13 +98,18 @@ func TestSummaryOrderingProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		s, err := Summarize(xs)
+		mean, err := Mean(xs)
 		if err != nil {
 			return false
 		}
-		ordered := s.Min <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 && s.P75 <= s.Max
-		meanIn := s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9
-		return ordered && meanIn
+		lo, hi, err := MinMax(xs)
+		if err != nil {
+			return false
+		}
+		q := func(p float64) float64 { return selectQuantile(append([]float64(nil), xs...), p) }
+		q25, med, q75 := q(0.25), q(0.5), q(0.75)
+		ordered := lo <= q25 && q25 <= med && med <= q75 && q75 <= hi
+		return ordered && mean >= lo-1e-9 && mean <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

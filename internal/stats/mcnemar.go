@@ -49,28 +49,6 @@ func McNemar(b, c int) (McNemarResult, error) {
 	return res, nil
 }
 
-// McNemarFromOutcomes computes the discordant counts from two aligned
-// correctness vectors (true = system classified the case correctly) and
-// runs the test.
-func McNemarFromOutcomes(a, bOutcomes []bool) (McNemarResult, error) {
-	if len(a) != len(bOutcomes) {
-		return McNemarResult{}, ErrLengthMismatch
-	}
-	if len(a) == 0 {
-		return McNemarResult{}, ErrEmpty
-	}
-	var b, c int
-	for i := range a {
-		switch {
-		case a[i] && !bOutcomes[i]:
-			b++
-		case !a[i] && bOutcomes[i]:
-			c++
-		}
-	}
-	return McNemar(b, c)
-}
-
 // chiSquare1PValue returns the upper-tail probability of the chi-square
 // distribution with one degree of freedom: P(X >= x) = erfc(sqrt(x/2)).
 func chiSquare1PValue(x float64) float64 {

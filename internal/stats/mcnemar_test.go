@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -59,24 +58,6 @@ func TestMcNemarNoDiscordance(t *testing.T) {
 func TestMcNemarValidation(t *testing.T) {
 	if _, err := McNemar(-1, 0); err == nil {
 		t.Fatal("negative count accepted")
-	}
-}
-
-func TestMcNemarFromOutcomes(t *testing.T) {
-	a := []bool{true, true, true, false, true, false}
-	b := []bool{true, false, false, false, true, true}
-	res, err := McNemarFromOutcomes(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.B != 2 || res.C != 1 {
-		t.Fatalf("discordant counts = (%d, %d), want (2, 1)", res.B, res.C)
-	}
-	if _, err := McNemarFromOutcomes(a, b[:2]); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := McNemarFromOutcomes(nil, nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty input accepted")
 	}
 }
 

@@ -84,3 +84,32 @@ func TestSelectQuantileMatchesSortedInterpolation(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectQuantileKnownValues pins the interpolation on hand-computed
+// samples: rank q·(n-1) between the two straddling order statistics.
+func TestSelectQuantileKnownValues(t *testing.T) {
+	cases := []struct {
+		name string
+		xs   []float64
+		q    float64
+		want float64
+	}{
+		{"min", []float64{15, 20, 35, 40, 50}, 0, 15},
+		{"max", []float64{15, 20, 35, 40, 50}, 1, 50},
+		{"median", []float64{15, 20, 35, 40, 50}, 0.5, 35},
+		{"lower-quartile", []float64{15, 20, 35, 40, 50}, 0.25, 20},
+		{"upper-quartile", []float64{15, 20, 35, 40, 50}, 0.75, 40},
+		{"interpolated", []float64{15, 20, 35, 40, 50}, 0.4, 29}, // rank 1.6: 20 + 0.6·15
+		{"odd-median-unsorted", []float64{1, 3, 2}, 0.5, 2},
+		{"even-median", []float64{4, 1, 3, 2}, 0.5, 2.5},
+		{"single", []float64{7}, 0.9, 7},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := selectQuantile(append([]float64(nil), c.xs...), c.q)
+			if math.Abs(got-c.want) > 1e-12 {
+				t.Fatalf("selectQuantile(%v, %g) = %g, want %g", c.xs, c.q, got, c.want)
+			}
+		})
+	}
+}

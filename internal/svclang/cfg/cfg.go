@@ -129,30 +129,6 @@ func (g *Graph) Entry() int { return 0 }
 // slice is the block's own; callers must not modify it.
 func (g *Graph) Succs(n int) []int { return g.Blocks[n].Succs }
 
-// ReversePostorder returns the blocks reachable from the entry in reverse
-// postorder of a depth-first walk that follows successors in lowering
-// order. Iterating transfer functions in this order reaches loop fixpoints
-// with the fewest re-visits.
-func (g *Graph) ReversePostorder() []*Block {
-	seen := make([]bool, len(g.Blocks))
-	var post []*Block
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		seen[b.ID] = true
-		for _, s := range b.Succs {
-			if !seen[s] {
-				walk(g.Blocks[s])
-			}
-		}
-		post = append(post, b)
-	}
-	walk(g.Blocks[0])
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
 // Build lowers a service into a control-flow graph under the given
 // options. The lowering is total: every statement of the service appears
 // in some block, though pruned branches, skipped loops and post-reject

@@ -250,68 +250,6 @@ func TestRejectingLoopBodyRoutesToExit(t *testing.T) {
 	}
 }
 
-func TestReversePostorderStartsAtEntry(t *testing.T) {
-	svc := &svclang.Service{
-		Name:   "rpo",
-		Params: []string{"x"},
-		Body: []svclang.Stmt{
-			svclang.If{
-				Cond: svclang.Match{Expr: ident("x"), Class: svclang.ClassAlnum},
-				Then: []svclang.Stmt{sink(0)},
-				Else: []svclang.Stmt{sink(1)},
-			},
-			svclang.Repeat{Count: 2, Body: []svclang.Stmt{sink(2)}},
-		},
-	}
-	g := cfg.Build(svc, cfg.Options{})
-	order := g.ReversePostorder()
-	if order[0].ID != g.Entry() {
-		t.Fatalf("RPO starts at block %d, want entry", order[0].ID)
-	}
-	pos := map[int]int{}
-	for i, b := range order {
-		pos[b.ID] = i
-	}
-	// Every reachable block appears exactly once, and every forward edge
-	// (excluding the loop back edge) goes later in the order.
-	seen := reachable(g)
-	for id := range seen {
-		if _, ok := pos[id]; !ok {
-			t.Fatalf("reachable block %d missing from RPO", id)
-		}
-	}
-	if len(order) != len(seen) {
-		t.Fatalf("RPO has %d blocks, %d reachable", len(order), len(seen))
-	}
-	for _, b := range order {
-		for _, s := range b.Succs {
-			if s != b.ID && pos[s] < pos[b.ID] && !isBackEdge(g, b.ID, s) {
-				t.Fatalf("forward edge %d->%d goes backwards in RPO", b.ID, s)
-			}
-		}
-	}
-}
-
-// isBackEdge approximates back-edge detection for the test graph: an edge
-// to a block that can reach its source again.
-func isBackEdge(g *cfg.Graph, from, to int) bool {
-	seen := map[int]bool{}
-	stack := []int{to}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == from {
-			return true
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, g.Succs(n)...)
-	}
-	return false
-}
-
 func TestSlotTables(t *testing.T) {
 	svc := &svclang.Service{
 		Name:   "slots",

@@ -103,8 +103,8 @@ type Program struct {
 
 	levels  [][]*Package
 	byPath  map[string]*Package // primary units by import path
-	exports map[string]string   // import path → export data file (gc mode)
-	source  bool                // use the go/importer source importer
+	exports map[string]string   // import path → export data file
+	source  bool                // go list failed: use the go/importer source importer
 
 	impMu    sync.Mutex // guards ext during concurrent type-checks
 	ext      types.Importer
@@ -112,16 +112,8 @@ type Program struct {
 	typateMu sync.Mutex
 }
 
-// LoadOptions configures Load.
+// LoadOptions configures LoadWith.
 type LoadOptions struct {
-	// Importer selects how non-module imports are resolved:
-	//
-	//	"auto"   (default) gc export data via `go list -export`, falling
-	//	         back to the source importer when the go tool is absent
-	//	"gclist" gc export data only; Load fails if `go list` does
-	//	"source" the pure go/importer source importer (no subprocess,
-	//	         but re-type-checks the stdlib from source every run)
-	Importer string
 	// Exports supplies a pre-computed export-data table (import path →
 	// file), bypassing the `go list` subprocess. Tests use this to share
 	// one table across many fixture loads.
@@ -218,9 +210,7 @@ func LoadWith(dir string, opts LoadOptions) (*Program, error) {
 	if err := prog.layer(); err != nil {
 		return nil, err
 	}
-	if err := prog.initImporter(opts); err != nil {
-		return nil, err
-	}
+	prog.initImporter(opts)
 	return prog, nil
 }
 
@@ -437,35 +427,16 @@ func (prog *Program) isTestFilename(f *ast.File) bool {
 	return strings.HasSuffix(prog.filename(f), "_test.go")
 }
 
-// initImporter selects and prepares the strategy for resolving imports
-// from outside the module.
-func (prog *Program) initImporter(opts LoadOptions) error {
-	mode := opts.Importer
-	if mode == "" {
-		mode = "auto"
+// initImporter prepares the resolution of imports from outside the
+// module: gc export data from `go list -export`, or the source importer
+// when the go tool fails.
+func (prog *Program) initImporter(opts LoadOptions) {
+	if opts.Exports != nil {
+		prog.exports = opts.Exports
+		return
 	}
-	switch mode {
-	case "source":
-		prog.source = true
-		return nil
-	case "auto", "gclist":
-		if opts.Exports != nil {
-			prog.exports = opts.Exports
-			return nil
-		}
-		exports, err := GoListExports(prog.Root)
-		if err != nil {
-			if mode == "gclist" {
-				return err
-			}
-			prog.source = true // auto: no go tool → pure source importing
-			return nil
-		}
-		prog.exports = exports
-		return nil
-	default:
-		return fmt.Errorf("vdlint: unknown importer mode %q (want auto, gclist or source)", mode)
-	}
+	exports, err := GoListExports(prog.Root)
+	prog.exports, prog.source = exports, err != nil
 }
 
 // GoListExports builds the import-path → export-data-file table for the
@@ -529,7 +500,7 @@ func (prog *Program) importPath(path string) (*types.Package, error) {
 			prog.ext = importer.ForCompiler(prog.Fset, "gc", func(path string) (io.ReadCloser, error) {
 				file, ok := prog.exports[path]
 				if !ok {
-					return nil, fmt.Errorf("no export data for %s (stale build cache? re-run go build ./... or use the source importer)", path)
+					return nil, fmt.Errorf("no export data for %s (stale build cache? re-run go build ./...)", path)
 				}
 				return os.Open(file)
 			})

@@ -47,7 +47,7 @@ func fixtureOptions(t *testing.T) LoadOptions {
 	})
 	if exportsErr != nil {
 		t.Logf("go list -export unavailable (%v); fixtures fall back to the source importer", exportsErr)
-		return LoadOptions{Importer: "source"}
+		return LoadOptions{}
 	}
 	return LoadOptions{Exports: exportsTab}
 }

@@ -403,14 +403,9 @@ func CompareTools(a, b *ToolResult) (stats.McNemarResult, error) {
 	if a == nil || b == nil {
 		return stats.McNemarResult{}, errors.New("vdbench: nil tool result")
 	}
-	if len(a.Outcomes) != len(b.Outcomes) {
+	codes, err := harness.NewPairCodes(a, b)
+	if err != nil {
 		return stats.McNemarResult{}, errors.New("vdbench: tools come from different campaigns")
 	}
-	aCorrect := make([]bool, len(a.Outcomes))
-	bCorrect := make([]bool, len(b.Outcomes))
-	for i := range a.Outcomes {
-		aCorrect[i] = a.Outcomes[i].Vulnerable == a.Outcomes[i].Flagged
-		bCorrect[i] = b.Outcomes[i].Vulnerable == b.Outcomes[i].Flagged
-	}
-	return stats.McNemarFromOutcomes(aCorrect, bCorrect)
+	return codes.McNemar()
 }
