@@ -474,23 +474,34 @@ func BenchmarkAllExperiments(b *testing.B) {
 	}
 }
 
-// BenchmarkBootstrapWorkers sweeps the resampling loop's worker budget on
-// a bootstrap large enough for per-block fan-out to matter. Intervals are
-// byte-identical across sub-benchmarks (TestBootstrapCodesMatchesIndexed).
-func BenchmarkBootstrapWorkers(b *testing.B) {
+// BenchmarkBootstrapTwoStats measures E4c's shape at the default
+// resample count: one 2000-resample bootstrap of a 2000-record table
+// scoring two statistics on every resample, against two single-statistic
+// calls, each drawing its own resamples.
+func BenchmarkBootstrapTwoStats(b *testing.B) {
 	codes, mean := benchCodes(5, 2000)
-	for _, workers := range campaignWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := stats.BootstrapConfig{Resamples: 2000, Confidence: 0.95, Workers: workers}
-			rng := stats.NewRNG(6)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := stats.BootstrapCodes(rng, codes, cfg, mean); err != nil {
+	spread := func(cnt *[16]int) float64 { return float64(cnt[0] - cnt[15]) }
+	cfg := stats.BootstrapConfig{Resamples: 2000, Confidence: 0.95}
+	b.Run("shared", func(b *testing.B) {
+		rng := stats.NewRNG(6)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := stats.BootstrapCodes(rng, codes, cfg, mean, spread); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("separate", func(b *testing.B) {
+		rng := stats.NewRNG(6)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, fn := range []func(*[16]int) float64{mean, spread} {
+				if _, err := stats.BootstrapCodes(rng, codes, cfg, fn); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkE14Combination(b *testing.B) { benchExperiment(b, "e14") }

@@ -99,40 +99,25 @@ func (r *Runner) E4MetricValues(ctx context.Context) (Result, error) {
 	// Second companion: percentile-bootstrap intervals for the two
 	// composite headline metrics. F1 and MCC are not binomial proportions,
 	// so Wilson does not apply; resampling the sink outcomes is the
-	// appropriate error bar. The resampling loops parallelise on a
-	// budget of Config.Workers lanes, with intervals byte-identical at
-	// every count.
+	// appropriate error bar.
 	boot := report.NewTable(
 		fmt.Sprintf("E4c: %d-resample percentile bootstrap 95%% CIs (F1, MCC)", r.cfg.BootstrapResamples),
 		"tool", "f1", "f1 95% CI", "mcc", "mcc 95% CI")
-	bootCfg := stats.BootstrapConfig{
-		Resamples:  r.cfg.BootstrapResamples,
-		Confidence: 0.95,
-		Workers:    r.cfg.Workers,
+	ivs, err := r.e4Intervals(camp)
+	if err != nil {
+		return Result{}, err
 	}
-	rng := stats.NewRNG(r.cfg.Seed + 4)
 	for i := range camp.Results {
 		res := &camp.Results[i]
-		codes := res.Codes()
 		row := []string{res.Tool}
-		for _, id := range []string{metrics.IDF1, metrics.IDMCC} {
+		for j, id := range e4BootstrapMetricIDs {
 			m := metrics.MustByID(id)
-			iv, err := stats.BootstrapCodes(rng.Split(), codes, bootCfg, func(cnt *[16]int) float64 {
-				v, err := m.ValueOr(codes.Fold(cnt), worstFallback(m))
-				if err != nil {
-					return worstFallback(m)
-				}
-				return v
-			})
-			if err != nil {
-				return Result{}, err
-			}
 			point, err := m.ValueOr(res.Overall, worstFallback(m))
 			if err != nil {
 				return Result{}, err
 			}
 			row = append(row, report.FormatFloat(point),
-				fmt.Sprintf("[%s, %s]", report.FormatFloat(iv.Lo), report.FormatFloat(iv.Hi)))
+				fmt.Sprintf("[%s, %s]", report.FormatFloat(ivs[i][j].Lo), report.FormatFloat(ivs[i][j].Hi)))
 		}
 		boot.AddRow(row...)
 	}
@@ -141,6 +126,45 @@ func (r *Runner) E4MetricValues(ctx context.Context) (Result, error) {
 		Title:  "Metric values per tool",
 		Tables: []*report.Table{tbl, ci, boot},
 	}, nil
+}
+
+// e4BootstrapMetricIDs are the metrics of E4's bootstrap table, in
+// column order.
+var e4BootstrapMetricIDs = []string{metrics.IDF1, metrics.IDMCC}
+
+// e4Intervals returns the percentile-bootstrap intervals of E4c,
+// ivs[tool][j] for metric e4BootstrapMetricIDs[j]. Each tool draws one
+// resample stream, split off in result order, and its metrics are scored
+// on the same resamples (common random numbers).
+func (r *Runner) e4Intervals(camp *harness.Campaign) ([][]stats.Interval, error) {
+	cfg := stats.BootstrapConfig{Resamples: r.cfg.BootstrapResamples, Confidence: 0.95}
+	rng := stats.NewRNG(r.cfg.Seed + 4)
+	ivs := make([][]stats.Interval, len(camp.Results))
+	for i := range camp.Results {
+		codes := camp.Results[i].Codes()
+		fns := make([]func(*[16]int) float64, len(e4BootstrapMetricIDs))
+		for j, id := range e4BootstrapMetricIDs {
+			fns[j] = e4Stat(codes, metrics.MustByID(id))
+		}
+		var err error
+		if ivs[i], err = stats.BootstrapCodes(rng.Split(), codes, cfg, fns...); err != nil {
+			return nil, err
+		}
+	}
+	return ivs, nil
+}
+
+// e4Stat is E4c's resampled statistic: metric m over a resample of one
+// tool's code table with per-code counts cnt, with an undefined value or
+// an error replaced by the metric's worst value.
+func e4Stat(codes harness.OutcomeCodes, m metrics.Metric) func(cnt *[16]int) float64 {
+	return func(cnt *[16]int) float64 {
+		v, err := m.ValueOr(codes.Fold(cnt), worstFallback(m))
+		if err != nil {
+			return worstFallback(m)
+		}
+		return v
+	}
 }
 
 // E5Rankings renders the tool ranking induced by each metric and the
@@ -229,6 +253,55 @@ func pairCountsDelta(codes harness.PairCodes, m metrics.Metric, cnt *[16]int) fl
 	return m.Goodness(va) - m.Goodness(vb)
 }
 
+// e7Pairs returns the adjacent pairs of the campaign's F1 ranking:
+// order lists result indices best first, and pairs[i] is the joint code
+// table of results order[i] and order[i+1].
+func e7Pairs(camp *harness.Campaign) (order []int, pairs []harness.PairCodes, err error) {
+	f1Scores, err := camp.MetricScores(metrics.MustByID(metrics.IDF1), 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	order = ranking.TopK(f1Scores, len(f1Scores))
+	pairs = make([]harness.PairCodes, max(len(order)-1, 0))
+	for i := range pairs {
+		if pairs[i], err = harness.NewPairCodes(&camp.Results[order[i]], &camp.Results[order[i+1]]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return order, pairs, nil
+}
+
+// e7Fractions returns E7's sign-stability fractions, fracs[pair][j] for
+// metric campaignMetricIDs()[j]. Each pair draws one resample stream,
+// pre-split in pair order, and every metric is scored on the same
+// resamples (common random numbers). The pairs fan out across the
+// shared worker budget; each owns its stream, so every fraction is
+// byte-identical at any worker count.
+func (r *Runner) e7Fractions(pairs []harness.PairCodes) ([][]float64, error) {
+	ids := campaignMetricIDs()
+	rng := stats.NewRNG(r.cfg.Seed + 7)
+	rngs := make([]*stats.RNG, len(pairs))
+	for i := range rngs {
+		rngs[i] = rng.Split()
+	}
+	fracs := make([][]float64, len(pairs))
+	err := r.budget.ForEach(len(pairs), func(_, pair int) error {
+		codes := pairs[pair]
+		fns := make([]func(*[16]int) float64, len(ids))
+		for j, id := range ids {
+			m := metrics.MustByID(id)
+			fns[j] = func(cnt *[16]int) float64 { return pairCountsDelta(codes, m, cnt) }
+		}
+		var err error
+		fracs[pair], err = stats.SignStabilityCodes(rngs[pair], codes, r.cfg.BootstrapResamples, fns...)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fracs, nil
+}
+
 // E7Discrimination measures, for each metric and each adjacent pair in the
 // campaign's F1 ranking, the fraction of workload bootstrap resamples that
 // preserve the sign of the metric delta — the discriminative power of the
@@ -238,64 +311,24 @@ func (r *Runner) E7Discrimination(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	f1 := metrics.MustByID(metrics.IDF1)
-	f1Scores, err := camp.MetricScores(f1, 0)
+	order, pairCodes, err := e7Pairs(camp)
 	if err != nil {
 		return Result{}, err
 	}
-	order := ranking.TopK(f1Scores, len(f1Scores))
 	ids := campaignMetricIDs()
 	headers := append([]string{"pair (better vs worse by F1)"}, ids...)
 	tbl := report.NewTable(
 		fmt.Sprintf("E7: sign stability of metric deltas under %d workload resamples", r.cfg.BootstrapResamples),
 		headers...,
 	)
-	// Each (pair, metric) cell resamples independently, so the cells fan
-	// out across the shared worker budget. The per-cell RNG streams are
-	// pre-split in exactly the serial loop's order — pair-major, metric-
-	// minor — which keeps every draw, and hence every published fraction,
-	// byte-identical at any worker count.
-	nPairs := len(order) - 1
-	if nPairs < 0 {
-		nPairs = 0
-	}
-	rng := stats.NewRNG(r.cfg.Seed + 7)
-	cellRNGs := make([]*stats.RNG, nPairs*len(ids))
-	for i := range cellRNGs {
-		cellRNGs[i] = rng.Split()
-	}
-	// Each pair's outcomes are encoded once as joint one-byte codes; a
-	// resample then only tallies codes (see harness.PairCodes).
-	pairCodes := make([]harness.PairCodes, nPairs)
-	for pair := range pairCodes {
-		pairCodes[pair], err = harness.NewPairCodes(&camp.Results[order[pair]], &camp.Results[order[pair+1]])
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	fracs := make([]float64, nPairs*len(ids))
-	err = r.budget.ForEach(len(fracs), func(_, cell int) error {
-		pair, mi := cell/len(ids), cell%len(ids)
-		codes := pairCodes[pair]
-		m := metrics.MustByID(ids[mi])
-		frac, err := stats.SignStabilityCodes(cellRNGs[cell], codes, r.cfg.BootstrapResamples, func(cnt *[16]int) float64 {
-			return pairCountsDelta(codes, m, cnt)
-		})
-		if err != nil {
-			return err
-		}
-		fracs[cell] = frac
-		return nil
-	})
+	fracs, err := r.e7Fractions(pairCodes)
 	if err != nil {
 		return Result{}, err
 	}
-	for i := 0; i < nPairs; i++ {
-		a := &camp.Results[order[i]]
-		b := &camp.Results[order[i+1]]
-		row := []string{fmt.Sprintf("%s vs %s", a.Tool, b.Tool)}
-		for j := range ids {
-			row = append(row, report.FormatFloat(fracs[i*len(ids)+j]))
+	for i, pairFracs := range fracs {
+		row := []string{fmt.Sprintf("%s vs %s", camp.Results[order[i]].Tool, camp.Results[order[i+1]].Tool)}
+		for _, f := range pairFracs {
+			row = append(row, report.FormatFloat(f))
 		}
 		tbl.AddRow(row...)
 	}

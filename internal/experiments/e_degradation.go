@@ -201,7 +201,7 @@ func (r *Runner) e18Campaign(ctx context.Context, corpus *workload.Corpus, tools
 			return nil, fmt.Errorf("experiments: wrap %s: %w", tool.Name(), err)
 		}
 	}
-	camp, err := harness.RunCtx(ctx, corpus, wrapped, harness.Options{
+	camp, err := r.runOwnCampaign(ctx, corpus, wrapped, harness.Options{
 		Seed:     r.cfg.Seed,
 		Workers:  r.cfg.Workers,
 		Retry:    retry,

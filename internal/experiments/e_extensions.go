@@ -150,7 +150,7 @@ func (r *Runner) E13MicroMacro(ctx context.Context) (Result, error) {
 	}
 	opts := r.cfg.execOptions()
 	opts.Seed = r.cfg.Seed + 13
-	camp, err := harness.RunCtx(ctx, corpus, tools, opts)
+	camp, err := r.runOwnCampaign(ctx, corpus, tools, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -262,7 +262,7 @@ func (r *Runner) e14Campaign(ctx context.Context, corpus *workload.Corpus, membe
 	if err != nil {
 		return nil, err
 	}
-	return harness.RunCtx(ctx, corpus, []detectors.Tool{sast, dast, grep, union, inter, maj}, r.cfg.execOptions())
+	return r.runOwnCampaign(ctx, corpus, []detectors.Tool{sast, dast, grep, union, inter, maj}, r.cfg.execOptions())
 }
 
 // replayMembers returns replay tools of the named results of camp, in the

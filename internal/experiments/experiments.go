@@ -42,12 +42,12 @@ type Config struct {
 	// sensitivity analysis (E10).
 	StabilityTrials int
 	// Workers sizes every parallel loop of a run. The experiment
-	// drivers and E7's cells share one budget of this size; the campaign
-	// harness, the metric property catalogue and each bootstrap build a
-	// budget of their own from it. 0 selects runtime.GOMAXPROCS(0) (the
-	// bootstrap runs it serially), 1 forces serial execution. Every
-	// output is byte-identical for every value (see harness.RunCtx,
-	// stats.BootstrapCodes, metricprop.AnalyzeCatalog).
+	// drivers and E7's tool pairs share one budget of this size; the
+	// campaign harness and the metric property catalogue build a budget
+	// of their own from it. 0 selects runtime.GOMAXPROCS(0), 1 forces
+	// serial execution. Every output is byte-identical for every value
+	// (see harness.RunCtx, Runner.e7Fractions,
+	// metricprop.AnalyzeCatalog).
 	Workers int
 	// PerToolTimeout, Retry and Degraded are the campaign execution
 	// policy (see harness.Options). Like Workers, they are operational
@@ -186,6 +186,8 @@ type Runner struct {
 	campaignDone bool
 	campaign     *harness.Campaign
 	campaignErr  error
+
+	ownCampaignMu sync.Mutex // held while a driver's own campaign runs
 }
 
 // NewRunner builds a runner. It fails fast on invalid configuration.
@@ -293,6 +295,21 @@ func (r *Runner) runCampaign(ctx context.Context) (*harness.Campaign, error) {
 		return nil, fmt.Errorf("experiments: campaign: %w", err)
 	}
 	return campaign, nil
+}
+
+// runOwnCampaign runs a campaign that a driver owns (E13's skewed corpus,
+// E14's combinations, E18's fault sweep), as opposed to the shared one of
+// CampaignCtx, and runs one at a time per runner. Each holds a few MB of
+// live state while it runs, mostly outcome arenas, and the campaign
+// harness fills the worker budget on its own, so running two side by
+// side under AllCtx raises the peak heap without finishing sooner.
+// Campaigns are deterministic, so the order drivers take turns in
+// changes no output. Callers build their tools, and fetch the shared
+// campaign they replay, before they call it.
+func (r *Runner) runOwnCampaign(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts harness.Options) (*harness.Campaign, error) {
+	r.ownCampaignMu.Lock()
+	defer r.ownCampaignMu.Unlock()
+	return harness.RunCtx(ctx, corpus, tools, opts)
 }
 
 // driver is one experiment entry point.

@@ -97,7 +97,7 @@ func (r Result) JSON() ([]byte, error) {
 // over the experiment ID and a canonical field-by-field encoding of the
 // configuration. Workers and Prop.Workers are deliberately excluded —
 // every output is byte-identical for every worker count (see
-// harness.RunCtx, stats.Bootstrap, metricprop.AnalyzeCatalog) — so
+// harness.RunCtx, Runner.e7Fractions, metricprop.AnalyzeCatalog) — so
 // runs that differ only in their worker budget share one key; that
 // invariance is what makes memoising experiment results sound. The
 // execution-policy fields (PerToolTimeout, Retry, Degraded) are excluded

@@ -384,13 +384,13 @@ func TestPairCodesWithSignStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := stats.SignStabilityCodes(stats.NewRNG(3), codes, 200, func(cnt *[16]int) float64 {
+	fracs, err := stats.SignStabilityCodes(stats.NewRNG(3), codes, 200, func(cnt *[16]int) float64 {
 		return recallDelta(codes.Fold(cnt))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frac < 0.5 || frac > 1 {
+	if frac := fracs[0]; frac < 0.5 || frac > 1 {
 		t.Fatalf("sign stability = %g out of range", frac)
 	}
 }

@@ -9,11 +9,11 @@ import (
 
 // Outcome codes name the confusion-matrix cell of one sink outcome in a
 // single byte. The bootstrap resamples these codes instead of the
-// outcomes themselves: stats.Tally counts one byte per drawn index and
-// Fold turns the counts into a matrix, so a resample never copies an
-// outcome. The folded matrices hold the same integers as summing
-// SinkOutcome.Confusion over the same indices, so every metric computed
-// from them is bit-identical.
+// outcomes themselves: a resample is a draw of per-code counts
+// (stats.RNG.Resample) and Fold turns the counts into a matrix, so a
+// resample never touches an outcome. The folded matrices hold the same
+// integers as summing SinkOutcome.Confusion over the same records, so
+// every metric computed from them is bit-identical.
 const (
 	codeTP = iota
 	codeFP
@@ -56,7 +56,7 @@ func (r *ToolResult) Codes() OutcomeCodes {
 	return codes
 }
 
-// Fold turns the per-code counts of a resample of c (see stats.Tally)
+// Fold turns the per-code counts of a resample of c (see stats.RNG.Resample)
 // into a confusion matrix.
 func (OutcomeCodes) Fold(cnt *[16]int) metrics.Confusion {
 	return foldCounts((*[4]int)(cnt[:4]))
@@ -80,7 +80,7 @@ func NewPairCodes(a, b *ToolResult) (PairCodes, error) {
 	return codes, nil
 }
 
-// Fold turns the per-code counts of a resample of p (see stats.Tally)
+// Fold turns the per-code counts of a resample of p (see stats.RNG.Resample)
 // into the two tools' confusion matrices.
 func (PairCodes) Fold(cnt *[16]int) (a, b metrics.Confusion) {
 	var ca, cb [4]int

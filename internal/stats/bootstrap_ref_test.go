@@ -3,14 +3,12 @@ package stats
 import (
 	"errors"
 	"fmt"
-
-	"github.com/dsn2015/vdbench/internal/workpool"
 )
 
 // The per-index bootstrap paths that BootstrapCodes and SignStabilityCodes
 // replaced. They materialise every resample's index vector and draw it
-// with one Intn call per index; the differential tests hold the tally
-// kernels to their exact streams and intervals.
+// with one Intn call per index, from one sequential stream; the
+// agreement tests hold the count kernels to their distributions.
 
 // Bootstrap estimates a percentile confidence interval for the statistic
 // computed by fn over resamples of xs. fn receives a resample (which it
@@ -28,37 +26,12 @@ func Bootstrap(rng *RNG, xs []float64, cfg BootstrapConfig, fn func([]float64) f
 	point := fn(xs)
 	n := len(xs)
 	estimates := make([]float64, cfg.Resamples)
-	if cfg.Workers <= 1 {
-		buf := make([]float64, n)
-		var blk RNG
-		for start := 0; start < len(estimates); start += bootstrapBlock {
-			rng.splitInto(&blk)
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range buf {
-					buf[i] = xs[blk.Intn(n)]
-				}
-				estimates[b] = fn(buf)
-			}
+	buf := make([]float64, n)
+	for b := range estimates {
+		for i := range buf {
+			buf[i] = xs[rng.Intn(n)]
 		}
-	} else {
-		streams := splitBlockStreams(rng, cfg.Resamples)
-		bufs := make([][]float64, cfg.Workers)
-		_ = workpool.New(cfg.Workers).ForEach(len(streams), func(lane, k int) error {
-			buf := bufs[lane]
-			if buf == nil {
-				buf = make([]float64, n)
-				bufs[lane] = buf
-			}
-			blk := &streams[k]
-			start := k * bootstrapBlock
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range buf {
-					buf[i] = xs[blk.Intn(n)]
-				}
-				estimates[b] = fn(buf)
-			}
-			return nil
-		})
+		estimates[b] = fn(buf)
 	}
 	lo, hi := percentileBounds(estimates, cfg.Confidence)
 	return Interval{Point: point, Lo: lo, Hi: hi}, nil
@@ -86,40 +59,14 @@ func BootstrapIndexed(rng *RNG, n int, cfg BootstrapConfig, fn func(idx []int) f
 	}
 	point := fn(identity)
 	estimates := make([]float64, cfg.Resamples)
-	if cfg.Workers <= 1 {
-		// The identity buffer has served its purpose; reuse it as the
-		// resample buffer instead of allocating a second index slice.
-		idx := identity
-		var blk RNG
-		for start := 0; start < len(estimates); start += bootstrapBlock {
-			rng.splitInto(&blk)
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range idx {
-					idx[i] = blk.Intn(n)
-				}
-				estimates[b] = fn(idx)
-			}
+	// The identity buffer has served its purpose; reuse it as the
+	// resample buffer instead of allocating a second index slice.
+	idx := identity
+	for b := range estimates {
+		for i := range idx {
+			idx[i] = rng.Intn(n)
 		}
-	} else {
-		streams := splitBlockStreams(rng, cfg.Resamples)
-		bufs := make([][]int, cfg.Workers)
-		bufs[0] = identity // lane 0 reuses the identity buffer
-		_ = workpool.New(cfg.Workers).ForEach(len(streams), func(lane, k int) error {
-			idx := bufs[lane]
-			if idx == nil {
-				idx = make([]int, n)
-				bufs[lane] = idx
-			}
-			blk := &streams[k]
-			start := k * bootstrapBlock
-			for b := start; b < min(start+bootstrapBlock, len(estimates)); b++ {
-				for i := range idx {
-					idx[i] = blk.Intn(n)
-				}
-				estimates[b] = fn(idx)
-			}
-			return nil
-		})
+		estimates[b] = fn(idx)
 	}
 	lo, hi := percentileBounds(estimates, cfg.Confidence)
 	return Interval{Point: point, Lo: lo, Hi: hi}, nil
@@ -130,11 +77,6 @@ func BootstrapIndexed(rng *RNG, n int, cfg BootstrapConfig, fn func(idx []int) f
 // the discriminative-power measure used by experiment E7: a metric
 // discriminates two tools well when the sign of their metric delta is
 // stable under resampling of the workload.
-//
-// SignStability draws one sequential stream (no per-block splitting): its
-// callers parallelise across (pair, metric) cells with one pre-split RNG
-// per call, which keeps this function's historical draw sequence — and
-// therefore E7's published numbers — unchanged.
 func SignStability(rng *RNG, n int, resamples int, fn func(idx []int) float64) (float64, error) {
 	if n <= 0 {
 		return 0, ErrEmpty

@@ -1,17 +1,14 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"testing"
-
-	"github.com/dsn2015/vdbench/internal/workpool"
 )
 
-// The batch kernels must consume exactly the stream of their per-call
-// loops: each test below runs the kernel and its reference loop on two
-// generators from one seed and compares the results and the next raw
+// CountBernoulli must consume exactly the stream of its per-call loop:
+// the tests below run the kernel and its reference loop on two
+// generators from one seed and compare the results and the next raw
 // draw, which pins the final generator state.
 
 func TestCountBernoulliMatchesBernoulli(t *testing.T) {
@@ -58,39 +55,8 @@ func TestCountBernoulliThresholdEdges(t *testing.T) {
 	}
 }
 
-func TestTallyMatchesIntn(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 64, 561, 1500} {
-		codes := make([]uint8, n)
-		gen := NewRNG(uint64(n))
-		for i := range codes {
-			codes[i] = uint8(gen.Intn(16))
-		}
-		got, want := NewRNG(uint64(n)+1), NewRNG(uint64(n)+1)
-		var cnt, ref [16]int
-		for range 3 { // repeated tallies accumulate
-			got.Tally(codes, &cnt)
-			for range n {
-				ref[codes[want.Intn(n)]]++
-			}
-		}
-		if cnt != ref {
-			t.Fatalf("n=%d: Tally counts %v, want %v", n, cnt, ref)
-		}
-		if g, w := got.Uint64(), want.Uint64(); g != w {
-			t.Fatalf("n=%d: Tally left the stream at %#x, want %#x", n, g, w)
-		}
-	}
-	// An empty table draws nothing.
-	r := NewRNG(5)
-	var cnt [16]int
-	r.Tally(nil, &cnt)
-	if r.Uint64() != NewRNG(5).Uint64() || cnt != ([16]int{}) {
-		t.Fatal("empty Tally drew or counted")
-	}
-}
-
-// refUint64n is Intn's accept loop before the rejection branch was
-// factored out: draw, multiply, accept when lo >= un or lo >= 2⁶⁴ mod un.
+// refUint64n is Intn's textbook accept loop: draw, multiply, accept when
+// lo >= un or lo >= 2⁶⁴ mod un.
 func refUint64n(r *RNG, un uint64) (v uint64, rejected int) {
 	for {
 		hi, lo := bits.Mul64(r.Uint64(), un)
@@ -101,9 +67,9 @@ func refUint64n(r *RNG, un uint64) (v uint64, rejected int) {
 	}
 }
 
-// TestBoundedDrawRejection runs the shared bounded draw where about half
-// of all raw draws are rejected (un = 2⁶³+1), so the rejection branch
-// that Intn and Tally share is exercised against the reference loop.
+// TestBoundedDrawRejection runs Intn's bounded draw where about half of
+// all raw draws are rejected (un = 2⁶³+1), so its rejection branch is
+// exercised against the reference loop.
 func TestBoundedDrawRejection(t *testing.T) {
 	for _, un := range []uint64{1<<63 + 1, 1<<62 + 1, 3, 1} {
 		got, want := NewRNG(9), NewRNG(9)
@@ -152,91 +118,105 @@ func idxStat(codes []uint8) func([]int) float64 {
 	}
 }
 
+// agree reports whether two Monte Carlo fractions over resamples draws
+// each agree within four standard errors of their difference, plus one
+// draw of discreteness slack.
+func agree(a, b float64, resamples int) bool {
+	B := float64(resamples)
+	return math.Abs(a-b) <= 4*math.Sqrt(a*(1-a)/B+b*(1-b)/B)+1/B
+}
+
+// TestBootstrapCodesMatchesIndexed holds the count kernel to the
+// per-index reference in distribution: on the same table both draw
+// resamples of the same multinomial, so each interval endpoint agrees
+// within a quarter of the reference interval's width (about 6 Monte
+// Carlo standard errors at B = 2000). A one-record table has one
+// possible resample, so there the intervals are equal.
 func TestBootstrapCodesMatchesIndexed(t *testing.T) {
-	for _, n := range []int{1, 7, 173, 600} {
+	cfg := BootstrapConfig{Resamples: 2000, Confidence: 0.9}
+	for _, n := range []int{1, 173, 600} {
 		codes := codeTable(uint64(n), n)
-		for _, resamples := range []int{1, 70, 321} {
-			for _, seed := range []uint64{1, 7, 42} {
-				ref := BootstrapConfig{Resamples: resamples, Confidence: 0.9, Workers: 1}
-				want, err := BootstrapIndexed(NewRNG(seed), n, ref, idxStat(codes))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{0, 1, 2, 4, 13} {
-					cfg := ref
-					cfg.Workers = workers
-					got, err := BootstrapCodes(NewRNG(seed), codes, cfg, codeStat)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("n=%d B=%d seed %d workers %d: interval %+v, want %+v", n, resamples, seed, workers, got, want)
-					}
-				}
+		for _, seed := range []uint64{1, 7, 42} {
+			want, err := BootstrapIndexed(NewRNG(seed), n, cfg, idxStat(codes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BootstrapCodes(NewRNG(seed+1000), codes, cfg, codeStat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tol := want.Width() / 4
+			if got[0].Point != want.Point || math.Abs(got[0].Lo-want.Lo) > tol || math.Abs(got[0].Hi-want.Hi) > tol {
+				t.Fatalf("n=%d seed %d: interval %+v, want %+v within %g", n, seed, got[0], want, tol)
 			}
 		}
 	}
 }
 
+// TestSignStabilityCodesMatchesIndexed holds the count kernel's
+// fractions to the per-index reference's within Monte Carlo error.
 func TestSignStabilityCodesMatchesIndexed(t *testing.T) {
+	const resamples = 2000
 	for _, n := range []int{1, 7, 173, 600} {
 		codes := codeTable(uint64(n)+100, n)
 		for _, seed := range []uint64{1, 7, 42} {
-			got, want := NewRNG(seed), NewRNG(seed)
-			frac, err := SignStabilityCodes(got, codes, 200, codeStat)
+			got, err := SignStabilityCodes(NewRNG(seed), codes, resamples, codeStat, shiftedCodeStat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := SignStability(want, n, 200, idxStat(codes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if frac != ref {
-				t.Fatalf("n=%d seed %d: stability %v, want %v", n, seed, frac, ref)
-			}
-			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("n=%d seed %d: stream diverged", n, seed)
+			for j, idx := range []func([]int) float64{idxStat(codes), shiftedIdxStat(codes)} {
+				want, err := SignStability(NewRNG(seed+1000), n, resamples, idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !agree(got[j], want, resamples) {
+					t.Fatalf("n=%d seed %d stat %d: stability %v, want %v", n, seed, j, got[j], want)
+				}
 			}
 		}
 	}
 }
 
-// TestCodeKernelsAcrossWorkerPools runs SignStabilityCodes the way E7
-// does — one pre-split stream per cell, cells fanned out over a pool —
-// and requires every pool size to reproduce the serial reference.
-func TestCodeKernelsAcrossWorkerPools(t *testing.T) {
+// shiftedCodeStat is codeStat moved off centre, so its sign flips on a
+// different share of resamples; shiftedIdxStat is its per-index form.
+func shiftedCodeStat(cnt *[16]int) float64 { return codeStat(cnt) - 0.2 }
+
+func shiftedIdxStat(codes []uint8) func([]int) float64 {
+	stat := idxStat(codes)
+	return func(idx []int) float64 { return stat(idx) - 0.2 }
+}
+
+// TestCodeKernelsShareOneStream pins common random numbers: scoring
+// several statistics in one call gives each the result it gets alone on
+// the same stream, and a statistic and its negation (never zero here)
+// flip sign on exactly the same resamples.
+func TestCodeKernelsShareOneStream(t *testing.T) {
 	codes := codeTable(3, 257)
-	const cells = 17
-	want := make([]float64, cells)
-	root := NewRNG(11)
-	for c := range want {
-		var err error
-		if want[c], err = SignStability(root.Split(), len(codes), 50+c, idxStat(codes)); err != nil {
+	// pos is codeStat centred just above its point estimate, so about
+	// half of all resamples flip its sign.
+	centre := codeStat(countCodes(codes))
+	pos := func(cnt *[16]int) float64 { return codeStat(cnt) - centre + 1e-9 }
+	neg := func(cnt *[16]int) float64 { return -pos(cnt) }
+	cfg := BootstrapConfig{Resamples: 300, Confidence: 0.9}
+	both, err := BootstrapCodes(NewRNG(11), codes, cfg, codeStat, shiftedCodeStat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, fn := range []func(*[16]int) float64{codeStat, shiftedCodeStat} {
+		alone, err := BootstrapCodes(NewRNG(11), codes, cfg, fn)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if both[j] != alone[0] {
+			t.Fatalf("statistic %d: interval %+v in a shared call, %+v alone", j, both[j], alone[0])
+		}
 	}
-	for _, workers := range []int{0, 1, 2, 4, 13} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			root := NewRNG(11)
-			rngs := make([]*RNG, cells)
-			for c := range rngs {
-				rngs[c] = root.Split()
-			}
-			got := make([]float64, cells)
-			err := workpool.New(workers).ForEach(cells, func(_, c int) error {
-				var err error
-				got[c], err = SignStabilityCodes(rngs[c], codes, 50+c, codeStat)
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := range got {
-				if got[c] != want[c] {
-					t.Fatalf("cell %d: stability %v, want %v", c, got[c], want[c])
-				}
-			}
-		})
+	fracs, err := SignStabilityCodes(NewRNG(11), codes, 300, pos, neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fracs[0] != fracs[1] || fracs[0] > 0.9 {
+		t.Fatalf("a statistic and its negation: stabilities %v; want equal and far below 1", fracs)
 	}
 }
 

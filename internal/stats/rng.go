@@ -54,9 +54,9 @@ func (r *RNG) Split() *RNG {
 }
 
 // splitInto is Split without the allocation: it reseeds child in place
-// from the parent's next draw. The bootstrap's per-block streams use this
-// to pre-split hundreds of value-typed generators with zero per-stream
-// allocations; the derived streams are identical to Split's.
+// from the parent's next draw. Split stays small enough to inline
+// through it, so a caller whose child does not escape keeps it on the
+// stack (the campaign's per-cell streams rely on this).
 func (r *RNG) splitInto(child *RNG) {
 	child.seed(r.Uint64() ^ 0xd1342543de82ef95)
 }
@@ -103,22 +103,13 @@ func (r *RNG) Intn(n int) int {
 // uint64n returns a uniform value in [0, un) for un > 0: Lemire's
 // nearly-divisionless bounded sampling with rejection to remove modulo
 // bias. Only a product whose low word is below un can be biased, so the
-// threshold's division is paid only then.
+// threshold's division (2⁶⁴ mod un) is paid only then.
 func (r *RNG) uint64n(un uint64) uint64 {
 	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
-		hi = r.reject(hi, lo, un, -un%un)
-	}
-	return hi
-}
-
-// reject finishes a bounded draw in [0, un) whose first product with un
-// was (hi, lo): while lo falls in the biased band below thresh (2⁶⁴ mod
-// un) it redraws from r. uint64n and Tally share it, so both consume the
-// stream identically on the rare rejection.
-func (r *RNG) reject(hi, lo, un, thresh uint64) uint64 {
-	for lo < thresh {
-		hi, lo = bits.Mul64(r.Uint64(), un)
+		for thresh := -un % un; lo < thresh; {
+			hi, lo = bits.Mul64(r.Uint64(), un)
+		}
 	}
 	return hi
 }
@@ -134,11 +125,11 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// The batch kernels below consume exactly the stream of their per-call
-// loops — same draws, same order, same final state — but keep the
-// xoshiro256** state in locals for the whole batch and write it back
-// once, instead of loading and storing r.s on every draw. The sampling
-// loops of E4, E7 and the metric-property analysis run on them.
+// CountBernoulli below consumes exactly the stream of its per-call loop
+// — same draws, same order, same final state — but keeps the
+// xoshiro256** state in locals for the whole batch and writes it back
+// once, instead of loading and storing r.s on every draw. The
+// metric-property analysis samples its confusion matrices with it.
 
 // CountBernoulli returns the number of successes in n calls of
 // Bernoulli(p) and leaves r where those calls would. Like Bernoulli, it
@@ -170,31 +161,93 @@ func (r *RNG) CountBernoulli(n int, p float64) int {
 	return hits
 }
 
-// Tally draws len(codes) indices as Intn(len(codes)) would and adds one
-// to cnt[codes[i]] for each drawn i: one bootstrap resample of a code
-// table, counted without materialising its indices. Codes must be below
-// 16.
-func (r *RNG) Tally(codes []uint8, cnt *[16]int) {
-	if len(codes) == 0 {
-		return
+// Binomial returns a Binomial(n, p) variate, exactly, from one Float64:
+// chop-down inversion from the mode. The uniform is compared with the
+// pmf at the mode m = ⌊(n+1)p⌋ and then with the pmf of its neighbours,
+// always taking the more probable of the next value below and above, so
+// the expected number of steps is O(√(npq)) for any n. For p > 0.5 it
+// returns n − Binomial(n, 1−p). It draws nothing, returning 0, when
+// n ≤ 0 or p ≤ 0 (or p is NaN), and returns n, drawing nothing, when
+// p ≥ 1.
+func (r *RNG) Binomial(n int, p float64) int {
+	if n <= 0 || !(p > 0) {
+		return 0
 	}
-	un := uint64(len(codes))
-	// Intn accepts when lo >= un || lo >= thresh; thresh < un, so the
-	// second test alone decides, and its division is hoisted here.
-	thresh := -un % un
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	var u uint64
-	for range codes {
-		u, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-		hi, lo := bits.Mul64(u, un)
-		if lo < thresh {
-			r.s = [4]uint64{s0, s1, s2, s3}
-			hi = r.reject(hi, lo, un, thresh)
-			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+	if p >= 1 {
+		return n
+	}
+	if p > 0.5 {
+		return n - r.Binomial(n, 1-p)
+	}
+	u := r.Float64()
+	odds := p / (1 - p)
+	m := min(int(float64(n+1)*p), n)
+	lgN, _ := math.Lgamma(float64(n + 1))
+	lgM, _ := math.Lgamma(float64(m + 1))
+	lgRest, _ := math.Lgamma(float64(n - m + 1))
+	pm := math.Exp(lgN - lgM - lgRest + float64(m)*math.Log(p) + float64(n-m)*math.Log1p(-p))
+	if u -= pm; u < 0 {
+		return m
+	}
+	lo, hi := m, m     // the values tried so far are lo..hi
+	plo, phi := pm, pm // and these are the pmf at lo and at hi
+	for {
+		var nlo, nhi float64 // the pmf at lo-1 and hi+1; 0 past the support
+		if lo > 0 {
+			nlo = plo * float64(lo) / (float64(n-lo+1) * odds)
 		}
-		cnt[codes[hi]&15]++
+		if hi < n {
+			nhi = phi * float64(n-hi) / float64(hi+1) * odds
+		}
+		switch {
+		case nlo == 0 && nhi == 0:
+			// Rounding left a sliver of u past the support, or in tails
+			// too light for a float64: the mode is the nearest value.
+			return m
+		case nhi >= nlo:
+			hi, phi = hi+1, nhi
+			if u -= phi; u < 0 {
+				return hi
+			}
+		default:
+			lo, plo = lo-1, nlo
+			if u -= plo; u < 0 {
+				return lo
+			}
+		}
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// Resample draws one bootstrap resample of a code table whose per-code
+// counts are base, and stores its per-code counts in out: a
+// Multinomial(n, base/n) draw, n the table's total, taken as a chain of
+// conditional binomials. Codes are visited in order; a code with zero
+// count stays 0 and draws nothing, and the last nonzero code takes what
+// is left, so a table with one distinct code draws nothing at all. In
+// distribution out equals the counts of n records drawn with
+// Intn(n). base must hold non-negative counts; out may not alias it.
+func (r *RNG) Resample(base, out *[16]int) {
+	rest, last := 0, -1 // the count of the codes not yet visited
+	for c, k := range base {
+		rest += k
+		if k > 0 {
+			last = c
+		}
+	}
+	left := rest // the records not yet placed
+	for c, k := range base {
+		switch {
+		case k == 0:
+			out[c] = 0
+		case c == last:
+			out[c] = left
+		default:
+			x := r.Binomial(left, float64(k)/float64(rest))
+			out[c] = x
+			left -= x
+		}
+		rest -= k
+	}
 }
 
 // NormFloat64 returns a standard-normal value using the polar

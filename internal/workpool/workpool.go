@@ -1,7 +1,7 @@
 // Package workpool is the one parallel loop of the deterministic
 // packages: the campaign harness's (tool, case) cells, the experiment
-// drivers, E7's cells, stats bootstrap blocks and metricprop catalogue
-// analysis all run on Budget.ForEach. It deliberately contains no
+// drivers, E7's tool pairs and metricprop catalogue analysis all run on
+// Budget.ForEach. It deliberately contains no
 // scheduling cleverness that could affect results: callers decide the
 // task decomposition and where every task's output lands; the pool only
 // decides *when* each task runs. On failure it returns the error a
