@@ -235,13 +235,12 @@ func worstFallback(m metrics.Metric) float64 {
 	return m.Lo
 }
 
-// pairCountsDelta is E7's resampled statistic: the goodness-oriented
-// delta of metric m, tool a minus tool b, over a resample of the pair's
-// joint code table with per-code counts cnt, with undefined values
+// confusionDelta is E7's resampled statistic: the goodness-oriented
+// delta of metric m, tool a minus tool b, on the two tools' confusion
+// matrices over one resample of the pair, with undefined values
 // replaced by the metric's worst value. A metric error counts as a zero
 // delta (sign-unstable).
-func pairCountsDelta(codes harness.PairCodes, m metrics.Metric, cnt *[16]int) float64 {
-	ca, cb := codes.Fold(cnt)
+func confusionDelta(m metrics.Metric, ca, cb metrics.Confusion) float64 {
 	va, err := m.ValueOr(ca, worstFallback(m))
 	if err != nil {
 		return 0
@@ -274,11 +273,16 @@ func e7Pairs(camp *harness.Campaign) (order []int, pairs []harness.PairCodes, er
 // e7Fractions returns E7's sign-stability fractions, fracs[pair][j] for
 // metric campaignMetricIDs()[j]. Each pair draws one resample stream,
 // pre-split in pair order, and every metric is scored on the same
-// resamples (common random numbers). The pairs fan out across the
-// shared worker budget; each owns its stream, so every fraction is
-// byte-identical at any worker count.
+// resamples (common random numbers), each folded into the two tools'
+// confusion matrices once. The pairs fan out across the shared worker
+// budget; each owns its stream, so every fraction is byte-identical at
+// any worker count.
 func (r *Runner) e7Fractions(pairs []harness.PairCodes) ([][]float64, error) {
 	ids := campaignMetricIDs()
+	ms := make([]metrics.Metric, len(ids))
+	for j, id := range ids {
+		ms[j] = metrics.MustByID(id)
+	}
 	rng := stats.NewRNG(r.cfg.Seed + 7)
 	rngs := make([]*stats.RNG, len(pairs))
 	for i := range rngs {
@@ -287,13 +291,14 @@ func (r *Runner) e7Fractions(pairs []harness.PairCodes) ([][]float64, error) {
 	fracs := make([][]float64, len(pairs))
 	err := r.budget.ForEach(len(pairs), func(_, pair int) error {
 		codes := pairs[pair]
-		fns := make([]func(*[16]int) float64, len(ids))
-		for j, id := range ids {
-			m := metrics.MustByID(id)
-			fns[j] = func(cnt *[16]int) float64 { return pairCountsDelta(codes, m, cnt) }
+		deltas := func(cnt *[16]int, out []float64) {
+			ca, cb := codes.Fold(cnt)
+			for j, m := range ms {
+				out[j] = confusionDelta(m, ca, cb)
+			}
 		}
 		var err error
-		fracs[pair], err = stats.SignStabilityCodes(rngs[pair], codes, r.cfg.BootstrapResamples, fns...)
+		fracs[pair], err = stats.SignStabilityCodes(rngs[pair], codes, r.cfg.BootstrapResamples, len(ms), deltas)
 		return err
 	})
 	if err != nil {

@@ -48,6 +48,13 @@ func countAt(codes []uint8, idx []int) *[16]int {
 	return &cnt
 }
 
+// pairCountsDelta is E7's statistic of metric m over the per-code
+// counts cnt of a resample.
+func pairCountsDelta(codes harness.PairCodes, m metrics.Metric, cnt *[16]int) float64 {
+	ca, cb := codes.Fold(cnt)
+	return confusionDelta(m, ca, cb)
+}
+
 // pairDelta is E7's statistic over the sinks at idx.
 func pairDelta(codes harness.PairCodes, m metrics.Metric, idx []int) float64 {
 	return pairCountsDelta(codes, m, countAt(codes, idx))

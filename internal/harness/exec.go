@@ -341,7 +341,7 @@ type engine struct {
 	opts   Options
 	corpus *workload.Corpus
 	tools  []detectors.Tool
-	rngs   [][]stats.RNG
+	seeds  [][]uint64 // seeds[t][c] seeds cell (t, c)'s RNG stream
 	// lo and hi bound the cases this engine executes. offs holds the
 	// prefix sums of len(Truths) over [lo, hi): case c's slot in tool t's
 	// arena is arenas[t][offs[c-lo]:offs[c-lo+1]].
@@ -438,7 +438,7 @@ func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xe
 		opts:   opts,
 		corpus: corpus,
 		tools:  tools,
-		rngs:   preSplitRNGs(len(tools), len(corpus.Cases), opts.Seed),
+		seeds:  preSplitSeeds(len(tools), len(corpus.Cases), opts.Seed),
 		lo:     lo,
 		hi:     hi,
 		offs:   offs,
@@ -571,9 +571,9 @@ func (e *engine) executeCase(ctx context.Context, t, c int, rng *stats.RNG) (Cel
 // runAttempt performs one isolated, deadline-bounded tool invocation and
 // scores its reports into the cell's arena slot. kind is zero on
 // success and classifies the failure otherwise. Each attempt draws from
-// a fresh copy of the cell's pre-split RNG stream, so every attempt of a
-// cell replays identical draws: inline, the copy goes into the lane's
-// scratch rng.
+// a generator freshly seeded with the cell's pre-split seed, so every
+// attempt of a cell replays identical draws: inline, the lane's scratch
+// rng is reseeded.
 func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind FailureKind, err error) {
 	tool, cs := e.tools[t], e.corpus.Cases[c]
 	timeout := e.opts.PerToolTimeout
@@ -590,7 +590,7 @@ func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind
 		// Context-aware tools observe the deadline themselves; tools
 		// without a deadline cannot outlive one. Either way the call
 		// runs inline on this lane.
-		*rng = e.rngs[t][c]
+		*rng = *stats.NewRNG(e.seeds[t][c])
 		r = callTool(actx, tool, cs, rng)
 	} else {
 		// Plain tool under a deadline: call it on a watchdog goroutine
@@ -601,7 +601,7 @@ func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind
 		// exists. The goroutine only calls the tool: scoring happens
 		// here, so an abandoned call never writes into the arena.
 		ch := make(chan toolCall, 1)
-		go watchTool(actx, ch, tool, cs, e.rngs[t][c])
+		go watchTool(actx, ch, tool, cs, e.seeds[t][c])
 		select {
 		case r = <-ch:
 		case <-actx.Done():
@@ -658,10 +658,10 @@ func callTool(ctx context.Context, tool detectors.Tool, cs workload.Case, rng *s
 }
 
 // watchTool is the watchdog goroutine's body: one callTool on its own
-// copy of the cell's RNG stream, which an abandoned call may keep
-// drawing from after the lane has moved on.
-func watchTool(ctx context.Context, ch chan<- toolCall, tool detectors.Tool, cs workload.Case, rng stats.RNG) {
-	ch <- callTool(ctx, tool, cs, &rng)
+// copy of the cell's RNG stream, seeded from seed, which an abandoned
+// call may keep drawing from after the lane has moved on.
+func watchTool(ctx context.Context, ch chan<- toolCall, tool detectors.Tool, cs workload.Case, seed uint64) {
+	ch <- callTool(ctx, tool, cs, stats.NewRNG(seed))
 }
 
 // timeoutError is the canonical deadline-expiry record: its text depends

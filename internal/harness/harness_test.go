@@ -384,8 +384,8 @@ func TestPairCodesWithSignStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fracs, err := stats.SignStabilityCodes(stats.NewRNG(3), codes, 200, func(cnt *[16]int) float64 {
-		return recallDelta(codes.Fold(cnt))
+	fracs, err := stats.SignStabilityCodes(stats.NewRNG(3), codes, 200, 1, func(cnt *[16]int, out []float64) {
+		out[0] = recallDelta(codes.Fold(cnt))
 	})
 	if err != nil {
 		t.Fatal(err)

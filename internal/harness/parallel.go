@@ -55,19 +55,21 @@ func rebind[B any](tools []detectors.Tool, bind func(B) detectors.Tool) []detect
 	return bound
 }
 
-// preSplitRNGs derives the per-(tool, case) RNG streams by replaying the
-// serial harness's split sequence: an independent root stream per tool,
-// split once per case in corpus order. The derived generators are
+// preSplitSeeds derives the seeds of the per-(tool, case) RNG streams by
+// replaying the serial harness's split sequence: an independent root
+// stream per tool, split once per case in corpus order. seeds[t][c] is
+// the seed of cell (t, c)'s stream, stats.NewRNG of which is the
+// generator Split gives that cell. The derived generators are
 // independent, so handing them to concurrent workers cannot perturb any
 // draw.
-func preSplitRNGs(nTools, nCases int, seed uint64) [][]stats.RNG {
-	rngs := make([][]stats.RNG, nTools)
-	for t := range rngs {
+func preSplitSeeds(nTools, nCases int, seed uint64) [][]uint64 {
+	seeds := make([][]uint64, nTools)
+	for t := range seeds {
 		toolRNG := stats.NewRNG(seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15)
-		rngs[t] = make([]stats.RNG, nCases)
-		for c := range rngs[t] {
-			rngs[t][c] = *toolRNG.Split()
+		seeds[t] = make([]uint64, nCases)
+		for c := range seeds[t] {
+			seeds[t][c] = toolRNG.SplitSeed()
 		}
 	}
-	return rngs
+	return seeds
 }

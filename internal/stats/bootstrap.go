@@ -81,19 +81,22 @@ func countCodes(codes []uint8) *[16]int {
 	return cnt
 }
 
-// SignStabilityCodes returns, for each statistic fn of the per-code
-// counts, the fraction of bootstrap resamples of a code table in which
-// fn has the same sign as its point estimate (fn of the table's own
-// counts). It is the discriminative-power measure used by experiment
-// E7: a metric discriminates two tools well when the sign of their
-// metric delta is stable under resampling of the workload.
+// SignStabilityCodes returns, for each of the n statistics stat writes
+// to out from the per-code counts, the fraction of bootstrap resamples
+// of a code table in which the statistic has the same sign as its point
+// estimate (its value on the table's own counts). It is the
+// discriminative-power measure used by experiment E7: a metric
+// discriminates two tools well when the sign of their metric delta is
+// stable under resampling of the workload.
 //
-// Every resample is one Resample draw from rng, and every fn is scored
-// on that same draw: the paired design of Sakai's bootstrap
-// discriminative power, under which the fractions of different
-// statistics differ by what the statistics measure, not by stream
-// noise. fns must neither modify nor retain cnt.
-func SignStabilityCodes(rng *RNG, codes []uint8, resamples int, fns ...func(cnt *[16]int) float64) ([]float64, error) {
+// Every resample is one Resample draw from rng, and one stat call
+// scores every statistic on that draw: the paired design of Sakai's
+// bootstrap discriminative power, under which the fractions of
+// different statistics differ by what the statistics measure, not by
+// stream noise, and work the statistics share is done once per
+// resample. stat must not modify cnt and must retain neither cnt nor
+// out.
+func SignStabilityCodes(rng *RNG, codes []uint8, resamples, n int, stat func(cnt *[16]int, out []float64)) ([]float64, error) {
 	if len(codes) == 0 {
 		return nil, ErrEmpty
 	}
@@ -104,22 +107,20 @@ func SignStabilityCodes(rng *RNG, codes []uint8, resamples int, fns ...func(cnt 
 		return nil, errors.New("stats: nil RNG")
 	}
 	base := countCodes(codes)
-	points := make([]float64, len(fns))
-	for j, fn := range fns {
-		points[j] = fn(base)
-	}
-	same := make([]int, len(fns))
+	points, vals := make([]float64, n), make([]float64, n)
+	stat(base, points)
+	same := make([]int, n)
 	cnt := new([16]int)
 	for range resamples {
 		rng.Resample(base, cnt)
-		for j, fn := range fns {
-			v, point := fn(cnt), points[j]
-			if (point >= 0 && v >= 0) || (point < 0 && v < 0) {
+		stat(cnt, vals)
+		for j, v := range vals {
+			if point := points[j]; (point >= 0 && v >= 0) || (point < 0 && v < 0) {
 				same[j]++
 			}
 		}
 	}
-	fracs := make([]float64, len(fns))
+	fracs := make([]float64, n)
 	for j, s := range same {
 		fracs[j] = float64(s) / float64(resamples)
 	}

@@ -160,7 +160,7 @@ func TestSignStabilityCodesMatchesIndexed(t *testing.T) {
 	for _, n := range []int{1, 7, 173, 600} {
 		codes := codeTable(uint64(n)+100, n)
 		for _, seed := range []uint64{1, 7, 42} {
-			got, err := SignStabilityCodes(NewRNG(seed), codes, resamples, codeStat, shiftedCodeStat)
+			got, err := SignStabilityCodes(NewRNG(seed), codes, resamples, 2, each(codeStat, shiftedCodeStat))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,6 +173,16 @@ func TestSignStabilityCodesMatchesIndexed(t *testing.T) {
 					t.Fatalf("n=%d seed %d stat %d: stability %v, want %v", n, seed, j, got[j], want)
 				}
 			}
+		}
+	}
+}
+
+// each is SignStabilityCodes' form of the statistics fns: it scores
+// them one by one.
+func each(fns ...func(*[16]int) float64) func(*[16]int, []float64) {
+	return func(cnt *[16]int, out []float64) {
+		for j, fn := range fns {
+			out[j] = fn(cnt)
 		}
 	}
 }
@@ -211,7 +221,7 @@ func TestCodeKernelsShareOneStream(t *testing.T) {
 			t.Fatalf("statistic %d: interval %+v in a shared call, %+v alone", j, both[j], alone[0])
 		}
 	}
-	fracs, err := SignStabilityCodes(NewRNG(11), codes, 300, pos, neg)
+	fracs, err := SignStabilityCodes(NewRNG(11), codes, 300, 2, each(pos, neg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +242,13 @@ func TestCodeKernelErrors(t *testing.T) {
 	if _, err := BootstrapCodes(NewRNG(1), codes, BootstrapConfig{Resamples: 10, Confidence: 2}, codeStat); err == nil {
 		t.Fatal("invalid config should fail")
 	}
-	if _, err := SignStabilityCodes(NewRNG(1), nil, 10, codeStat); err != ErrEmpty {
+	if _, err := SignStabilityCodes(NewRNG(1), nil, 10, 1, each(codeStat)); err != ErrEmpty {
 		t.Fatal("empty table should fail")
 	}
-	if _, err := SignStabilityCodes(NewRNG(1), codes, 0, codeStat); err == nil {
+	if _, err := SignStabilityCodes(NewRNG(1), codes, 0, 1, each(codeStat)); err == nil {
 		t.Fatal("resamples=0 should fail")
 	}
-	if _, err := SignStabilityCodes(nil, codes, 10, codeStat); err == nil {
+	if _, err := SignStabilityCodes(nil, codes, 10, 1, each(codeStat)); err == nil {
 		t.Fatal("nil RNG should fail")
 	}
 }

@@ -56,9 +56,17 @@ func (r *RNG) Split() *RNG {
 // splitInto is Split without the allocation: it reseeds child in place
 // from the parent's next draw. Split stays small enough to inline
 // through it, so a caller whose child does not escape keeps it on the
-// stack (the campaign's per-cell streams rely on this).
+// stack.
 func (r *RNG) splitInto(child *RNG) {
-	child.seed(r.Uint64() ^ 0xd1342543de82ef95)
+	child.seed(r.SplitSeed())
+}
+
+// SplitSeed advances r as Split does and returns the seed Split would
+// give the child: NewRNG(r.SplitSeed()) is r.Split(). A caller that
+// keeps many derived streams for later can keep their 8-byte seeds
+// instead of 32-byte generators.
+func (r *RNG) SplitSeed() uint64 {
+	return r.Uint64() ^ 0xd1342543de82ef95
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -47,6 +47,23 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitSeedIsSplit: NewRNG of SplitSeed is the generator Split
+// returns, and both advance the parent alike.
+func TestSplitSeedIsSplit(t *testing.T) {
+	a, b := NewRNG(7), NewRNG(7)
+	for range 3 {
+		fromSeed, split := NewRNG(a.SplitSeed()), b.Split()
+		for i := 0; i < 10; i++ {
+			if got, want := fromSeed.Uint64(), split.Uint64(); got != want {
+				t.Fatalf("step %d: seeded child %d, split child %d", i, got, want)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SplitSeed and Split advance the parent differently")
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10000; i++ {

@@ -218,12 +218,12 @@ type obsEvent struct {
 	fp     uint64
 }
 
-// observeStream collects an engine's full Observe stream for one
+// observeStream collects a binding's full Observe stream for one
 // request against a given store.
-func observeStream(t *testing.T, eng *compile.Engine, svc *svclang.Service, req svclang.Request, store *svclang.SessionStore) ([]obsEvent, bool) {
+func observeStream(t *testing.T, b *compile.Binding, req svclang.Request, store *svclang.SessionStore) ([]obsEvent, bool) {
 	t.Helper()
 	var events []obsEvent
-	rejected, err := eng.Observe(svc, req, store, func(sinkID int, kind svclang.SinkKind, silent bool, chars []rune) {
+	rejected, err := b.Observe(req, store, func(sinkID int, kind svclang.SinkKind, silent bool, chars []rune) {
 		events = append(events, obsEvent{
 			sinkID: sinkID,
 			kind:   kind,
@@ -239,8 +239,9 @@ func observeStream(t *testing.T, eng *compile.Engine, svc *svclang.Service, req 
 }
 
 // TestObserveDifferentialTemplates locks the streaming observation path
-// to the materialising one on both engines: the VM's Observe stream,
-// the reference engine's Observe stream and the interpreter's
+// to the materialising one on both engines: the Observe streams of a
+// VM binding and of a reference-engine binding, each bound once per
+// service and reused for every request, and the interpreter's
 // Result.Events must agree event for event — IDs, kinds, silence,
 // values, structure fingerprints, rejection and session-store effects.
 // This is the contract the pentester's zero-allocation probing stands
@@ -255,6 +256,15 @@ func TestObserveDifferentialTemplates(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					svc, _ := tmpl.Build("diff_svc", kind, vulnerable)
 					refStore, vmStore, interpStore := svclang.NewSessionStore(), svclang.NewSessionStore(), svclang.NewSessionStore()
+					var vmBind, interpBind compile.Binding
+					if err := vm.Bind(&vmBind, svc); err != nil {
+						t.Fatal(err)
+					}
+					defer vmBind.Release()
+					if err := interp.Bind(&interpBind, svc); err != nil {
+						t.Fatal(err)
+					}
+					defer interpBind.Release()
 					for i, req := range diffRequests(svc) {
 						rctx := fmt.Sprintf("req %d %v", i, req)
 						res, err := svclang.ExecuteInSession(svc, req, refStore)
@@ -271,8 +281,8 @@ func TestObserveDifferentialTemplates(t *testing.T) {
 								fp:     svclang.StructureFingerprint(ev.Kind, ev.Value.Runes()),
 							})
 						}
-						vmEvents, vmRejected := observeStream(t, vm, svc, req, vmStore)
-						interpEvents, interpRejected := observeStream(t, interp, svc, req, interpStore)
+						vmEvents, vmRejected := observeStream(t, &vmBind, req, vmStore)
+						interpEvents, interpRejected := observeStream(t, &interpBind, req, interpStore)
 						if vmRejected != res.Rejected || interpRejected != res.Rejected {
 							t.Fatalf("%s: rejected: interpreter=%v vm-observe=%v interp-observe=%v",
 								rctx, res.Rejected, vmRejected, interpRejected)

@@ -87,17 +87,55 @@ func (e *Engine) ExecuteInSession(svc *svclang.Service, req svclang.Request, sto
 // before returning, and must not retain or mutate the slice.
 type ObserveFunc func(sinkID int, kind svclang.SinkKind, silent bool, chars []rune)
 
-// Observe runs the service and streams every sink event to fn instead
-// of materialising a Result — the allocation-free twin of
+// Binding is one service bound for a run of observed executions: its
+// program, looked up once, and one pooled arena that every execution
+// reuses. The differential pentester binds each service once per
+// Analyze call and streams every probe through the binding, so a probe
+// neither touches the engine's program cache nor its arena pool. The
+// zero value is unbound; a Binding is not safe for concurrent use.
+type Binding struct {
+	eng  *Engine
+	svc  *svclang.Service
+	prog *Program // nil on a reference engine
+	a    *arena
+}
+
+// Bind binds svc to b, compiling it on first use. Each Bind must be
+// followed by a Release before b is bound again. A reference engine
+// sends every execution of the binding to its backend instead.
+func (e *Engine) Bind(b *Binding, svc *svclang.Service) error {
+	if e.ref != nil {
+		*b = Binding{eng: e, svc: svc}
+		return nil
+	}
+	p, err := e.Program(svc)
+	if err != nil {
+		return err
+	}
+	*b = Binding{eng: e, svc: svc, prog: p, a: e.pool.Get().(*arena)}
+	return nil
+}
+
+// Release returns the binding's arena to its engine's pool and unbinds
+// b.
+func (b *Binding) Release() {
+	if b.a != nil {
+		b.eng.pool.Put(b.a)
+	}
+	*b = Binding{}
+}
+
+// Observe runs the bound service and streams every sink event to fn
+// instead of materialising a Result — the allocation-free twin of
 // ExecuteInSession for callers that only inspect sink values (the
 // differential pentester). The event stream, the session-store effects
 // and the returned rejection flag are exactly those of
 // ExecuteInSession; only the value representation differs. Like the
 // interpreter, a rejection does not retract the events streamed before
 // it — callers that want HTTP-400 semantics discard on rejected=true.
-func (e *Engine) Observe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, fn ObserveFunc) (rejected bool, err error) {
-	if e.ref != nil {
-		res, err := e.ref.ExecuteInSession(svc, req, store)
+func (b *Binding) Observe(req svclang.Request, store *svclang.SessionStore, fn ObserveFunc) (rejected bool, err error) {
+	if b.prog == nil {
+		res, err := b.eng.ref.ExecuteInSession(b.svc, req, store)
 		if err != nil {
 			return false, err
 		}
@@ -106,14 +144,7 @@ func (e *Engine) Observe(svc *svclang.Service, req svclang.Request, store *svcla
 		}
 		return res.Rejected, nil
 	}
-	p, err := e.Program(svc)
-	if err != nil {
-		return false, err
-	}
-	a := e.pool.Get().(*arena)
-	res := p.run(a, req, store, fn, nil)
-	e.pool.Put(a)
-	return res.Rejected, nil
+	return b.prog.run(b.a, req, store, fn, nil).Rejected, nil
 }
 
 // probe is the ProbeFunc the streaming oracle path runs on: sink events

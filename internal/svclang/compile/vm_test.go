@@ -165,6 +165,13 @@ func TestCompileErrorsMatchInterpreter(t *testing.T) {
 	if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
 		t.Fatalf("validation error mismatch: interpreter=%v vm=%v", refErr, gotErr)
 	}
+	var b Binding
+	if err := eng.Bind(&b, bad); err == nil || err.Error() != refErr.Error() {
+		t.Fatalf("Bind error mismatch: interpreter=%v vm=%v", refErr, err)
+	}
+	if b != (Binding{}) {
+		t.Fatalf("failed Bind left the binding bound: %+v", b)
+	}
 }
 
 // TestInvalidUTF8Needle pins the byte-level fallback for Contains/Eq
@@ -249,7 +256,8 @@ func TestAllocBudgetExecute(t *testing.T) {
 }
 
 // TestProgramCacheSingleflight: one compilation per service no matter how
-// many executions, with hit/miss telemetry.
+// many executions, with hit/miss telemetry, and one program lookup per
+// binding no matter how many executions run through it.
 func TestProgramCacheSingleflight(t *testing.T) {
 	eng := NewEngine()
 	svc := mustParse(t, vmTestSrc)
@@ -262,6 +270,19 @@ func TestProgramCacheSingleflight(t *testing.T) {
 	hits, misses := eng.Stats()
 	if misses != 1 || hits != 9 {
 		t.Fatalf("stats = %d hits, %d misses; want 9/1", hits, misses)
+	}
+	var b Binding
+	if err := eng.Bind(&b, svc); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	for i := 0; i < 10; i++ {
+		if _, err := b.Observe(req, nil, func(int, svclang.SinkKind, bool, []rune) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses = eng.Stats(); misses != 1 || hits != 10 {
+		t.Fatalf("stats after a bound run = %d hits, %d misses; want 10/1", hits, misses)
 	}
 }
 
