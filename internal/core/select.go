@@ -24,9 +24,17 @@ import (
 	"github.com/dsn2015/vdbench/internal/stats"
 )
 
+// scoreGrid is the spacing BuildProblem rounds every criterion score to.
+// Metrics that are monotone transforms of each other (informedness and
+// balanced-accuracy, recall and fnr, ...) measure the same property, but
+// their computed scores can differ in the last bits, and by platform;
+// on the grid they are equal, so a tie between them is a tie and the
+// documented metric-ID tie-break decides it, not rounding noise.
+const scoreGrid = 1e-9
+
 // BuildProblem converts metric profiles into an MCDA decision problem:
 // alternatives are metrics, criteria are the scenario criteria, scores are
-// the criterion evaluations of each profile.
+// the criterion evaluations of each profile, rounded to scoreGrid.
 func BuildProblem(profiles []metricprop.Profile) (mcda.Problem, error) {
 	if len(profiles) == 0 {
 		return mcda.Problem{}, errors.New("core: no metric profiles")
@@ -44,7 +52,7 @@ func BuildProblem(profiles []metricprop.Profile) (mcda.Problem, error) {
 		p.Alternatives[i] = prof.MetricID
 		row := make([]float64, len(crits))
 		for j, c := range crits {
-			row[j] = c.Score(prof)
+			row[j] = math.Round(c.Score(prof)/scoreGrid) * scoreGrid
 		}
 		p.Scores[i] = row
 	}
@@ -106,9 +114,11 @@ func orderOf(ids []string, scores []float64) []int {
 	return order
 }
 
-// winner returns orderOf(ids, scores)[0] without sorting: the highest
-// score, ties broken by the smaller metric ID, then by the lower index.
-func winner(ids []string, scores []float64) int {
+// Winner returns the index of the best alternative without sorting: the
+// highest score, ties broken by the smaller metric ID, then by the lower
+// index. It is the first entry of a Selection's Order, and every experiment
+// that names a winning metric picks it this way.
+func Winner(ids []string, scores []float64) int {
 	best := 0
 	for i := 1; i < len(scores); i++ {
 		if scores[i] > scores[best] || (scores[i] == scores[best] && ids[i] < ids[best]) {
@@ -319,7 +329,7 @@ func WinnerStability(s scenario.Scenario, profiles []metricprop.Profile, sigma f
 		return StabilityResult{}, err
 	}
 	baseScores := append([]float64(nil), base.Scores...)
-	baseWinner := problem.Alternatives[winner(problem.Alternatives, baseScores)]
+	baseWinner := problem.Alternatives[Winner(problem.Alternatives, baseScores)]
 	noisy, err := mcda.NewPairwise(consensus.N())
 	if err != nil {
 		return StabilityResult{}, err
@@ -336,7 +346,7 @@ func WinnerStability(s scenario.Scenario, profiles []metricprop.Profile, sigma f
 		if err != nil {
 			return StabilityResult{}, err
 		}
-		if problem.Alternatives[winner(problem.Alternatives, res.Scores)] == baseWinner {
+		if problem.Alternatives[Winner(problem.Alternatives, res.Scores)] == baseWinner {
 			agree++
 		}
 		if tau, err := ranking.KendallTau(baseScores, res.Scores); err == nil {

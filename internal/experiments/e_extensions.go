@@ -78,10 +78,10 @@ func (r *Runner) E11MethodAgreement(ctx context.Context) (Result, error) {
 			return Result{}, err
 		}
 		tbl.AddRowValues(s.ID,
-			problem.Alternatives[ranking.TopK(wsm, 1)[0]],
-			problem.Alternatives[ranking.TopK(ahpRes.Scores, 1)[0]],
-			problem.Alternatives[ranking.TopK(topsis, 1)[0]],
-			problem.Alternatives[ranking.TopK(wpm, 1)[0]],
+			problem.Alternatives[core.Winner(problem.Alternatives, wsm)],
+			problem.Alternatives[core.Winner(problem.Alternatives, ahpRes.Scores)],
+			problem.Alternatives[core.Winner(problem.Alternatives, topsis)],
+			problem.Alternatives[core.Winner(problem.Alternatives, wpm)],
 			tau1, tau2, tau3)
 	}
 	return Result{

@@ -43,11 +43,10 @@ type Config struct {
 	StabilityTrials int
 	// Workers sizes every parallel loop of a run. The experiment
 	// drivers and E7's tool pairs share one budget of this size; the
-	// campaign harness and the metric property catalogue build a budget
-	// of their own from it. 0 selects runtime.GOMAXPROCS(0), 1 forces
-	// serial execution. Every output is byte-identical for every value
-	// (see harness.RunCtx, Runner.e7Fractions,
-	// metricprop.AnalyzeCatalog).
+	// campaign harness builds a budget of its own from it. 0 selects
+	// runtime.GOMAXPROCS(0), 1 forces serial execution. Every output is
+	// byte-identical for every value (see harness.RunCtx,
+	// Runner.e7Fractions).
 	Workers int
 	// PerToolTimeout, Retry and Degraded are the campaign execution
 	// policy (see harness.Options). Like Workers, they are operational
@@ -112,12 +111,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count %d", c.Workers)
-	}
-	// The run has one worker count. Prop.Workers == 0 inherits it (see
-	// propConfig); any other value must agree with it, otherwise the
-	// catalogue would run wider than the caller asked behind their back.
-	if c.Prop.Workers != 0 && c.Prop.Workers != c.Workers {
-		return fmt.Errorf("experiments: inconsistent worker budgets: Prop.Workers=%d vs Workers=%d (set Prop.Workers to 0 to inherit the shared budget)", c.Prop.Workers, c.Workers)
 	}
 	if c.PerToolTimeout != 0 && c.PerToolTimeout < time.Second {
 		return fmt.Errorf("experiments: PerToolTimeout %v below the 1s operational floor (a tight deadline would make cached results hardware-dependent)", c.PerToolTimeout)
@@ -220,22 +213,11 @@ func (r *Runner) SetCampaignExecutor(exec CampaignExecutor) {
 	r.exec = exec
 }
 
-// propConfig resolves the property-analysis configuration against the
-// configured worker count: Prop.Workers == 0 inherits cfg.Workers
-// (Validate rejects any other mismatch).
-func (r *Runner) propConfig() metricprop.Config {
-	p := r.cfg.Prop
-	if p.Workers == 0 {
-		p.Workers = r.cfg.Workers
-	}
-	return p
-}
-
 // Profiles returns the property profiles of the full metric catalogue,
 // computing them on first use.
 func (r *Runner) Profiles() ([]metricprop.Profile, error) {
 	r.profilesOnce.Do(func() {
-		profiles, err := metricprop.AnalyzeCatalog(r.propConfig(), stats.NewRNG(r.cfg.Seed))
+		profiles, err := metricprop.AnalyzeCatalog(r.cfg.Prop, stats.NewRNG(r.cfg.Seed))
 		if err != nil {
 			r.profilesErr = fmt.Errorf("experiments: profile catalogue: %w", err)
 			return

@@ -175,53 +175,6 @@ func TestE14ColdRunnerReportsBothCampaigns(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsInconsistentBudgets pins the single-budget rule: an
-// explicit Prop.Workers that disagrees with the shared Workers budget is
-// a configuration error, not a silent oversubscription.
-func TestValidateRejectsInconsistentBudgets(t *testing.T) {
-	cfg := tinyConfig(1, 4)
-	cfg.Prop.Workers = 2
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("inconsistent worker budgets accepted")
-	}
-	if !strings.Contains(err.Error(), "inconsistent worker budgets") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-
-	// Agreement and inheritance are both fine.
-	cfg.Prop.Workers = 4
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("matching budgets rejected: %v", err)
-	}
-	cfg.Prop.Workers = 0
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("inherited budget rejected: %v", err)
-	}
-}
-
-// TestPropConfigInheritsWorkers checks the plumbing from the shared
-// budget into the property analysis.
-func TestPropConfigInheritsWorkers(t *testing.T) {
-	r, err := NewRunner(tinyConfig(1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.propConfig().Workers; got != 3 {
-		t.Fatalf("propConfig().Workers = %d, want inherited 3", got)
-	}
-
-	cfg := tinyConfig(1, 3)
-	cfg.Prop.Workers = 3
-	r2, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r2.propConfig().Workers; got != 3 {
-		t.Fatalf("explicit Prop.Workers not preserved: %d", got)
-	}
-}
-
 // TestAllCtxCanceledReportsFirstDriver pins AllCtx's error contract: on
 // a canceled context every driver fails, and the run must report the
 // failure serial execution hits first — e1's — at every worker count.

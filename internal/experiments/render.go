@@ -93,22 +93,30 @@ func (r Result) JSON() ([]byte, error) {
 	}{r.ID, r.Title, tables, figures}, "", "  ")
 }
 
+// cacheKeyVersion names the results a cache key stands for. Bump it
+// whenever a change to the program changes an experiment's output for
+// an unchanged configuration (results/experiments_default.txt moves), so
+// that a result stored under an old key is never served for a new run;
+// TestCacheKeyVersionTracksPublishedResults enforces it.
+const cacheKeyVersion = "vdbench-experiment-v2"
+
 // CacheKey returns the content address of an experiment run: a SHA-256
 // over the experiment ID and a canonical field-by-field encoding of the
-// configuration. Workers and Prop.Workers are deliberately excluded —
-// every output is byte-identical for every worker count (see
-// harness.RunCtx, Runner.e7Fractions, metricprop.AnalyzeCatalog) — so
-// runs that differ only in their worker budget share one key; that
-// invariance is what makes memoising experiment results sound. The
-// execution-policy fields (PerToolTimeout, Retry, Degraded) are excluded
-// for the same reason: with the well-behaved standard suite no cell ever
-// fails, so the policy cannot reach any output (Config.Validate pins
-// PerToolTimeout to zero or >= 1s so a deadline can never fire on a
-// healthy tool). Every other Config field must be folded in here
-// (TestCacheKeyCoversEveryConfigField enforces this by reflection).
+// configuration. Workers is deliberately excluded — every output is
+// byte-identical for every worker count (see harness.RunCtx,
+// Runner.e7Fractions) — so runs that differ only in their worker budget
+// share one key; that invariance is what makes memoising experiment
+// results sound. The execution-policy fields (PerToolTimeout, Retry,
+// Degraded) are excluded for the same reason: with the well-behaved
+// standard suite no cell ever fails, so the policy cannot reach any
+// output (Config.Validate pins PerToolTimeout to zero or >= 1s so a
+// deadline can never fire on a healthy tool). Every other Config field
+// must be folded in here (TestCacheKeyCoversEveryConfigField enforces
+// this by reflection). The hash starts with cacheKeyVersion, so a change
+// of the published numbers gets new keys.
 func CacheKey(id string, cfg Config) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "vdbench-experiment-v1\nid=%s\n", strings.ToLower(strings.TrimSpace(id)))
+	fmt.Fprintf(h, "%s\nid=%s\n", cacheKeyVersion, strings.ToLower(strings.TrimSpace(id)))
 	fmt.Fprintf(h, "seed=%d\nservices=%d\nprevalence=%.17g\n", cfg.Seed, cfg.Services, cfg.Prevalence)
 	fmt.Fprintf(h, "prop.monotonicity=%d\nprop.workload=%d\nprop.stability=%d\nprop.discrimination=%d\nprop.tolerance=%.17g\n",
 		cfg.Prop.MonotonicitySamples, cfg.Prop.WorkloadSize, cfg.Prop.StabilityTrials, cfg.Prop.DiscriminationTrials, cfg.Prop.Tolerance)

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,9 +15,9 @@ import (
 
 // TestCacheKeyCoversEveryConfigField walks Config by reflection,
 // perturbs each numeric leaf in isolation, and demands that the cache
-// key changes — except for the worker-budget fields (Workers and
-// Prop.Workers) and the campaign execution-policy fields (PerToolTimeout,
-// Retry.*, Degraded), which the outputs are provably invariant to: the
+// key changes — except for the worker budget (Workers) and the campaign
+// execution-policy fields (PerToolTimeout, Retry.*, Degraded), which the
+// outputs are provably invariant to: the
 // former because every layer is workers-deterministic, the latter because
 // no cell of the well-behaved standard suite ever fails, so the policy
 // for failed cells cannot reach any output. Adding a Config field without
@@ -27,8 +30,7 @@ func TestCacheKeyCoversEveryConfigField(t *testing.T) {
 	// excluded reports the fields whose perturbation must NOT move the
 	// key: worker budgets and campaign execution policy.
 	excluded := func(name string) bool {
-		return name == "Workers" || strings.HasSuffix(name, ".Workers") ||
-			name == "PerToolTimeout" || name == "Degraded" ||
+		return name == "Workers" || name == "PerToolTimeout" || name == "Degraded" ||
 			strings.HasPrefix(name, "Retry.")
 	}
 
@@ -77,6 +79,34 @@ func TestCacheKeyIDHandling(t *testing.T) {
 	}
 	if CacheKey(" E1 ", cfg) != CacheKey("e1", cfg) {
 		t.Fatal("ID normalisation (trim+lowercase) not applied")
+	}
+}
+
+// The published results and the cache-key version they were computed
+// under. A job journaled by an older program keeps its old key, so a new
+// submission of the same configuration must hash differently whenever
+// the program's output changes.
+const (
+	publishedResultsVersion = "vdbench-experiment-v2"
+	publishedResultsSHA256  = "e0168c40cb29d7477d0adb96651b42354f91a801f017b1b2c14e2a09b52d43ee"
+)
+
+// TestCacheKeyVersionTracksPublishedResults fails when
+// results/experiments_default.txt changes while CacheKey still hashes the
+// version the old file was pinned under. After a deliberate change of
+// the published numbers, bump cacheKeyVersion and pin both here.
+func TestCacheKeyVersionTracksPublishedResults(t *testing.T) {
+	data, err := os.ReadFile("../../results/experiments_default.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	got := hex.EncodeToString(sum[:])
+	if cacheKeyVersion != publishedResultsVersion {
+		t.Fatalf("CacheKey hashes %q but the published results are pinned under %q: pin the new version with the results' SHA-256 %s", cacheKeyVersion, publishedResultsVersion, got)
+	}
+	if got != publishedResultsSHA256 {
+		t.Fatalf("results/experiments_default.txt changed (SHA-256 %s, pinned %s) under CacheKey version %q: bump the CacheKey version and pin the new digest", got, publishedResultsSHA256, cacheKeyVersion)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/metrics"
 	"github.com/dsn2015/vdbench/internal/stats"
-	"github.com/dsn2015/vdbench/internal/workpool"
 )
 
 // Config controls the sampling effort and tolerances of the analysis.
@@ -47,11 +46,6 @@ type Config struct {
 	// Tolerance is the absolute tolerance used when deciding invariance
 	// properties from sampled spreads.
 	Tolerance float64
-	// Workers bounds AnalyzeCatalog's concurrency: 0 selects
-	// runtime.GOMAXPROCS(0), 1 forces serial execution. The profiles are
-	// byte-identical for every value (one pre-split RNG stream per
-	// metric, results merged in catalogue order).
-	Workers int
 }
 
 // DefaultConfig returns the configuration used by experiment E2.
@@ -72,9 +66,6 @@ func (c Config) Validate() error {
 	}
 	if c.Tolerance <= 0 {
 		return fmt.Errorf("metricprop: tolerance must be positive, got %g", c.Tolerance)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("metricprop: workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }
@@ -159,15 +150,11 @@ var (
 	chanceRates     = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 )
 
-// Analyze computes the property profile of m. The analysis is deterministic
-// given the RNG seed.
-func Analyze(m metrics.Metric, cfg Config, rng *stats.RNG) (Profile, error) {
-	if err := cfg.Validate(); err != nil {
-		return Profile{}, err
-	}
-	if rng == nil {
-		return Profile{}, errors.New("metricprop: nil RNG")
-	}
+// analyze computes the property profile of m. The definedness and
+// monotonicity checks draw on m's own stream, split in that order; the
+// stability and discrimination checks score m on the catalogue's shared
+// matrices.
+func analyze(m metrics.Metric, cfg Config, rng *stats.RNG, set *matrixSet) (Profile, error) {
 	p := Profile{
 		MetricID: m.ID,
 		Bounded:  m.Bounded(),
@@ -179,14 +166,10 @@ func Analyze(m metrics.Metric, cfg Config, rng *stats.RNG) (Profile, error) {
 	p.ChanceSpread = chanceSpread(m)
 	p.ChanceCorrected = p.ChanceSpread <= cfg.Tolerance
 	var err error
-	p.Stability, err = stability(m, cfg, rng.Split())
-	if err != nil {
+	if p.Stability, err = stability(m, set.stability); err != nil {
 		return Profile{}, err
 	}
-	p.Discrimination, err = discrimination(m, cfg, rng.Split())
-	if err != nil {
-		return Profile{}, err
-	}
+	p.Discrimination = discrimination(m, set.better, set.worse)
 	p.MissSensitivity, p.FalseAlarmSensitivity = sensitivities(m, cfg)
 	return p, nil
 }
@@ -255,12 +238,17 @@ func abs(x float64) float64 {
 }
 
 // AnalyzeCatalog profiles every metric in the catalogue with one shared
-// config. Results are in catalogue order. Metrics are analysed
-// concurrently up to cfg.Workers; each metric's RNG stream is split off
-// the caller's generator in catalogue order before any analysis starts,
-// so the profiles are byte-identical for every worker count (and to the
-// historical serial loop, which split in the same order).
+// config. Results are in catalogue order. Each metric gets its own RNG
+// stream, split off the caller's generator in catalogue order, for its
+// definedness and monotonicity checks. One more stream, split after
+// them, draws the sampled matrices of the stability and discrimination
+// checks once for the whole catalogue: every metric is scored on the same
+// workloads (common random numbers), so two metrics that order every
+// matrix alike get the same discrimination.
 func AnalyzeCatalog(cfg Config, rng *stats.RNG) ([]Profile, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if rng == nil {
 		return nil, errors.New("metricprop: nil RNG")
 	}
@@ -269,17 +257,14 @@ func AnalyzeCatalog(cfg Config, rng *stats.RNG) ([]Profile, error) {
 	for i := range rngs {
 		rngs[i] = rng.Split()
 	}
+	set := drawMatrixSet(cfg, rng.Split())
 	out := make([]Profile, len(cat))
-	err := workpool.New(cfg.Workers).ForEach(len(cat), func(_, i int) error {
-		p, err := Analyze(cat[i], cfg, rngs[i])
+	for i, m := range cat {
+		p, err := analyze(m, cfg, rngs[i], set)
 		if err != nil {
-			return fmt.Errorf("analyze %s: %w", cat[i].ID, err)
+			return nil, fmt.Errorf("analyze %s: %w", m.ID, err)
 		}
 		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -431,22 +416,46 @@ func chanceSpread(m metrics.Metric) float64 {
 }
 
 // sampleMatrix draws a binomially sampled confusion matrix for a tool of
-// quality q on a workload with the given positives/negatives split: one
-// Bernoulli(TPR) draw per positive, then one Bernoulli(FPR) per negative.
+// quality q on a workload with the given positives/negatives split:
+// TP ~ Binomial(positives, TPR) and FP ~ Binomial(negatives, FPR), the
+// counts of one Bernoulli draw per instance, drawn as two counts.
 func sampleMatrix(rng *stats.RNG, q ToolQuality, positives, negatives int) metrics.Confusion {
-	tp := rng.CountBernoulli(positives, q.TPR)
-	fp := rng.CountBernoulli(negatives, q.FPR)
+	tp := rng.Binomial(positives, q.TPR)
+	fp := rng.Binomial(negatives, q.FPR)
 	return metrics.Confusion{TP: tp, FN: positives - tp, FP: fp, TN: negatives - fp}
 }
 
-// stability estimates the sampling standard deviation of the metric at the
-// reference quality and 0.35 prevalence, normalised by range when bounded.
-func stability(m metrics.Metric, cfg Config, rng *stats.RNG) (float64, error) {
+// matrixSet holds the sampled workloads every metric of a catalogue is
+// scored on, at the reference 0.35 prevalence: the stability matrices of
+// the reference tool, and one better/worse pair per discrimination trial.
+type matrixSet struct {
+	stability     []metrics.Confusion
+	better, worse []metrics.Confusion
+}
+
+// drawMatrixSet samples the stability matrices first, then the
+// discrimination pairs, each pair's better tool before its worse one.
+func drawMatrixSet(cfg Config, rng *stats.RNG) *matrixSet {
 	pos := int(math.Round(float64(cfg.WorkloadSize) * 0.35))
 	neg := cfg.WorkloadSize - pos
-	var vals []float64
-	for i := 0; i < cfg.StabilityTrials; i++ {
-		c := sampleMatrix(rng, refQuality, pos, neg)
+	s, t := cfg.StabilityTrials, cfg.DiscriminationTrials
+	all := make([]metrics.Confusion, s+2*t)
+	set := &matrixSet{stability: all[:s], better: all[s : s+t], worse: all[s+t:]}
+	for i := range set.stability {
+		set.stability[i] = sampleMatrix(rng, refQuality, pos, neg)
+	}
+	for i := range set.better {
+		set.better[i] = sampleMatrix(rng, betterQuality, pos, neg)
+		set.worse[i] = sampleMatrix(rng, worseQuality, pos, neg)
+	}
+	return set
+}
+
+// stability is the standard deviation of the metric over the sampled
+// matrices, normalised by range when bounded.
+func stability(m metrics.Metric, cs []metrics.Confusion) (float64, error) {
+	vals := make([]float64, 0, len(cs))
+	for _, c := range cs {
 		if v, err := m.Value(c); err == nil {
 			vals = append(vals, v)
 		}
@@ -464,18 +473,14 @@ func stability(m metrics.Metric, cfg Config, rng *stats.RNG) (float64, error) {
 	return sd, nil
 }
 
-// discrimination estimates how often the metric orders the strictly better
-// tool above the strictly worse one when both are evaluated on the same
-// sampled workload.
-func discrimination(m metrics.Metric, cfg Config, rng *stats.RNG) (float64, error) {
-	pos := int(math.Round(float64(cfg.WorkloadSize) * 0.35))
-	neg := cfg.WorkloadSize - pos
+// discrimination is the fraction of sampled workloads, among those where
+// the metric is defined for both tools, on which it orders the strictly
+// better tool above the strictly worse one.
+func discrimination(m metrics.Metric, better, worse []metrics.Confusion) float64 {
 	correct, decided := 0, 0
-	for i := 0; i < cfg.DiscriminationTrials; i++ {
-		cBetter := sampleMatrix(rng, betterQuality, pos, neg)
-		cWorse := sampleMatrix(rng, worseQuality, pos, neg)
-		vb, err1 := m.Value(cBetter)
-		vw, err2 := m.Value(cWorse)
+	for i := range better {
+		vb, err1 := m.Value(better[i])
+		vw, err2 := m.Value(worse[i])
 		if err1 != nil || err2 != nil {
 			continue
 		}
@@ -485,7 +490,7 @@ func discrimination(m metrics.Metric, cfg Config, rng *stats.RNG) (float64, erro
 		}
 	}
 	if decided == 0 {
-		return 0, nil
+		return 0
 	}
-	return float64(correct) / float64(decided), nil
+	return float64(correct) / float64(decided)
 }

@@ -2,6 +2,8 @@ package metricprop
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/metrics"
@@ -19,13 +21,27 @@ func fastConfig() Config {
 	}
 }
 
-func analyze(t *testing.T, id string) Profile {
+var (
+	fastOnce     sync.Once
+	fastProfiles []Profile
+	fastErr      error
+)
+
+// profileOf returns metric id's profile from one fast-config catalogue
+// analysis shared by the tests.
+func profileOf(t *testing.T, id string) Profile {
 	t.Helper()
-	p, err := Analyze(metrics.MustByID(id), fastConfig(), stats.NewRNG(11))
-	if err != nil {
-		t.Fatalf("Analyze(%s): %v", id, err)
+	fastOnce.Do(func() { fastProfiles, fastErr = AnalyzeCatalog(fastConfig(), stats.NewRNG(11)) })
+	if fastErr != nil {
+		t.Fatalf("AnalyzeCatalog: %v", fastErr)
 	}
-	return p
+	for _, p := range fastProfiles {
+		if p.MetricID == id {
+			return p
+		}
+	}
+	t.Fatalf("no profile for %s", id)
+	return Profile{}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -57,35 +73,31 @@ func TestToolQualityValidate(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRejectsNilRNG(t *testing.T) {
-	if _, err := Analyze(metrics.MustByID(metrics.IDRecall), fastConfig(), nil); err == nil {
-		t.Fatal("nil RNG accepted")
-	}
+func TestAnalyzeCatalogRejectsNilRNG(t *testing.T) {
 	if _, err := AnalyzeCatalog(fastConfig(), nil); err == nil {
 		t.Fatal("nil RNG accepted by AnalyzeCatalog")
 	}
 }
 
-func TestAnalyzeRejectsBadConfig(t *testing.T) {
-	if _, err := Analyze(metrics.MustByID(metrics.IDRecall), Config{}, stats.NewRNG(1)); err == nil {
+func TestAnalyzeCatalogRejectsBadConfig(t *testing.T) {
+	if _, err := AnalyzeCatalog(Config{}, stats.NewRNG(1)); err == nil {
 		t.Fatal("zero config accepted")
 	}
 }
 
-func TestAnalyzeDeterministic(t *testing.T) {
-	m := metrics.MustByID(metrics.IDF1)
-	p1, err1 := Analyze(m, fastConfig(), stats.NewRNG(5))
-	p2, err2 := Analyze(m, fastConfig(), stats.NewRNG(5))
+func TestAnalyzeCatalogDeterministic(t *testing.T) {
+	p1, err1 := AnalyzeCatalog(fastConfig(), stats.NewRNG(5))
+	p2, err2 := AnalyzeCatalog(fastConfig(), stats.NewRNG(5))
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if p1 != p2 {
-		t.Fatalf("same seed produced different profiles:\n%+v\n%+v", p1, p2)
+	if !reflect.DeepEqual(p1, p2) {
+		t.Fatal("same seed produced different profiles")
 	}
 }
 
 func TestAccuracyIsPrevalenceDependent(t *testing.T) {
-	p := analyze(t, metrics.IDAccuracy)
+	p := profileOf(t, metrics.IDAccuracy)
 	if p.PrevalenceInvariant {
 		t.Fatal("accuracy must NOT be prevalence invariant — this is the paper's key negative result")
 	}
@@ -98,7 +110,7 @@ func TestAccuracyIsPrevalenceDependent(t *testing.T) {
 }
 
 func TestPrecisionIsPrevalenceDependent(t *testing.T) {
-	p := analyze(t, metrics.IDPrecision)
+	p := profileOf(t, metrics.IDPrecision)
 	if p.PrevalenceInvariant {
 		t.Fatal("precision must not be prevalence invariant")
 	}
@@ -109,14 +121,14 @@ func TestPrecisionIsPrevalenceDependent(t *testing.T) {
 }
 
 func TestRecallIsPrevalenceInvariant(t *testing.T) {
-	p := analyze(t, metrics.IDRecall)
+	p := profileOf(t, metrics.IDRecall)
 	if !p.PrevalenceInvariant {
 		t.Fatalf("recall should be prevalence invariant, spread = %g", p.PrevalenceSpread)
 	}
 }
 
 func TestInformednessProperties(t *testing.T) {
-	p := analyze(t, metrics.IDInformedness)
+	p := profileOf(t, metrics.IDInformedness)
 	if !p.PrevalenceInvariant {
 		t.Fatalf("informedness should be prevalence invariant, spread = %g", p.PrevalenceSpread)
 	}
@@ -129,7 +141,7 @@ func TestInformednessProperties(t *testing.T) {
 }
 
 func TestMCCChanceCorrected(t *testing.T) {
-	p := analyze(t, metrics.IDMCC)
+	p := profileOf(t, metrics.IDMCC)
 	if !p.ChanceCorrected {
 		t.Fatalf("MCC should be chance corrected, spread = %g", p.ChanceSpread)
 	}
@@ -146,7 +158,7 @@ func TestMonotonicityOfClassicMetrics(t *testing.T) {
 		metrics.IDJaccard, metrics.IDMCC, metrics.IDKappa,
 		metrics.IDBalancedAccuracy, metrics.IDFPR, metrics.IDFNR,
 	} {
-		p := analyze(t, id)
+		p := profileOf(t, id)
 		if !p.MonotoneDetections {
 			t.Errorf("%s: converting a miss into a detection worsened the metric", id)
 		}
@@ -159,7 +171,7 @@ func TestMonotonicityOfClassicMetrics(t *testing.T) {
 func TestDetectedCountIgnoresFalseAlarms(t *testing.T) {
 	// The absolute TP count is monotone in detections but completely blind
 	// to false alarms — the reason the paper rejects absolute counts.
-	p := analyze(t, metrics.IDDetectedCount)
+	p := profileOf(t, metrics.IDDetectedCount)
 	if !p.MonotoneDetections {
 		t.Fatal("detected-count should improve with detections")
 	}
@@ -175,12 +187,12 @@ func TestDetectedCountIgnoresFalseAlarms(t *testing.T) {
 func TestDefinednessRates(t *testing.T) {
 	// Accuracy is defined on every non-empty matrix: rate close to 1
 	// (only the all-zero pattern fails: 1 of 216 samples).
-	acc := analyze(t, metrics.IDAccuracy)
+	acc := profileOf(t, metrics.IDAccuracy)
 	if acc.DefinednessRate < 0.99 {
 		t.Fatalf("accuracy definedness = %g", acc.DefinednessRate)
 	}
 	// DOR needs all four marginals non-trivial: rate clearly below 1.
-	dor := analyze(t, metrics.IDDOR)
+	dor := profileOf(t, metrics.IDDOR)
 	if dor.DefinednessRate > 0.97 {
 		t.Fatalf("DOR definedness = %g, expected visible gaps", dor.DefinednessRate)
 	}
@@ -192,7 +204,7 @@ func TestDefinednessRates(t *testing.T) {
 func TestStabilityBoundedMetrics(t *testing.T) {
 	// On a 600-instance workload the sampling noise of F1 should be small
 	// but non-zero.
-	p := analyze(t, metrics.IDF1)
+	p := profileOf(t, metrics.IDF1)
 	if p.Stability <= 0 || p.Stability > 0.1 {
 		t.Fatalf("F1 stability = %g, expected (0, 0.1]", p.Stability)
 	}
@@ -202,7 +214,7 @@ func TestDiscriminationOfGoodMetrics(t *testing.T) {
 	// Informedness and F1 should order the dominating tool first most of
 	// the time even on modest workloads.
 	for _, id := range []string{metrics.IDInformedness, metrics.IDF1, metrics.IDMCC} {
-		p := analyze(t, id)
+		p := profileOf(t, id)
 		if p.Discrimination < 0.6 {
 			t.Errorf("%s discrimination = %g, expected >= 0.6", id, p.Discrimination)
 		}
@@ -212,7 +224,7 @@ func TestDiscriminationOfGoodMetrics(t *testing.T) {
 func TestPrevalenceMetricProfile(t *testing.T) {
 	// The "prevalence" pseudo-metric depends on nothing but prevalence:
 	// maximal spread, no discrimination ability.
-	p := analyze(t, metrics.IDPrevalence)
+	p := profileOf(t, metrics.IDPrevalence)
 	if p.PrevalenceInvariant {
 		t.Fatal("prevalence metric invariant to prevalence?")
 	}
@@ -263,7 +275,8 @@ func TestSampleMatrixTotals(t *testing.T) {
 	}
 }
 
-// refSampleMatrix is the per-draw loop sampleMatrix replaced.
+// refSampleMatrix is the per-draw loop sampleMatrix replaced: one
+// Bernoulli draw per instance.
 func refSampleMatrix(rng *stats.RNG, q ToolQuality, positives, negatives int) metrics.Confusion {
 	var c metrics.Confusion
 	for i := 0; i < positives; i++ {
@@ -283,28 +296,72 @@ func refSampleMatrix(rng *stats.RNG, q ToolQuality, positives, negatives int) me
 	return c
 }
 
-// TestSampleMatrixMatchesPerDrawLoop holds the batch kernel to the
-// per-draw loop: the same matrix and the same generator state after, for
-// the qualities the analysis samples and the degenerate rates.
+// TestSampleMatrixMatchesPerDrawLoop holds the count sampler to the
+// per-draw loop. Where both make at most one draw per cell — workloads
+// of zero or one instance (every TPR here is at least 0.5, where a
+// single binomial draw is one Float64 against TPR, as Bernoulli's is)
+// and the degenerate rates — they give the same matrix and leave the
+// generator in the same state. Elsewhere they agree in distribution:
+// over many matrices the mean and variance of TP and FP agree within
+// five standard errors.
 func TestSampleMatrixMatchesPerDrawLoop(t *testing.T) {
-	qs := []ToolQuality{refQuality, betterQuality, worseQuality, {TPR: 0, FPR: 1}, {TPR: 1, FPR: 0}, {TPR: 0.5, FPR: 0.5}}
+	const draws = 4000
+	qs := []ToolQuality{refQuality, betterQuality, worseQuality, {TPR: 0.5, FPR: 0.5}, {TPR: 0, FPR: 1}, {TPR: 1, FPR: 0}}
 	for i, q := range qs {
+		degenerate := q.TPR == 0 || q.TPR == 1
 		for _, n := range [][2]int{{0, 0}, {1, 0}, {210, 390}, {700, 1300}} {
-			got, want := stats.NewRNG(uint64(i)), stats.NewRNG(uint64(i))
-			gc, wc := sampleMatrix(got, q, n[0], n[1]), refSampleMatrix(want, q, n[0], n[1])
-			if gc != wc {
-				t.Fatalf("%+v %v: matrix %+v, want %+v", q, n, gc, wc)
+			pos, neg := n[0], n[1]
+			if degenerate || pos+neg <= 1 {
+				got, want := stats.NewRNG(uint64(i)), stats.NewRNG(uint64(i))
+				if gc, wc := sampleMatrix(got, q, pos, neg), refSampleMatrix(want, q, pos, neg); gc != wc {
+					t.Fatalf("%+v %v: matrix %+v, per-draw loop %+v", q, n, gc, wc)
+				}
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("%+v %v: stream diverged after sampling (%#x vs %#x)", q, n, g, w)
+				}
+				continue
 			}
-			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("%+v %v: stream diverged after sampling (%#x vs %#x)", q, n, g, w)
+			got, want := stats.NewRNG(uint64(i)), stats.NewRNG(uint64(i)+100)
+			var g, w [2][]float64
+			for range draws {
+				gc, wc := sampleMatrix(got, q, pos, neg), refSampleMatrix(want, q, pos, neg)
+				g[0], g[1] = append(g[0], float64(gc.TP)), append(g[1], float64(gc.FP))
+				w[0], w[1] = append(w[0], float64(wc.TP)), append(w[1], float64(wc.FP))
+			}
+			for cell, size := range []int{pos, neg} {
+				p := []float64{q.TPR, q.FPR}[cell]
+				variance := float64(size) * p * (1 - p)
+				gm, _ := stats.Mean(g[cell])
+				wm, _ := stats.Mean(w[cell])
+				if se := math.Sqrt(2 * variance / draws); math.Abs(gm-wm) > 5*se {
+					t.Errorf("%+v %v cell %d: mean %v, per-draw loop %v (5 SE = %v)", q, n, cell, gm, wm, 5*se)
+				}
+				gv, _ := stats.Variance(g[cell])
+				wv, _ := stats.Variance(w[cell])
+				// The variance of a sample variance is about 2σ⁴/(N−1).
+				if se := variance * math.Sqrt(2*2.0/(draws-1)); math.Abs(gv-wv) > 5*se {
+					t.Errorf("%+v %v cell %d: variance %v, per-draw loop %v (5 SE = %v)", q, n, cell, gv, wv, 5*se)
+				}
 			}
 		}
 	}
 }
 
+// TestCatalogSharesMatrices pins common random numbers: metrics that
+// order every pair of matrices alike — recall and fnr, specificity and
+// fpr — get exactly the same discrimination.
+func TestCatalogSharesMatrices(t *testing.T) {
+	for _, pair := range [][2]string{{metrics.IDRecall, metrics.IDFNR}, {metrics.IDSpecificity, metrics.IDFPR}, {metrics.IDInformedness, metrics.IDBalancedAccuracy}} {
+		a, b := profileOf(t, pair[0]), profileOf(t, pair[1])
+		if a.Discrimination != b.Discrimination {
+			t.Errorf("%s discrimination %v, %s %v; shared matrices make them equal", pair[0], a.Discrimination, pair[1], b.Discrimination)
+		}
+	}
+}
+
 func TestSensitivitiesRecallVsPrecision(t *testing.T) {
-	rec := analyze(t, metrics.IDRecall)
-	prec := analyze(t, metrics.IDPrecision)
+	rec := profileOf(t, metrics.IDRecall)
+	prec := profileOf(t, metrics.IDPrecision)
 	// Recall reacts to misses and ignores false alarms; precision the
 	// mirror image.
 	if rec.MissSensitivity <= 0.05 {
@@ -328,7 +385,7 @@ func TestSensitivitiesRecallVsPrecision(t *testing.T) {
 func TestSensitivitiesBalancedMetrics(t *testing.T) {
 	// F1 and informedness react to both error types.
 	for _, id := range []string{metrics.IDF1, metrics.IDInformedness, metrics.IDMCC} {
-		p := analyze(t, id)
+		p := profileOf(t, id)
 		if p.MissSensitivity <= 0 || p.FalseAlarmSensitivity <= 0 {
 			t.Errorf("%s sensitivities = (%g, %g), want both positive",
 				id, p.MissSensitivity, p.FalseAlarmSensitivity)
@@ -338,8 +395,8 @@ func TestSensitivitiesBalancedMetrics(t *testing.T) {
 
 func TestSensitivitiesFBetaOrdering(t *testing.T) {
 	// F2 leans towards misses more than F0.5 does, and vice versa.
-	f2 := analyze(t, metrics.IDF2)
-	f05 := analyze(t, metrics.IDF05)
+	f2 := profileOf(t, metrics.IDF2)
+	f05 := profileOf(t, metrics.IDF05)
 	if f2.MissSensitivity <= f05.MissSensitivity {
 		t.Fatalf("F2 miss sensitivity (%g) should exceed F0.5's (%g)",
 			f2.MissSensitivity, f05.MissSensitivity)

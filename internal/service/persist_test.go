@@ -165,10 +165,11 @@ func TestWarmRestartServesCachedResults(t *testing.T) {
 }
 
 // TestReplayToleratesRetiredConfigFields: journals written before the
-// Interpreter and OracleExhaustive experiment-config fields were retired
-// carry both in every submitted record. Replay decodes configs with
-// plain json.Unmarshal, which ignores unknown fields, so such a job
-// restores under its unchanged cache key and serves its stored result.
+// Interpreter and OracleExhaustive experiment-config fields and the
+// nested Prop.Workers were retired carry them in every submitted record.
+// Replay decodes configs with plain json.Unmarshal, which ignores
+// unknown fields, so such a job restores under its unchanged cache key
+// and serves its stored result.
 func TestReplayToleratesRetiredConfigFields(t *testing.T) {
 	dir := t.TempDir()
 	cfg := quickCfg()
@@ -206,7 +207,11 @@ func TestReplayToleratesRetiredConfigFields(t *testing.T) {
 	}
 	for _, rec := range records {
 		if rec.Type == recSubmitted {
-			old := strings.TrimSuffix(string(rec.Config), "}") + `,"Interpreter":true,"OracleExhaustive":true}`
+			if !strings.Contains(string(rec.Config), `"Prop":{`) {
+				t.Fatalf("submitted config %s has no Prop object", rec.Config)
+			}
+			old := strings.Replace(string(rec.Config), `"Prop":{`, `"Prop":{"Workers":2,`, 1)
+			old = strings.TrimSuffix(old, "}") + `,"Interpreter":true,"OracleExhaustive":true}`
 			rec.Config = json.RawMessage(old)
 		}
 		if err := j.Append(rec); err != nil {
@@ -238,6 +243,90 @@ func TestReplayToleratesRetiredConfigFields(t *testing.T) {
 	if g.count() != 0 {
 		t.Fatalf("replay executed %d campaigns, want 0", g.count())
 	}
+}
+
+// TestReplayedOldKeyIsNoCacheHit: a job that a program with older
+// published numbers finished keeps, after a restart, the cache key that
+// program gave it. A new submission of the same configuration hashes
+// under the current key version, so it runs afresh instead of serving the
+// stored result of the older program.
+func TestReplayedOldKeyIsNoCacheHit(t *testing.T) {
+	// v1Key is ExperimentCacheKey("e1", quickCfg()) as it was when the key
+	// hashed the version string "vdbench-experiment-v1".
+	const v1Key = "b2c6a05205fd4494969b190b77ffd14b97f4188548df94498b928a0c381ef7fc"
+	dir := t.TempDir()
+	first := mustNew(t, Options{Workers: 1, DataDir: dir})
+	job, err := first.Submit("e1", quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWait(t, job)
+	first.Close()
+	key := job.Key()
+	if key == v1Key {
+		t.Fatal("the cache key still hashes the v1 version string")
+	}
+
+	// Rekey the journal and the stored result as the older program wrote
+	// them.
+	path := filepath.Join(dir, "journal.jsonl")
+	j, records, _, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	j, _, _, err = journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		if rec.Key == key {
+			rec.Key = v1Key
+		}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	blobs, err := journal.OpenStore(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := blobs.Get(key)
+	if !ok {
+		t.Fatal("the finished job left no stored result")
+	}
+	if err := blobs.Put(v1Key, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(blobs.Dir(), key+".bin")); err != nil {
+		t.Fatal(err)
+	}
+
+	g := newGate()
+	second := mustNewService(t, Options{Workers: 1, DataDir: dir}, g.run)
+	defer second.Close()
+	defer g.open()
+	if rec := second.Recovery(); rec.Restored != 1 || rec.Rehydrated != 1 {
+		t.Fatalf("recovery = %+v, want the old-key job restored and rehydrated", rec)
+	}
+	if restored, ok := second.Job(job.ID()); !ok || restored.Key() != v1Key {
+		t.Fatalf("job %s not restored under its old key", job.ID())
+	}
+	fresh, err := second.Submit("e1", quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Key() != key {
+		t.Fatalf("new submission keyed %s, want %s", fresh.Key(), key)
+	}
+	if st, _ := second.Status(fresh.ID()); st.Cached {
+		t.Fatal("a result stored under the old key was served for the new key")
+	}
+	g.waitStarted(t) // the new submission runs its own campaign
 }
 
 // TestRecoveryTornFinalRecord: a torn trailing journal line (the crash

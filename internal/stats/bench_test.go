@@ -113,31 +113,3 @@ func BenchmarkResample(b *testing.B) {
 
 // countSink keeps the benchmarked counts live.
 var countSink int
-
-// BenchmarkCountBernoulli measures the metric-property sampler's draws
-// against the per-call Bernoulli loop they replaced.
-func BenchmarkCountBernoulli(b *testing.B) {
-	const n = 1300
-	b.Run("kernel", func(b *testing.B) {
-		rng := NewRNG(14)
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			hits += rng.CountBernoulli(n, 0.35)
-		}
-		countSink = hits
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/draw")
-	})
-	b.Run("bernoulli-loop", func(b *testing.B) {
-		rng := NewRNG(14)
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			for range n {
-				if rng.Bernoulli(0.35) {
-					hits++
-				}
-			}
-		}
-		countSink = hits
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/draw")
-	})
-}

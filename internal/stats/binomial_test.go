@@ -250,3 +250,89 @@ func TestResampleMatchesMultinomial(t *testing.T) {
 		t.Fatalf("chi2 = %.2f on %d df, p = %.3g", stat, df, pv)
 	}
 }
+
+func TestLogFactorialTableMatchesLgamma(t *testing.T) {
+	for k, got := range logFactorialTable {
+		if want, _ := math.Lgamma(float64(k + 1)); got != want {
+			t.Fatalf("table entry %d = %v, math.Lgamma gives %v", k, got, want)
+		}
+	}
+	for _, k := range []int{logFactorials, logFactorials + 1, 100000} {
+		if got, want := logFactorial(k), logFactorialDirect(k); got != want {
+			t.Fatalf("logFactorial(%d) = %v past the table, math.Lgamma gives %v", k, got, want)
+		}
+	}
+}
+
+func logFactorialDirect(k int) float64 {
+	v, _ := math.Lgamma(float64(k + 1))
+	return v
+}
+
+// refBinomial is Binomial with its constants evaluated by math.Lgamma on
+// every call, as the sampler computed them before the table.
+func refBinomial(r *RNG, n int, p float64) int {
+	if n <= 0 || !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	if p > 0.5 {
+		return n - refBinomial(r, n, 1-p)
+	}
+	u := r.Float64()
+	odds := p / (1 - p)
+	m := min(int(float64(n+1)*p), n)
+	pm := math.Exp(logFactorialDirect(n) - logFactorialDirect(m) - logFactorialDirect(n-m) +
+		float64(m)*math.Log(p) + float64(n-m)*math.Log1p(-p))
+	if u -= pm; u < 0 {
+		return m
+	}
+	lo, hi := m, m
+	plo, phi := pm, pm
+	for {
+		var nlo, nhi float64
+		if lo > 0 {
+			nlo = plo * float64(lo) / (float64(n-lo+1) * odds)
+		}
+		if hi < n {
+			nhi = phi * float64(n-hi) / float64(hi+1) * odds
+		}
+		switch {
+		case nlo == 0 && nhi == 0:
+			return m
+		case nhi >= nlo:
+			hi, phi = hi+1, nhi
+			if u -= phi; u < 0 {
+				return hi
+			}
+		default:
+			lo, plo = lo-1, nlo
+			if u -= plo; u < 0 {
+				return lo
+			}
+		}
+	}
+}
+
+// TestBinomialTableMatchesDirectFormula holds the table-driven sampler to
+// the direct formula, draw for draw, on sizes below, at and above the
+// table's bound, and checks that both leave the generator in one state.
+func TestBinomialTableMatchesDirectFormula(t *testing.T) {
+	ns := []int{1, 2, 37, 561, 700, 1300, logFactorials - 1, logFactorials, logFactorials + 1, 5000}
+	ps := []float64{1e-3, 0.09, 0.1, 0.3, 0.35, 0.5, 0.68, 0.72, 0.97}
+	for _, n := range ns {
+		for i, p := range ps {
+			got, want := NewRNG(uint64(n*10+i)), NewRNG(uint64(n*10+i))
+			for d := range 200 {
+				if g, w := got.Binomial(n, p), refBinomial(want, n, p); g != w {
+					t.Fatalf("Binomial(%d, %v) draw %d = %d, direct formula %d", n, p, d, g, w)
+				}
+			}
+			if got.s != want.s {
+				t.Fatalf("Binomial(%d, %v) left the generator at %x, direct formula at %x", n, p, got.s, want.s)
+			}
+		}
+	}
+}

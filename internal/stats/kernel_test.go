@@ -6,55 +6,6 @@ import (
 	"testing"
 )
 
-// CountBernoulli must consume exactly the stream of its per-call loop:
-// the tests below run the kernel and its reference loop on two
-// generators from one seed and compare the results and the next raw
-// draw, which pins the final generator state.
-
-func TestCountBernoulliMatchesBernoulli(t *testing.T) {
-	const ulp = 0x1p-53
-	ps := []float64{
-		-1, 0, 0x1p-60, ulp,
-		math.Nextafter(3*ulp, 0), 3 * ulp, math.Nextafter(3*ulp, 1), // k·2⁻⁵³ ± 1 ulp
-		math.Nextafter(0.35, 0), 0.35, math.Nextafter(0.35, 1),
-		1 - ulp, 1, 2, math.NaN(),
-	}
-	for _, p := range ps {
-		for _, n := range []int{0, 1, 1300, 2000} {
-			got, want := NewRNG(uint64(n)+7), NewRNG(uint64(n)+7)
-			count := got.CountBernoulli(n, p)
-			ref := 0
-			for range n {
-				if want.Bernoulli(p) {
-					ref++
-				}
-			}
-			if count != ref {
-				t.Fatalf("CountBernoulli(%d, %v) = %d, want %d", n, p, count, ref)
-			}
-			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("CountBernoulli(%d, %v) left the stream at %#x, want %#x", n, p, g, w)
-			}
-		}
-	}
-}
-
-// TestCountBernoulliThresholdEdges compares at the exact decision
-// boundary: a draw whose top 53 bits equal k succeeds for p just above
-// k·2⁻⁵³ and fails for p = k·2⁻⁵³, in both paths.
-func TestCountBernoulliThresholdEdges(t *testing.T) {
-	for seed := uint64(0); seed < 50; seed++ {
-		k := NewRNG(seed).Uint64() >> 11
-		at := float64(k) / (1 << 53)
-		for _, p := range []float64{math.Nextafter(at, 0), at, math.Nextafter(at, 1)} {
-			got, want := NewRNG(seed), NewRNG(seed)
-			if c, b := got.CountBernoulli(1, p), want.Bernoulli(p); (c == 1) != b {
-				t.Fatalf("seed %d p %v: CountBernoulli = %d, Bernoulli = %v", seed, p, c, b)
-			}
-		}
-	}
-}
-
 // refUint64n is Intn's textbook accept loop: draw, multiply, accept when
 // lo >= un or lo >= 2⁶⁴ mod un.
 func refUint64n(r *RNG, un uint64) (v uint64, rejected int) {

@@ -71,18 +71,10 @@ func (r *RNG) SplitSeed() uint64 {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next value in the stream.
+// Uint64 returns the next value in the stream: one xoshiro256** step.
 func (r *RNG) Uint64() uint64 {
-	u, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
-	r.s = [4]uint64{s0, s1, s2, s3}
-	return u
-}
-
-// step is one xoshiro256** step: it returns the output for state (s0,
-// s1, s2, s3) and the next state. It inlines, so the batch kernels below
-// run it on state held in locals.
-func step(s0, s1, s2, s3 uint64) (u, n0, n1, n2, n3 uint64) {
-	u = rotl(s1*5, 7) * 9
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	u := rotl(s1*5, 7) * 9
 	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
@@ -90,7 +82,8 @@ func step(s0, s1, s2, s3 uint64) (u, n0, n1, n2, n3 uint64) {
 	s0 ^= s3
 	s2 ^= t
 	s3 = rotl(s3, 45)
-	return u, s0, s1, s2, s3
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return u
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -133,42 +126,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// CountBernoulli below consumes exactly the stream of its per-call loop
-// — same draws, same order, same final state — but keeps the
-// xoshiro256** state in locals for the whole batch and writes it back
-// once, instead of loading and storing r.s on every draw. The
-// metric-property analysis samples its confusion matrices with it.
-
-// CountBernoulli returns the number of successes in n calls of
-// Bernoulli(p) and leaves r where those calls would. Like Bernoulli, it
-// draws nothing when p <= 0 or p >= 1. A NaN p draws n times and never
-// succeeds.
-func (r *RNG) CountBernoulli(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// Float64() < p compares k/2⁵³ with p for the 53-bit integer k; both
-	// scalings by 2⁵³ are exact, so the test is k < ceil(p·2⁵³).
-	var thresh uint64
-	if !math.IsNaN(p) { // uint64(NaN) is implementation-defined
-		thresh = uint64(math.Ceil(p * (1 << 53)))
-	}
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	hits := 0
-	var u uint64
-	for range n {
-		u, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-		if u>>11 < thresh {
-			hits++
-		}
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
-	return hits
-}
-
 // Binomial returns a Binomial(n, p) variate, exactly, from one Float64:
 // chop-down inversion from the mode. The uniform is compared with the
 // pmf at the mode m = ⌊(n+1)p⌋ and then with the pmf of its neighbours,
@@ -190,10 +147,7 @@ func (r *RNG) Binomial(n int, p float64) int {
 	u := r.Float64()
 	odds := p / (1 - p)
 	m := min(int(float64(n+1)*p), n)
-	lgN, _ := math.Lgamma(float64(n + 1))
-	lgM, _ := math.Lgamma(float64(m + 1))
-	lgRest, _ := math.Lgamma(float64(n - m + 1))
-	pm := math.Exp(lgN - lgM - lgRest + float64(m)*math.Log(p) + float64(n-m)*math.Log1p(-p))
+	pm := math.Exp(logFactorial(n) - logFactorial(m) - logFactorial(n-m) + float64(m)*math.Log(p) + float64(n-m)*math.Log1p(-p))
 	if u -= pm; u < 0 {
 		return m
 	}
@@ -224,6 +178,33 @@ func (r *RNG) Binomial(n int, p float64) int {
 			}
 		}
 	}
+}
+
+// logFactorials is the size of the ln(k!) table Binomial reads: it
+// covers every table the experiments resample (E4c and E7 draw from 561
+// sinks) and every workload the metric-property analysis samples (up to
+// 1300 negatives at its default size).
+const logFactorials = 2048
+
+// logFactorialTable holds math.Lgamma(k+1) for k < logFactorials,
+// computed once, so a draw looks its constants up instead of evaluating
+// three log-gammas.
+var logFactorialTable = func() *[logFactorials]float64 {
+	var t [logFactorials]float64
+	for k := range t {
+		t[k], _ = math.Lgamma(float64(k + 1))
+	}
+	return &t
+}()
+
+// logFactorial returns ln(k!) for k >= 0, bit for bit what
+// math.Lgamma(float64(k+1)) returns.
+func logFactorial(k int) float64 {
+	if k < logFactorials {
+		return logFactorialTable[k]
+	}
+	v, _ := math.Lgamma(float64(k + 1))
+	return v
 }
 
 // Resample draws one bootstrap resample of a code table whose per-code
