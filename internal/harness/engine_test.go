@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/detectors/faulty"
@@ -160,5 +162,59 @@ func TestBindExecEngineReachesFaultyWrapped(t *testing.T) {
 	}
 	if seen["wrapped"] != seen["bare"] {
 		t.Fatal("faulty-wrapped probe did not run under the campaign's shared engine")
+	}
+}
+
+// TestSinkOutcomeSize pins the outcome record at 40 bytes: a string, an
+// int, a float64 and three booleans. Kind, difficulty and template live
+// in the corpus, not in every outcome.
+func TestSinkOutcomeSize(t *testing.T) {
+	if got := unsafe.Sizeof(SinkOutcome{}); got != 40 {
+		t.Fatalf("SinkOutcome is %d bytes, want 40", got)
+	}
+}
+
+// replayCampaignByteBudget is the measured heap bytes of one warm RunCtx
+// of the standard suite's replay tools over a 100-service seed-1 corpus
+// (Workers 1), 64.7 KB, plus about 15%. Before outcomes dropped their
+// kind, difficulty and template and runs reused their cell grid and seed
+// table it was 167 KB. Re-measure with
+// `go test -run TestAllocBudgetReplayCampaign -v ./internal/harness`.
+const replayCampaignByteBudget = 75_000
+
+// TestAllocBudgetReplayCampaign holds a warm replayed campaign, the shape
+// of each of E18's fault campaigns, to replayCampaignByteBudget. Skipped
+// under -race (instrumentation allocates).
+func TestAllocBudgetReplayCampaign(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	corpus := testCorpus(t, 100, 1)
+	opts := Options{Seed: 1, Workers: 1}
+	camp, err := RunCtx(context.Background(), corpus, testTools(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tools, err := ReplayTools(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := RunCtx(context.Background(), corpus, tools, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm replayed campaign: %d bytes/run (budget %d)", got, replayCampaignByteBudget)
+	if got > replayCampaignByteBudget {
+		t.Fatalf("warm replayed campaign allocates %d bytes/run, budget %d", got, replayCampaignByteBudget)
 	}
 }

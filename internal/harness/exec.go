@@ -20,6 +20,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -341,7 +343,8 @@ type engine struct {
 	opts   Options
 	corpus *workload.Corpus
 	tools  []detectors.Tool
-	seeds  [][]uint64 // seeds[t][c] seeds cell (t, c)'s RNG stream
+	// seeds[t*len(corpus.Cases)+c] seeds cell (t, c)'s RNG stream.
+	seeds []uint64
 	// lo and hi bound the cases this engine executes. offs holds the
 	// prefix sums of len(Truths) over [lo, hi): case c's slot in tool t's
 	// arena is arenas[t][offs[c-lo]:offs[c-lo+1]].
@@ -392,6 +395,42 @@ func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 	return runCtx(ctx, corpus, tools, opts, compile.NewEngine())
 }
 
+// scratch is the memory of one run that is dead once the run returns:
+// the flat [tool][case] cell grid and the pre-split seed table. A run takes one from scratchPool and releases it
+// on return, so back-to-back campaigns (E18's replays) reuse one grid
+// and one seed table. Nothing a run returns points into it: a
+// Campaign's Outcomes are the engine's arenas and its Faults are
+// copies, and the grid RunShardCtx returns is allocated apart.
+type scratch struct {
+	cells []CellResult
+	seeds []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grid returns s's cells as nTools rows of nCases cells over one flat
+// slice. A pooled scratch's cells are all zero.
+func (s *scratch) grid(nTools, nCases int) [][]CellResult {
+	n := nTools * nCases
+	s.cells = slices.Grow(s.cells[:0], n)[:n]
+	rows := make([][]CellResult, nTools)
+	for t := range rows {
+		rows[t] = s.cells[t*nCases : (t+1)*nCases : (t+1)*nCases]
+	}
+	return rows
+}
+
+// release clears the grid, so the pool keeps no finished campaign's
+// arenas or faults alive and the next run starts from zero cells, and
+// returns s to the pool. Every lane has returned by then: ForEach waits
+// for its helpers, and a watchdog goroutine gets its case and seed by
+// value.
+func (s *scratch) release() {
+	clear(s.cells)
+	s.cells = s.cells[:0]
+	scratchPool.Put(s)
+}
+
 // runCtx is RunCtx on a caller-supplied execution engine: the seam
 // through which tests run a campaign on the test-only reference.NewEngine
 // and require it deep-equal to the production one.
@@ -399,11 +438,13 @@ func runCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 	if err := validate(corpus, tools); err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(corpus, tools, opts, xeng, 0, len(corpus.Cases))
+	scr := scratchPool.Get().(*scratch)
+	defer scr.release()
+	eng, err := newEngine(corpus, tools, opts, xeng, 0, len(corpus.Cases), scr)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := eng.runCells(ctx, opts.Degraded == DegradedAbort)
+	cells, err := eng.runCells(ctx, opts.Degraded == DegradedAbort, scr.grid(len(eng.tools), len(corpus.Cases)))
 	if err != nil {
 		return nil, err
 	}
@@ -413,11 +454,11 @@ func runCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 // newEngine checks opts and the case range [lo, hi) of a validated
 // corpus, then assembles the campaign state for those cases: the
 // campaign-scoped compile cache and execution engine xeng, the
-// pre-split per-(tool, case) RNG streams, and each tool's outcome arena
-// with the per-case slot offsets. The RNG streams always cover the FULL
-// corpus, so a shard execution (a sub-range) sees exactly the generator
-// state a local full run would.
-func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine, lo, hi int) (*engine, error) {
+// pre-split per-(tool, case) RNG streams in scr's seed table, and each
+// tool's outcome arena with the per-case slot offsets. The RNG streams
+// always cover the FULL corpus, so a shard execution (a sub-range) sees
+// exactly the generator state a local full run would.
+func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xeng *compile.Engine, lo, hi int, scr *scratch) (*engine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -434,11 +475,12 @@ func newEngine(corpus *workload.Corpus, tools []detectors.Tool, opts Options, xe
 	for t := range arenas {
 		arenas[t] = make([]SinkOutcome, offs[hi-lo])
 	}
+	scr.seeds = preSplitSeeds(scr.seeds, len(tools), len(corpus.Cases), opts.Seed)
 	return &engine{
 		opts:   opts,
 		corpus: corpus,
 		tools:  tools,
-		seeds:  preSplitSeeds(len(tools), len(corpus.Cases), opts.Seed),
+		seeds:  scr.seeds,
 		lo:     lo,
 		hi:     hi,
 		offs:   offs,
@@ -453,23 +495,24 @@ func (e *engine) slot(t, c int) []SinkOutcome {
 	return e.arenas[t][from:to:to]
 }
 
+// seed is the seed of cell (t, c)'s RNG stream.
+func (e *engine) seed(t, c int) uint64 {
+	return e.seeds[t*len(e.corpus.Cases)+c]
+}
+
 // runCells executes every (tool, case) cell whose case index lies in
-// [e.lo, e.hi) and returns the records indexed [tool][case-lo]; the
-// Outcomes of a successful record are its arena slot. The cells run on
-// one workpool.ForEach over the grid in (tool, case) order, with one
-// RNG scratch per lane. Cancellation, and any cell fault when
-// abortOnFault is set (DegradedAbort), is that cell's error, so the
-// campaign fails with the error ForEach returns: the one serial
-// execution hits first.
-func (e *engine) runCells(ctx context.Context, abortOnFault bool) ([][]CellResult, error) {
+// [e.lo, e.hi), records them in cells, a zeroed grid indexed
+// [tool][case-lo], and returns it; the Outcomes of a successful record
+// are its arena slot. The cells run on one workpool.ForEach over the
+// grid in (tool, case) order, with one RNG scratch per lane.
+// Cancellation, and any cell fault when abortOnFault is set
+// (DegradedAbort), is that cell's error, so the campaign fails with the
+// error ForEach returns: the one serial execution hits first.
+func (e *engine) runCells(ctx context.Context, abortOnFault bool, cells [][]CellResult) ([][]CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	lo, nTools, nCases := e.lo, len(e.tools), e.hi-e.lo
-	cells := make([][]CellResult, nTools)
-	for t := range cells {
-		cells[t] = make([]CellResult, nCases)
-	}
 
 	// Progress reporting is pure observation on the side of execution:
 	// events never alter scheduling or results, so a campaign with a
@@ -590,7 +633,7 @@ func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind
 		// Context-aware tools observe the deadline themselves; tools
 		// without a deadline cannot outlive one. Either way the call
 		// runs inline on this lane.
-		*rng = *stats.NewRNG(e.seeds[t][c])
+		*rng = *stats.NewRNG(e.seed(t, c))
 		r = callTool(actx, tool, cs, rng)
 	} else {
 		// Plain tool under a deadline: call it on a watchdog goroutine
@@ -601,7 +644,7 @@ func (e *engine) runAttempt(ctx context.Context, t, c int, rng *stats.RNG) (kind
 		// exists. The goroutine only calls the tool: scoring happens
 		// here, so an abandoned call never writes into the arena.
 		ch := make(chan toolCall, 1)
-		go watchTool(actx, ch, tool, cs, e.seeds[t][c])
+		go watchTool(actx, ch, tool, cs, e.seed(t, c))
 		select {
 		case r = <-ch:
 		case <-actx.Done():

@@ -16,20 +16,19 @@ import (
 )
 
 // SinkOutcome is the scored result of one tool on one sink: the unit the
-// bootstrap analyses resample.
+// bootstrap analyses resample. It holds only what differs per sink and
+// tool; the sink's kind is its truth's (Corpus.Cases[c].Truths[i].Kind)
+// and its difficulty and template are its case's, so read them from the
+// campaign's corpus.
 type SinkOutcome struct {
-	Service    string
-	SinkID     int
-	Kind       svclang.SinkKind
-	Difficulty workload.Difficulty
-	// Template names the workload pattern the sink came from.
-	Template string
+	Service string
+	SinkID  int
+	// Confidence is the report confidence (zero when not flagged).
+	Confidence float64
 	// Vulnerable is the ground-truth label.
 	Vulnerable bool
 	// Flagged is true when the tool reported this sink.
 	Flagged bool
-	// Confidence is the report confidence (zero when not flagged).
-	Confidence float64
 	// Degraded is true for outcomes synthesized by the count-as-miss
 	// policy when the tool failed on the case: the sink was never
 	// actually analysed. Synthesized outcomes are always unflagged.
@@ -99,14 +98,7 @@ func validate(corpus *workload.Corpus, tools []detectors.Tool) error {
 
 // sinkOutcome is the unflagged outcome of truth tr of case cs.
 func sinkOutcome(cs *workload.Case, tr svclang.GroundTruth) SinkOutcome {
-	return SinkOutcome{
-		Service:    cs.Service.Name,
-		SinkID:     tr.SinkID,
-		Kind:       tr.Kind,
-		Difficulty: cs.Difficulty,
-		Template:   cs.Template,
-		Vulnerable: tr.Vulnerable,
-	}
+	return SinkOutcome{Service: cs.Service.Name, SinkID: tr.SinkID, Vulnerable: tr.Vulnerable}
 }
 
 // scoreCase scores a tool's reports on one case into dst, the case's
@@ -147,6 +139,14 @@ func scoreCase(dst []SinkOutcome, tool detectors.Tool, cs workload.Case, reports
 // skipped (absent from the matrices) or counted as misses via
 // synthesized unflagged outcomes; either way the ledger records them.
 //
+// The fold is per case: a case's outcomes are counted once, their sum
+// is added to Overall, ByDifficulty and ByTemplate (the case's
+// difficulty and template), and each outcome to ByKind under its
+// truth's kind. A case that is skipped or has no sinks adds nothing, so
+// every split map holds exactly the keys a per-sink fold would create.
+// The ledger's fault lists are sized by a first count of the failed
+// cells.
+//
 // arenas, when non-nil, are the engine's per-tool outcome arenas that
 // execs' Outcomes slot into; each is folded in place and becomes the
 // tool's Outcomes. Under DegradedSkip the arena compacts downward, under
@@ -154,15 +154,27 @@ func scoreCase(dst []SinkOutcome, tool detectors.Tool, cs workload.Case, reports
 // With nil arenas (decoded shard records) the outcomes are copied into
 // a fresh buffer by the same fold.
 func mergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]CellResult, arenas [][]SinkOutcome, policy DegradedPolicy) *Campaign {
-	camp := &Campaign{Corpus: corpus}
+	camp := &Campaign{Corpus: corpus, Results: make([]ToolResult, 0, len(tools))}
 	total := corpus.TotalSinks()
+	templates := 0 // the previous tool's template count sizes the next map
 	for toolIdx, tool := range tools {
+		row := execs[toolIdx]
 		res := ToolResult{
 			Tool:         tool.Name(),
 			Class:        tool.Class(),
 			ByKind:       map[svclang.SinkKind]metrics.Confusion{},
 			ByDifficulty: map[workload.Difficulty]metrics.Confusion{},
-			ByTemplate:   map[string]metrics.Confusion{},
+			ByTemplate:   make(map[string]metrics.Confusion, templates),
+		}
+		failed := 0
+		for c := range row {
+			if row[c].Fault != nil {
+				failed++
+			}
+		}
+		if failed > 0 {
+			res.Exec.FailedCases = make([]int, 0, failed)
+			res.Exec.Faults = make([]ExecError, 0, failed)
 		}
 		var buf []SinkOutcome
 		if arenas != nil {
@@ -173,7 +185,7 @@ func mergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]Ce
 		w := 0
 		for caseIdx := range corpus.Cases {
 			cs := &corpus.Cases[caseIdx]
-			ce := &execs[toolIdx][caseIdx]
+			ce := &row[caseIdx]
 			res.Exec.Cases++
 			res.Exec.Attempts += ce.Attempts
 			res.Exec.Retries += ce.Retries
@@ -203,17 +215,24 @@ func mergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]Ce
 				// skipped cases: copy first, then fold from dst only.
 				copy(dst, ce.Outcomes)
 			}
-			for i := range dst {
-				o := &dst[i]
-				cell := o.Confusion()
-				res.Overall = res.Overall.Add(cell)
-				res.ByKind[o.Kind] = res.ByKind[o.Kind].Add(cell)
-				res.ByDifficulty[o.Difficulty] = res.ByDifficulty[o.Difficulty].Add(cell)
-				res.ByTemplate[o.Template] = res.ByTemplate[o.Template].Add(cell)
-			}
 			w += len(dst)
+			if len(dst) == 0 {
+				continue
+			}
+			var cnt [4]int
+			for i := range dst {
+				code := dst[i].code()
+				cnt[code]++
+				kind := cs.Truths[i].Kind
+				res.ByKind[kind] = res.ByKind[kind].Add(codeCells[code])
+			}
+			sum := foldCounts(&cnt)
+			res.Overall = res.Overall.Add(sum)
+			res.ByDifficulty[cs.Difficulty] = res.ByDifficulty[cs.Difficulty].Add(sum)
+			res.ByTemplate[cs.Template] = res.ByTemplate[cs.Template].Add(sum)
 		}
 		res.Outcomes = buf[:w]
+		templates = len(res.ByTemplate)
 		camp.Results = append(camp.Results, res)
 	}
 	return camp

@@ -57,18 +57,17 @@ func rebind[B any](tools []detectors.Tool, bind func(B) detectors.Tool) []detect
 
 // preSplitSeeds derives the seeds of the per-(tool, case) RNG streams by
 // replaying the serial harness's split sequence: an independent root
-// stream per tool, split once per case in corpus order. seeds[t][c] is
-// the seed of cell (t, c)'s stream, stats.NewRNG of which is the
-// generator Split gives that cell. The derived generators are
-// independent, so handing them to concurrent workers cannot perturb any
-// draw.
-func preSplitSeeds(nTools, nCases int, seed uint64) [][]uint64 {
-	seeds := make([][]uint64, nTools)
-	for t := range seeds {
+// stream per tool, split once per case in corpus order. It fills dst,
+// grown to nTools*nCases, and returns it: entry t*nCases+c is the seed
+// of cell (t, c)'s stream, stats.NewRNG of which is the generator Split
+// gives that cell. The derived generators are independent, so handing
+// them to concurrent workers cannot perturb any draw.
+func preSplitSeeds(dst []uint64, nTools, nCases int, seed uint64) []uint64 {
+	seeds := slices.Grow(dst[:0], nTools*nCases)[:nTools*nCases]
+	for t := range nTools {
 		toolRNG := stats.NewRNG(seed ^ (uint64(t)+1)*0x9e3779b97f4a7c15)
-		seeds[t] = make([]uint64, nCases)
-		for c := range seeds[t] {
-			seeds[t][c] = toolRNG.SplitSeed()
+		for c := range nCases {
+			seeds[t*nCases+c] = toolRNG.SplitSeed()
 		}
 	}
 	return seeds

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -69,9 +70,6 @@ func refAnalyzeCaseCtx(ctx context.Context, tool detectors.Tool, cs workload.Cas
 		out[i] = SinkOutcome{
 			Service:    cs.Service.Name,
 			SinkID:     tr.SinkID,
-			Kind:       tr.Kind,
-			Difficulty: cs.Difficulty,
-			Template:   cs.Template,
 			Vulnerable: tr.Vulnerable,
 			Flagged:    isFlagged,
 			Confidence: conf,
@@ -88,9 +86,6 @@ func refDegradedOutcomes(cs workload.Case) []SinkOutcome {
 		out[i] = SinkOutcome{
 			Service:    cs.Service.Name,
 			SinkID:     tr.SinkID,
-			Kind:       tr.Kind,
-			Difficulty: cs.Difficulty,
-			Template:   cs.Template,
 			Vulnerable: tr.Vulnerable,
 			Degraded:   true,
 		}
@@ -98,8 +93,10 @@ func refDegradedOutcomes(cs workload.Case) []SinkOutcome {
 	return out
 }
 
-// refMergeCampaign folds the cell grid into a Campaign, copying every
-// outcome into a fresh per-tool slice.
+// refMergeCampaign folds the cell grid into a Campaign sink by sink,
+// copying every outcome into a fresh per-tool slice. Each outcome is
+// added to every split map under its truth's kind and its case's
+// difficulty and template, read from the corpus.
 func refMergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][]CellResult, policy DegradedPolicy) *Campaign {
 	camp := &Campaign{Corpus: corpus}
 	total := corpus.TotalSinks()
@@ -113,6 +110,7 @@ func refMergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][
 			Outcomes:     make([]SinkOutcome, 0, total),
 		}
 		for caseIdx := range corpus.Cases {
+			cs := corpus.Cases[caseIdx]
 			ce := execs[toolIdx][caseIdx]
 			res.Exec.Cases++
 			res.Exec.Attempts += ce.Attempts
@@ -133,16 +131,17 @@ func refMergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][
 				if policy != DegradedCountMiss {
 					continue
 				}
-				outcomes = refDegradedOutcomes(corpus.Cases[caseIdx])
+				outcomes = refDegradedOutcomes(cs)
 			} else {
 				res.Exec.Succeeded++
 			}
-			for _, outcome := range outcomes {
+			for k, outcome := range outcomes {
 				cell := outcome.Confusion()
+				kind := cs.Truths[k].Kind
 				res.Overall = res.Overall.Add(cell)
-				res.ByKind[outcome.Kind] = res.ByKind[outcome.Kind].Add(cell)
-				res.ByDifficulty[outcome.Difficulty] = res.ByDifficulty[outcome.Difficulty].Add(cell)
-				res.ByTemplate[outcome.Template] = res.ByTemplate[outcome.Template].Add(cell)
+				res.ByKind[kind] = res.ByKind[kind].Add(cell)
+				res.ByDifficulty[cs.Difficulty] = res.ByDifficulty[cs.Difficulty].Add(cell)
+				res.ByTemplate[cs.Template] = res.ByTemplate[cs.Template].Add(cell)
 				res.Outcomes = append(res.Outcomes, outcome)
 			}
 		}
@@ -460,7 +459,7 @@ func TestScoreCaseMatchesReference(t *testing.T) {
 			want, wantErr := refAnalyzeCaseCtx(context.Background(), tool, c, nil, valid)
 			got := make([]SinkOutcome, len(c.Truths))
 			for k := range got {
-				got[k].Template = "untouched"
+				got[k].Service = "untouched"
 			}
 			err := scoreCase(got, tool, c, reports)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
@@ -468,7 +467,7 @@ func TestScoreCaseMatchesReference(t *testing.T) {
 			}
 			if err != nil {
 				for k := range got {
-					if got[k] != (SinkOutcome{Template: "untouched"}) {
+					if got[k] != (SinkOutcome{Service: "untouched"}) {
 						t.Fatalf("list %d: rejected attempt wrote outcome %d: %+v", i, k, got[k])
 					}
 				}
@@ -479,5 +478,105 @@ func TestScoreCaseMatchesReference(t *testing.T) {
 				t.Fatalf("list %d (%d sinks): outcomes\n%+v\nreference\n%+v", i, len(c.Truths), got, want)
 			}
 		}
+	}
+}
+
+// keySetCorpus is a small corpus in which some cases own their split
+// keys: every third case gets a template, a difficulty and sink kinds no
+// other case has, and two sinkless cases are appended, each with a
+// template and difficulty of its own. It returns the corpus and the
+// indices of those cases, whose keys appear in a tool's split maps
+// exactly when the fold counted them.
+func keySetCorpus(t *testing.T) (*workload.Corpus, []int) {
+	t.Helper()
+	corpus := testCorpus(t, 12, 2)
+	var own []int
+	for c := range corpus.Cases {
+		if c%3 != 0 {
+			continue
+		}
+		cs := &corpus.Cases[c]
+		cs.Template = fmt.Sprintf("own-%d", c)
+		cs.Difficulty = workload.Difficulty(100 + c)
+		cs.Truths = slices.Clone(cs.Truths)
+		for k := range cs.Truths {
+			cs.Truths[k].Kind = svclang.SinkKind(100 + c)
+		}
+		own = append(own, c)
+	}
+	for i := range 2 {
+		cs := corpus.Cases[3*i+1]
+		cs.Truths = nil
+		cs.Template = fmt.Sprintf("sinkless-%d", i)
+		cs.Difficulty = workload.Difficulty(200 + i)
+		corpus.Cases = append(corpus.Cases, cs)
+		own = append(own, len(corpus.Cases)-1)
+	}
+	return corpus, own
+}
+
+// TestMergeKeySetsMatchReference pins the per-case fold's split maps,
+// key sets included, to the reference's per-sink fold: a sinkless case
+// and a failed case under the skip policy add no key, a failed case
+// under count-miss adds its keys, and under abort both fail alike. It
+// runs fault-free and with panics on 40% of the cases, locally and
+// through shards sent over JSON.
+func TestMergeKeySetsMatchReference(t *testing.T) {
+	corpus, own := keySetCorpus(t)
+	base := []detectors.Tool{repeatTool{[]float64{0.25, 0.5, 1}}, silentTool{"silent"}}
+	var counted, dropped int
+	for _, rate := range []float64{0, 0.4} {
+		cfg := faulty.Config{Mode: faulty.ModePanic, Rate: rate, Seed: 6}
+		for _, policy := range []DegradedPolicy{DegradedSkip, DegradedCountMiss, DegradedAbort} {
+			name := fmt.Sprintf("r%g/%s", rate, policy)
+			opts := Options{Seed: 4, Workers: 3, Degraded: policy}
+			want, wantErr := refRun(t, corpus, faultySuite(t, base, cfg), opts)
+			got, err := RunCtx(context.Background(), corpus, faultySuite(t, base, cfg), opts)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !sameCampaign(got, want) {
+				t.Fatalf("%s: campaign differs from the reference", name)
+			}
+			shard, err := RunShardCtx(context.Background(), corpus, faultySuite(t, base, cfg), opts, 0, len(corpus.Cases))
+			if err != nil {
+				t.Fatal(err)
+			}
+			grid := roundTrip(t, shard)
+			merged, err := MergeShards(corpus, base, grid, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refMergeCampaign(corpus, base, grid, policy); !sameCampaign(merged, want) {
+				t.Fatalf("%s: merged campaign differs from the reference merge", name)
+			}
+			for _, res := range got.Results {
+				for _, c := range own {
+					cs := &corpus.Cases[c]
+					keep := len(cs.Truths) > 0 && (policy == DegradedCountMiss || !slices.Contains(res.Exec.FailedCases, c))
+					_, tpl := res.ByTemplate[cs.Template]
+					_, diff := res.ByDifficulty[cs.Difficulty]
+					kind := keep
+					if len(cs.Truths) > 0 {
+						_, kind = res.ByKind[cs.Truths[0].Kind]
+					}
+					if tpl != keep || diff != keep || kind != keep {
+						t.Fatalf("%s: %s case %d: template/difficulty/kind keys %v/%v/%v, want %v",
+							name, res.Tool, c, tpl, diff, kind, keep)
+					}
+					if keep {
+						counted++
+					} else if len(cs.Truths) > 0 {
+						dropped++
+					}
+				}
+			}
+		}
+	}
+	if counted == 0 || dropped == 0 {
+		t.Fatalf("%d counted and %d dropped cases with sinks; the sweep must have both", counted, dropped)
 	}
 }

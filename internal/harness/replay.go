@@ -93,7 +93,7 @@ func ReplayTools(camp *Campaign) ([]detectors.Tool, error) {
 				}
 				if o.Flagged {
 					t.reports[c] = append(t.reports[c], detectors.Report{
-						Service: o.Service, SinkID: o.SinkID, Kind: o.Kind, Confidence: o.Confidence,
+						Service: o.Service, SinkID: o.SinkID, Kind: tr.Kind, Confidence: o.Confidence,
 					})
 				}
 			}

@@ -38,11 +38,15 @@ func RunShardCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors
 	if err := validate(corpus, tools); err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(corpus, tools, opts, compile.NewEngine(), lo, hi)
+	scr := scratchPool.Get().(*scratch)
+	defer scr.release()
+	eng, err := newEngine(corpus, tools, opts, compile.NewEngine(), lo, hi, scr)
 	if err != nil {
 		return nil, err
 	}
-	return eng.runCells(ctx, false)
+	// The grid is the caller's to keep, so it comes from a scratch of its
+	// own that never enters the pool; only the seed table is pooled.
+	return eng.runCells(ctx, false, new(scratch).grid(len(eng.tools), hi-lo))
 }
 
 // MergeShards assembles the full per-(tool, case) cell grid — produced

@@ -3,10 +3,13 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/detectors/faulty"
+	"github.com/dsn2015/vdbench/internal/svclang"
+	"github.com/dsn2015/vdbench/internal/workload"
 )
 
 // FuzzMergeShards feeds arbitrary bytes, decoded as a JSON cell grid,
@@ -85,4 +88,64 @@ func FuzzMergeShards(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMergeShardsReadsOlderOutcomeRecords: a shard report whose outcome
+// records still repeat each sink's kind, difficulty and template decodes
+// (unknown fields are ignored) and merges into the same campaign as the
+// current records, under every policy.
+func TestMergeShardsReadsOlderOutcomeRecords(t *testing.T) {
+	corpus := testCorpus(t, 10, 2)
+	tools := testTools(t)[:2]
+	faultyTools := faultySuite(t, tools, faulty.Config{Mode: faulty.ModePanic, Rate: 0.4, Seed: 5})
+	cells, err := RunShardCtx(context.Background(), corpus, faultyTools, Options{Seed: 1, Workers: 1}, 0, len(corpus.Cases))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type olderOutcome struct {
+		SinkOutcome
+		Kind       svclang.SinkKind
+		Difficulty workload.Difficulty
+		Template   string
+	}
+	type olderCell struct {
+		Outcomes []olderOutcome `json:"outcomes,omitempty"`
+		Fault    *ExecError     `json:"fault,omitempty"`
+		Attempts int            `json:"attempts"`
+		Retries  int            `json:"retries"`
+	}
+	older := make([][]olderCell, len(cells))
+	for ti, row := range cells {
+		older[ti] = make([]olderCell, len(row))
+		for c, ce := range row {
+			cs := &corpus.Cases[c]
+			oc := &older[ti][c]
+			oc.Fault, oc.Attempts, oc.Retries = ce.Fault, ce.Attempts, ce.Retries
+			for k, o := range ce.Outcomes {
+				oc.Outcomes = append(oc.Outcomes, olderOutcome{o, cs.Truths[k].Kind, cs.Difficulty, cs.Template})
+			}
+		}
+	}
+	data, err := json.Marshal(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded [][]CellResult
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	current := roundTrip(t, cells)
+	for _, policy := range []DegradedPolicy{DegradedSkip, DegradedCountMiss} {
+		want, err := MergeShards(corpus, tools, current, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MergeShards(corpus, tools, decoded, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: older records merge differently", policy)
+		}
+	}
 }
