@@ -8,9 +8,9 @@ import "strings"
 // parameter (pool^|params| probes, squared for stateful request
 // pairs). Almost all of those probes are provably incapable of
 // changing any sink's verdict or its first witness. This file computes
-// a per-service oraclePlan that the pruned search in oracle.go
-// executes; the plan is built from four sound, witness-preserving
-// observations:
+// a per-service oraclePlan that AnalyzeProbing hands to the sweep in
+// oracle.go in place of the exhaustive plan; the plan is built from
+// four sound, witness-preserving observations:
 //
 //  1. Static safety. A sink whose value no parameter data can reach —
 //     through variables, session-store round trips, or any live branch
@@ -58,66 +58,6 @@ import "strings"
 // Soundness of the combination (pruned ≡ exhaustive, witnesses
 // included) is locked by TestAnalyzePruningMatchesExhaustive,
 // FuzzAnalyzePruningDifferential and the early-exit property test.
-
-// maxVirtualParams bounds the per-sink bookkeeping: stateless services
-// have at most maxOracleParams parameters; stateful services have one
-// parameter seen as two virtual ones (its request-1 and request-2
-// values).
-const maxVirtualParams = maxOracleParams
-
-// oraclePlan is the pruned search plan for one service.
-type oraclePlan struct {
-	stateful bool
-	// params is the number of virtual parameters: len(svc.Params) for
-	// stateless services, 2 for stateful ones (request-1 and request-2
-	// values of the single parameter).
-	params int
-	// groups are the disjoint sink groups to enumerate; sinks absent
-	// from every group are statically safe and receive zero probes.
-	groups []oracleGroup
-	// exhaustiveProbes is the request-execution count of the exhaustive
-	// search over the same pool: pool^params, or 2*pool^2 for stateful
-	// pair enumeration. The oracle telemetry counts pruned probes
-	// against this space.
-	exhaustiveProbes uint64
-}
-
-// oracleGroup is one influence group: the sinks it decides, the virtual
-// parameters it enumerates and the kept pool indices per parameter.
-type oracleGroup struct {
-	sinkIDs []int
-	params  []int   // ascending virtual-parameter indices
-	keeps   [][]int // kept pool indices (ascending) per entry of params
-}
-
-// planned is the number of request executions the plan's groups will
-// perform if no early exit fires; analyzeProbing compares it against
-// the exhaustive space and falls back to the single exhaustive sweep
-// when pruning cannot win.
-func (p *oraclePlan) planned() uint64 {
-	var total uint64
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		if p.stateful {
-			k1, k2 := uint64(1), uint64(1)
-			for j, par := range g.params {
-				if par == 0 {
-					k1 = uint64(len(g.keeps[j]))
-				} else {
-					k2 = uint64(len(g.keeps[j]))
-				}
-			}
-			total += 2 * k1 * k2
-		} else {
-			n := uint64(1)
-			for _, keep := range g.keeps {
-				n *= uint64(len(keep))
-			}
-			total += n
-		}
-	}
-	return total
-}
 
 // builtin bitmask over Builtin values.
 type builtinMask uint16
@@ -191,10 +131,7 @@ type reachWalker struct {
 }
 
 func newReachWalker(svc *Service, stateful bool) *reachWalker {
-	nv := len(svc.Params)
-	if stateful {
-		nv = 2
-	}
+	nv := virtualParams(svc, stateful)
 	// Parameters are mutable: a body may reassign one, after which its
 	// identifier no longer denotes the request value. Reassigned
 	// parameters flow like ordinary variables (their var-map entries are
@@ -761,15 +698,7 @@ func buildOraclePlan(svc *Service, pool []string) *oraclePlan {
 		w.runPhase(1)
 	}
 
-	plan := &oraclePlan{stateful: stateful, params: w.nv}
-	if stateful {
-		plan.exhaustiveProbes = 2 * uint64(len(pool)) * uint64(len(pool))
-	} else {
-		plan.exhaustiveProbes = 1
-		for range svc.Params {
-			plan.exhaustiveProbes *= uint64(len(pool))
-		}
-	}
+	plan := &oraclePlan{stateful: stateful}
 
 	// Predicate classing per virtual parameter: the conditions it can
 	// influence, and whether they are all pure functions of it.

@@ -322,19 +322,19 @@ type ProbeObserver func(sinkID int, kind SinkKind, structuralTaint bool)
 type ProbeFunc func(svc *Service, req Request, store *SessionStore, obs ProbeObserver) error
 
 // OracleTotals is a snapshot of the process-wide oracle search
-// counters. Pruned counts probe executions the influence-guided search
-// skipped relative to the exhaustive assignment space, so
-// Probes+Pruned equals the exhaustive probe count of every service
-// analysed (by either search mode — the exhaustive search contributes
-// zero to Pruned).
+// counters. Pruned counts the probe executions a search skipped
+// relative to the exhaustive plan, so Probes+Pruned equals the
+// exhaustive plan's probe count summed over every service analysed,
+// whichever plan ran (AnalyzeProbingExhaustive contributes zero to
+// Pruned).
 type OracleTotals struct {
 	// Probes is the number of request executions performed.
 	Probes uint64
 	// Pruned is the number of exhaustive-space request executions
 	// skipped by influence analysis, value classing and early exit.
 	Pruned uint64
-	// EarlyExits counts enumerations stopped with kept assignments
-	// unexecuted because every watched sink was already proven
+	// EarlyExits counts plan groups stopped with planned requests
+	// unexecuted because every sink of the group was already proven
 	// vulnerable.
 	EarlyExits uint64
 }
@@ -363,18 +363,23 @@ func OracleTotalsSnapshot() OracleTotals {
 // services using the session store against every two-request sequence.
 // The search is influence-guided: a static pass (influence.go) proves
 // most of that assignment space incapable of changing any verdict or
-// witness, and only the remainder is executed. The result — labels,
-// witnesses and sequences — is identical to AnalyzeProbingExhaustive on
-// every valid service, which the differential and fuzz suites enforce.
+// witness and plans only the remainder, and each group of the plan
+// stops once all of its sinks are proven vulnerable. When the plan
+// would not execute fewer probes than the exhaustive plan, the
+// exhaustive plan runs instead, with the same early exit. The result —
+// labels, witnesses and sequences — is identical to
+// AnalyzeProbingExhaustive on every valid service, which the
+// differential and fuzz suites enforce.
 func AnalyzeProbing(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 	return analyzeProbing(svc, probe, oracleModePruned)
 }
 
-// AnalyzeProbingExhaustive derives ground truth by enumerating the full
-// value pool over every parameter assignment (two-request sequences for
-// stateful services) with no pruning and no early exit. It is the
-// reference the pruned search is differentially locked against, and the
-// search behind internal/svclang/reference's engine.
+// AnalyzeProbingExhaustive derives ground truth by running the
+// exhaustive plan: every parameter assignment over the full value pool
+// (two-request sequences for stateful services), with no influence
+// analysis and no early exit. It is the reference the pruned search is
+// differentially locked against, and the search behind
+// internal/svclang/reference's engine.
 func AnalyzeProbingExhaustive(svc *Service, probe ProbeFunc) ([]GroundTruth, error) {
 	return analyzeProbing(svc, probe, oracleModeExhaustive)
 }
@@ -400,8 +405,7 @@ func analyzeProbing(svc *Service, probe ProbeFunc, mode oracleMode) ([]GroundTru
 	if err := svc.Validate(); err != nil {
 		return nil, err
 	}
-	stateful := svc.UsesStore()
-	if stateful && len(svc.Params) > maxStatefulParams {
+	if svc.UsesStore() && len(svc.Params) > maxStatefulParams {
 		return nil, fmt.Errorf("svclang: %s: stateful services are limited to %d parameter(s) for exhaustive sequence labelling, got %d",
 			svc.Name, maxStatefulParams, len(svc.Params))
 	}
@@ -428,283 +432,196 @@ func analyzeProbing(svc *Service, probe ProbeFunc, mode oracleMode) ([]GroundTru
 
 	// space is the exhaustive request-execution count over this pool;
 	// whatever the search does not execute is recorded as pruned.
-	space := uint64(1)
-	if stateful {
-		space = 2 * uint64(len(pool)) * uint64(len(pool))
-	} else {
-		for range svc.Params {
-			space *= uint64(len(pool))
-		}
-	}
-	var executed uint64
-	defer func() {
-		oracleProbesTotal.Add(executed)
-		if space > executed {
-			oraclePrunedTotal.Add(space - executed)
-		}
-	}()
-
-	// curSeq is the request sequence of the probe in flight; the observer
-	// clones it lazily, only when a sink first proves vulnerable. In the
-	// pruned search the observer additionally restricts itself to the
-	// sinks of the influence group being enumerated (watch) and counts
-	// down the group's undecided sinks for early exit.
-	var curSeq []Request
-	var watch map[int]bool
-	undecided := 0
-	observer := func(sinkID int, kind SinkKind, structuralTaint bool) {
-		if watch != nil && !watch[sinkID] {
-			return
-		}
-		gt := byID[sinkID]
-		if gt == nil || gt.Vulnerable || !structuralTaint {
-			return
-		}
-		gt.Vulnerable = true
-		gt.Sequence = cloneSequence(curSeq)
-		gt.Witness = gt.Sequence[len(gt.Sequence)-1]
-		undecided--
-	}
-	run := func(req Request, store *SessionStore, seq []Request) error {
-		curSeq = seq
-		executed++
-		return probe(svc, req, store, observer)
-	}
-
-	if mode == oracleModeExhaustive {
-		var err error
-		if stateful {
-			err = analyzeStateful(svc, pool, run, nil)
-		} else {
-			err = analyzeStateless(svc, pool, run, nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return truths, nil
-	}
-
-	plan := buildOraclePlan(svc, pool)
+	plan := exhaustivePlan(svc, len(pool))
+	space := plan.planned()
 	earlyExit := mode == oracleModePruned
-	var err error
-	if plan.planned() >= space {
-		// Influence groups overlap enough that enumerating them
-		// separately would cost at least the exhaustive space (possible
-		// when several sinks have distinct but large influence sets).
-		// Fall back to the single exhaustive sweep so the pruned search
-		// is never more expensive than the exhaustive one and the
-		// accounting invariant executed+pruned == space holds. Early
-		// exit still applies: once every sink is vulnerable the observer
-		// is inert and stopping is output-identical.
-		undecided = len(truths)
-		var stop *int
-		if earlyExit {
-			stop = &undecided
+	if mode != oracleModeExhaustive {
+		// Influence groups can overlap enough that enumerating them
+		// separately costs at least the exhaustive space (several sinks
+		// with distinct but large influence sets). The exhaustive plan
+		// then runs instead, so the pruned search never costs more than
+		// the exhaustive one and executed+pruned == space holds.
+		if pruned := buildOraclePlan(svc, pool); pruned.planned() < space {
+			plan = pruned
 		}
-		before := executed
-		if stateful {
-			err = analyzeStateful(svc, pool, run, stop)
-		} else {
-			err = analyzeStateless(svc, pool, run, stop)
-		}
-		if err == nil && executed-before < space {
-			oracleEarlyExitTotal.Add(1)
-		}
-	} else if stateful {
-		err = runPrunedStateful(svc, plan, pool, run, &watch, &undecided, earlyExit)
-	} else {
-		err = runPrunedStateless(svc, plan, pool, run, &watch, &undecided, earlyExit)
 	}
+	executed, err := sweep(svc, plan, pool, probe, byID, earlyExit)
+	oracleProbesTotal.Add(executed)
+	oraclePrunedTotal.Add(space - executed)
 	if err != nil {
 		return nil, err
 	}
 	return truths, nil
 }
 
-// analyzeStateless enumerates the full cross product of pool values
-// over parameters. The request map is reused across the odometer — its
-// keys never change, and the observer's cloneSequence snapshots it
-// whenever a witness is recorded. A non-nil stop enables early exit:
-// the sweep halts once *stop reaches zero.
-func analyzeStateless(svc *Service, pool []string, run func(req Request, store *SessionStore, seq []Request) error, stop *int) error {
-	assignment := make([]int, len(svc.Params))
-	req := make(Request, len(svc.Params))
-	seq := []Request{req}
-	for {
-		for i, p := range svc.Params {
-			req[p] = pool[assignment[i]]
-		}
-		if err := run(req, nil, seq); err != nil {
-			return err
-		}
-		if stop != nil && *stop == 0 {
-			return nil
-		}
-		// Advance the odometer.
-		i := 0
-		for ; i < len(assignment); i++ {
-			assignment[i]++
-			if assignment[i] < len(pool) {
-				break
-			}
-			assignment[i] = 0
-		}
-		if i == len(assignment) {
-			break
-		}
-	}
-	return nil
+// oraclePlan is a search plan for one service: the groups sweep
+// enumerates. buildOraclePlan (influence.go) makes the pruned plan,
+// exhaustivePlan the reference one.
+type oraclePlan struct {
+	stateful bool
+	// groups are the disjoint sink groups to enumerate; sinks absent
+	// from every group are statically safe and receive zero probes.
+	groups []oracleGroup
 }
 
-// runPrunedStateless executes the plan's influence groups: one odometer
-// per group over its kept pool values, every other parameter pinned to
-// the first benign value (which is what the exhaustive first witness
-// assigns to parameters that cannot affect the outcome). A group stops
-// as soon as all of its sinks are proven vulnerable.
-func runPrunedStateless(svc *Service, plan *oraclePlan, pool []string,
-	run func(req Request, store *SessionStore, seq []Request) error,
-	watch *map[int]bool, undecided *int, earlyExit bool) error {
-	req := make(Request, len(svc.Params))
-	seq := []Request{req}
+// oracleGroup is one group of a plan: the sinks it decides, the virtual
+// parameters it enumerates and the kept pool indices per parameter.
+type oracleGroup struct {
+	sinkIDs []int
+	params  []int   // ascending virtual-parameter indices
+	keeps   [][]int // kept pool indices (ascending) per entry of params
+}
+
+// planned is the number of request executions the plan's groups
+// perform if no early exit fires.
+func (p *oraclePlan) planned() uint64 {
+	var total uint64
+	for gi := range p.groups {
+		total += p.groups[gi].planned(p.stateful)
+	}
+	return total
+}
+
+// planned is the group's request-execution count without early exit:
+// one request per assignment, two for a stateful pair.
+func (g *oracleGroup) planned(stateful bool) uint64 {
+	n := uint64(1)
+	if stateful {
+		n = 2
+	}
+	for _, keep := range g.keeps {
+		n *= uint64(len(keep))
+	}
+	return n
+}
+
+// next advances the odometer idx over the group's keep lists and
+// reports false once it wraps. Stateless groups vary their first
+// parameter fastest; stateful groups their last, so the poisoning
+// value (virtual parameter 0) stays outermost.
+func (g *oracleGroup) next(idx []int, stateful bool) bool {
+	for k := range idx {
+		j := k
+		if stateful {
+			j = len(idx) - 1 - k
+		}
+		idx[j]++
+		if idx[j] < len(g.keeps[j]) {
+			return true
+		}
+		idx[j] = 0
+	}
+	return false
+}
+
+// exhaustivePlan is the reference search as a plan: one group holding
+// every sink, enumerating every virtual parameter over the whole pool.
+func exhaustivePlan(svc *Service, poolSize int) *oraclePlan {
+	stateful := svc.UsesStore()
+	g := oracleGroup{keeps: make([][]int, virtualParams(svc, stateful))}
+	for _, sk := range svc.Sinks() {
+		g.sinkIDs = append(g.sinkIDs, sk.ID)
+	}
+	all := allIndices(poolSize)
+	for p := range g.keeps {
+		g.params = append(g.params, p)
+		g.keeps[p] = all
+	}
+	return &oraclePlan{stateful: stateful, groups: []oracleGroup{g}}
+}
+
+// virtualParams is the number of virtual parameters of svc:
+// len(svc.Params) for stateless services, 2 for stateful ones (the
+// request-1 and request-2 values of the single parameter).
+func virtualParams(svc *Service, stateful bool) int {
+	if stateful {
+		return 2
+	}
+	return len(svc.Params)
+}
+
+// sweep runs every group of plan and returns the number of requests it
+// executed. A group enumerates the cross product of its kept pool
+// indices (an odometer), every virtual parameter it does not enumerate
+// pinned to pool[0], and watches only its own sinks. A stateless
+// assignment is one request, its first parameter varying fastest. A
+// stateful assignment (v1, v2) is a poisoning request with the
+// parameter at v1 and a triggering request at v2 on one fresh session
+// store, v1 outermost. The request maps are reused; a sink's first
+// vulnerable event snapshots the sequence in flight as its witness.
+// With earlyExit a group stops as soon as all of its sinks are proven
+// vulnerable, between the two requests of a pair if need be: later
+// assignments could only produce later witnesses.
+func sweep(svc *Service, plan *oraclePlan, pool []string, probe ProbeFunc,
+	byID map[int]*GroundTruth, earlyExit bool) (uint64, error) {
+	var (
+		executed  uint64
+		seq       []Request
+		watch     map[int]bool
+		undecided int
+	)
+	observer := func(sinkID int, _ SinkKind, structuralTaint bool) {
+		if !structuralTaint || !watch[sinkID] {
+			return
+		}
+		gt := byID[sinkID]
+		if gt.Vulnerable {
+			return
+		}
+		gt.Vulnerable = true
+		gt.Sequence = cloneSequence(seq)
+		gt.Witness = gt.Sequence[len(gt.Sequence)-1]
+		undecided--
+	}
+	reqs := []Request{make(Request, len(svc.Params))}
+	if plan.stateful {
+		reqs = append(reqs, make(Request, len(svc.Params)))
+	}
+	vals := make([]int, virtualParams(svc, plan.stateful))
 	for gi := range plan.groups {
 		g := &plan.groups[gi]
-		*watch = make(map[int]bool, len(g.sinkIDs))
+		watch = make(map[int]bool, len(g.sinkIDs))
 		for _, id := range g.sinkIDs {
-			(*watch)[id] = true
+			watch[id] = true
 		}
-		*undecided = len(g.sinkIDs)
-		for _, p := range svc.Params {
-			req[p] = pool[0]
-		}
-		planned := uint64(1)
-		for _, keep := range g.keeps {
-			planned *= uint64(len(keep))
-		}
-		var groupExecuted uint64
+		undecided = len(g.sinkIDs)
+		clear(vals)
 		idx := make([]int, len(g.params))
+		before := executed
+	assignments:
 		for {
-			for j, pi := range g.params {
-				req[svc.Params[pi]] = pool[g.keeps[j][idx[j]]]
+			for j, p := range g.params {
+				vals[p] = g.keeps[j][idx[j]]
 			}
-			if err := run(req, nil, seq); err != nil {
-				return err
+			var store *SessionStore
+			if plan.stateful {
+				store = NewSessionStore()
 			}
-			groupExecuted++
-			if earlyExit && *undecided == 0 {
-				break
-			}
-			j := 0
-			for ; j < len(idx); j++ {
-				idx[j]++
-				if idx[j] < len(g.keeps[j]) {
-					break
+			for k, req := range reqs {
+				for p, name := range svc.Params {
+					if plan.stateful {
+						p = k
+					}
+					req[name] = pool[vals[p]]
 				}
-				idx[j] = 0
+				seq = reqs[:k+1]
+				executed++
+				if err := probe(svc, req, store, observer); err != nil {
+					return executed, err
+				}
+				if earlyExit && undecided == 0 {
+					break assignments
+				}
 			}
-			if j == len(idx) {
+			if !g.next(idx, plan.stateful) {
 				break
 			}
 		}
-		if groupExecuted < planned {
+		if executed-before < g.planned(plan.stateful) {
 			oracleEarlyExitTotal.Add(1)
 		}
 	}
-	return nil
-}
-
-// runPrunedStateful is runPrunedStateless for two-request sequences:
-// groups range over the virtual parameters v1 (the parameter's value in
-// the poisoning request) and v2 (its value in the triggering request),
-// and a pair's second request is skipped once the group is decided.
-func runPrunedStateful(svc *Service, plan *oraclePlan, pool []string,
-	run func(req Request, store *SessionStore, seq []Request) error,
-	watch *map[int]bool, undecided *int, earlyExit bool) error {
-	r1, r2 := Request{}, Request{}
-	seq1, seq2 := []Request{r1}, []Request{r1, r2}
-	fill := func(req Request, v string) {
-		for _, p := range svc.Params {
-			req[p] = v
-		}
-	}
-	for gi := range plan.groups {
-		g := &plan.groups[gi]
-		*watch = make(map[int]bool, len(g.sinkIDs))
-		for _, id := range g.sinkIDs {
-			(*watch)[id] = true
-		}
-		*undecided = len(g.sinkIDs)
-		keeps1, keeps2 := []int{0}, []int{0}
-		for j, p := range g.params {
-			if p == 0 {
-				keeps1 = g.keeps[j]
-			} else {
-				keeps2 = g.keeps[j]
-			}
-		}
-		planned := 2 * uint64(len(keeps1)) * uint64(len(keeps2))
-		var groupExecuted uint64
-	pairs:
-		for _, i1 := range keeps1 {
-			for _, i2 := range keeps2 {
-				store := NewSessionStore()
-				fill(r1, pool[i1])
-				if err := run(r1, store, seq1); err != nil {
-					return err
-				}
-				groupExecuted++
-				if earlyExit && *undecided == 0 {
-					break pairs
-				}
-				fill(r2, pool[i2])
-				if err := run(r2, store, seq2); err != nil {
-					return err
-				}
-				groupExecuted++
-				if earlyExit && *undecided == 0 {
-					break pairs
-				}
-			}
-		}
-		if groupExecuted < planned {
-			oracleEarlyExitTotal.Add(1)
-		}
-	}
-	return nil
-}
-
-// analyzeStateful enumerates every two-request sequence over the pool,
-// sharing a session store within each sequence. Single-request exploits
-// are covered by the first element of each pair. Like the stateless
-// odometer, the two request maps are reused across pairs; witnesses are
-// snapshotted by the observer. A non-nil stop enables early exit.
-func analyzeStateful(svc *Service, pool []string, run func(req Request, store *SessionStore, seq []Request) error, stop *int) error {
-	fill := func(req Request, v string) {
-		for _, p := range svc.Params {
-			req[p] = v
-		}
-	}
-	r1, r2 := Request{}, Request{}
-	seq1, seq2 := []Request{r1}, []Request{r1, r2}
-	for _, v1 := range pool {
-		for _, v2 := range pool {
-			store := NewSessionStore()
-			fill(r1, v1)
-			if err := run(r1, store, seq1); err != nil {
-				return err
-			}
-			if stop != nil && *stop == 0 {
-				return nil
-			}
-			fill(r2, v2)
-			if err := run(r2, store, seq2); err != nil {
-				return err
-			}
-			if stop != nil && *stop == 0 {
-				return nil
-			}
-		}
-	}
-	return nil
+	return executed, nil
 }
 
 // CloneGroundTruths deep-copies a ground-truth slice, witnesses and

@@ -1,6 +1,7 @@
 package svclang
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -77,10 +78,7 @@ func TestAnalyzeEarlyExitNeverChangesLabels(t *testing.T) {
 // the expected probe spaces.
 func oraclePoolSize(t *testing.T) uint64 {
 	t.Helper()
-	n := len(BenignValues())
-	for _, k := range AllSinkKinds() {
-		n += len(AttackPayloads(k))
-	}
+	n := len(oraclePool())
 	if n != 20 {
 		t.Fatalf("oracle pool size changed: got %d, tests assume 20", n)
 	}
@@ -171,6 +169,185 @@ func TestOracleStaticSafeZeroProbes(t *testing.T) {
 	}
 
 	// The exhaustive search must agree, the expensive way.
+	exh, err := AnalyzeProbingExhaustive(svc, interpProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(truths, exh) {
+		t.Fatalf("pruned=%+v exhaustive=%+v", truths, exh)
+	}
+}
+
+// oraclePool is the oracle's value pool, in enumeration order.
+func oraclePool() []string {
+	pool := BenignValues()
+	for _, k := range AllSinkKinds() {
+		pool = append(pool, AttackPayloads(k)...)
+	}
+	return pool
+}
+
+// probeCall is one recorded oracle probe.
+type probeCall struct {
+	req   Request
+	store *SessionStore
+}
+
+// recordingProbe wraps inner and records every call, request cloned.
+func recordingProbe(calls *[]probeCall, inner ProbeFunc) ProbeFunc {
+	return func(svc *Service, req Request, store *SessionStore, obs ProbeObserver) error {
+		*calls = append(*calls, probeCall{req: cloneRequest(req), store: store})
+		return inner(svc, req, store, obs)
+	}
+}
+
+// TestExhaustiveSweepOrder pins the exact request sequence the
+// exhaustive search sends — order and count — to plain nested loops
+// over the pool: for stateless services the first parameter varies
+// fastest, with no session store; a stateful service sends each (v1, v2)
+// pair as two requests on one fresh store, v1 outermost.
+func TestExhaustiveSweepOrder(t *testing.T) {
+	pool := oraclePool()
+	silent := func(*Service, Request, *SessionStore, ProbeObserver) error { return nil }
+	stateless := []string{
+		"service s0\n  sink sql \"SELECT 1\"\nend\n",
+		"service s1\n  param a\n  sink sql a\nend\n",
+		"service s2\n  param a\n  param b\n  sink sql concat(a, b)\nend\n",
+		"service s3\n  param a\n  param b\n  param c\n  sink sql concat(a, b, c)\nend\n",
+	}
+	for _, src := range stateless {
+		svc := mustParse(t, src)
+		// Each later parameter wraps the whole list so far, so the first
+		// parameter ends up innermost.
+		want := []Request{{}}
+		for _, p := range svc.Params {
+			var outer []Request
+			for _, v := range pool {
+				for _, r := range want {
+					r = cloneRequest(r)
+					r[p] = v
+					outer = append(outer, r)
+				}
+			}
+			want = outer
+		}
+		var calls []probeCall
+		if _, err := AnalyzeProbingExhaustive(svc, recordingProbe(&calls, silent)); err != nil {
+			t.Fatal(err)
+		}
+		if len(calls) != len(want) {
+			t.Fatalf("%s: %d probes, nested loops give %d", svc.Name, len(calls), len(want))
+		}
+		for i, c := range calls {
+			if c.store != nil || !reflect.DeepEqual(c.req, want[i]) {
+				t.Fatalf("%s: probe %d is %v (store %p), nested loops give %v", svc.Name, i, c.req, c.store, want[i])
+			}
+		}
+	}
+
+	svc := mustParse(t, storedXSSSrc)
+	var calls []probeCall
+	if _, err := AnalyzeProbingExhaustive(svc, recordingProbe(&calls, silent)); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2*len(pool)*len(pool) {
+		t.Fatalf("stateful: %d probes, nested loops give %d", len(calls), 2*len(pool)*len(pool))
+	}
+	i := 0
+	for _, v1 := range pool {
+		for _, v2 := range pool {
+			first, second := calls[i], calls[i+1]
+			if !reflect.DeepEqual(first.req, Request{"msg": v1}) || !reflect.DeepEqual(second.req, Request{"msg": v2}) {
+				t.Fatalf("stateful: pair %d is %v, %v; nested loops give %q, %q", i/2, first.req, second.req, v1, v2)
+			}
+			if first.store == nil || second.store != first.store || (i > 0 && calls[i-1].store == first.store) {
+				t.Fatalf("stateful: pair %d does not run on one fresh session store", i/2)
+			}
+			i += 2
+		}
+	}
+}
+
+// TestOracleProbeErrorAbortsEveryMode fails the k-th probe of every
+// search mode, stateless and stateful. Each search must stop at that
+// probe and return its error, and the counters must charge exactly the
+// k probes executed, with no early exit.
+func TestOracleProbeErrorAbortsEveryMode(t *testing.T) {
+	pool := oraclePoolSize(t)
+	errProbe := errors.New("probe failed")
+	services := []*Service{
+		mustParse(t, "service s\n  param p\n  param q\n  sink sql concat(\"SELECT '\", p, \"' AND '\", q, \"'\")\nend\n"),
+		mustParse(t, storedXSSSrc),
+	}
+	modes := map[string]oracleMode{
+		"pruned":         oracleModePruned,
+		"pruned-no-exit": oracleModePrunedNoExit,
+		"exhaustive":     oracleModeExhaustive,
+	}
+	for _, svc := range services {
+		for name, mode := range modes {
+			for k := 1; k <= 3; k++ {
+				calls := 0
+				failing := func(svc *Service, req Request, store *SessionStore, obs ProbeObserver) error {
+					if calls++; calls == k {
+						return errProbe
+					}
+					return interpProbe(svc, req, store, obs)
+				}
+				before := OracleTotalsSnapshot()
+				truths, err := analyzeProbing(svc, failing, mode)
+				after := OracleTotalsSnapshot()
+				if !errors.Is(err, errProbe) || truths != nil {
+					t.Fatalf("%s/%s k=%d: got %v, %v; want the probe's error", svc.Name, name, k, truths, err)
+				}
+				if calls != k {
+					t.Fatalf("%s/%s k=%d: %d probes called, want %d", svc.Name, name, k, calls, k)
+				}
+				probes, pruned := after.Probes-before.Probes, after.Pruned-before.Pruned
+				if probes != uint64(k) || probes+pruned != exhaustiveSpace(svc, pool) || after.EarlyExits != before.EarlyExits {
+					t.Fatalf("%s/%s k=%d: counters moved by %+v", svc.Name, name, k, OracleTotals{probes, pruned, after.EarlyExits - before.EarlyExits})
+				}
+			}
+		}
+	}
+}
+
+// TestOracleEarlyExitMidPair runs a stateful service whose sink fires
+// only on the poisoning request (the request that finds the store
+// empty): early exit must stop right after that request, leaving the
+// pair's triggering request unsent, record a one-request sequence and
+// count one early exit.
+func TestOracleEarlyExitMidPair(t *testing.T) {
+	svc := mustParse(t, `
+service Poison
+  param p
+  if eq(load("k"), "")
+    sink sql concat("SELECT '", p, "'")
+  end
+  store "k" "x"
+end
+`)
+	var calls []probeCall
+	before := OracleTotalsSnapshot()
+	truths, err := AnalyzeProbing(svc, recordingProbe(&calls, interpProbe))
+	after := OracleTotalsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := truths[0]
+	if !gt.Vulnerable || len(gt.Sequence) != 1 {
+		t.Fatalf("got %+v, want a one-request witness", gt)
+	}
+	last := calls[len(calls)-1]
+	if len(calls)%2 != 1 || last.store == calls[len(calls)-2].store || !reflect.DeepEqual(last.req, gt.Witness) {
+		t.Fatalf("search did not stop after the poisoning request: %d probes, last %v", len(calls), last.req)
+	}
+	if d := after.Probes - before.Probes; d != uint64(len(calls)) {
+		t.Fatalf("probe counter advanced by %d, %d probes ran", d, len(calls))
+	}
+	if d := after.EarlyExits - before.EarlyExits; d != 1 {
+		t.Fatalf("early-exit counter advanced by %d, want 1", d)
+	}
 	exh, err := AnalyzeProbingExhaustive(svc, interpProbe)
 	if err != nil {
 		t.Fatal(err)
