@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runCoordinator(ctx, *addr, *drain, *hbInterval, *hbTimeout, out)
 	}
 	if *workerMode {
-		return runWorker(ctx, *addr, *join, out)
+		return runWorker(ctx, *addr, *join, *drain, out)
 	}
 	if *workers <= 0 {
 		return fmt.Errorf("-workers must be positive, got %d", *workers)
@@ -230,14 +230,20 @@ func serve(ctx context.Context, name, addr string, h http.Handler, drain time.Du
 }
 
 // runWorker joins a coordinator and executes shards until ctx is
-// cancelled by a signal. The local listener serves only health and
-// metrics: readiness reflects a live registration and flips off the
-// moment shutdown begins.
-func runWorker(ctx context.Context, addr, join string, out io.Writer) error {
+// cancelled by a signal, on the shared serve lifecycle. The local
+// listener serves only health and metrics: readiness reflects a live
+// registration and flips off the moment shutdown begins, which also
+// stops the worker loop; a shard mid-flight is abandoned and the
+// coordinator's heartbeat timeout reassigns it. The loop returns only
+// once stopped, so it never ends the process on its own. It starts
+// before the listener: when the listen fails it is stopped at once,
+// and a shard it leased in that moment waits out the heartbeat timeout.
+func runWorker(ctx context.Context, addr, join string, drain time.Duration, out io.Writer) error {
 	wk := dist.NewWorker(dist.WorkerOptions{Join: join})
-
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, stopWorker := context.WithCancel(ctx)
+	defer stopWorker()
+	workErr := make(chan error, 1)
+	go func() { workErr <- wk.Run(ctx) }()
 
 	var draining atomic.Bool
 	mux := http.NewServeMux()
@@ -246,45 +252,8 @@ func runWorker(ctx context.Context, addr, join string, out io.Writer) error {
 	mux.HandleFunc("GET /healthz/ready", telemetry.Ready(func() bool { return !draining.Load() && wk.Ready() }))
 	mux.Handle("GET /metrics", wk.Registry())
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	fmt.Fprintf(out, "vdserved worker listening on http://%s (joining %s)\n", ln.Addr(), join)
-
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.Serve(ln) }()
-	workErr := make(chan error, 1)
-	go func() { workErr <- wk.Run(ctx) }()
-
-	select {
-	case err := <-srvErr:
-		stop() // tear the worker loop down with the listener
-		<-workErr
-		return err
-	case err := <-workErr:
-		// Run returns nil only on cancellation; any return here while the
-		// listener is still up ends the process.
-		_ = srv.Close()
-		<-srvErr
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(out, "vdserved: worker shutting down")
-	draining.Store(true)
-	// The worker loop observes ctx and stops pulling; a shard mid-flight
-	// is abandoned and the coordinator's heartbeat timeout reassigns it.
-	<-workErr
-	//vdlint:ignore ctxflow ctx is already cancelled here; the drain budget needs a fresh root or shutdown would abort instantly
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	fmt.Fprintf(out, "vdserved worker: joining %s\n", join)
+	return serve(ctx, "vdserved worker", addr, mux, drain, out,
+		func() { draining.Store(true); stopWorker() },
+		func(context.Context) { stopWorker(); <-workErr })
 }

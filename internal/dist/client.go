@@ -14,11 +14,12 @@ import (
 // statusWait is the long-poll window of one campaign status request.
 const statusWait = 10 * time.Second
 
-// Client drives a distributed campaign from the submitting side: submit
-// the spec, long-poll for completion, fetch the assembled cell grid and
-// run the canonical merge LOCALLY. Merging locally is the point — the
-// Campaign handed back is produced by the exact same harness.MergeShards
-// fold a local run uses, so distributed and local results are
+// Client drives a distributed campaign from the submitting side: derive
+// the corpus and suite, submit the spec, long-poll for completion, fetch
+// the stitched cell grid and run the canonical merge LOCALLY. Merging
+// locally is the point — the Campaign handed back is produced by the
+// exact same harness.MergeShards fold a local run uses, over material
+// the client derived itself, so distributed and local results are
 // byte-identical by construction, not by trusting the coordinator.
 type Client struct {
 	// Base is the coordinator base URL, e.g. "http://127.0.0.1:8080".
@@ -41,9 +42,18 @@ func (cl *Client) RunCampaign(ctx context.Context, spec CampaignSpec) (*harness.
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Validate locally first: the suite must be registered here anyway
-	// for the local merge, and early errors beat round-trips.
+	// Validate and derive the merge's corpus and suite before submitting:
+	// early errors beat round-trips, and a generation failure surfaces
+	// before any shard is leased.
 	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	corpus, err := corpusFor(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	tools, err := BuildSuite(spec.Suite)
+	if err != nil {
 		return nil, err
 	}
 
@@ -57,22 +67,14 @@ func (cl *Client) RunCampaign(ctx context.Context, spec CampaignSpec) (*harness.
 		return nil, err
 	}
 	if st.State == "failed" {
-		// The coordinator's merge already shaped this error (for policy
-		// aborts it is the underlying fault text); pass it through
-		// verbatim so distributed failures read exactly like local ones.
+		// For policy aborts the coordinator's error is the underlying
+		// fault text (harness.AbortError); pass it through verbatim so
+		// distributed failures read exactly like local ones.
 		return nil, errors.New(st.Error)
 	}
 
 	var cells [][]harness.CellResult
 	if _, err := httpJSON(ctx, http.DefaultClient, http.MethodGet, cl.Base+"/dist/v1/campaigns/"+st.ID+"/cells", nil, &cells); err != nil {
-		return nil, err
-	}
-	corpus, err := corpusFor(spec.Workload)
-	if err != nil {
-		return nil, err
-	}
-	tools, err := BuildSuite(spec.Suite)
-	if err != nil {
 		return nil, err
 	}
 	return harness.MergeShards(corpus, tools, cells, spec.Options.Degraded)

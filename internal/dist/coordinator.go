@@ -67,7 +67,7 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 		shardsCompleted:  reg.Counter("vd_dist_shards_completed_total", "shards reported and accepted"),
 		shardsReassigned: reg.Counter("vd_dist_shards_reassigned_total", "shards requeued after worker loss or execution failure"),
 		campSubmitted:    reg.Counter("vd_dist_campaigns_submitted_total", "campaigns accepted"),
-		campCompleted:    reg.Counter("vd_dist_campaigns_completed_total", "campaigns merged successfully"),
+		campCompleted:    reg.Counter("vd_dist_campaigns_completed_total", "campaigns whose every shard reported without a policy abort"),
 		campFailed:       reg.Counter("vd_dist_campaigns_failed_total", "campaigns that failed (policy abort, reassignment exhaustion, shutdown)"),
 		shardSeconds:     reg.Histogram("vd_dist_shard_seconds", "shard turnaround from lease to accepted report", 0.01, 0.1, 0.5, 1, 5, 30, 120),
 	}
@@ -75,11 +75,10 @@ func newCoordMetrics(reg *telemetry.Registry) coordMetrics {
 
 // shardState tracks one shard through pending → assigned → done.
 type shardState struct {
-	camp  *campaignState
-	index int // position in the campaign's shard list
-	lo    int
-	hi    int
-	key   string
+	camp *campaignState
+	lo   int
+	hi   int
+	key  string
 
 	state      string // "pending", "assigned", "done"
 	worker     string
@@ -93,18 +92,18 @@ type campaignState struct {
 	id     string
 	spec   CampaignSpec
 	nTools int
-	nCases int
 
 	shards     []*shardState
 	shardByKey map[string]*shardState
 	remaining  int
 
-	// shardCells is indexed [shard][tool][case-lo] and filled by reports.
-	shardCells [][][]harness.CellResult
+	// cells is the full [tool][case] grid, allocated by the first
+	// accepted report and filled in by every report while the campaign
+	// runs; the campaign's only copy of its cells, dropped if it fails.
+	cells [][]harness.CellResult
 
 	state string // "running", "done", "failed"
 	err   error
-	cells [][]harness.CellResult // assembled full grid, set when done
 	done  chan struct{}
 }
 
@@ -116,8 +115,10 @@ type workerState struct {
 }
 
 // Coordinator shards submitted campaigns over registered workers and
-// merges the reported cells into Campaigns byte-identical to local runs.
-// All methods are safe for concurrent use.
+// stitches the reported cells into each campaign's full cell grid, which
+// clients merge into Campaigns byte-identical to local runs. It never
+// generates a corpus and never merges. All methods are safe for
+// concurrent use.
 type Coordinator struct {
 	opts    CoordinatorOptions
 	metrics coordMetrics
@@ -324,6 +325,7 @@ func (c *Coordinator) failCampaignLocked(camp *campaignState, err error) {
 	}
 	camp.state = "failed"
 	camp.err = err
+	camp.cells = nil
 	keep := c.pending[:0]
 	for _, st := range c.pending {
 		if st.camp == camp {
@@ -338,7 +340,8 @@ func (c *Coordinator) failCampaignLocked(camp *campaignState, err error) {
 }
 
 // Submit validates and enqueues a campaign, returning its ID. Shards are
-// derived deterministically from the spec and corpus size.
+// derived deterministically from the spec alone; the suite is built once,
+// for the tool count every report's geometry is checked against.
 func (c *Coordinator) Submit(spec CampaignSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
@@ -347,11 +350,7 @@ func (c *Coordinator) Submit(spec CampaignSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	corpus, err := corpusFor(spec.Workload)
-	if err != nil {
-		return "", err
-	}
-	ranges := spec.shardRanges(len(corpus.Cases))
+	ranges := spec.shardRanges()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -363,17 +362,14 @@ func (c *Coordinator) Submit(spec CampaignSpec) (string, error) {
 		id:         fmt.Sprintf("c-%06d", c.nextCampaign),
 		spec:       spec,
 		nTools:     len(tools),
-		nCases:     len(corpus.Cases),
 		shardByKey: map[string]*shardState{},
 		remaining:  len(ranges),
-		shardCells: make([][][]harness.CellResult, len(ranges)),
 		state:      "running",
 		done:       make(chan struct{}),
 	}
-	for i, r := range ranges {
+	for _, r := range ranges {
 		st := &shardState{
 			camp:  camp,
-			index: i,
 			lo:    r.lo,
 			hi:    r.hi,
 			key:   spec.ShardKey(r.lo, r.hi),
@@ -504,17 +500,25 @@ func (c *Coordinator) Report(workerID, campaignID, key string, lease uint64, cel
 		return err
 	}
 	st.state = "done"
-	camp.shardCells[st.index] = cells
 	camp.remaining--
-	finished := camp.remaining == 0 && camp.state == "running"
 	c.metrics.shardsAssigned.Add(-1)
 	c.metrics.shardsCompleted.Inc()
 	c.metrics.shardSeconds.Observe(c.now().Sub(st.assignedAt).Seconds())
-	c.mu.Unlock()
-
-	if finished {
-		c.finalize(camp)
+	if camp.state == "running" {
+		if camp.cells == nil {
+			camp.cells = make([][]harness.CellResult, camp.nTools)
+			for t := range camp.cells {
+				camp.cells[t] = make([]harness.CellResult, camp.spec.Workload.Services)
+			}
+		}
+		for t, row := range cells {
+			copy(camp.cells[t][st.lo:st.hi], row)
+		}
+		if camp.remaining == 0 {
+			c.finishLocked(camp)
+		}
 	}
+	c.mu.Unlock()
 	return nil
 }
 
@@ -531,56 +535,19 @@ func (c *Coordinator) checkShardShape(camp *campaignState, st *shardState, cells
 	return nil
 }
 
-// finalize assembles the full cell grid and runs the canonical merge,
-// whose error (a policy abort) fails the campaign. Runs outside the
-// coordinator lock; shard grids are immutable once reported, and the
-// publishing step re-checks the campaign is still running (Close may
-// have failed it concurrently).
-func (c *Coordinator) finalize(camp *campaignState) {
-	cells, err := assemble(camp)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if camp.state != "running" {
+// finishLocked ends a campaign whose every shard has reported. The
+// coordinator does not merge — clients run harness.MergeShards on the
+// grid themselves — but it applies the abort rule (harness.AbortError),
+// so an abort-policy campaign reports failed with the fault a local run
+// aborts on.
+func (c *Coordinator) finishLocked(camp *campaignState) {
+	if err := harness.AbortError(camp.cells, camp.spec.Options.Degraded); err != nil {
+		c.failCampaignLocked(camp, err)
 		return
 	}
-	if err != nil {
-		camp.state = "failed"
-		camp.err = err
-		c.metrics.campFailed.Inc()
-	} else {
-		camp.state = "done"
-		camp.cells = cells
-		c.metrics.campCompleted.Inc()
-	}
+	camp.state = "done"
+	c.metrics.campCompleted.Inc()
 	close(camp.done)
-}
-
-// assemble regenerates corpus and tools, stitches the shard grids into
-// the full [tool][case] grid and applies the canonical MergeShards fold,
-// keeping only its error: clients merge the grid themselves.
-func assemble(camp *campaignState) ([][]harness.CellResult, error) {
-	corpus, err := corpusFor(camp.spec.Workload)
-	if err != nil {
-		return nil, err
-	}
-	tools, err := BuildSuite(camp.spec.Suite)
-	if err != nil {
-		return nil, err
-	}
-	full := make([][]harness.CellResult, camp.nTools)
-	for t := range full {
-		full[t] = make([]harness.CellResult, camp.nCases)
-	}
-	for i, st := range camp.shards {
-		for t, row := range camp.shardCells[i] {
-			copy(full[t][st.lo:st.hi], row)
-		}
-	}
-	if _, err := harness.MergeShards(corpus, tools, full, camp.spec.Options.Degraded); err != nil {
-		return nil, err
-	}
-	return full, nil
 }
 
 // CampaignStatus is the wire description of a campaign's progress.
@@ -634,8 +601,8 @@ func (c *Coordinator) WaitStatus(ctx context.Context, id string) (CampaignStatus
 	return c.statusLocked(camp), nil
 }
 
-// Cells returns the assembled full [tool][case] grid of a completed
-// campaign, for clients that run the canonical merge locally.
+// Cells returns the full [tool][case] grid of a completed campaign, for
+// clients that run the canonical merge locally.
 func (c *Coordinator) Cells(id string) ([][]harness.CellResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

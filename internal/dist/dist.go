@@ -6,26 +6,31 @@
 // The design leans on three existing invariants rather than inventing
 // new machinery:
 //
-//   - Corpora are pure functions of workload.Config, so the coordinator
-//     never ships cases over the wire — a shard is just a case range
-//     [lo, hi) plus the config, and every party regenerates the corpus
-//     locally (through a small content-addressed cache).
+//   - Corpora are pure functions of workload.Config, so no case crosses
+//     the wire — a shard is just a case range [lo, hi) plus the config.
+//     Workers (to execute) and the client (to merge) generate the corpus
+//     locally through a small content-addressed cache; the coordinator
+//     never does, since a config of n services always yields n cases.
 //   - The harness pre-splits per-(tool, case) RNG streams over the FULL
 //     corpus in serial order (harness.RunShardCtx), so a shard executed
 //     on a remote worker draws exactly what a local run would.
-//   - The merge folds cells in (tool, case) order (harness.MergeShards),
-//     so which process produced a cell is invisible in the output, and
-//     the degraded policy — including abort, with its error text — is
-//     applied over the assembled grid exactly as serial execution would.
+//   - The client's harness.MergeShards is the only merge. It folds cells
+//     in (tool, case) order, so which process produced a cell is
+//     invisible in the output, and applies the degraded policy exactly
+//     as serial execution would.
 //
 // The protocol is stdlib HTTP+JSON: workers register with the
 // coordinator, heartbeat, pull content-addressed shards (a pull parks on
 // the coordinator until a shard is pending), execute them under the
-// fault-tolerant engine and report the raw CellResult records back. A
-// worker that stops heartbeating has its shards deterministically
-// reassigned, at most three times per shard before the campaign fails;
-// a shard reported under a stale lease is politely discarded — by
-// determinism the surviving execution is byte-identical anyway.
+// fault-tolerant engine and report the raw CellResult records back. The
+// coordinator holds scheduling state and one stitched [tool][case] grid
+// per campaign; it checks each report's geometry and applies the abort
+// rule (harness.AbortError), so an abort-policy campaign reports failed
+// with the local error text. A worker that stops heartbeating has its
+// shards deterministically reassigned, at most three times per shard
+// before the campaign fails; a shard reported under a stale lease is
+// politely discarded — by determinism the surviving execution is
+// byte-identical anyway.
 //
 // This package is part of the deterministic set checked by
 // internal/vdlint: non-test code never reads the wall clock directly
@@ -47,7 +52,7 @@ import (
 
 // DefaultShardCases is the shard granularity used when a spec leaves
 // ShardCases zero: small enough to spread a quick campaign over a few
-// workers, large enough to amortise per-shard corpus regeneration.
+// workers, large enough to amortise per-shard scheduling and reporting.
 const DefaultShardCases = 32
 
 // Sentinel errors of the distributed layer.
@@ -76,8 +81,9 @@ var (
 
 // CampaignSpec is the wire description of one distributed campaign. The
 // corpus itself never crosses the wire: Workload is the generation
-// config, and every party (workers for execution, coordinator and client
-// for the merge) regenerates the corpus deterministically from it.
+// config, from which workers (for execution) and the client (for the
+// merge) generate the corpus deterministically. The coordinator reads
+// only its service count, which is the corpus's case count.
 type CampaignSpec struct {
 	// Workload is the corpus generation config.
 	Workload workload.Config `json:"workload"`
@@ -95,13 +101,14 @@ type CampaignSpec struct {
 	ShardCases int `json:"shard_cases"`
 }
 
-// Validate reports whether the spec is usable: a generatable workload, a
-// registered suite, valid execution options and a sane shard size.
+// Validate reports whether the spec is usable: a valid workload config,
+// a registered suite name, valid execution options and a sane shard
+// size. It builds neither corpus nor suite.
 func (s CampaignSpec) Validate() error {
 	if err := s.Workload.Validate(); err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
-	if _, err := BuildSuite(s.Suite); err != nil {
+	if _, err := lookupSuite(s.Suite); err != nil {
 		return err
 	}
 	if err := s.Options.Validate(); err != nil {
@@ -146,11 +153,12 @@ func (s CampaignSpec) ShardKey(lo, hi int) string {
 // shardRange is one shard's half-open case range.
 type shardRange struct{ lo, hi int }
 
-// shardRanges splits n cases into consecutive ranges of the spec's shard
-// size. The split depends only on (n, shardCases), so every party
-// derives identical shard sets.
-func (s CampaignSpec) shardRanges(n int) []shardRange {
-	size := s.shardCases()
+// shardRanges splits the corpus's cases into consecutive ranges of the
+// spec's shard size. workload.Generate yields exactly Workload.Services
+// cases, so the split needs no corpus and every party derives identical
+// shard sets.
+func (s CampaignSpec) shardRanges() []shardRange {
+	n, size := s.Workload.Services, s.shardCases()
 	var out []shardRange
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
@@ -162,10 +170,10 @@ func (s CampaignSpec) shardRanges(n int) []shardRange {
 	return out
 }
 
-// corpusCacheSize bounds the process-local corpus cache. Coordinators,
-// in-process workers and merging clients share it, so one campaign's
-// corpus is generated once per process no matter how many shards touch
-// it — concurrent misses on one config collapse onto one generation.
+// corpusCacheSize bounds the process-local corpus cache. Workers and
+// merging clients in one process share it, so one campaign's corpus is
+// generated once per process no matter how many shards touch it —
+// concurrent misses on one config collapse onto one generation.
 const corpusCacheSize = 4
 
 var corpusCache = memo.New[string, *workload.Corpus](corpusCacheSize, nil)

@@ -516,10 +516,29 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{Workload: testWorkload(1), Suite: "standard", ShardCases: -1},
 		{Workload: testWorkload(1), Suite: "standard", Options: harness.Options{PerToolTimeout: -time.Second}},
 	}
+	for _, k := range []svclang.SinkKind{0, 99} {
+		w := testWorkload(1)
+		w.Kinds = []svclang.SinkKind{k}
+		cases = append(cases, CampaignSpec{Workload: w, Suite: "standard"})
+	}
 	for i, spec := range cases {
 		if _, err := coord.Submit(spec); err == nil {
 			t.Errorf("case %d: bad spec accepted", i)
 		}
+	}
+
+	// Over the wire an unknown sink kind is a 400 at Submit, never an
+	// accepted campaign whose shards no worker can generate.
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	body := `{"Workload":{"Services":4,"TargetPrevalence":0.5,"Kinds":[99],"Seed":1},"Suite":"standard"}`
+	resp, err := http.Post(srv.URL+"/dist/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST with kind 99: status %d, want %d", resp.StatusCode, http.StatusBadRequest)
 	}
 }
 
@@ -755,5 +774,123 @@ func TestDistributedOracleCacheCounters(t *testing.T) {
 	}
 	if probes != 0 {
 		t.Fatalf("distributed run executed %d fresh probes; every derivation should have been cached", probes)
+	}
+}
+
+// TestCoordinatorGeneratesNoCorpus drives one campaign through the
+// coordinator by hand — Submit, Pull, Report, Cells — with the shard
+// reports executed on a corpus from workload.Generate, and requires the
+// process-local corpus cache to record no miss: the coordinator derives
+// shard ranges from the spec alone and never generates a corpus.
+func TestCoordinatorGeneratesNoCorpus(t *testing.T) {
+	saved := corpusCache
+	corpusCache = memo.New[string, *workload.Corpus](corpusCacheSize, nil)
+	defer func() { corpusCache = saved }()
+
+	const seed = 13
+	wcfg := testWorkload(seed)
+	spec := CampaignSpec{Workload: wcfg, Suite: "standard", Options: harness.Options{Seed: seed}, ShardCases: 4}
+	corpus, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tools, err := detectors.StandardSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord := NewCoordinator(CoordinatorOptions{})
+	defer coord.Close()
+	id, err := coord.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := coord.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, err := coord.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "running" {
+			break
+		}
+		asn, ok, err := coord.Pull(context.Background(), w)
+		if err != nil || !ok {
+			t.Fatalf("pull: ok=%v err=%v", ok, err)
+		}
+		cells, err := harness.RunShardCtx(context.Background(), corpus, tools, spec.Options, asn.Lo, asn.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Report(w, asn.Campaign, asn.Key, asn.Lease, cells, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells, err := coord.Cells(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != len(tools) || len(cells[0]) != len(corpus.Cases) {
+		t.Fatalf("cell grid is %dx%d, want %dx%d", len(cells), len(cells[0]), len(tools), len(corpus.Cases))
+	}
+	if hits, misses, _ := corpusCache.Stats(); misses != 0 {
+		t.Fatalf("corpus cache recorded %d misses / %d hits; the coordinator must generate no corpus", misses, hits)
+	}
+}
+
+// TestCoordinatorAbortStatusMatchesLocal reads an abort-policy campaign's
+// status over raw HTTP: the coordinator itself, not only the client,
+// must report it failed with exactly the local harness.RunCtx abort text.
+func TestCoordinatorAbortStatusMatchesLocal(t *testing.T) {
+	const seed = 9
+	wcfg := testWorkload(seed)
+	suite, buildLocal := registerFaultySuite(t, faulty.Config{Mode: faulty.ModePanic, Rate: 0.2, Seed: seed})
+	opts := harness.Options{Seed: seed, Workers: 2, Degraded: harness.DegradedAbort}
+
+	corpus, err := workload.Generate(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, localErr := harness.RunCtx(context.Background(), corpus, buildLocal(), opts)
+	if localErr == nil {
+		t.Fatal("expected the local abort-policy run to fail")
+	}
+
+	_, srv := startCluster(t, CoordinatorOptions{}, 2)
+	body, err := json.Marshal(CampaignSpec{Workload: wcfg, Suite: suite, Options: opts, ShardCases: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/dist/v1/campaigns", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, decode error %v", resp.StatusCode, err)
+	}
+
+	var st CampaignStatus
+	for st.State == "" || st.State == "running" {
+		resp, err := http.Get(srv.URL + "/dist/v1/campaigns/" + sub.ID + "?wait=30s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status: %d, decode error %v", resp.StatusCode, err)
+		}
+	}
+	if st.State != "failed" {
+		t.Fatalf("abort-policy campaign ended %q, want failed", st.State)
+	}
+	if st.Error != localErr.Error() {
+		t.Fatalf("coordinator status error diverged from the local abort:\nlocal: %s\ncoord: %s", localErr, st.Error)
 	}
 }

@@ -53,11 +53,9 @@ func RegisterSuite(name string, build func() ([]detectors.Tool, error)) error {
 // caches, fault injectors), so instances are never shared across
 // campaigns.
 func BuildSuite(name string) ([]detectors.Tool, error) {
-	suiteMu.Lock()
-	build, ok := suiteReg[name]
-	suiteMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown suite %q (registered: %v)", name, Suites())
+	build, err := lookupSuite(name)
+	if err != nil {
+		return nil, err
 	}
 	tools, err := build()
 	if err != nil {
@@ -67,6 +65,17 @@ func BuildSuite(name string) ([]detectors.Tool, error) {
 		return nil, fmt.Errorf("dist: suite %q built no tools", name)
 	}
 	return tools, nil
+}
+
+// lookupSuite returns the named suite's builder without building it.
+func lookupSuite(name string) (func() ([]detectors.Tool, error), error) {
+	suiteMu.Lock()
+	build, ok := suiteReg[name]
+	suiteMu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("dist: unknown suite %q (registered: %v)", name, Suites())
+	}
+	return build, nil
 }
 
 // Suites lists the registered suite names in sorted order.

@@ -80,11 +80,11 @@ func waitCtx(ctx context.Context, d time.Duration) {
 }
 
 // Run joins the coordinator and processes shards until ctx is cancelled,
-// which is the normal way to stop a worker (Run then returns nil). The
-// worker re-registers whenever the coordinator reports its registration
-// expired (it was presumed lost and its shards reassigned); by
-// determinism any work it reports under a stale lease is discarded
-// without harm.
+// the only way to stop a worker: Run returns only then, and always
+// returns nil. The worker re-registers whenever the coordinator reports
+// its registration expired (it was presumed lost and its shards
+// reassigned); by determinism any work it reports under a stale lease is
+// discarded without harm.
 func (wk *Worker) Run(ctx context.Context) error {
 	defer wk.registered.Store(false)
 	for {

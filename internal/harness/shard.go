@@ -29,9 +29,9 @@ import (
 // they would draw in a local full-corpus run.
 //
 // Unlike RunCtx, a cell fault is never fatal here: the worker always
-// records it and ships it home, and the coordinator applies the
-// degraded policy (including abort) over the assembled full grid in
-// MergeShards — that is what keeps the abort error deterministic no
+// records it and ships it home, and the degraded policy (including
+// abort) is applied over the assembled full grid by MergeShards and
+// AbortError — that is what keeps the abort error deterministic no
 // matter how cases were sharded. opts.Degraded is therefore ignored.
 // Cancelling ctx aborts the shard at the next cell boundary.
 func RunShardCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool, opts Options, lo, hi int) ([][]CellResult, error) {
@@ -56,10 +56,8 @@ func RunShardCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors
 // the same corpus, tools and seed: the merge is the same fold, in the
 // same order, over the same records.
 //
-// Under DegradedAbort the merge fails with the fault of the earliest
-// failed cell in (tool, case) order — the fault serial execution would
-// have aborted on — reconstructing the underlying error text when the
-// record crossed a process boundary.
+// Under DegradedAbort the merge fails with AbortError, reconstructing
+// the underlying error text when the record crossed a process boundary.
 func MergeShards(corpus *workload.Corpus, tools []detectors.Tool, cells [][]CellResult, policy DegradedPolicy) (*Campaign, error) {
 	if err := validate(corpus, tools); err != nil {
 		return nil, err
@@ -88,14 +86,27 @@ func MergeShards(corpus *workload.Corpus, tools []detectors.Tool, cells [][]Cell
 			}
 		}
 	}
-	if policy == DegradedAbort {
-		for t := range cells {
-			for c := range cells[t] {
-				if f := cells[t][c].Fault; f != nil {
-					return nil, f.Underlying()
-				}
+	if err := AbortError(cells, policy); err != nil {
+		return nil, err
+	}
+	return mergeCampaign(corpus, tools, cells, nil, policy), nil
+}
+
+// AbortError is the error the degraded policy fails a campaign over the
+// full [tool][case] grid with: under DegradedAbort the fault of the
+// earliest failed cell in (tool, case) order — the fault serial
+// execution would have aborted on — and nil under every other policy or
+// when no cell failed.
+func AbortError(cells [][]CellResult, policy DegradedPolicy) error {
+	if policy != DegradedAbort {
+		return nil
+	}
+	for t := range cells {
+		for c := range cells[t] {
+			if f := cells[t][c].Fault; f != nil {
+				return f.Underlying()
 			}
 		}
 	}
-	return mergeCampaign(corpus, tools, cells, nil, policy), nil
+	return nil
 }

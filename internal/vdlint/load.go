@@ -87,9 +87,6 @@ type Package struct {
 	level     int        // 0-based topological level
 }
 
-// IsTest reports whether the unit carries test files.
-func (p *Package) IsTest() bool { return p.Kind != UnitPrimary }
-
 // Program is the loaded module: every unit, sharing one FileSet.
 type Program struct {
 	// ModulePath is the module path from go.mod.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/dsn2015/vdbench/internal/stats"
@@ -131,6 +132,11 @@ func (c Config) Validate() error {
 	}
 	if c.TargetPrevalence < 0 || c.TargetPrevalence > 1 {
 		return fmt.Errorf("workload: target prevalence %g out of [0,1]", c.TargetPrevalence)
+	}
+	for _, k := range c.Kinds {
+		if !slices.Contains(svclang.AllSinkKinds(), k) {
+			return fmt.Errorf("workload: unknown sink kind %d", int(k))
+		}
 	}
 	mix := c.Mix
 	if mix == (DifficultyMix{}) {

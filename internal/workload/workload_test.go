@@ -257,6 +257,20 @@ func TestDefaultMixValid(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsUnknownKinds keeps an out-of-range sink kind from
+// reaching template selection, which has no template to draw for it.
+func TestConfigRejectsUnknownKinds(t *testing.T) {
+	for _, k := range []svclang.SinkKind{0, 99, -1} {
+		cfg := Config{Services: 3, TargetPrevalence: 0.5, Kinds: []svclang.SinkKind{svclang.SinkSQL, k}, Seed: 1}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("kind %d: Validate accepted it", int(k))
+		}
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("kind %d: Generate accepted it", int(k))
+		}
+	}
+}
+
 func TestErrLabelMismatchIsTyped(t *testing.T) {
 	// Synthesize a mismatch by corrupting a template copy; the exported
 	// error must be matchable with errors.Is through the wrap.
