@@ -12,7 +12,6 @@
 //	vdbench -format csv e5  # CSV output for downstream plotting
 //	vdbench -seed 7 -services 1000 e3
 //	vdbench -workers 8 e3   # campaign worker pool; output is identical
-//	vdbench -tool-timeout 2s -retries 1 -degraded skip e18
 //	vdbench -distributed http://127.0.0.1:8344 e3
 //	                        # run the campaign on a vdserved -coordinator
 //	                        # worker fleet; output is byte-identical
@@ -32,7 +31,6 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/dsn2015/vdbench"
 )
@@ -47,19 +45,15 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vdbench", flag.ContinueOnError)
 	var (
-		quick        = fs.Bool("quick", false, "use the reduced smoke-run configuration")
-		seed         = fs.Uint64("seed", 0, "override the experiment seed (0 = keep default)")
-		services     = fs.Int("services", 0, "override the campaign corpus size (0 = keep default)")
-		workers      = fs.Int("workers", runtime.GOMAXPROCS(0), "campaign worker-pool size (output is identical for every value)")
-		toolTimeout  = fs.Duration("tool-timeout", 0, "per-tool deadline for each campaign case (0 = none, otherwise >= 1s)")
-		retries      = fs.Int("retries", 0, "extra attempts for tool errors marked retryable")
-		retryBackoff = fs.Duration("retry-backoff", 0, "wait before the first retry (doubles per retry)")
-		degraded     = fs.String("degraded", "abort", "policy for cases a tool failed on: abort, skip or count-miss")
-		format       = fs.String("format", "text", "output format: text, csv, markdown or json (tables only for csv/markdown)")
-		outDir       = fs.String("out", "", "also write per-experiment artefacts (.txt, .csv, .svg) into this directory")
-		list         = fs.Bool("list", false, "list the available experiments and exit")
-		distributed  = fs.String("distributed", "", "coordinator base URL; runs the benchmark campaign on its worker fleet (output is byte-identical to a local run)")
-		shardCases   = fs.Int("shard-cases", 0, "corpus cases per distributed shard (0 = coordinator default; only with -distributed)")
+		quick       = fs.Bool("quick", false, "use the reduced smoke-run configuration")
+		seed        = fs.Uint64("seed", 0, "override the experiment seed (0 = keep default)")
+		services    = fs.Int("services", 0, "override the campaign corpus size (0 = keep default)")
+		workers     = fs.Int("workers", runtime.GOMAXPROCS(0), "campaign worker-pool size (output is identical for every value)")
+		format      = fs.String("format", "text", "output format: text, csv, markdown or json (tables only for csv/markdown)")
+		outDir      = fs.String("out", "", "also write per-experiment artefacts (.txt, .csv, .svg) into this directory")
+		list        = fs.Bool("list", false, "list the available experiments and exit")
+		distributed = fs.String("distributed", "", "coordinator base URL; runs the benchmark campaign on its worker fleet (output is byte-identical to a local run)")
+		shardCases  = fs.Int("shard-cases", 0, "corpus cases per distributed shard (0 = coordinator default; only with -distributed)")
 	)
 	fs.SetOutput(out)
 	fs.Usage = func() {
@@ -83,24 +77,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *workers <= 0 {
 		return fmt.Errorf("-workers must be positive, got %d (campaign output is identical for every positive value)", *workers)
 	}
-	// Reject bad execution-policy flags here, with flag vocabulary, rather
-	// than letting them surface as harness errors deep inside the first
-	// campaign.
-	if *retryBackoff < 0 {
-		return fmt.Errorf("-retry-backoff must be non-negative, got %v", *retryBackoff)
-	}
-	if *toolTimeout < 0 || (*toolTimeout > 0 && *toolTimeout < time.Second) {
-		return fmt.Errorf("-tool-timeout must be 0 (disabled) or at least 1s, got %v (a tighter deadline would make results hardware-dependent)", *toolTimeout)
-	}
 	if *shardCases < 0 {
 		return fmt.Errorf("-shard-cases must be non-negative, got %d", *shardCases)
 	}
 	if *shardCases > 0 && *distributed == "" {
 		return fmt.Errorf("-shard-cases only applies with -distributed")
-	}
-	policy, err := vdbench.ParseDegradedPolicy(*degraded)
-	if err != nil {
-		return err
 	}
 	cfg := vdbench.DefaultExperimentConfig()
 	if *quick {
@@ -113,9 +94,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.Services = *services
 	}
 	cfg.Workers = *workers
-	cfg.PerToolTimeout = *toolTimeout
-	cfg.Retry = vdbench.RetryPolicy{MaxRetries: *retries, Backoff: *retryBackoff}
-	cfg.Degraded = policy
 	target := strings.ToLower(fs.Arg(0))
 
 	// Ctrl-C aborts the campaign at its next (tool, case) cell rather

@@ -48,9 +48,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-workers", "-2"},
 		{"positional"},
 		{"-addr", "not a real:address:at:all"},
-		{"-retry-backoff", "-1s"},                        // negative backoff
-		{"-tool-timeout", "-1s"},                         // negative deadline
-		{"-tool-timeout", "10ms"},                        // below the 1s floor
 		{"-coordinator", "-worker", "-join", "http://x"}, // mutually exclusive modes
 		{"-worker"},                                      // -worker without -join
 		{"-join", "http://x"},                            // -join without -worker
@@ -62,6 +59,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		var out syncWriter
 		if err := run(context.Background(), args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunRejectsExecutionPolicyFlags: experiments carry no execution
+// policy, so the flags that once set one are undefined.
+func TestRunRejectsExecutionPolicyFlags(t *testing.T) {
+	for _, flag := range []string{"-tool-timeout=30s", "-retries=1", "-retry-backoff=1ms", "-degraded=skip"} {
+		var out syncWriter
+		err := run(context.Background(), []string{flag}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
 		}
 	}
 }
@@ -318,14 +327,11 @@ func TestRunRejectsDataDirInDistModes(t *testing.T) {
 }
 
 // daemonBaseQuick reconstructs the exact base configuration run() builds
-// for "-quick" with default execution flags, so tests can reproduce the
-// daemon's campaigns in-process for byte comparison.
+// for "-quick", so tests can reproduce the daemon's campaigns in-process
+// for byte comparison.
 func daemonBaseQuick() vdbench.ExperimentConfig {
 	cfg := vdbench.QuickExperimentConfig()
 	cfg.Workers = 0
-	cfg.PerToolTimeout = 0
-	cfg.Retry = vdbench.RetryPolicy{}
-	cfg.Degraded = vdbench.DegradedAbort
 	return cfg
 }
 

@@ -132,8 +132,8 @@ func (s CampaignSpec) shardCases() int {
 // spec's output-affecting fields and the case range, in the canonical
 // encoding style of experiments.CacheKey (%.17g floats, fixed field
 // order). Operational knobs (Workers, PerToolTimeout, Retry.Backoff)
-// are excluded for the same reason they are excluded from experiment
-// cache keys: the byte-identity guarantee makes them output-invariant.
+// are excluded, as Workers is from experiment cache keys: the
+// byte-identity guarantee makes them output-invariant.
 // Retry.MaxRetries and Degraded stay in — under injected faults a retry
 // budget decides whether a cell succeeds, and the policy decides what
 // the merge does with it.

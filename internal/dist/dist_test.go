@@ -572,6 +572,42 @@ func TestCoordinatorReadiness(t *testing.T) {
 	}
 }
 
+// TestWorkerReadinessFollowsCoordinator: a worker reads ready once it is
+// registered and turns not ready within a few heartbeat intervals of its
+// coordinator going away, rather than answering ready to a load balancer
+// while it cannot reach any coordinator.
+func TestWorkerReadinessFollowsCoordinator(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	coord := NewCoordinator(CoordinatorOptions{HeartbeatInterval: interval})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	wk := NewWorker(WorkerOptions{Join: srv.URL})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- wk.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	waitFor := func(want bool, within time.Duration) {
+		t.Helper()
+		deadline := time.Now().Add(within)
+		for wk.Ready() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker Ready() still %v after %v", !want, within)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor(true, 10*time.Second)
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	waitFor(false, 5*interval)
+}
+
 // TestSuiteRegistry covers the duplicate and unknown paths.
 func TestSuiteRegistry(t *testing.T) {
 	if err := RegisterSuite("standard", func() ([]detectors.Tool, error) { return nil, nil }); err == nil {

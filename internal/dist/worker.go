@@ -67,8 +67,9 @@ func NewWorker(opts WorkerOptions) *Worker {
 // Registry exposes the worker's metric registry (for /metrics).
 func (wk *Worker) Registry() *telemetry.Registry { return wk.opts.Registry }
 
-// Ready reports whether the worker currently holds a registration — the
-// readiness signal of a worker process.
+// Ready reports whether the worker holds a registration and its last
+// pull reached the coordinator — the readiness signal of a worker
+// process.
 func (wk *Worker) Ready() bool { return wk.registered.Load() }
 
 // waitCtx blocks for d or until ctx is cancelled — the same sanctioned
@@ -145,11 +146,14 @@ func (wk *Worker) heartbeatLoop(ctx context.Context, id string, interval time.Du
 // workLoop pulls and executes shards until ctx is cancelled or the
 // registration is lost; Run decides (via ctx) whether to re-register or
 // stop. Each pull parks on the coordinator until a shard is pending.
+// A pull the coordinator does not serve marks the worker not ready
+// until a pull or registration succeeds again.
 func (wk *Worker) workLoop(ctx context.Context, id string, interval time.Duration) {
 	url := wk.opts.Join + "/dist/v1/workers/" + id + "/pull"
 	for ctx.Err() == nil {
 		var pr PullResponse
 		status, err := httpJSON(ctx, wk.hc, http.MethodPost, url, nil, &pr)
+		wk.registered.Store(err == nil)
 		switch {
 		case status == http.StatusNotFound:
 			return // the registration expired: Run registers again

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/harness"
@@ -48,15 +47,6 @@ type Config struct {
 	// byte-identical for every value (see harness.RunCtx,
 	// Runner.e7Fractions).
 	Workers int
-	// PerToolTimeout, Retry and Degraded are the campaign execution
-	// policy (see harness.Options). Like Workers, they are operational
-	// knobs excluded from experiment cache keys: with well-behaved tools
-	// they cannot change any output. PerToolTimeout must be zero (no
-	// deadline, the default) or at least one second — a tight deadline
-	// could make results hardware-dependent while sharing a cache key.
-	PerToolTimeout time.Duration
-	Retry          harness.RetryPolicy
-	Degraded       harness.DegradedPolicy
 }
 
 // DefaultConfig returns the configuration used for the published numbers
@@ -112,25 +102,13 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count %d", c.Workers)
 	}
-	if c.PerToolTimeout != 0 && c.PerToolTimeout < time.Second {
-		return fmt.Errorf("experiments: PerToolTimeout %v below the 1s operational floor (a tight deadline would make cached results hardware-dependent)", c.PerToolTimeout)
-	}
-	if err := (harness.Options{PerToolTimeout: c.PerToolTimeout, Retry: c.Retry, Degraded: c.Degraded}).Validate(); err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
 	return c.Prop.Validate()
 }
 
 // execOptions assembles the harness execution options for this run's
 // campaigns.
 func (c Config) execOptions() harness.Options {
-	return harness.Options{
-		Seed:           c.Seed,
-		Workers:        c.Workers,
-		PerToolTimeout: c.PerToolTimeout,
-		Retry:          c.Retry,
-		Degraded:       c.Degraded,
-	}
+	return harness.Options{Seed: c.Seed, Workers: c.Workers}
 }
 
 // Result is one experiment's rendered output.

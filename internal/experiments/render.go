@@ -106,12 +106,8 @@ const cacheKeyVersion = "vdbench-experiment-v2"
 // byte-identical for every worker count (see harness.RunCtx,
 // Runner.e7Fractions) — so runs that differ only in their worker budget
 // share one key; that invariance is what makes memoising experiment
-// results sound. The execution-policy fields (PerToolTimeout, Retry,
-// Degraded) are excluded for the same reason: with the well-behaved
-// standard suite no cell ever fails, so the policy cannot reach any
-// output (Config.Validate pins PerToolTimeout to zero or >= 1s so a
-// deadline can never fire on a healthy tool). Every other Config field
-// must be folded in here (TestCacheKeyCoversEveryConfigField enforces
+// results sound. Workers is the only excluded field: every other Config
+// field must be folded in here (TestCacheKeyCoversEveryConfigField enforces
 // this by reflection). The hash starts with cacheKeyVersion, so a change
 // of the published numbers gets new keys.
 func CacheKey(id string, cfg Config) string {

@@ -15,24 +15,18 @@ import (
 
 // TestCacheKeyCoversEveryConfigField walks Config by reflection,
 // perturbs each numeric leaf in isolation, and demands that the cache
-// key changes — except for the worker budget (Workers) and the campaign
-// execution-policy fields (PerToolTimeout, Retry.*, Degraded), which the
-// outputs are provably invariant to: the
-// former because every layer is workers-deterministic, the latter because
-// no cell of the well-behaved standard suite ever fails, so the policy
-// for failed cells cannot reach any output. Adding a Config field without
-// folding it into CacheKey (or this exclusion list) fails this test
-// instead of silently serving stale cached results.
+// key changes — except for the worker budget (Workers), which the
+// outputs are provably invariant to because every layer is
+// workers-deterministic. Adding a Config field without folding it into
+// CacheKey (or this exclusion list) fails this test instead of silently
+// serving stale cached results.
 func TestCacheKeyCoversEveryConfigField(t *testing.T) {
 	cfg := DefaultConfig()
 	baseKey := CacheKey("e1", cfg)
 
 	// excluded reports the fields whose perturbation must NOT move the
-	// key: worker budgets and campaign execution policy.
-	excluded := func(name string) bool {
-		return name == "Workers" || name == "PerToolTimeout" || name == "Degraded" ||
-			strings.HasPrefix(name, "Retry.")
-	}
+	// key.
+	excluded := func(name string) bool { return name == "Workers" }
 
 	// The walk mutates cfg in place through the addressable value chain,
 	// one numeric leaf at a time, restoring it before moving on.
@@ -58,7 +52,7 @@ func TestCacheKeyCoversEveryConfigField(t *testing.T) {
 			key := CacheKey("e1", cfg)
 			if excluded(name) {
 				if key != baseKey {
-					t.Errorf("perturbing %s changed the key; worker budgets and execution policy must be excluded (output is invariant to them)", name)
+					t.Errorf("perturbing %s changed the key; the worker budget must be excluded (output is invariant to it)", name)
 				}
 			} else if key == baseKey {
 				t.Errorf("perturbing %s did NOT change the key; CacheKey is missing this field", name)

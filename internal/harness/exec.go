@@ -54,22 +54,6 @@ const (
 	DegradedCountMiss
 )
 
-// ParseDegradedPolicy maps the textual policy names ("abort", "skip",
-// "count-miss") onto policy values; both daemons' CLI flags accept
-// exactly this set.
-func ParseDegradedPolicy(s string) (DegradedPolicy, error) {
-	switch s {
-	case "abort", "":
-		return DegradedAbort, nil
-	case "skip":
-		return DegradedSkip, nil
-	case "count-miss":
-		return DegradedCountMiss, nil
-	default:
-		return 0, fmt.Errorf("harness: unknown degraded policy %q (want abort, skip or count-miss)", s)
-	}
-}
-
 // String implements fmt.Stringer.
 func (p DegradedPolicy) String() string {
 	switch p {

@@ -164,13 +164,36 @@ func TestWarmRestartServesCachedResults(t *testing.T) {
 	}
 }
 
-// TestReplayToleratesRetiredConfigFields: journals written before the
-// Interpreter and OracleExhaustive experiment-config fields and the
-// nested Prop.Workers were retired carry them in every submitted record.
-// Replay decodes configs with plain json.Unmarshal, which ignores
-// unknown fields, so such a job restores under its unchanged cache key
-// and serves its stored result.
+// TestReplayToleratesRetiredConfigFields: journals written before an
+// experiment-config field was retired carry it in every submitted
+// record — the Interpreter and OracleExhaustive switches and the nested
+// Prop.Workers, or the campaign execution policy (PerToolTimeout, Retry,
+// Degraded). Replay decodes configs with plain json.Unmarshal, which
+// ignores unknown fields, so such a job restores under its unchanged
+// cache key and serves its stored result.
 func TestReplayToleratesRetiredConfigFields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		old  func(cfg string) string
+	}{
+		{"interpreter-oracle-prop-workers", func(cfg string) string {
+			cfg = strings.Replace(cfg, `"Prop":{`, `"Prop":{"Workers":2,`, 1)
+			return strings.TrimSuffix(cfg, "}") + `,"Interpreter":true,"OracleExhaustive":true}`
+		}},
+		{"execution-policy", func(cfg string) string {
+			return strings.TrimSuffix(cfg, "}") +
+				`,"PerToolTimeout":30000000000,"Retry":{"MaxRetries":2,"Backoff":1000000},"Degraded":1}`
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { replayRetiredFields(t, tc.old) })
+	}
+}
+
+// replayRetiredFields finishes one job, rewrites its journal with old
+// applied to every submitted config, and requires a restart to restore
+// the job under its original key and serve its stored result without
+// running a campaign.
+func replayRetiredFields(t *testing.T, old func(cfg string) string) {
 	dir := t.TempDir()
 	cfg := quickCfg()
 
@@ -191,7 +214,7 @@ func TestReplayToleratesRetiredConfigFields(t *testing.T) {
 	first.Close()
 
 	// Rewrite the journal in the older format: the same records, with
-	// the retired fields appended to each submitted config.
+	// the retired fields added to each submitted config.
 	path := filepath.Join(dir, "journal.jsonl")
 	j, records, _, err := journal.Open(path)
 	if err != nil {
@@ -210,9 +233,7 @@ func TestReplayToleratesRetiredConfigFields(t *testing.T) {
 			if !strings.Contains(string(rec.Config), `"Prop":{`) {
 				t.Fatalf("submitted config %s has no Prop object", rec.Config)
 			}
-			old := strings.Replace(string(rec.Config), `"Prop":{`, `"Prop":{"Workers":2,`, 1)
-			old = strings.TrimSuffix(old, "}") + `,"Interpreter":true,"OracleExhaustive":true}`
-			rec.Config = json.RawMessage(old)
+			rec.Config = json.RawMessage(old(string(rec.Config)))
 		}
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)

@@ -99,7 +99,13 @@ type (
 	Validation = core.Validation
 	// Service is a workload program in the mini service language.
 	Service = svclang.Service
-	// ExperimentConfig parameterises the paper experiments E1-E18.
+	// ExperimentConfig parameterises the paper experiments E1-E18. It
+	// carries no execution policy: the experiments run the standard
+	// suite, which never fails a cell, so a policy could change an
+	// output only by a deadline firing on a loaded host, under a cache
+	// key that does not say so. E18 sets the policies of its
+	// fault-injected campaigns itself; library callers set theirs on
+	// CampaignOptions.
 	ExperimentConfig = experiments.Config
 	// ExperimentResult is one experiment's rendered tables and figures.
 	// It renders to text, CSV, Markdown or canonical JSON via Render.
@@ -247,13 +253,6 @@ func MarkRetryable(err error) error { return detectors.MarkRetryable(err) }
 // retryable via MarkRetryable.
 func IsRetryable(err error) bool { return detectors.IsRetryable(err) }
 
-// ParseDegradedPolicy maps the textual policy names ("abort", "skip",
-// "count-miss") onto DegradedPolicy values; both daemons' CLI flags
-// accept exactly this set.
-func ParseDegradedPolicy(s string) (DegradedPolicy, error) {
-	return harness.ParseDegradedPolicy(s)
-}
-
 // DefaultPropConfig returns the property-analysis configuration used by
 // the published experiment numbers.
 func DefaultPropConfig() PropConfig { return metricprop.DefaultConfig() }
@@ -311,9 +310,10 @@ func ResultFormats() []string { return experiments.Formats() }
 
 // ExperimentCacheKey returns the content address of an experiment run: a
 // SHA-256 over the experiment ID and every result-affecting field of the
-// configuration. Workers is excluded because experiment output is
-// byte-identical for every worker count (see RunCampaignCtx), which
-// is precisely the invariance that makes memoising results sound — the
+// configuration. Workers, the one field left out, is excluded because
+// experiment output is byte-identical for every worker count (see
+// RunCampaignCtx), which is precisely the invariance that makes
+// memoising results sound — the
 // serving layer (internal/service, cmd/vdserved) keys its result cache
 // and singleflight table on this.
 func ExperimentCacheKey(id string, cfg ExperimentConfig) string {
