@@ -94,7 +94,7 @@ func TestSolverFixpointOnGeneratedCFGs(t *testing.T) {
 func checkFixpoint(t *testing.T, tool *taintSAST, svc *svclang.Service) {
 	t.Helper()
 	g := cfg.Build(svc, cfg.Options{}) // loops tracked: the hard case for convergence
-	run := newDataflowRun(tool, g)
+	run := newDataflowRun(tool, svc.Name, g)
 	run.nextStore = make([]absVal, len(g.StoreKeys))
 	transfer := func(n int, in taintFact) taintFact {
 		return run.transfer(g.Blocks[n], in)

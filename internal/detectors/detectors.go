@@ -22,7 +22,9 @@ package detectors
 import (
 	"context"
 	"errors"
+	"slices"
 
+	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/stats"
 	"github.com/dsn2015/vdbench/internal/svclang"
 	"github.com/dsn2015/vdbench/internal/svclang/cfg"
@@ -116,6 +118,39 @@ type ExecEngineBindable interface {
 	// The receiver is not mutated (campaign-scoped binding must not leak
 	// into tools shared across campaigns).
 	WithExecEngine(eng *compile.Engine) Tool
+}
+
+// reportMemo memoises a deterministic tool's reports per service body
+// (svclang.Service.Digest) for one campaign. Only the campaign-bound
+// clones of the pentester and the taint analyser carry one: heur-ml
+// draws from its RNG stream, which differs per case, and grep-sast's
+// scan costs about what a digest and a lookup would.
+type reportMemo struct {
+	m       *memo.Cache[svclang.Digest, []Report]
+	analyze func(*svclang.Service) ([]Report, error) // the tool's own analysis
+}
+
+func newReportMemo(analyze func(*svclang.Service) ([]Report, error)) *reportMemo {
+	return &reportMemo{m: memo.New[svclang.Digest, []Report](0, nil), analyze: analyze}
+}
+
+// reports returns the reports of svc, whose digest is d, analysing only
+// the first service of each body. Every call gets a fresh copy naming
+// svc, so no caller sees another's name or can change what a later copy
+// gets. A memoised error is shared by every copy, so only analyses whose
+// errors do not name their service may be memoised: the pentester keys
+// only services its engine has validated, and the taint analyser never
+// fails on a service.
+func (rm *reportMemo) reports(d svclang.Digest, svc *svclang.Service) ([]Report, error) {
+	cached, _, err := rm.m.Do(d, func(svclang.Digest) ([]Report, error) { return rm.analyze(svc) })
+	if err != nil {
+		return nil, err
+	}
+	out := slices.Clone(cached)
+	for i := range out {
+		out[i].Service = svc.Name
+	}
+	return out, nil
 }
 
 // retryableError marks an error as transient: the execution engine may

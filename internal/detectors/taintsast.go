@@ -65,6 +65,10 @@ type taintSAST struct {
 	// options) across every cache-bound tool in a campaign. nil builds
 	// directly; reports are identical either way.
 	cache *cfg.Cache
+	// reports memoises the reports of each distinct service body on a
+	// campaign-bound clone (see WithCompileCache); nil on a constructed
+	// tool, which analyses every case.
+	reports *reportMemo
 }
 
 var _ Tool = (*taintSAST)(nil)
@@ -76,10 +80,13 @@ func NewTaintSAST(config TaintSASTConfig) Tool {
 	return &taintSAST{cfg: config}
 }
 
-// WithCompileCache implements CompileCacheable.
+// WithCompileCache implements CompileCacheable. The clone also
+// memoises its reports per service body, so a renamed copy of a body
+// reaches neither the cache nor the solver.
 func (t *taintSAST) WithCompileCache(cc *cfg.Cache) Tool {
 	clone := *t
 	clone.cache = cc
+	clone.reports = newReportMemo(clone.analyze)
 	return &clone
 }
 
@@ -257,17 +264,26 @@ func (taintLattice) Equal(a, b taintFact) bool {
 	return true
 }
 
-// Analyze implements Tool.
+// Analyze implements Tool. A campaign-bound tool analyses each distinct
+// body once.
 func (t *taintSAST) Analyze(cs workload.Case, _ *stats.RNG) ([]Report, error) {
 	svc := cs.Service
 	if svc == nil {
 		return nil, fmt.Errorf("detectors: %s: nil service", t.cfg.Name)
 	}
+	if t.reports == nil {
+		return t.analyze(svc)
+	}
+	return t.reports.reports(t.cache.Digest(svc), svc)
+}
+
+// analyze solves the taint dataflow of svc; it never fails.
+func (t *taintSAST) analyze(svc *svclang.Service) ([]Report, error) {
 	g := t.cache.Build(svc, cfg.Options{
 		PruneConstantBranches: t.cfg.PruneDeadBranches,
 		SkipLoops:             !t.cfg.TrackLoops,
 	})
-	run := newDataflowRun(t, g)
+	run := newDataflowRun(t, svc.Name, g)
 	// Stateful services need a second pass: a load in request N observes
 	// what request N-1 stored, so pass 2 reads the store image
 	// accumulated by pass 1. Within a pass the store snapshot is fixed
@@ -295,6 +311,7 @@ func (t *taintSAST) Analyze(cs workload.Case, _ *stats.RNG) ([]Report, error) {
 // dataflowRun is the per-analysis state shared across solver passes.
 type dataflowRun struct {
 	tool *taintSAST
+	name string // the analysed service's name; g may be a renamed copy's
 	g    *cfg.Graph
 	// found holds one report per flagged sink, in discovery order.
 	found []Report
@@ -313,9 +330,10 @@ type dataflowRun struct {
 
 var _ absSource = (*dataflowRun)(nil)
 
-func newDataflowRun(t *taintSAST, g *cfg.Graph) *dataflowRun {
+func newDataflowRun(t *taintSAST, name string, g *cfg.Graph) *dataflowRun {
 	return &dataflowRun{
 		tool:  t,
+		name:  name,
 		g:     g,
 		store: make([]absVal, len(g.StoreKeys)),
 	}
@@ -395,7 +413,7 @@ func (r *dataflowRun) transfer(blk *cfg.Block, in taintFact) taintFact {
 				}
 				if !slices.ContainsFunc(r.found, func(rep Report) bool { return rep.SinkID == v.ID }) {
 					r.found = append(r.found, Report{
-						Service:    r.g.Service.Name,
+						Service:    r.name,
 						SinkID:     v.ID,
 						Kind:       v.Kind,
 						Confidence: conf,

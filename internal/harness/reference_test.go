@@ -156,6 +156,15 @@ func refMergeCampaign(corpus *workload.Corpus, tools []detectors.Tool, execs [][
 func refRun(t *testing.T, corpus *workload.Corpus, tools []detectors.Tool, opts Options) (*Campaign, error) {
 	t.Helper()
 	tools = bindExecEngine(bindCompileCache(tools), compile.NewEngine())
+	cells, err := refCells(corpus, tools, opts)
+	if err != nil {
+		return nil, err
+	}
+	return refMergeCampaign(corpus, tools, cells, opts.Degraded), nil
+}
+
+// refCells runs refRun's cells on tools as given, bound or not.
+func refCells(corpus *workload.Corpus, tools []detectors.Tool, opts Options) ([][]CellResult, error) {
 	valid := refValidSinkSets(corpus)
 	cells := make([][]CellResult, len(tools))
 	for ti, tool := range tools {
@@ -184,7 +193,7 @@ func refRun(t *testing.T, corpus *workload.Corpus, tools []detectors.Tool, opts 
 			}
 		}
 	}
-	return refMergeCampaign(corpus, tools, cells, opts.Degraded), nil
+	return cells, nil
 }
 
 // refAttempt is one reference attempt under panic isolation.

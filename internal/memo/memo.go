@@ -60,7 +60,9 @@ func New[K comparable, V any](budget int64, cost func(V) int64) *Cache[K, V] {
 // pure function of its key. hit reports whether the entry already
 // existed; misses therefore always equal the number of insertions,
 // independent of scheduling. An entry evicted while its fill is still
-// running completes for every caller already waiting on it.
+// running completes for every caller already waiting on it. A fill that
+// panics memoises nothing: the panic reaches the caller that ran it, and
+// every caller waiting on that entry fills again.
 func (c *Cache[K, V]) Do(key K, fill func(K) (V, error)) (v V, hit bool, err error) {
 	c.mu.Lock()
 	e, hit := c.m[key]
@@ -85,9 +87,17 @@ func (c *Cache[K, V]) Do(key K, fill func(K) (V, error)) (v V, hit bool, err err
 		return e.val, hit, e.err
 	}
 	e.once.Do(func() {
+		defer func() {
+			if !e.done.Load() { // fill panicked
+				c.forget(key, e)
+			}
+		}()
 		e.val, e.err = fill(key)
 		e.done.Store(true)
 	})
+	if !e.done.Load() {
+		return c.Do(key, fill)
+	}
 	if !hit && c.budget > 0 && c.cost != nil {
 		// A priced entry is charged once its value exists.
 		cost := c.cost(e.val)
@@ -176,6 +186,20 @@ func (c *Cache[K, V]) track(key K, e *entry[K, V], cost int64) {
 	c.link(n)
 	c.total += cost
 	c.evict()
+}
+
+// forget removes e from the cache if key still maps to it.
+func (c *Cache[K, V]) forget(key K, e *entry[K, V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m[key] != e {
+		return
+	}
+	delete(c.m, key)
+	if e.node != nil {
+		c.unlink(e.node)
+		c.total -= e.node.cost
+	}
 }
 
 // evict removes least-recently-used entries until the tracked cost fits

@@ -236,3 +236,49 @@ func TestPricedDoChargesAfterFill(t *testing.T) {
 		t.Fatalf("Len = %d / %d, want 2 / 8", entries, cost)
 	}
 }
+
+// TestPanickingFillMemoisesNothing: a fill that panics reaches its own
+// caller, leaves no entry behind (bounded or not), and a caller that was
+// waiting on it fills again instead of reading a value nobody stored.
+func TestPanickingFillMemoisesNothing(t *testing.T) {
+	for _, budget := range []int64{0, 4} {
+		c := New[int, int](budget, nil)
+		started, release := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if recover() == nil {
+					t.Error("the filling caller did not see its panic")
+				}
+			}()
+			c.Do(1, func(int) (int, error) {
+				close(started)
+				<-release
+				panic("fill failed")
+			})
+		}()
+		<-started
+		var waited int
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			waited, _, _ = c.Do(1, func(k int) (int, error) { return 10 * k, nil })
+		}()
+		for hits, _, _ := c.Stats(); hits == 0; hits, _, _ = c.Stats() {
+			runtime.Gosched()
+		}
+		close(release)
+		wg.Wait()
+		if waited != 10 {
+			t.Fatalf("budget %d: waiter got %d, want its own fill's 10", budget, waited)
+		}
+		if v, hit, err := c.Do(1, func(int) (int, error) { return -1, nil }); v != 10 || !hit || err != nil {
+			t.Fatalf("budget %d: after the refill Do = %d, %v, %v; want the memoised 10", budget, v, hit, err)
+		}
+		if n, cost := c.Len(); n != 1 || (budget > 0 && cost != 1) {
+			t.Fatalf("budget %d: Len = %d entries, cost %d", budget, n, cost)
+		}
+	}
+}

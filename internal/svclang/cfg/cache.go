@@ -7,42 +7,63 @@ import (
 	"github.com/dsn2015/vdbench/internal/svclang"
 )
 
-// Cache memoises lowered control-flow graphs per (service, options) pair
-// so a campaign builds each case's CFG once and shares it across every
-// CFG-based tool instead of re-lowering per tool. Sharing is sound
-// because Build is a pure function of its inputs and the resulting Graph
-// is never mutated by analyses (the dataflow solver keeps all mutable
-// state in its own fact maps), so one graph can serve concurrent readers.
+// Cache memoises lowered control-flow graphs per (service body,
+// options) pair so a campaign builds each body's CFG once and shares it
+// across every CFG-based tool and every renamed copy of the body instead
+// of re-lowering per tool and per case. Sharing is sound because Build
+// is a pure function of its inputs (the name aside, which only tags
+// Graph.Service) and the resulting Graph is never mutated by analyses
+// (the dataflow solver keeps all mutable state in its own fact maps), so
+// one graph can serve concurrent readers.
 //
 // A nil *Cache is valid and simply falls through to Build, which lets
 // tools carry an optional cache without nil checks at every build site.
 type Cache struct {
 	m *memo.Cache[cacheKey, *Graph]
+	// digests memoises each service's digest, so the tools sharing the
+	// cache encode and hash a service once between them.
+	digests *memo.Cache[*svclang.Service, svclang.Digest]
 }
 
 type cacheKey struct {
-	svc  *svclang.Service
+	body svclang.Digest
 	opts Options
 }
 
 // NewCache returns an empty compile cache.
 func NewCache() *Cache {
-	return &Cache{m: memo.New[cacheKey, *Graph](0, nil)}
+	return &Cache{
+		m:       memo.New[cacheKey, *Graph](0, nil),
+		digests: memo.New[*svclang.Service, svclang.Digest](0, nil),
+	}
 }
 
-// buildKey is the cache's fill: a capture-free Build of one key.
-func buildKey(k cacheKey) (*Graph, error) { return Build(k.svc, k.opts), nil }
+// Digest returns svc.Digest(), computed once per service for every tool
+// bound to the cache. A nil cache computes it on every call. The
+// lookups are not counted in Stats.
+func (c *Cache) Digest(svc *svclang.Service) svclang.Digest {
+	if c == nil {
+		return svc.Digest()
+	}
+	d, _, _ := c.digests.Do(svc, digestOf)
+	return d
+}
 
-// Build returns the memoised graph for (svc, opts), lowering it on first
-// use. Concurrent callers for the same key are collapsed onto a single
-// Build (the losers block until the winner finishes), so the hit/miss
-// counts are deterministic: misses is always the number of distinct keys
-// seen, independent of scheduling.
+// digestOf is the digest memo's capture-free fill.
+func digestOf(svc *svclang.Service) (svclang.Digest, error) { return svc.Digest(), nil }
+
+// Build returns the memoised graph for (svc's body, opts), lowering it
+// on first use; the graph's Service is the first service of that body
+// the cache saw. Concurrent callers for the same key are collapsed onto
+// a single Build (the losers block until the winner finishes), so the
+// hit/miss counts are deterministic: misses is always the number of
+// distinct keys seen, independent of scheduling.
 func (c *Cache) Build(svc *svclang.Service, opts Options) *Graph {
 	if c == nil {
 		return Build(svc, opts)
 	}
-	g, hit, _ := c.m.Do(cacheKey{svc: svc, opts: opts}, buildKey)
+	g, hit, _ := c.m.Do(cacheKey{body: c.Digest(svc), opts: opts},
+		func(cacheKey) (*Graph, error) { return Build(svc, opts), nil })
 	if hit {
 		totalHits.Add(1)
 	} else {

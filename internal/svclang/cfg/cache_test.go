@@ -44,6 +44,33 @@ func TestCacheSharesGraphPerKey(t *testing.T) {
 	}
 }
 
+// TestCacheSharesGraphAcrossRenamedCopies: the cache is keyed by the
+// body, so a renamed copy of a service reuses its graph, and a one-token
+// change does not.
+func TestCacheSharesGraphAcrossRenamedCopies(t *testing.T) {
+	svc := cacheTestService(t)
+	c := cfg.NewCache()
+	opts := cfg.Options{PruneConstantBranches: true}
+	g := c.Build(svc, opts)
+	renamed := *svc
+	renamed.Name = "Renamed"
+	if c.Build(&renamed, opts) != g {
+		t.Fatal("a renamed copy lowered a graph of its own")
+	}
+	changed := *svc
+	changed.Params = []string{"other"}
+	if c.Build(&changed, opts) == g {
+		t.Fatal("a service with another parameter name shared the graph")
+	}
+	if c.Digest(&renamed) != svc.Digest() {
+		t.Fatal("the cache's digest differs from the service's")
+	}
+	hits, misses := c.Stats()
+	if hits != 1 || misses != 2 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/2", hits, misses)
+	}
+}
+
 func TestCacheGraphMatchesDirectBuild(t *testing.T) {
 	svc := cacheTestService(t)
 	opts := cfg.Options{SkipLoops: true}

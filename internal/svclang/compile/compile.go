@@ -9,6 +9,13 @@
 // over interned constants, slot-indexed variables and per-character taint
 // kept as packed bitsets inside a sync.Pool-recycled arena.
 //
+// Programs, like ground truth, are content-addressed: an Engine compiles
+// one Program per distinct service body, keyed by the body's digest
+// (svclang.Service.Digest, which leaves the name out), behind a
+// per-service memo that validates each service first. Generated corpora
+// hold many renamed copies of one template instantiation, and every copy
+// shares its body's program and its oracle-cache entry.
+//
 // The VM is NOT a second implementation of the language semantics with
 // its own opinions: it must reproduce ExecuteInSession exactly, including
 // oracle-visible taint provenance, session-store effects and reject
@@ -100,14 +107,14 @@ type sinkInfo struct {
 }
 
 // Program is one compiled service: the instruction stream plus every
-// table the VM needs, all immutable after Compile so one Program can
+// table the VM needs, all immutable once lowered so one Program can
 // serve concurrent executions.
 type Program struct {
-	service *svclang.Service
-	params  []string // request lookup order; param i lives in slot i
-	nSlots  int      // params + hoisted variables
-	code    []instr
-	consts  [][]rune // interned literals, Contains needles and Eq values
+	digest svclang.Digest // the body compiled, shared by its renamed copies
+	params []string       // request lookup order; param i lives in slot i
+	nSlots int            // params + hoisted variables
+	code   []instr
+	consts [][]rune // interned literals, Contains needles and Eq values
 	// constRaw keeps each constant's original source bytes and constOK
 	// whether those bytes are valid UTF-8. Contains/Eq compare rune-wise
 	// only when the needle is valid (where rune equality and byte equality
@@ -129,23 +136,29 @@ type Program struct {
 	eventBound int
 }
 
-// Service returns the service this program was compiled from.
-func (p *Program) Service() *svclang.Service { return p.service }
+// Digest returns the content address of the body this program was
+// compiled from (svclang.Service.Digest): every service it serves has
+// this digest, whatever its name.
+func (p *Program) Digest() svclang.Digest { return p.digest }
 
-// Compile lowers a validated service to bytecode. Validation happens
-// once here instead of once per execution (the interpreter revalidates on
-// every ExecuteInSession call); the returned Program assumes the service
-// is not mutated afterwards, the same contract every other consumer of a
-// parsed Service already relies on.
-func Compile(svc *svclang.Service) (*Program, error) {
+// validate is the check the engine front-loads before compiling a
+// service, once instead of once per execution (the interpreter
+// revalidates on every ExecuteInSession call): exactly the interpreter's
+// validation errors, each naming its own service.
+func validate(svc *svclang.Service) error {
 	if svc == nil {
-		return nil, fmt.Errorf("svclang: nil service")
+		return fmt.Errorf("svclang: nil service")
 	}
-	if err := svc.Validate(); err != nil {
-		return nil, err
-	}
+	return svc.Validate()
+}
+
+// lower compiles a validated service whose digest is d to bytecode. The
+// returned Program assumes the service is not mutated afterwards, the
+// same contract every other consumer of a parsed Service already relies
+// on.
+func lower(svc *svclang.Service, d svclang.Digest) (*Program, error) {
 	c := &compiler{
-		prog:     &Program{service: svc, params: svc.Params},
+		prog:     &Program{digest: d, params: svc.Params},
 		slots:    make(map[string]int, len(svc.Params)+4),
 		constIdx: map[string]int{},
 		storeIdx: map[string]int{},
@@ -170,7 +183,7 @@ func Compile(svc *svclang.Service) (*Program, error) {
 	return c.prog, nil
 }
 
-// compiler carries the emission state of one Compile call.
+// compiler carries the emission state of one lower call.
 type compiler struct {
 	prog     *Program
 	slots    map[string]int

@@ -8,16 +8,23 @@ import (
 )
 
 // Engine is the execution seam the rest of the benchmark runs through: a
-// compiled-program cache plus an arena pool. One engine is shared by
+// compiled-program table plus an arena pool. One engine is shared by
 // every tool in a campaign (the harness binds it like the cfg compile
-// cache), so each service compiles exactly once no matter how many
-// probes hit it.
+// cache), so each distinct service body compiles exactly once no matter
+// how many renamed copies of it the corpus holds or how many probes hit
+// them.
 type Engine struct {
 	ref Reference // nil on every production engine; see NewReferenceEngine
 
-	// progs memoises Compile per service, unbounded: the first caller
-	// compiles while concurrent callers for that service wait.
+	// progs memoises each service's program (or its own validation
+	// error) per pointer, so a lookup hashes nothing; a pointer miss
+	// validates the service and looks its body up in bodies.
 	progs *memo.Cache[*svclang.Service, *Program]
+	// bodies holds one program per distinct validated body, keyed by the
+	// body's digest: the first caller compiles while concurrent callers
+	// for that body wait. Only validated services reach it, so a
+	// validation error always names its own service.
+	bodies *memo.Cache[svclang.Digest, *Program]
 
 	pool sync.Pool
 }
@@ -34,7 +41,10 @@ type Reference interface {
 // on: the bytecode VM, with ground truth derived by the influence-guided
 // (pruned) oracle search.
 func NewEngine() *Engine {
-	e := &Engine{progs: memo.New[*svclang.Service, *Program](0, nil)}
+	e := &Engine{
+		progs:  memo.New[*svclang.Service, *Program](0, nil),
+		bodies: memo.New[svclang.Digest, *Program](0, nil),
+	}
 	e.pool.New = func() any { return new(arena) }
 	return e
 }
@@ -49,21 +59,36 @@ func NewReferenceEngine(ref Reference) *Engine {
 	return e
 }
 
-// Program returns the compiled program for svc, compiling on first use.
+// Program returns the compiled program for svc, compiling its body on
+// first use. Renamed copies of one body share one program.
 func (e *Engine) Program(svc *svclang.Service) (*Program, error) {
-	p, _, err := e.progs.Do(svc, Compile)
+	p, _, err := e.progs.Do(svc, e.compile)
 	return p, err
 }
 
-// Stats returns the program-cache hit/miss counters.
+// compile is the per-pointer fill: validate svc, then find or compile
+// the program of its body.
+func (e *Engine) compile(svc *svclang.Service) (*Program, error) {
+	if err := validate(svc); err != nil {
+		return nil, err
+	}
+	p, _, err := e.bodies.Do(svc.Digest(), func(d svclang.Digest) (*Program, error) { return lower(svc, d) })
+	return p, err
+}
+
+// Stats returns the program table's counters: misses compiled a body,
+// hits are the lookups answered without compiling (a service seen
+// before, or a new one whose body was already compiled). A failed
+// validation is not a miss.
 func (e *Engine) Stats() (hits, misses uint64) {
-	hits, misses, _ = e.progs.Stats()
-	return hits, misses
+	ph, _, _ := e.progs.Stats()
+	bh, bm, _ := e.bodies.Stats()
+	return ph + bh, bm
 }
 
 // ExecuteInSession runs the service against an existing session store
 // (nil for a fresh one), like svclang.ExecuteInSession. Compilation
-// errors are exactly the interpreter's validation errors — Compile
+// errors are exactly the interpreter's validation errors — the engine
 // front-loads the Validate call the interpreter repeats per request.
 func (e *Engine) ExecuteInSession(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore) (svclang.Result, error) {
 	if e.ref != nil {

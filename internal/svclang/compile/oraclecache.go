@@ -1,9 +1,6 @@
 package compile
 
 import (
-	"crypto/sha256"
-	"strings"
-
 	"github.com/dsn2015/vdbench/internal/memo"
 	"github.com/dsn2015/vdbench/internal/svclang"
 )
@@ -14,10 +11,10 @@ import (
 // regenerations of internal/dist, repeated campaign setups in one
 // process — need only one influence-guided search. The cache is
 // process-wide, like the cfg compile cache and the oracle telemetry it
-// composes with, and keyed by the SHA-256 of the canonical printed
-// source with the name line stripped. Only the production derivation
-// is cached: a reference engine (NewReferenceEngine) never reads or
-// writes it.
+// composes with, and keyed by the service's digest
+// (svclang.Service.Digest), which leaves the name out and allocates
+// nothing. Only the production derivation is cached: a reference engine
+// (NewReferenceEngine) never reads or writes it.
 //
 // The cache is a bounded memo: the first caller derives while the cache
 // stays unlocked for other keys, least-recently-used entries are evicted
@@ -29,29 +26,19 @@ import (
 // above any one corpus (hundreds), far below memory relevance.
 const oracleCacheCap = 2048
 
-type oracleKey = [sha256.Size]byte
-
-var oracleCache = memo.New[oracleKey, []svclang.GroundTruth](oracleCacheCap, nil)
-
-// oracleCacheKey derives the content address of svc. The printed form
-// is canonical (Print ∘ Parse is the identity on it), and its first
-// line carries exactly the service name, which ground truth is
-// independent of — stripping it lets renamed instantiations of one
-// template share an entry.
-func oracleCacheKey(svc *svclang.Service) oracleKey {
-	src := svclang.Print(svc)
-	if i := strings.IndexByte(src, '\n'); i >= 0 {
-		src = src[i+1:]
-	}
-	return sha256.Sum256([]byte(src))
-}
+var oracleCache = memo.New[svclang.Digest, []svclang.GroundTruth](oracleCacheCap, nil)
 
 // oracleLookup memoises the pruned search over probe under the
-// service's content address, returning a deep copy of the cached ground
-// truth.
+// service's digest, returning a deep copy of the cached ground truth.
+// A derivation fails only on an invalid service, and its error names
+// the service it was raised on, so a renamed copy that finds a memoised
+// error derives its own.
 func oracleLookup(svc *svclang.Service, probe svclang.ProbeFunc) ([]svclang.GroundTruth, error) {
-	truths, _, err := oracleCache.Do(oracleCacheKey(svc),
-		func(oracleKey) ([]svclang.GroundTruth, error) { return svclang.AnalyzeProbing(svc, probe) })
+	truths, hit, err := oracleCache.Do(svc.Digest(),
+		func(svclang.Digest) ([]svclang.GroundTruth, error) { return svclang.AnalyzeProbing(svc, probe) })
+	if err != nil && hit {
+		return svclang.AnalyzeProbing(svc, probe)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -158,7 +158,7 @@ func materialize(v value) svclang.TString {
 // materialised Result.Events to streamed callbacks over the arena's
 // values — the zero-allocation paths; at most one of the two may be
 // set. run cannot fail: everything the interpreter errors on at runtime
-// is rejected at Compile time.
+// is rejected at compile time.
 func (p *Program) run(a *arena, req svclang.Request, store *svclang.SessionStore, obs ObserveFunc, probe svclang.ProbeObserver) svclang.Result {
 	a.begin(p)
 	vars := a.vars
@@ -321,7 +321,7 @@ func (a *arena) concat(parts []value) value {
 
 // builtin applies a single-argument builtin through the shared
 // builtinSpecs table in svclang/builtins.go — the same replacement
-// functions the interpreter's applyBuiltin maps over TStrings. Compile
+// functions the interpreter's applyBuiltin maps over TStrings. Validation
 // guarantees fn is one of the known single-argument builtins (concat
 // has its own opcode); of those only trim is not character-wise.
 func (a *arena) builtin(fn svclang.Builtin, v value) value {

@@ -124,7 +124,7 @@ func TestPoisonedArenaReuse(t *testing.T) {
 // no taint bit survives and the arena store is empty.
 func TestArenaBeginZeroes(t *testing.T) {
 	svc := mustParse(t, vmStoreSrc)
-	p, err := Compile(svc)
+	p, err := NewEngine().Program(svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestArenaBeginZeroes(t *testing.T) {
 // the interpreter's validation errors, so the engine seam is error-
 // transparent too.
 func TestCompileErrorsMatchInterpreter(t *testing.T) {
-	if _, err := Compile(nil); err == nil || err.Error() != "svclang: nil service" {
-		t.Fatalf("Compile(nil) = %v", err)
-	}
 	eng := NewEngine()
+	if _, err := eng.Program(nil); err == nil || err.Error() != "svclang: nil service" {
+		t.Fatalf("Program(nil) = %v", err)
+	}
 	if _, err := eng.ExecuteInSession(nil, svclang.Request{}, nil); err == nil || err.Error() != "svclang: nil service" {
 		t.Fatalf("ExecuteInSession(nil) = %v", err)
 	}
@@ -290,7 +290,7 @@ func TestProgramCacheSingleflight(t *testing.T) {
 // true event count (it sizes the single events allocation).
 func TestEventBoundCoversLoops(t *testing.T) {
 	svc := mustParse(t, vmTestSrc)
-	p, err := Compile(svc)
+	p, err := NewEngine().Program(svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +346,52 @@ func TestConcatDeepNesting(t *testing.T) {
 	sameResult(t, "deep concat", ref, got)
 	if !strings.Contains(got.Events[0].Value.String(), "a'b") {
 		t.Fatal("unexpected content")
+	}
+}
+
+// TestInvalidCopiesKeepTheirNames: validation errors name their
+// service, and only validated services are content-keyed, so two
+// renamed copies of an invalid body each fail with their own name, in
+// the program table and in the oracle cache alike.
+func TestInvalidCopiesKeepTheirNames(t *testing.T) {
+	body := []svclang.Stmt{svclang.Assign{Name: "nope", Expr: svclang.Lit{Value: "x"}}}
+	eng := NewEngine()
+	for _, name := range []string{"BadA", "BadB"} {
+		svc := &svclang.Service{Name: name, Body: body}
+		if _, err := eng.Program(svc); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Program(%s) = %v", name, err)
+		}
+		if _, err := eng.Analyze(svc); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Analyze(%s) = %v", name, err)
+		}
+	}
+	if hits, misses := eng.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("stats = %d hits, %d misses; want no program looked up or compiled", hits, misses)
+	}
+}
+
+// TestRenamedCopiesShareOneProgram: the program table compiles each
+// distinct body once, and a one-token change is another body.
+func TestRenamedCopiesShareOneProgram(t *testing.T) {
+	eng := NewEngine()
+	a := mustParse(t, vmTestSrc)
+	b := *a
+	b.Name = "Renamed"
+	c := mustParse(t, strings.Replace(vmTestSrc, `"alpha"`, `"beta"`, 1))
+	pa, err := eng.Program(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pb, err := eng.Program(&b); err != nil || pb != pa {
+		t.Fatalf("renamed copy: program %p (%v), want the shared %p", pb, err, pa)
+	}
+	if pc, err := eng.Program(c); err != nil || pc == pa {
+		t.Fatalf("changed body: program %p (%v) shared with the original", pc, err)
+	}
+	if pa.Digest() != a.Digest() {
+		t.Fatal("program digest differs from its service's")
+	}
+	if hits, misses := eng.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("stats = %d hits, %d misses; want 1/2", hits, misses)
 	}
 }

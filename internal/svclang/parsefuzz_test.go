@@ -6,6 +6,7 @@ package svclang_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/svclang"
@@ -16,7 +17,10 @@ import (
 // either fails with an error — never a panic — or yields services that
 // validate, execute, and survive a parse→print→parse round trip with a
 // deeply equal AST (sink IDs are positional in both Print and Parse, so
-// exact equality is the contract, not just shape equality).
+// exact equality is the contract, not just shape equality). It also
+// holds the digest to the printed form: two parsed services have equal
+// digests exactly when their printed sources minus the name line are
+// equal, among the services of one input and against every seed.
 //
 // The corpus is seeded with every workload template in both its
 // vulnerable and safe variant across every sink kind it supports, plus
@@ -43,17 +47,44 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	}
+	// seedBodies maps the body text of every parsed seed to its digest,
+	// and seedTexts back.
+	seedBodies, seedTexts := map[string]svclang.Digest{}, map[svclang.Digest]string{}
 	for _, s := range seeds {
 		f.Add(s)
+		services, _ := svclang.Parse(s)
+		for _, svc := range services {
+			seedBodies[bodyText(svc)] = svc.Digest()
+			seedTexts[svc.Digest()] = bodyText(svc)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		services, err := svclang.Parse(src)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
+		bodies, texts := map[string]svclang.Digest{}, map[svclang.Digest]string{}
 		for _, svc := range services {
 			if err := svc.Validate(); err != nil {
 				t.Fatalf("parsed service fails validation: %v", err)
+			}
+			text, d := bodyText(svc), svc.Digest()
+			for _, known := range []struct {
+				bodies map[string]svclang.Digest
+				texts  map[svclang.Digest]string
+			}{{seedBodies, seedTexts}, {bodies, texts}} {
+				if kd, ok := known.bodies[text]; ok && kd != d {
+					t.Fatalf("equal bodies, different digests:\n%s", text)
+				}
+				if kt, ok := known.texts[d]; ok && kt != text {
+					t.Fatalf("one digest, different bodies:\n%s\n%s", kt, text)
+				}
+			}
+			bodies[text], texts[d] = d, text
+			renamed := *svc
+			renamed.Name += "Copy"
+			if renamed.Digest() != d {
+				t.Fatalf("a rename changed the digest of\n%s", text)
 			}
 			printed := svclang.Print(svc)
 			again, err := svclang.ParseOne(printed)
@@ -73,4 +104,10 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bodyText is a service's printed source without its name line.
+func bodyText(svc *svclang.Service) string {
+	_, body, _ := strings.Cut(svclang.Print(svc), "\n")
+	return body
 }
