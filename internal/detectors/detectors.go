@@ -121,16 +121,16 @@ type ExecEngineBindable interface {
 }
 
 // reportMemo memoises a deterministic tool's reports per service body
-// (svclang.Service.Digest) for one campaign. Only the campaign-bound
-// clones of the pentester and the taint analyser carry one: heur-ml
-// draws from its RNG stream, which differs per case, and grep-sast's
-// scan costs about what a digest and a lookup would.
+// (the case's digest) for one campaign. Only the campaign-bound clones
+// of the pentester and the taint analyser carry one: heur-ml draws from
+// its RNG stream, which differs per case, and grep-sast's scan costs
+// about what a lookup would.
 type reportMemo struct {
 	m       *memo.Cache[svclang.Digest, []Report]
-	analyze func(*svclang.Service) ([]Report, error) // the tool's own analysis
+	analyze func(*svclang.Service, svclang.Digest) ([]Report, error) // the tool's own analysis
 }
 
-func newReportMemo(analyze func(*svclang.Service) ([]Report, error)) *reportMemo {
+func newReportMemo(analyze func(*svclang.Service, svclang.Digest) ([]Report, error)) *reportMemo {
 	return &reportMemo{m: memo.New[svclang.Digest, []Report](0, nil), analyze: analyze}
 }
 
@@ -142,7 +142,7 @@ func newReportMemo(analyze func(*svclang.Service) ([]Report, error)) *reportMemo
 // only services its engine has validated, and the taint analyser never
 // fails on a service.
 func (rm *reportMemo) reports(d svclang.Digest, svc *svclang.Service) ([]Report, error) {
-	cached, _, err := rm.m.Do(d, func(svclang.Digest) ([]Report, error) { return rm.analyze(svc) })
+	cached, _, err := rm.m.Do(d, func(d svclang.Digest) ([]Report, error) { return rm.analyze(svc, d) })
 	if err != nil {
 		return nil, err
 	}

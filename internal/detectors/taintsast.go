@@ -272,14 +272,15 @@ func (t *taintSAST) Analyze(cs workload.Case, _ *stats.RNG) ([]Report, error) {
 		return nil, fmt.Errorf("detectors: %s: nil service", t.cfg.Name)
 	}
 	if t.reports == nil {
-		return t.analyze(svc)
+		return t.analyze(svc, cs.Digest())
 	}
-	return t.reports.reports(t.cache.Digest(svc), svc)
+	return t.reports.reports(cs.Digest(), svc)
 }
 
-// analyze solves the taint dataflow of svc; it never fails.
-func (t *taintSAST) analyze(svc *svclang.Service) ([]Report, error) {
-	g := t.cache.Build(svc, cfg.Options{
+// analyze solves the taint dataflow of svc, whose digest is d; it never
+// fails.
+func (t *taintSAST) analyze(svc *svclang.Service, d svclang.Digest) ([]Report, error) {
+	g := t.cache.Build(svc, d, cfg.Options{
 		PruneConstantBranches: t.cfg.PruneDeadBranches,
 		SkipLoops:             !t.cfg.TrackLoops,
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dsn2015/vdbench/internal/detectors"
@@ -174,4 +175,75 @@ func firstCellDiff(got, want *Campaign) string {
 		}
 	}
 	return "split maps differ"
+}
+
+// TestUnlabelledCasesMatchLabelledCases: a campaign keys every per-body
+// table by the case's digest, so a case that carries none (a struct
+// literal) or carries another service's (a labelled case whose every
+// field was then replaced) must give exactly the campaign its labelled
+// counterpart gives, renamed copies included.
+func TestUnlabelledCasesMatchLabelledCases(t *testing.T) {
+	labelled := duplicateCorpus(t)
+	n := len(labelled.Cases)
+	literal := &workload.Corpus{Config: labelled.Config}
+	swapped := &workload.Corpus{Config: labelled.Config}
+	for i, cs := range labelled.Cases {
+		literal.Cases = append(literal.Cases, workload.Case{
+			Service: cs.Service, Template: cs.Template, Difficulty: cs.Difficulty, Truths: cs.Truths,
+		})
+		other := labelled.Cases[(i+1)%n]
+		other.Service, other.Template, other.Difficulty, other.Truths = cs.Service, cs.Template, cs.Difficulty, cs.Truths
+		swapped.Cases = append(swapped.Cases, other)
+	}
+	want, err := runSeed(labelled, testTools(t), 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corpus := range map[string]*workload.Corpus{"literal": literal, "swapped": swapped} {
+		got, err := runSeed(corpus, testTools(t), 5, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Corpus = want.Corpus
+		if !sameCampaign(got, want) {
+			t.Fatalf("%s cases: campaign differs from the labelled corpus'\n%s", name, firstCellDiff(got, want))
+		}
+	}
+}
+
+// TestInvalidCopiesFailWithTheirOwnNames: two renamed copies of one
+// invalid body in one campaign each fail both pentesters with an error
+// that names that copy, not the first copy a tool met.
+func TestInvalidCopiesFailWithTheirOwnNames(t *testing.T) {
+	corpus := testCorpus(t, 6, 11)
+	body := []svclang.Stmt{svclang.Assign{Name: "nope", Expr: svclang.Lit{Value: "x"}}}
+	bad := map[int]string{}
+	for _, name := range []string{"BadA", "BadB"} {
+		bad[len(corpus.Cases)] = name
+		corpus.Cases = append(corpus.Cases, workload.Case{Service: &svclang.Service{Name: name, Body: body}})
+	}
+	camp, err := RunCtx(context.Background(), corpus, testTools(t), Options{Seed: 5, Workers: 2, Degraded: DegradedSkip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pentesters := 0
+	for _, res := range camp.Results {
+		if res.Class != detectors.ClassDAST {
+			continue
+		}
+		pentesters++
+		if len(res.Exec.Faults) != len(bad) {
+			t.Fatalf("%s: %d faults, want one per invalid copy: %+v", res.Tool, len(res.Exec.Faults), res.Exec.Faults)
+		}
+		// The harness prefixes every message with the cell's service, so
+		// only the validation error's own prefix shows whose it is.
+		for _, f := range res.Exec.Faults {
+			if name := bad[f.Case]; f.Service != name || !strings.Contains(f.Msg, "svclang: "+name+": ") {
+				t.Fatalf("%s on case %d (%s): validation error %q does not name it", res.Tool, f.Case, name, f.Msg)
+			}
+		}
+	}
+	if pentesters != 2 {
+		t.Fatalf("%d DAST tools in the suite, want the 2 pentesters", pentesters)
+	}
 }

@@ -516,7 +516,7 @@ func (s *Service) Validate() error {
 			}
 			return nil
 		case Call:
-			if v.Fn.String() == fmt.Sprintf("Builtin(%d)", int(v.Fn)) {
+			if v.Fn < BuiltinConcat || v.Fn > BuiltinTrim {
 				return fmt.Errorf("svclang: %s: unknown builtin %d", s.Name, int(v.Fn))
 			}
 			if want := v.Fn.Arity(); want >= 0 && len(v.Args) != want {

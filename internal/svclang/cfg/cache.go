@@ -20,9 +20,6 @@ import (
 // tools carry an optional cache without nil checks at every build site.
 type Cache struct {
 	m *memo.Cache[cacheKey, *Graph]
-	// digests memoises each service's digest, so the tools sharing the
-	// cache encode and hash a service once between them.
-	digests *memo.Cache[*svclang.Service, svclang.Digest]
 }
 
 type cacheKey struct {
@@ -32,37 +29,21 @@ type cacheKey struct {
 
 // NewCache returns an empty compile cache.
 func NewCache() *Cache {
-	return &Cache{
-		m:       memo.New[cacheKey, *Graph](0, nil),
-		digests: memo.New[*svclang.Service, svclang.Digest](0, nil),
-	}
+	return &Cache{m: memo.New[cacheKey, *Graph](0, nil)}
 }
-
-// Digest returns svc.Digest(), computed once per service for every tool
-// bound to the cache. A nil cache computes it on every call. The
-// lookups are not counted in Stats.
-func (c *Cache) Digest(svc *svclang.Service) svclang.Digest {
-	if c == nil {
-		return svc.Digest()
-	}
-	d, _, _ := c.digests.Do(svc, digestOf)
-	return d
-}
-
-// digestOf is the digest memo's capture-free fill.
-func digestOf(svc *svclang.Service) (svclang.Digest, error) { return svc.Digest(), nil }
 
 // Build returns the memoised graph for (svc's body, opts), lowering it
-// on first use; the graph's Service is the first service of that body
-// the cache saw. Concurrent callers for the same key are collapsed onto
-// a single Build (the losers block until the winner finishes), so the
-// hit/miss counts are deterministic: misses is always the number of
-// distinct keys seen, independent of scheduling.
-func (c *Cache) Build(svc *svclang.Service, opts Options) *Graph {
+// on first use; d must be svc.Digest(), which a campaign reads off the
+// case (workload.Case.Digest). The graph's Service is the first service
+// of that body the cache saw. Concurrent callers for the same key are
+// collapsed onto a single Build (the losers block until the winner
+// finishes), so the hit/miss counts are deterministic: misses is always
+// the number of distinct keys seen, independent of scheduling.
+func (c *Cache) Build(svc *svclang.Service, d svclang.Digest, opts Options) *Graph {
 	if c == nil {
 		return Build(svc, opts)
 	}
-	g, hit, _ := c.m.Do(cacheKey{body: c.Digest(svc), opts: opts},
+	g, hit, _ := c.m.Do(cacheKey{body: d, opts: opts},
 		func(cacheKey) (*Graph, error) { return Build(svc, opts), nil })
 	if hit {
 		totalHits.Add(1)

@@ -30,12 +30,12 @@ func TestCacheSharesGraphPerKey(t *testing.T) {
 	svc := cacheTestService(t)
 	c := cfg.NewCache()
 	opts := cfg.Options{PruneConstantBranches: true}
-	g1 := c.Build(svc, opts)
-	g2 := c.Build(svc, opts)
+	g1 := c.Build(svc, svc.Digest(), opts)
+	g2 := c.Build(svc, svc.Digest(), opts)
 	if g1 != g2 {
 		t.Fatal("same (service, options) built two graphs")
 	}
-	if g3 := c.Build(svc, cfg.Options{}); g3 == g1 {
+	if g3 := c.Build(svc, svc.Digest(), cfg.Options{}); g3 == g1 {
 		t.Fatal("different options shared a graph")
 	}
 	hits, misses := c.Stats()
@@ -51,19 +51,16 @@ func TestCacheSharesGraphAcrossRenamedCopies(t *testing.T) {
 	svc := cacheTestService(t)
 	c := cfg.NewCache()
 	opts := cfg.Options{PruneConstantBranches: true}
-	g := c.Build(svc, opts)
+	g := c.Build(svc, svc.Digest(), opts)
 	renamed := *svc
 	renamed.Name = "Renamed"
-	if c.Build(&renamed, opts) != g {
+	if c.Build(&renamed, renamed.Digest(), opts) != g {
 		t.Fatal("a renamed copy lowered a graph of its own")
 	}
 	changed := *svc
 	changed.Params = []string{"other"}
-	if c.Build(&changed, opts) == g {
+	if c.Build(&changed, changed.Digest(), opts) == g {
 		t.Fatal("a service with another parameter name shared the graph")
-	}
-	if c.Digest(&renamed) != svc.Digest() {
-		t.Fatal("the cache's digest differs from the service's")
 	}
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 2 {
@@ -74,7 +71,7 @@ func TestCacheSharesGraphAcrossRenamedCopies(t *testing.T) {
 func TestCacheGraphMatchesDirectBuild(t *testing.T) {
 	svc := cacheTestService(t)
 	opts := cfg.Options{SkipLoops: true}
-	cached := cfg.NewCache().Build(svc, opts)
+	cached := cfg.NewCache().Build(svc, svc.Digest(), opts)
 	direct := cfg.Build(svc, opts)
 	if len(cached.Blocks) != len(direct.Blocks) || cached.Service != direct.Service {
 		t.Fatal("cached graph differs from a direct Build")
@@ -84,7 +81,7 @@ func TestCacheGraphMatchesDirectBuild(t *testing.T) {
 func TestNilCacheFallsThrough(t *testing.T) {
 	svc := cacheTestService(t)
 	var c *cfg.Cache
-	if g := c.Build(svc, cfg.Options{}); g == nil || len(g.Blocks) == 0 {
+	if g := c.Build(svc, svc.Digest(), cfg.Options{}); g == nil || len(g.Blocks) == 0 {
 		t.Fatal("nil cache did not build")
 	}
 	if h, m := c.Stats(); h != 0 || m != 0 {
@@ -105,7 +102,7 @@ func TestCacheConcurrentMissesAreCollapsed(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			graphs[i] = c.Build(svc, cfg.Options{})
+			graphs[i] = c.Build(svc, svc.Digest(), cfg.Options{})
 		}(i)
 	}
 	wg.Wait()
@@ -127,8 +124,8 @@ func TestCacheTotalsMonotone(t *testing.T) {
 	h0, m0 := cfg.CacheTotals()
 	c := cfg.NewCache()
 	svc := cacheTestService(t)
-	c.Build(svc, cfg.Options{})
-	c.Build(svc, cfg.Options{})
+	c.Build(svc, svc.Digest(), cfg.Options{})
+	c.Build(svc, svc.Digest(), cfg.Options{})
 	h1, m1 := cfg.CacheTotals()
 	if h1 < h0+1 || m1 < m0+1 {
 		t.Fatalf("totals did not advance: (%d,%d) -> (%d,%d)", h0, m0, h1, m1)

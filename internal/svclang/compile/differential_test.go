@@ -194,7 +194,7 @@ func TestAnalyzeDifferentialTemplates(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					svc, _ := tmpl.Build("diff_svc", kind, vulnerable)
 					ref, refErr := svclang.AnalyzeProbing(svc, reference.Probe)
-					got, gotErr := eng.Analyze(svc)
+					got, gotErr := eng.Analyze(svc, svc.Digest())
 					if (refErr == nil) != (gotErr == nil) {
 						t.Fatalf("analyze error: interpreter=%v vm=%v", refErr, gotErr)
 					}
@@ -257,11 +257,11 @@ func TestObserveDifferentialTemplates(t *testing.T) {
 					svc, _ := tmpl.Build("diff_svc", kind, vulnerable)
 					refStore, vmStore, interpStore := svclang.NewSessionStore(), svclang.NewSessionStore(), svclang.NewSessionStore()
 					var vmBind, interpBind compile.Binding
-					if err := vm.Bind(&vmBind, svc); err != nil {
+					if err := vm.Bind(&vmBind, svc, svc.Digest()); err != nil {
 						t.Fatal(err)
 					}
 					defer vmBind.Release()
-					if err := interp.Bind(&interpBind, svc); err != nil {
+					if err := interp.Bind(&interpBind, svc, svc.Digest()); err != nil {
 						t.Fatal(err)
 					}
 					defer interpBind.Release()

@@ -16,14 +16,11 @@ import (
 type Engine struct {
 	ref Reference // nil on every production engine; see NewReferenceEngine
 
-	// progs memoises each service's program (or its own validation
-	// error) per pointer, so a lookup hashes nothing; a pointer miss
-	// validates the service and looks its body up in bodies.
-	progs *memo.Cache[*svclang.Service, *Program]
 	// bodies holds one program per distinct validated body, keyed by the
-	// body's digest: the first caller compiles while concurrent callers
-	// for that body wait. Only validated services reach it, so a
-	// validation error always names its own service.
+	// body's digest (svclang.Service.Digest): the first caller compiles
+	// while concurrent callers for that body wait. Only validated
+	// services reach it, so a validation error always names its own
+	// service.
 	bodies *memo.Cache[svclang.Digest, *Program]
 
 	pool sync.Pool
@@ -41,10 +38,7 @@ type Reference interface {
 // on: the bytecode VM, with ground truth derived by the influence-guided
 // (pruned) oracle search.
 func NewEngine() *Engine {
-	e := &Engine{
-		progs:  memo.New[*svclang.Service, *Program](0, nil),
-		bodies: memo.New[svclang.Digest, *Program](0, nil),
-	}
+	e := &Engine{bodies: memo.New[svclang.Digest, *Program](0, nil)}
 	e.pool.New = func() any { return new(arena) }
 	return e
 }
@@ -59,42 +53,41 @@ func NewReferenceEngine(ref Reference) *Engine {
 	return e
 }
 
-// Program returns the compiled program for svc, compiling its body on
-// first use. Renamed copies of one body share one program.
-func (e *Engine) Program(svc *svclang.Service) (*Program, error) {
-	p, _, err := e.progs.Do(svc, e.compile)
-	return p, err
-}
-
-// compile is the per-pointer fill: validate svc, then find or compile
-// the program of its body.
-func (e *Engine) compile(svc *svclang.Service) (*Program, error) {
-	if err := validate(svc); err != nil {
-		return nil, err
+// Program returns the compiled program for svc, looked up by d, which
+// must be svc.Digest(), compiling its body on first use. Renamed copies
+// of one body share one program. A body enters the table only once a
+// service of it validates, so an invalid service always fails with its
+// own error; a later copy of a compiled body is checked only for what
+// its digest leaves out, its name.
+func (e *Engine) Program(svc *svclang.Service, d svclang.Digest) (*Program, error) {
+	if _, ok := e.bodies.Get(d); !ok || svc == nil || svc.Name == "" {
+		if err := validate(svc); err != nil {
+			return nil, err
+		}
 	}
-	p, _, err := e.bodies.Do(svc.Digest(), func(d svclang.Digest) (*Program, error) { return lower(svc, d) })
+	p, _, err := e.bodies.Do(d, func(d svclang.Digest) (*Program, error) { return lower(svc, d) })
 	return p, err
 }
 
 // Stats returns the program table's counters: misses compiled a body,
-// hits are the lookups answered without compiling (a service seen
-// before, or a new one whose body was already compiled). A failed
-// validation is not a miss.
+// hits are the lookups of a body compiled before. A failed validation
+// is not a lookup.
 func (e *Engine) Stats() (hits, misses uint64) {
-	ph, _, _ := e.progs.Stats()
-	bh, bm, _ := e.bodies.Stats()
-	return ph + bh, bm
+	hits, misses, _ = e.bodies.Stats()
+	return hits, misses
 }
 
 // ExecuteInSession runs the service against an existing session store
 // (nil for a fresh one), like svclang.ExecuteInSession. Compilation
 // errors are exactly the interpreter's validation errors — the engine
 // front-loads the Validate call the interpreter repeats per request.
+// It digests svc on every call; callers that hold the digest bind
+// instead.
 func (e *Engine) ExecuteInSession(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore) (svclang.Result, error) {
 	if e.ref != nil {
 		return e.ref.ExecuteInSession(svc, req, store)
 	}
-	p, err := e.Program(svc)
+	p, err := e.Program(svc, svc.Digest())
 	if err != nil {
 		return svclang.Result{}, err
 	}
@@ -125,15 +118,16 @@ type Binding struct {
 	a    *arena
 }
 
-// Bind binds svc to b, compiling it on first use. Each Bind must be
-// followed by a Release before b is bound again. A reference engine
-// sends every execution of the binding to its backend instead.
-func (e *Engine) Bind(b *Binding, svc *svclang.Service) error {
+// Bind binds svc, whose digest is d, to b, compiling it on first use.
+// Each Bind must be followed by a Release before b is bound again. A
+// reference engine sends every execution of the binding to its backend
+// instead.
+func (e *Engine) Bind(b *Binding, svc *svclang.Service, d svclang.Digest) error {
 	if e.ref != nil {
 		*b = Binding{eng: e, svc: svc}
 		return nil
 	}
-	p, err := e.Program(svc)
+	p, err := e.Program(svc, d)
 	if err != nil {
 		return err
 	}
@@ -172,28 +166,35 @@ func (b *Binding) Observe(req svclang.Request, store *svclang.SessionStore, fn O
 	return b.prog.run(b.a, req, store, fn, nil).Rejected, nil
 }
 
-// probe is the ProbeFunc the streaming oracle path runs on: sink events
-// are judged for structural taint directly on the arena's packed
-// values, so deriving ground truth materialises nothing per probe.
-func (e *Engine) probe(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, obs svclang.ProbeObserver) error {
-	p, err := e.Program(svc)
-	if err != nil {
-		return err
-	}
-	a := e.pool.Get().(*arena)
-	p.run(a, req, store, nil, obs)
-	e.pool.Put(a)
-	return nil
-}
-
-// Analyze derives ground truth for svc with the influence-guided oracle
-// search, every probe run on the VM and judged through the streaming
-// probe path, memoised in the process-wide content-addressed oracle
-// cache (oraclecache.go). A reference engine derives independently and
-// bypasses the cache, so a cached VM result can never mask a divergence.
-func (e *Engine) Analyze(svc *svclang.Service) ([]svclang.GroundTruth, error) {
+// Analyze derives ground truth for svc, whose digest is d, with the
+// influence-guided oracle search, every probe run on the VM and judged
+// through the streaming probe path, memoised in the process-wide
+// content-addressed oracle cache (oraclecache.go). A reference engine
+// derives independently and bypasses the cache, so a cached VM result
+// can never mask a divergence.
+func (e *Engine) Analyze(svc *svclang.Service, d svclang.Digest) ([]svclang.GroundTruth, error) {
 	if e.ref != nil {
 		return e.ref.Analyze(svc)
 	}
-	return oracleLookup(svc, e.probe)
+	return e.oracleLookup(svc, d)
+}
+
+// derive runs the pruned search over svc, whose digest is d. The first
+// probe binds the service, and every probe runs through that one
+// binding: sink events are judged for structural taint directly on the
+// arena's packed values, so a derivation looks its program up once and
+// materialises nothing per probe. An invalid service fails the search's
+// own validation before any probe.
+func (e *Engine) derive(svc *svclang.Service, d svclang.Digest) ([]svclang.GroundTruth, error) {
+	var b Binding
+	defer b.Release()
+	return svclang.AnalyzeProbing(svc, func(svc *svclang.Service, req svclang.Request, store *svclang.SessionStore, obs svclang.ProbeObserver) error {
+		if b.prog == nil {
+			if err := e.Bind(&b, svc, d); err != nil {
+				return err
+			}
+		}
+		b.prog.run(b.a, req, store, nil, obs)
+		return nil
+	})
 }

@@ -26,7 +26,7 @@ var analyzeModes = []struct {
 	analyze func(*svclang.Service) ([]svclang.GroundTruth, error)
 }{
 	{"vm/pruned", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
-		return compile.NewEngine().Analyze(svc)
+		return compile.NewEngine().Analyze(svc, svc.Digest())
 	}},
 	{"vm/exhaustive", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
 		return svclang.AnalyzeProbingExhaustive(svc, compile.VMProbe(compile.NewEngine()))
@@ -35,7 +35,7 @@ var analyzeModes = []struct {
 		return svclang.AnalyzeProbing(svc, reference.Probe)
 	}},
 	{"interp/exhaustive", func(svc *svclang.Service) ([]svclang.GroundTruth, error) {
-		return reference.NewEngine().Analyze(svc)
+		return reference.NewEngine().Analyze(svc, svc.Digest())
 	}},
 }
 
@@ -136,7 +136,7 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 
 	engA := compile.NewEngine()
 	h0, m0 := compile.OracleCacheTotals()
-	first, err := engA.Analyze(svcA)
+	first, err := engA.Analyze(svcA, svcA.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 	// executes no probes at all.
 	probes0 := svclang.OracleTotalsSnapshot().Probes
 	engB := compile.NewEngine()
-	second, err := engB.Analyze(svcB)
+	second, err := engB.Analyze(svcB, svcB.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 	}
 	second[0].Witness["p0"] = "corrupted"
 	second[0].Sequence[0]["p0"] = "corrupted"
-	third, err := engB.Analyze(svcB)
+	third, err := engB.Analyze(svcB, svcB.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestOracleCacheContentAddressed(t *testing.T) {
 	// executing probes, and must agree.
 	h3, m3 := compile.OracleCacheTotals()
 	probes0 = svclang.OracleTotalsSnapshot().Probes
-	ref, err := reference.NewEngine().Analyze(svcA)
+	ref, err := reference.NewEngine().Analyze(svcA, svcA.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}

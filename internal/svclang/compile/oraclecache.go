@@ -28,16 +28,16 @@ const oracleCacheCap = 2048
 
 var oracleCache = memo.New[svclang.Digest, []svclang.GroundTruth](oracleCacheCap, nil)
 
-// oracleLookup memoises the pruned search over probe under the
-// service's digest, returning a deep copy of the cached ground truth.
-// A derivation fails only on an invalid service, and its error names
-// the service it was raised on, so a renamed copy that finds a memoised
+// oracleLookup memoises the engine's derivation for svc under d, svc's
+// digest, returning a deep copy of the cached ground truth. A
+// derivation fails only on an invalid service, and its error names the
+// service it was raised on, so a renamed copy that finds a memoised
 // error derives its own.
-func oracleLookup(svc *svclang.Service, probe svclang.ProbeFunc) ([]svclang.GroundTruth, error) {
-	truths, hit, err := oracleCache.Do(svc.Digest(),
-		func(svclang.Digest) ([]svclang.GroundTruth, error) { return svclang.AnalyzeProbing(svc, probe) })
+func (e *Engine) oracleLookup(svc *svclang.Service, d svclang.Digest) ([]svclang.GroundTruth, error) {
+	truths, hit, err := oracleCache.Do(d,
+		func(svclang.Digest) ([]svclang.GroundTruth, error) { return e.derive(svc, d) })
 	if err != nil && hit {
-		return svclang.AnalyzeProbing(svc, probe)
+		return e.derive(svc, d)
 	}
 	if err != nil {
 		return nil, err

@@ -124,7 +124,7 @@ func TestPoisonedArenaReuse(t *testing.T) {
 // no taint bit survives and the arena store is empty.
 func TestArenaBeginZeroes(t *testing.T) {
 	svc := mustParse(t, vmStoreSrc)
-	p, err := NewEngine().Program(svc)
+	p, err := NewEngine().Program(svc, svc.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestArenaBeginZeroes(t *testing.T) {
 // transparent too.
 func TestCompileErrorsMatchInterpreter(t *testing.T) {
 	eng := NewEngine()
-	if _, err := eng.Program(nil); err == nil || err.Error() != "svclang: nil service" {
+	if _, err := eng.Program(nil, svclang.Digest{}); err == nil || err.Error() != "svclang: nil service" {
 		t.Fatalf("Program(nil) = %v", err)
 	}
 	if _, err := eng.ExecuteInSession(nil, svclang.Request{}, nil); err == nil || err.Error() != "svclang: nil service" {
@@ -166,7 +166,7 @@ func TestCompileErrorsMatchInterpreter(t *testing.T) {
 		t.Fatalf("validation error mismatch: interpreter=%v vm=%v", refErr, gotErr)
 	}
 	var b Binding
-	if err := eng.Bind(&b, bad); err == nil || err.Error() != refErr.Error() {
+	if err := eng.Bind(&b, bad, bad.Digest()); err == nil || err.Error() != refErr.Error() {
 		t.Fatalf("Bind error mismatch: interpreter=%v vm=%v", refErr, err)
 	}
 	if b != (Binding{}) {
@@ -272,7 +272,7 @@ func TestProgramCacheSingleflight(t *testing.T) {
 		t.Fatalf("stats = %d hits, %d misses; want 9/1", hits, misses)
 	}
 	var b Binding
-	if err := eng.Bind(&b, svc); err != nil {
+	if err := eng.Bind(&b, svc, svc.Digest()); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Release()
@@ -290,7 +290,7 @@ func TestProgramCacheSingleflight(t *testing.T) {
 // true event count (it sizes the single events allocation).
 func TestEventBoundCoversLoops(t *testing.T) {
 	svc := mustParse(t, vmTestSrc)
-	p, err := NewEngine().Program(svc)
+	p, err := NewEngine().Program(svc, svc.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +358,10 @@ func TestInvalidCopiesKeepTheirNames(t *testing.T) {
 	eng := NewEngine()
 	for _, name := range []string{"BadA", "BadB"} {
 		svc := &svclang.Service{Name: name, Body: body}
-		if _, err := eng.Program(svc); err == nil || !strings.Contains(err.Error(), name) {
+		if _, err := eng.Program(svc, svc.Digest()); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("Program(%s) = %v", name, err)
 		}
-		if _, err := eng.Analyze(svc); err == nil || !strings.Contains(err.Error(), name) {
+		if _, err := eng.Analyze(svc, svc.Digest()); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("Analyze(%s) = %v", name, err)
 		}
 	}
@@ -378,14 +378,14 @@ func TestRenamedCopiesShareOneProgram(t *testing.T) {
 	b := *a
 	b.Name = "Renamed"
 	c := mustParse(t, strings.Replace(vmTestSrc, `"alpha"`, `"beta"`, 1))
-	pa, err := eng.Program(a)
+	pa, err := eng.Program(a, a.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb, err := eng.Program(&b); err != nil || pb != pa {
+	if pb, err := eng.Program(&b, b.Digest()); err != nil || pb != pa {
 		t.Fatalf("renamed copy: program %p (%v), want the shared %p", pb, err, pa)
 	}
-	if pc, err := eng.Program(c); err != nil || pc == pa {
+	if pc, err := eng.Program(c, c.Digest()); err != nil || pc == pa {
 		t.Fatalf("changed body: program %p (%v) shared with the original", pc, err)
 	}
 	if pa.Digest() != a.Digest() {
@@ -393,5 +393,25 @@ func TestRenamedCopiesShareOneProgram(t *testing.T) {
 	}
 	if hits, misses := eng.Stats(); hits != 1 || misses != 2 {
 		t.Fatalf("stats = %d hits, %d misses; want 1/2", hits, misses)
+	}
+}
+
+// TestNamelessCopyOfCompiledBodyFails: the digest leaves the name out,
+// so the program table checks it per service: a nameless copy of a
+// compiled body fails as the interpreter does, and is no lookup.
+func TestNamelessCopyOfCompiledBodyFails(t *testing.T) {
+	eng := NewEngine()
+	svc := mustParse(t, vmTestSrc)
+	if _, err := eng.Program(svc, svc.Digest()); err != nil {
+		t.Fatal(err)
+	}
+	nameless := *svc
+	nameless.Name = ""
+	_, refErr := svclang.Execute(&nameless, svclang.Request{})
+	if _, err := eng.Program(&nameless, nameless.Digest()); err == nil || refErr == nil || err.Error() != refErr.Error() {
+		t.Fatalf("nameless copy: Program = %v, interpreter = %v", err, refErr)
+	}
+	if hits, misses := eng.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses; want 0/1", hits, misses)
 	}
 }

@@ -1,6 +1,7 @@
 package svclang
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -207,6 +208,28 @@ func TestValidateCatchesStructuralIssues(t *testing.T) {
 	for _, c := range cases {
 		if err := c.svc.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid service", c.name)
+		}
+	}
+}
+
+// TestValidateUnknownBuiltinText pins the error for a builtin outside
+// the known set, byte for byte, on both sides of the range, and that
+// every known builtin passes.
+func TestValidateUnknownBuiltinText(t *testing.T) {
+	call := func(fn Builtin) *Service {
+		return &Service{Name: "S", Params: []string{"a"}, Body: []Stmt{
+			Sink{ID: 0, Kind: SinkSQL, Expr: Call{Fn: fn, Args: []Expr{Ident{Name: "a"}}}},
+		}}
+	}
+	for _, fn := range []Builtin{-1, 0, BuiltinTrim + 1, 42} {
+		want := fmt.Sprintf("svclang: S: unknown builtin %d", int(fn))
+		if err := call(fn).Validate(); err == nil || err.Error() != want {
+			t.Errorf("builtin %d: Validate = %v, want %q", int(fn), err, want)
+		}
+	}
+	for fn := BuiltinConcat; fn <= BuiltinTrim; fn++ {
+		if err := call(fn).Validate(); err != nil {
+			t.Errorf("%s: Validate = %v", fn, err)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 func All() []*Analyzer {
 	return []*Analyzer{
 		ToolWired, RandImport, NoDefaultMux, CtxFirst, CompiledExec,
-		DetRand, CtxFlow, LockCopy, LeakyGo, JudgeSync,
+		CaseDigest, DetRand, CtxFlow, LockCopy, LeakyGo, JudgeSync,
 	}
 }
 
@@ -339,6 +339,61 @@ func runCompiledExec(pass *Pass) {
 	}
 }
 
+// CaseDigest checks that a campaign reads each service's digest off its
+// case instead of re-deriving it. Labelling (internal/workload) digests
+// every service once and stores the digest on the workload.Case it
+// builds; every per-body table downstream keys by workload.Case.Digest.
+// Outside internal/svclang/..., internal/workload and tests, no code
+// may call svclang.Service.Digest, which hashes the whole body, or
+// build a memo.Cache keyed by *svclang.Service, the per-pointer memo
+// that re-derived the digest or a program for each case of every
+// campaign.
+var CaseDigest = &Analyzer{
+	Name: "casedigest",
+	Doc:  "outside internal/svclang/..., internal/workload and tests, read a service's digest off its case (workload.Case.Digest): no svclang.Service.Digest call, no memo.Cache keyed by *svclang.Service",
+	Run:  runCaseDigest,
+}
+
+func runCaseDigest(pass *Pass) {
+	svclangPath := pass.Prog.ModulePath + "/internal/svclang"
+	if pass.Pkg.Kind != UnitPrimary || pass.Pkg.Path == svclangPath ||
+		strings.HasPrefix(pass.Pkg.Path, svclangPath+"/") || inPackageSet(pass, []string{"internal/workload"}) {
+		return
+	}
+	isService := func(t types.Type) bool {
+		p, ok := t.(*types.Pointer)
+		return ok && namedIn(p.Elem(), svclangPath, "Service") != nil
+	}
+	info := pass.Pkg.TypesInfo
+	for _, file := range pass.Pkg.Owned {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				fn, ok := info.Uses[n.Sel].(*types.Func)
+				if !ok || fn.Name() != "Digest" {
+					return true
+				}
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isService(recv.Type()) {
+					pass.Reportf(n.Sel.Pos(),
+						"package %s calls svclang.Service.Digest; read the digest labelling stored on the case (workload.Case.Digest)",
+						pass.Pkg.Path)
+				}
+			case *ast.CallExpr:
+				// A call that yields a *memo.Cache[*svclang.Service, V]:
+				// memo.New itself, or any helper that builds one.
+				if p, ok := info.TypeOf(n).(*types.Pointer); ok {
+					if c := namedIn(p.Elem(), pass.Prog.ModulePath+"/internal/memo", "Cache"); c != nil && isService(c.TypeArgs().At(0)) {
+						pass.Reportf(n.Pos(),
+							"package %s builds a memo.Cache keyed by *svclang.Service; key per-body tables by the case's digest (workload.Case.Digest)",
+							pass.Pkg.Path)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
 // inPackageSet reports whether the pass's unit is one of the given
 // module-relative package paths.
 func inPackageSet(pass *Pass, rels []string) bool {
@@ -393,10 +448,16 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
+func isContextType(t types.Type) bool { return namedIn(t, "context", "Context") != nil }
+
+// namedIn returns t as the named type pkgPath.name, or nil if it is
+// another type.
+func namedIn(t types.Type, pkgPath, name string) *types.Named {
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != pkgPath || named.Obj().Name() != name {
+		return nil
+	}
+	return named
 }
 
 // isNil reports whether e is the predeclared nil identifier.

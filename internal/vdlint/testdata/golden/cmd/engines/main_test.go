@@ -14,4 +14,7 @@ func TestReference(t *testing.T) {
 		t.Fatal("engines alias")
 	}
 	_, _ = svclang.Execute(nil, nil)
+	if (&svclang.Service{}).Digest() != (svclang.Digest{}) {
+		t.Fatal("tests may digest services")
+	}
 }

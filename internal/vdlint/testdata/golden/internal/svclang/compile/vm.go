@@ -5,15 +5,25 @@
 // including the production and the test-only reference constructors.
 package compile
 
-import "example.com/golden/internal/svclang"
+import (
+	"example.com/golden/internal/memo"
+	"example.com/golden/internal/svclang"
+)
 
 type Reference interface {
 	Analyze(s *svclang.Service) error
 }
 
-type Engine struct{ ref Reference }
+// Engine's program table may key by pointer and digest services: the
+// svclang packages are exempt from casedigest.
+type Engine struct {
+	ref   Reference
+	progs *memo.Cache[*svclang.Service, int]
+}
 
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{progs: memo.New[*svclang.Service, int](0, nil)} }
+
+func (e *Engine) Program(s *svclang.Service) svclang.Digest { return s.Digest() }
 
 func NewReferenceEngine(ref Reference) *Engine { return &Engine{ref: ref} }
 

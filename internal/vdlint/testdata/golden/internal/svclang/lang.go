@@ -4,6 +4,13 @@
 package svclang
 
 type Service struct{}
+
+// Digest is the content address casedigest keeps inside svclang and
+// internal/workload.
+type Digest [32]byte
+
+func (s *Service) Digest() Digest { return Digest{} }
+
 type Request map[string]string
 type Result struct{}
 

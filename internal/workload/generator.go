@@ -23,6 +23,29 @@ type Case struct {
 	// Truths is the oracle-computed ground truth, one entry per sink in
 	// sink-ID order.
 	Truths []svclang.GroundTruth
+
+	// digest is the digest of digested, the service newCase labelled.
+	// Digest trusts it only while Service is still that service.
+	digest   svclang.Digest
+	digested *svclang.Service
+}
+
+// newCase builds a labelled case for svc, whose digest d labelling
+// already computed, so no campaign over the case digests it again.
+func newCase(svc *svclang.Service, d svclang.Digest, template string, difficulty Difficulty, truths []svclang.GroundTruth) Case {
+	return Case{Service: svc, Template: template, Difficulty: difficulty, Truths: truths, digest: d, digested: svc}
+}
+
+// Digest returns the content address of the case's service
+// (svclang.Service.Digest), the one key every per-body table of a
+// campaign looks the case up by. A case from Generate or FromServices
+// carries it from labelling; any other case — a struct literal, or a
+// copy whose Service was replaced — derives it on every call.
+func (c Case) Digest() svclang.Digest {
+	if c.Service != nil && c.Service == c.digested {
+		return c.digest
+	}
+	return c.Service.Digest()
 }
 
 // VulnerableSinks returns how many sinks of the case are vulnerable.
@@ -199,7 +222,8 @@ func generate(cfg Config, eng *compile.Engine) (*Corpus, error) {
 		vulnerable := float64(vulnSinks) < cfg.TargetPrevalence*float64(totalSinks+1)
 		name := fmt.Sprintf("%s_%s_%04d", sanitizeName(tpl.Name), kind, i)
 		svc, expected := tpl.Build(name, kind, vulnerable)
-		truths, err := eng.Analyze(svc)
+		d := svc.Digest()
+		truths, err := eng.Analyze(svc, d)
 		if err != nil {
 			return nil, fmt.Errorf("workload: analyse %s: %w", name, err)
 		}
@@ -217,27 +241,31 @@ func generate(cfg Config, eng *compile.Engine) (*Corpus, error) {
 				vulnSinks++
 			}
 		}
-		corpus.Cases = append(corpus.Cases, Case{
-			Service:    svc,
-			Template:   tpl.Name,
-			Difficulty: difficulty,
-			Truths:     truths,
-		})
+		corpus.Cases = append(corpus.Cases, newCase(svc, d, tpl.Name, difficulty, truths))
 	}
 	return corpus, nil
 }
 
-// pickTemplate draws a template from the bucket that supports the kind.
-// Every bucket contains at least one all-kinds template, so the loop
-// terminates.
+// pickTemplate draws uniformly among the bucket's templates that support
+// the kind, with one rng.Intn over their count. Every bucket contains at
+// least one all-kinds template, so the draw always lands.
 func pickTemplate(rng *stats.RNG, bucket []Template, kind svclang.SinkKind) Template {
-	var eligible []Template
+	eligible := 0
 	for _, t := range bucket {
 		if t.SupportsKind(kind) {
-			eligible = append(eligible, t)
+			eligible++
 		}
 	}
-	return eligible[rng.Intn(len(eligible))]
+	pick := rng.Intn(eligible)
+	for _, t := range bucket {
+		if t.SupportsKind(kind) {
+			if pick == 0 {
+				return t
+			}
+			pick--
+		}
+	}
+	panic("unreachable")
 }
 
 // sanitizeName converts a template name to an identifier-safe fragment.

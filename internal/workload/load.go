@@ -41,16 +41,12 @@ func FromServices(services []*svclang.Service) (*Corpus, error) {
 			return nil, fmt.Errorf("workload: duplicate service name %q", svc.Name)
 		}
 		seen[svc.Name] = true
-		truths, err := eng.Analyze(svc)
+		d := svc.Digest()
+		truths, err := eng.Analyze(svc, d)
 		if err != nil {
 			return nil, fmt.Errorf("workload: label %s: %w", svc.Name, err)
 		}
-		corpus.Cases = append(corpus.Cases, Case{
-			Service:    svc,
-			Template:   "external",
-			Difficulty: Medium,
-			Truths:     truths,
-		})
+		corpus.Cases = append(corpus.Cases, newCase(svc, d, "external", Medium, truths))
 	}
 	return corpus, nil
 }
