@@ -60,7 +60,8 @@ func Example_metricValues() {
 	// Precision is undefined when the tool reports nothing; ValueOr
 	// substitutes a fallback.
 	silent := vdbench.Confusion{FN: 5, TN: 95}
-	v, err := vdbench.MustMetric("precision").ValueOr(silent, 0)
+	precision := vdbench.MustMetric("precision")
+	v, err := precision.ValueOr(silent, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -100,6 +100,9 @@ func (c Config) validate() error {
 type tool struct {
 	inner detectors.Tool
 	cfg   Config
+	// placement is the FNV-1a state of affected's hash after the seed
+	// and the tool name, folded in once by newTool.
+	placement uint64
 
 	mu       sync.Mutex
 	attempts map[string]int // per-service transient attempt counter
@@ -125,7 +128,17 @@ func Wrap(inner detectors.Tool, cfg Config) (detectors.Tool, error) {
 	if cfg.FailuresBeforeSuccess == 0 {
 		cfg.FailuresBeforeSuccess = 1
 	}
-	return &tool{inner: inner, cfg: cfg, attempts: map[string]int{}}, nil
+	return newTool(inner, cfg), nil
+}
+
+// newTool wraps inner with the validated cfg and fresh attempt state.
+func newTool(inner detectors.Tool, cfg Config) *tool {
+	h := uint64(fnvOffset64)
+	for shift := 0; shift < 64; shift += 8 {
+		h ^= (cfg.Seed >> shift) & 0xff
+		h *= fnvPrime64
+	}
+	return &tool{inner: inner, cfg: cfg, placement: fnvMix(h, inner.Name()), attempts: map[string]int{}}
 }
 
 func (t *tool) Name() string           { return t.inner.Name() }
@@ -139,7 +152,7 @@ func (t *tool) WithCompileCache(cc *cfg.Cache) detectors.Tool {
 	if !ok {
 		return t
 	}
-	return &tool{inner: cct.WithCompileCache(cc), cfg: t.cfg, attempts: map[string]int{}}
+	return newTool(cct.WithCompileCache(cc), t.cfg)
 }
 
 // WithExecEngine forwards execution-engine binding to the wrapped tool
@@ -150,7 +163,7 @@ func (t *tool) WithExecEngine(eng *compile.Engine) detectors.Tool {
 	if !ok {
 		return t
 	}
-	return &tool{inner: et.WithExecEngine(eng), cfg: t.cfg, attempts: map[string]int{}}
+	return newTool(et.WithExecEngine(eng), t.cfg)
 }
 
 // Analyze implements detectors.Tool. ModeHang under a plain Analyze call
@@ -206,31 +219,30 @@ func (t *tool) analyzeInner(ctx context.Context, cs workload.Case, rng *stats.RN
 
 // affected reports whether fault injection fires on the named service.
 // The decision hashes (Seed, tool name, service name) with FNV-1a so it
-// is independent of execution order, worker count and attempt number.
+// is independent of execution order, worker count and attempt number;
+// the seed and tool name are already folded into t.placement.
 func (t *tool) affected(service string) bool {
 	if t.cfg.Rate <= 0 {
 		return false
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // separator so ("ab","c") != ("a","bc")
-		h *= prime64
-	}
-	for shift := 0; shift < 64; shift += 8 {
-		h ^= (t.cfg.Seed >> shift) & 0xff
-		h *= prime64
-	}
-	mix(t.inner.Name())
-	mix(service)
+	h := fnvMix(t.placement, service)
 	return float64(h>>11)/(1<<53) < t.cfg.Rate
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvMix folds s into the FNV-1a state h, followed by a 0xff separator
+// so that ("ab", "c") and ("a", "bc") hash apart.
+func fnvMix(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	h ^= 0xff
+	return h * fnvPrime64
 }
 
 // complement inverts a report set over the case's sinks: every reported

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dsn2015/vdbench/internal/detectors"
 	"github.com/dsn2015/vdbench/internal/stats"
+	"github.com/dsn2015/vdbench/internal/svclang/cfg"
 	"github.com/dsn2015/vdbench/internal/svclang/compile"
 	"github.com/dsn2015/vdbench/internal/workload"
 )
@@ -263,5 +264,82 @@ func TestWrapperForwardsExecEngine(t *testing.T) {
 	static := mustWrap(t, Config{Mode: ModePanic})
 	if got := static.(detectors.ExecEngineBindable).WithExecEngine(eng); got != static {
 		t.Error("wrapper of a non-executing tool was rebuilt by WithExecEngine")
+	}
+}
+
+// perCallAffected is the placement decision as it was computed before
+// the seed and tool name were folded into the wrapper: the whole FNV-1a
+// hash of (Seed, tool name, service name) on every call.
+func perCallAffected(seed uint64, toolName, service string, rate float64) bool {
+	if rate <= 0 {
+		return false
+	}
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime64
+		}
+		h ^= 0xff // separator so ("ab","c") != ("a","bc")
+		h *= prime64
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		h ^= (seed >> shift) & 0xff
+		h *= prime64
+	}
+	mix(toolName)
+	mix(service)
+	return float64(h>>11)/(1<<53) < rate
+}
+
+// bindableStub is a stubTool that the campaign engines rebind: each
+// binding returns a fresh copy, so the wrapper is rebuilt around it.
+type bindableStub struct{ stubTool }
+
+func (b bindableStub) WithExecEngine(*compile.Engine) detectors.Tool { return bindableStub{b.stubTool} }
+func (b bindableStub) WithCompileCache(*cfg.Cache) detectors.Tool    { return bindableStub{b.stubTool} }
+
+// TestAffectedMatchesPerCallHash pins fault placement to the per-call
+// hash over many (seed, tool, service) triples, for wrappers built by
+// Wrap and by the engine-binding rewraps, at the rates E18 sweeps. The
+// tool names include a prefix pair whose concatenation with the service
+// name collides without the separator.
+func TestAffectedMatchesPerCallHash(t *testing.T) {
+	cases := testCases(t, 40)
+	services := []string{"", "c", "bc"}
+	for _, cs := range cases {
+		services = append(services, cs.Service.Name)
+	}
+	tools := []string{"", "a", "ab", "stub", "pt-deep", "ts-aggressive"}
+	seeds := []uint64{0, 1, 42, 1 << 63, 0xdeadbeefcafef00d}
+	for _, seed := range seeds {
+		for _, name := range tools {
+			for _, rate := range []float64{0, 0.05, 0.3, 0.5, 1} {
+				w, err := Wrap(bindableStub{stubTool{name: name}}, Config{Mode: ModePanic, Rate: rate, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wrappers := []*tool{
+					w.(*tool),
+					w.(*tool).WithExecEngine(nil).(*tool),
+					w.(*tool).WithCompileCache(nil).(*tool),
+				}
+				if wrappers[1] == wrappers[0] || wrappers[2] == wrappers[0] {
+					t.Fatal("binding did not rebuild the wrapper")
+				}
+				for _, svc := range services {
+					want := perCallAffected(seed, name, svc, rate)
+					for k, wt := range wrappers {
+						if got := wt.affected(svc); got != want {
+							t.Fatalf("seed %d tool %q service %q rate %g (wrapper %d): affected %v, want %v", seed, name, svc, rate, k, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -158,10 +158,11 @@ func (r *Runner) e4Intervals(camp *harness.Campaign) ([][]stats.Interval, error)
 // tool's code table with per-code counts cnt, with an undefined value or
 // an error replaced by the metric's worst value.
 func e4Stat(codes harness.OutcomeCodes, m metrics.Metric) func(cnt *[16]int) float64 {
+	worst := worstFallback(m)
 	return func(cnt *[16]int) float64 {
-		v, err := m.ValueOr(codes.Fold(cnt), worstFallback(m))
+		v, err := m.ValueOr(codes.Fold(cnt), worst)
 		if err != nil {
-			return worstFallback(m)
+			return worst
 		}
 		return v
 	}
@@ -238,14 +239,14 @@ func worstFallback(m metrics.Metric) float64 {
 // confusionDelta is E7's resampled statistic: the goodness-oriented
 // delta of metric m, tool a minus tool b, on the two tools' confusion
 // matrices over one resample of the pair, with undefined values
-// replaced by the metric's worst value. A metric error counts as a zero
-// delta (sign-unstable).
-func confusionDelta(m metrics.Metric, ca, cb metrics.Confusion) float64 {
-	va, err := m.ValueOr(ca, worstFallback(m))
+// replaced by worst, the metric's worstFallback. A metric error counts
+// as a zero delta (sign-unstable).
+func confusionDelta(m *metrics.Metric, worst float64, ca, cb metrics.Confusion) float64 {
+	va, err := m.ValueOr(ca, worst)
 	if err != nil {
 		return 0
 	}
-	vb, err := m.ValueOr(cb, worstFallback(m))
+	vb, err := m.ValueOr(cb, worst)
 	if err != nil {
 		return 0
 	}
@@ -279,9 +280,10 @@ func e7Pairs(camp *harness.Campaign) (order []int, pairs []harness.PairCodes, er
 // any worker count.
 func (r *Runner) e7Fractions(pairs []harness.PairCodes) ([][]float64, error) {
 	ids := campaignMetricIDs()
-	ms := make([]metrics.Metric, len(ids))
+	ms, worst := make([]metrics.Metric, len(ids)), make([]float64, len(ids))
 	for j, id := range ids {
 		ms[j] = metrics.MustByID(id)
+		worst[j] = worstFallback(ms[j])
 	}
 	rng := stats.NewRNG(r.cfg.Seed + 7)
 	rngs := make([]*stats.RNG, len(pairs))
@@ -293,8 +295,8 @@ func (r *Runner) e7Fractions(pairs []harness.PairCodes) ([][]float64, error) {
 		codes := pairs[pair]
 		deltas := func(cnt *[16]int, out []float64) {
 			ca, cb := codes.Fold(cnt)
-			for j, m := range ms {
-				out[j] = confusionDelta(m, ca, cb)
+			for j := range ms {
+				out[j] = confusionDelta(&ms[j], worst[j], ca, cb)
 			}
 		}
 		var err error

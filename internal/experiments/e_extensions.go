@@ -392,16 +392,18 @@ func (r *Runner) E17Redundancy(ctx context.Context) (Result, error) {
 	rng := stats.NewRNG(r.cfg.Seed + 17)
 	cat := metrics.Catalog()
 	// Random tool population at fixed prevalence.
-	goodness := make([][]float64, len(cat))
+	goodness, worst := make([][]float64, len(cat)), make([]float64, len(cat))
 	for i := range goodness {
 		goodness[i] = make([]float64, population)
+		worst[i] = worstFallback(cat[i])
 	}
 	for p := 0; p < population; p++ {
 		tpr := 0.05 + 0.9*rng.Float64()
 		fpr := 0.9 * rng.Float64()
 		c := expectedConfusion(e6Quality{tpr: tpr, fpr: fpr}, size, prevalence)
-		for i, m := range cat {
-			v, err := m.ValueOr(c, worstFallback(m))
+		for i := range cat {
+			m := &cat[i]
+			v, err := m.ValueOr(c, worst[i])
 			if err != nil {
 				return Result{}, err
 			}

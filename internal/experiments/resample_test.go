@@ -52,7 +52,7 @@ func countAt(codes []uint8, idx []int) *[16]int {
 // counts cnt of a resample.
 func pairCountsDelta(codes harness.PairCodes, m metrics.Metric, cnt *[16]int) float64 {
 	ca, cb := codes.Fold(cnt)
-	return confusionDelta(m, ca, cb)
+	return confusionDelta(&m, worstFallback(m), ca, cb)
 }
 
 // pairDelta is E7's statistic over the sinks at idx.

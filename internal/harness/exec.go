@@ -380,14 +380,17 @@ func RunCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 }
 
 // scratch is the memory of one run that is dead once the run returns:
-// the flat [tool][case] cell grid and the pre-split seed table. A run takes one from scratchPool and releases it
-// on return, so back-to-back campaigns (E18's replays) reuse one grid
-// and one seed table. Nothing a run returns points into it: a
-// Campaign's Outcomes are the engine's arenas and its Faults are
-// copies, and the grid RunShardCtx returns is allocated apart.
+// the flat [tool][case] cell grid, the fault records its failed cells
+// point to, and the pre-split seed table. A run takes one from
+// scratchPool and releases it on return, so back-to-back campaigns
+// (E18's replays) reuse one grid, one fault slab and one seed table.
+// Nothing a run returns points into it: a Campaign's Outcomes are the
+// engine's arenas and its Faults are copies, and the grid RunShardCtx
+// returns, with its faults, comes from a scratch of its own.
 type scratch struct {
-	cells []CellResult
-	seeds []uint64
+	cells  []CellResult
+	faults faultSlab
+	seeds  []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -404,15 +407,48 @@ func (s *scratch) grid(nTools, nCases int) [][]CellResult {
 	return rows
 }
 
-// release clears the grid, so the pool keeps no finished campaign's
-// arenas or faults alive and the next run starts from zero cells, and
-// returns s to the pool. Every lane has returned by then: ForEach waits
-// for its helpers, and a watchdog goroutine gets its case and seed by
-// value.
+// release clears the grid and the fault slab, so the pool keeps no
+// finished campaign's arenas or faults alive and the next run starts
+// from zero cells, and returns s to the pool. Every lane has returned by
+// then: ForEach waits for its helpers, and a watchdog goroutine gets its
+// case and seed by value.
 func (s *scratch) release() {
 	clear(s.cells)
 	s.cells = s.cells[:0]
+	s.faults.reset()
 	scratchPool.Put(s)
+}
+
+// faultChunk is the number of fault records in one chunk of a faultSlab.
+const faultChunk = 128
+
+// faultSlab hands out the fault records of a run's failed cells from
+// fixed chunks, which never move, so a record's address stays valid as
+// the slab grows. Lanes take records concurrently.
+type faultSlab struct {
+	mu     sync.Mutex
+	chunks []*[faultChunk]ExecError
+	n      int // records handed out since the last reset
+}
+
+// take returns a zeroed record.
+func (s *faultSlab) take() *ExecError {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, i := s.n/faultChunk, s.n%faultChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, new([faultChunk]ExecError))
+	}
+	s.n++
+	return &s.chunks[c][i]
+}
+
+// reset zeroes every record handed out and keeps the chunks.
+func (s *faultSlab) reset() {
+	for c := 0; c*faultChunk < s.n; c++ {
+		clear(s.chunks[c][:min(s.n-c*faultChunk, faultChunk)])
+	}
+	s.n = 0
 }
 
 // runCtx is RunCtx on a caller-supplied execution engine: the seam
@@ -428,7 +464,7 @@ func runCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors.Tool
 	if err != nil {
 		return nil, err
 	}
-	cells, err := eng.runCells(ctx, opts.Degraded == DegradedAbort, scr.grid(len(eng.tools), len(corpus.Cases)))
+	cells, err := eng.runCells(ctx, opts.Degraded == DegradedAbort, scr)
 	if err != nil {
 		return nil, err
 	}
@@ -485,18 +521,20 @@ func (e *engine) seed(t, c int) uint64 {
 }
 
 // runCells executes every (tool, case) cell whose case index lies in
-// [e.lo, e.hi), records them in cells, a zeroed grid indexed
-// [tool][case-lo], and returns it; the Outcomes of a successful record
-// are its arena slot. The cells run on one workpool.ForEach over the
-// grid in (tool, case) order, with one RNG scratch per lane.
+// [e.lo, e.hi), records them in out's grid, indexed [tool][case-lo],
+// and returns it; the Outcomes of a successful record are its arena
+// slot, and the Fault of a failed one is a record of out's fault slab.
+// The cells run on one workpool.ForEach over the grid in (tool, case)
+// order, with one RNG scratch per lane.
 // Cancellation, and any cell fault when abortOnFault is set
 // (DegradedAbort), is that cell's error, so the campaign fails with the
 // error ForEach returns: the one serial execution hits first.
-func (e *engine) runCells(ctx context.Context, abortOnFault bool, cells [][]CellResult) ([][]CellResult, error) {
+func (e *engine) runCells(ctx context.Context, abortOnFault bool, out *scratch) ([][]CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	lo, nTools, nCases := e.lo, len(e.tools), e.hi-e.lo
+	cells := out.grid(nTools, nCases)
 
 	// Progress reporting is pure observation on the side of execution:
 	// events never alter scheduling or results, so a campaign with a
@@ -515,7 +553,7 @@ func (e *engine) runCells(ctx context.Context, abortOnFault bool, cells [][]Cell
 		if err := ctx.Err(); err != nil {
 			return abortErr(err)
 		}
-		ce, err := e.executeCase(ctx, t, c, &rngs[lane])
+		ce, err := e.executeCase(ctx, t, c, &rngs[lane], &out.faults)
 		if err != nil {
 			return err
 		}
@@ -544,10 +582,11 @@ func (e *engine) runCells(ctx context.Context, abortOnFault bool, cells [][]Cell
 
 // executeCase runs the attempt loop for one (tool, case) cell, scoring a
 // successful attempt into the cell's arena slot. rng is the lane's
-// scratch generator. The returned error is campaign-fatal
-// (cancellation); per-cell failures are reported through
-// CellResult.Fault so the policy layer can decide.
-func (e *engine) executeCase(ctx context.Context, t, c int, rng *stats.RNG) (CellResult, error) {
+// scratch generator, and a failed cell's fault record comes from
+// faults. The returned error is campaign-fatal (cancellation); per-cell
+// failures are reported through CellResult.Fault so the policy layer
+// can decide.
+func (e *engine) executeCase(ctx context.Context, t, c int, rng *stats.RNG, faults *faultSlab) (CellResult, error) {
 	var ce CellResult
 	maxAttempts := 1 + e.opts.Retry.MaxRetries
 	for attempt := 1; ; attempt++ {
@@ -574,7 +613,8 @@ func (e *engine) executeCase(ctx context.Context, t, c int, rng *stats.RNG) (Cel
 			}
 			continue
 		}
-		ce.Fault = &ExecError{
+		ce.Fault = faults.take()
+		*ce.Fault = ExecError{
 			Tool:    e.tools[t].Name(),
 			Service: e.corpus.Cases[c].Service.Name,
 			Case:    c,

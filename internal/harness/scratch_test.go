@@ -146,3 +146,65 @@ func TestScratchReuseIsInvisible(t *testing.T) {
 		t.Fatal("no run left a used scratch in the pool")
 	}
 }
+
+// TestFaultSlabRecordsStayPutAndReset: a record's address survives the
+// slab's growth, reset zeroes every record handed out and reuses the
+// chunks, and after faulting campaigns the pooled slab holds no record.
+func TestFaultSlabRecordsStayPutAndReset(t *testing.T) {
+	var s faultSlab
+	taken := make([]*ExecError, 3*faultChunk+5)
+	for i := range taken {
+		taken[i] = s.take()
+		if *taken[i] != (ExecError{}) {
+			t.Fatalf("record %d handed out dirty", i)
+		}
+		taken[i].Case, taken[i].Msg = i, "boom"
+	}
+	for i, f := range taken {
+		if f.Case != i || f != &s.chunks[i/faultChunk][i%faultChunk] {
+			t.Fatalf("record %d moved or was overwritten: %+v", i, *f)
+		}
+	}
+	chunks := len(s.chunks)
+	s.reset()
+	for i, f := range taken {
+		if *f != (ExecError{}) {
+			t.Fatalf("reset kept record %d: %+v", i, *f)
+		}
+	}
+	if f := s.take(); f != taken[0] || len(s.chunks) != chunks {
+		t.Fatal("reset did not reuse the first chunk")
+	}
+
+	ctx := context.Background()
+	corpus := testCorpus(t, 20, 6)
+	base := differentialBase(t, true)
+	suite := faultySuite(t, base, faulty.Config{Mode: faulty.ModePanic, Rate: 0.5, Seed: 2})
+	opts := Options{Seed: 8, Workers: 3, Degraded: DegradedSkip}
+	used := false // the race detector drops some pool puts at random
+	for range 8 {
+		camp, err := RunCtx(ctx, corpus, suite, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if camp.Results[0].Exec.Failed == 0 {
+			t.Fatal("the campaign must fail cells")
+		}
+		s := scratchPool.Get().(*scratch)
+		if s.faults.n != 0 {
+			t.Fatalf("pooled slab reports %d records in use", s.faults.n)
+		}
+		for c, chunk := range s.faults.chunks {
+			for i := range chunk {
+				if chunk[i] != (ExecError{}) {
+					t.Fatalf("pooled slab keeps record %d of a finished run: %+v", c*faultChunk+i, chunk[i])
+				}
+			}
+		}
+		used = used || len(s.faults.chunks) > 0
+		scratchPool.Put(s)
+	}
+	if !used {
+		t.Fatal("no run left a used fault slab in the pool")
+	}
+}

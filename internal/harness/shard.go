@@ -44,9 +44,10 @@ func RunShardCtx(ctx context.Context, corpus *workload.Corpus, tools []detectors
 	if err != nil {
 		return nil, err
 	}
-	// The grid is the caller's to keep, so it comes from a scratch of its
-	// own that never enters the pool; only the seed table is pooled.
-	return eng.runCells(ctx, false, new(scratch).grid(len(eng.tools), hi-lo))
+	// The grid and its faults are the caller's to keep, so they come from
+	// a scratch of their own that never enters the pool; only the seed
+	// table is pooled.
+	return eng.runCells(ctx, false, new(scratch))
 }
 
 // MergeShards assembles the full per-(tool, case) cell grid — produced

@@ -112,8 +112,10 @@ func (w *PowerWorkspace) Run(m *Matrix, maxIter int, tol float64) (PowerIteratio
 	for i := range v {
 		v[i] = 1 / float64(n)
 	}
+	// One matvec per iteration: M·next, taken for the eigenvalue
+	// estimate, is the next iteration's unnormalised M·v.
+	m.mulVecInto(next, v)
 	for iter := 1; iter <= maxIter; iter++ {
-		m.mulVecInto(next, v)
 		var sum float64
 		for _, x := range next {
 			sum += x
@@ -124,22 +126,23 @@ func (w *PowerWorkspace) Run(m *Matrix, maxIter int, tol float64) (PowerIteratio
 		for i := range next {
 			next[i] /= sum
 		}
-		// Rayleigh-style eigenvalue estimate: mean of componentwise ratios
-		// (Av)_i / v_i. For positive matrices every component is valid.
 		m.mulVecInto(av, next)
-		var est float64
-		for i := range next {
-			est += av[i] / next[i]
-		}
-		est /= float64(n)
 		var delta float64
 		for i := range v {
 			delta += math.Abs(next[i] - v[i])
 		}
-		v, next = next, v
 		if delta < tol {
-			return PowerIterationResult{Eigenvalue: est, Eigenvector: v, Iterations: iter}, nil
+			// Rayleigh-style eigenvalue estimate: mean of componentwise
+			// ratios (Av)_i / v_i. For positive matrices every component
+			// is valid.
+			var est float64
+			for i := range next {
+				est += av[i] / next[i]
+			}
+			est /= float64(n)
+			return PowerIterationResult{Eigenvalue: est, Eigenvector: next, Iterations: iter}, nil
 		}
+		v, next, av = next, av, v
 	}
 	return PowerIterationResult{}, fmt.Errorf("linalg: power iteration did not converge in %d iterations", maxIter)
 }

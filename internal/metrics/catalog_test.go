@@ -305,10 +305,11 @@ func TestOrientationHelpers(t *testing.T) {
 }
 
 func TestBounded(t *testing.T) {
-	if !MustByID(IDRecall).Bounded() {
+	recall, dor := MustByID(IDRecall), MustByID(IDDOR)
+	if !recall.Bounded() {
 		t.Fatal("recall should be bounded")
 	}
-	if MustByID(IDDOR).Bounded() {
+	if dor.Bounded() {
 		t.Fatal("DOR should be unbounded")
 	}
 }

@@ -72,7 +72,7 @@ type Metric struct {
 
 // Value computes the metric on c. It returns an *UndefinedError when the
 // metric is undefined on c, and an ordinary error for invalid matrices.
-func (m Metric) Value(c Confusion) (float64, error) {
+func (m *Metric) Value(c Confusion) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
@@ -81,7 +81,7 @@ func (m Metric) Value(c Confusion) (float64, error) {
 
 // ValueOr computes the metric on c and substitutes fallback when the metric
 // is undefined. Invalid matrices still return an error.
-func (m Metric) ValueOr(c Confusion, fallback float64) (float64, error) {
+func (m *Metric) ValueOr(c Confusion, fallback float64) (float64, error) {
 	v, err := m.Value(c)
 	if err == nil {
 		return v, nil
@@ -94,7 +94,7 @@ func (m Metric) ValueOr(c Confusion, fallback float64) (float64, error) {
 
 // Better reports whether value a is strictly better than value b under the
 // metric's orientation.
-func (m Metric) Better(a, b float64) bool {
+func (m *Metric) Better(a, b float64) bool {
 	if m.Orientation == LowerIsBetter {
 		return a < b
 	}
@@ -104,7 +104,7 @@ func (m Metric) Better(a, b float64) bool {
 // Goodness maps a raw metric value to a higher-is-better value, so that
 // ranking code can treat all metrics uniformly: lower-is-better metrics are
 // negated.
-func (m Metric) Goodness(v float64) float64 {
+func (m *Metric) Goodness(v float64) float64 {
 	if m.Orientation == LowerIsBetter {
 		return -v
 	}
@@ -113,7 +113,7 @@ func (m Metric) Goodness(v float64) float64 {
 
 // Bounded reports whether the metric's theoretical range is finite on both
 // sides.
-func (m Metric) Bounded() bool {
+func (m *Metric) Bounded() bool {
 	return !math.IsInf(m.Lo, 0) && !math.IsInf(m.Hi, 0)
 }
 

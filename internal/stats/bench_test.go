@@ -79,8 +79,9 @@ func BenchmarkSignStability(b *testing.B) {
 }
 
 // BenchmarkResample measures one resample of a 1500-entry code table
-// over all 16 codes, the E7/E4 inner loop, against the per-index Intn
-// loop it replaced. Both draw the same multinomial
+// over all 16 codes, the E7/E4 inner loop, one Resample call at a time
+// and through one resampler of the table (as the bootstrap kernels
+// draw), against the per-index Intn loop it replaced. Both draw the same multinomial
 // (TestResampleMatchesMultinomial); the kernel draws at most 15
 // binomials instead of 1500 indices.
 func BenchmarkResample(b *testing.B) {
@@ -98,6 +99,15 @@ func BenchmarkResample(b *testing.B) {
 		}
 		countSink = cnt[0]
 	})
+	b.Run("resampler", func(b *testing.B) {
+		rng := NewRNG(13)
+		rs := newResampler(countCodes(codes))
+		var cnt [16]int
+		for i := 0; i < b.N; i++ {
+			rs.draw(rng, &cnt)
+		}
+		countSink = cnt[0]
+	})
 	b.Run("intn-loop", func(b *testing.B) {
 		rng := NewRNG(13)
 		var cnt [16]int
@@ -109,6 +119,31 @@ func BenchmarkResample(b *testing.B) {
 		}
 		countSink = cnt[0]
 	})
+}
+
+// BenchmarkSignStabilityCodes measures E7's kernel at the default
+// config's shape: 2000 resamples of a 561-record joint code table of a
+// tool pair, 12 statistics per resample.
+func BenchmarkSignStabilityCodes(b *testing.B) {
+	base := [16]int{0: 186, 2: 11, 5: 3, 10: 361}
+	codes := make([]uint8, 0, 561)
+	for c, k := range base {
+		for range k {
+			codes = append(codes, uint8(c))
+		}
+	}
+	stat := func(cnt *[16]int, out []float64) {
+		for j := range out {
+			out[j] = float64(cnt[j%16] - cnt[10])
+		}
+	}
+	rng := NewRNG(14)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SignStabilityCodes(rng, codes, 2000, 12, stat); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // countSink keeps the benchmarked counts live.

@@ -41,10 +41,11 @@ func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 // BootstrapCodes estimates percentile confidence intervals for
 // statistics of a code table: codes[i] is the code (below 16) of record
 // i, and each fn receives the per-code counts of one resample of the
-// records. Every resample is one Resample draw from rng, and every fn is
-// scored on that same draw (common random numbers), so the intervals
-// come back in fns order from one stream. The point estimate of fn is fn
-// of the table's own counts. fns must neither modify nor retain cnt.
+// records. Every resample is one Resample draw from rng, taken through
+// one resampler of the table, and every fn is scored on that same draw
+// (common random numbers), so the intervals come back in fns order from
+// one stream. The point estimate of fn is fn of the table's own counts.
+// fns must neither modify nor retain cnt.
 func BootstrapCodes(rng *RNG, codes []uint8, cfg BootstrapConfig, fns ...func(cnt *[16]int) float64) ([]Interval, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -56,10 +57,11 @@ func BootstrapCodes(rng *RNG, codes []uint8, cfg BootstrapConfig, fns ...func(cn
 		return nil, errors.New("stats: nil RNG")
 	}
 	base := countCodes(codes)
+	rs := newResampler(base)
 	cnt := new([16]int) // the fns make it escape: one per call, not per resample
 	estimates := make([]float64, len(fns)*cfg.Resamples)
 	for b := range cfg.Resamples {
-		rng.Resample(base, cnt)
+		rs.draw(rng, cnt)
 		for j, fn := range fns {
 			estimates[j*cfg.Resamples+b] = fn(cnt)
 		}
@@ -89,13 +91,13 @@ func countCodes(codes []uint8) *[16]int {
 // discriminates two tools well when the sign of their metric delta is
 // stable under resampling of the workload.
 //
-// Every resample is one Resample draw from rng, and one stat call
-// scores every statistic on that draw: the paired design of Sakai's
-// bootstrap discriminative power, under which the fractions of
-// different statistics differ by what the statistics measure, not by
-// stream noise, and work the statistics share is done once per
-// resample. stat must not modify cnt and must retain neither cnt nor
-// out.
+// Every resample is one Resample draw from rng, taken through one
+// resampler of the table, and one stat call scores every statistic on
+// that draw: the paired design of Sakai's bootstrap discriminative
+// power, under which the fractions of different statistics differ by
+// what the statistics measure, not by stream noise, and work the
+// statistics share is done once per resample. stat must not modify cnt
+// and must retain neither cnt nor out.
 func SignStabilityCodes(rng *RNG, codes []uint8, resamples, n int, stat func(cnt *[16]int, out []float64)) ([]float64, error) {
 	if len(codes) == 0 {
 		return nil, ErrEmpty
@@ -110,9 +112,10 @@ func SignStabilityCodes(rng *RNG, codes []uint8, resamples, n int, stat func(cnt
 	points, vals := make([]float64, n), make([]float64, n)
 	stat(base, points)
 	same := make([]int, n)
+	rs := newResampler(base)
 	cnt := new([16]int)
 	for range resamples {
-		rng.Resample(base, cnt)
+		rs.draw(rng, cnt)
 		stat(cnt, vals)
 		for j, v := range vals {
 			if point := points[j]; (point >= 0 && v >= 0) || (point < 0 && v < 0) {

@@ -145,9 +145,25 @@ func (r *RNG) Binomial(n int, p float64) int {
 		return n - r.Binomial(n, 1-p)
 	}
 	u := r.Float64()
-	odds := p / (1 - p)
-	m := min(int(float64(n+1)*p), n)
-	pm := math.Exp(logFactorial(n) - logFactorial(m) - logFactorial(n-m) + float64(m)*math.Log(p) + float64(n-m)*math.Log1p(-p))
+	m := binomialMode(n, p)
+	return chopDown(u, n, m, modePMF(n, m, p), p/(1-p))
+}
+
+// binomialMode returns the mode ⌊(n+1)p⌋ of Binomial(n, p), at most n.
+func binomialMode(n int, p float64) int {
+	return min(int(float64(n+1)*p), n)
+}
+
+// modePMF returns the Binomial(n, p) pmf at m.
+func modePMF(n, m int, p float64) float64 {
+	return math.Exp(logFactorial(n) - logFactorial(m) - logFactorial(n-m) + float64(m)*math.Log(p) + float64(n-m)*math.Log1p(-p))
+}
+
+// chopDown is Binomial's walk: given the uniform u, the mode m of
+// Binomial(n, p), its pmf pm and the odds p/(1−p), it returns the value
+// at which the pmfs subtracted from u, taken from the mode outwards,
+// first take u below 0.
+func chopDown(u float64, n, m int, pm, odds float64) int {
 	if u -= pm; u < 0 {
 		return m
 	}
@@ -237,6 +253,101 @@ func (r *RNG) Resample(base, out *[16]int) {
 		}
 		rest -= k
 	}
+}
+
+// resampler is Resample for one base table drawn many times, as a
+// bootstrap draws it. What a draw of Resample derives from the table
+// alone, it derives once: each code's binomial p (folded to at most 0.5,
+// as Binomial folds it), its odds and the last nonzero code. And it
+// remembers the pmf at the mode, the one costly constant of a binomial
+// draw, per (code, records left). The records left at a code spread
+// around the count of the codes not yet visited with a standard
+// deviation of at most √n/2, so each code keeps a window of four
+// standard deviations either side of that count in one flat table,
+// allocated once; a count outside its window is evaluated afresh. A
+// draw consumes exactly the stream, and gives exactly the counts, of
+// Resample on the same table.
+type resampler struct {
+	base  *[16]int
+	total int
+	last  int         // the last nonzero code, which takes what is left
+	p     [16]float64 // the binomial's p for each code, at most 0.5
+	odds  [16]float64 // p/(1−p)
+	flip  [16]bool    // the code draws left − Binomial(left, p)
+	lo    [16]int     // code c's window covers left in lo[c] ≤ left < lo[c]+off[c+1]−off[c]
+	off   [17]int     // and its pmfs sit at pmf[off[c]:off[c+1]]
+	pmf   []float64   // the pmf at the mode; 0 until first needed
+}
+
+// newResampler builds the resampler of base, which it reads on every
+// draw: base must not change while the resampler is in use.
+func newResampler(base *[16]int) resampler {
+	s := resampler{base: base, last: -1}
+	for c, k := range base {
+		s.total += k
+		if k > 0 {
+			s.last = c
+		}
+	}
+	n, rest := s.total, s.total // rest: the count of the codes not yet visited
+	for c, k := range base {
+		s.off[c+1] = s.off[c]
+		if k > 0 && c != s.last {
+			p := float64(k) / float64(rest)
+			if p > 0.5 {
+				s.flip[c], p = true, 1-p
+			}
+			s.p[c], s.odds[c] = p, p/(1-p)
+			half := int(math.Ceil(4 * math.Sqrt(float64(rest)*float64(n-rest)/float64(n))))
+			s.lo[c] = max(rest-half, 1)
+			s.off[c+1] += min(rest+half, n) - s.lo[c] + 1
+		}
+		rest -= k
+	}
+	s.pmf = make([]float64, s.off[16])
+	return s
+}
+
+// draw is r.Resample(s.base, out).
+func (s *resampler) draw(r *RNG, out *[16]int) {
+	left := s.total // the records not yet placed
+	for c, k := range s.base {
+		switch {
+		case k == 0:
+			out[c] = 0
+		case c == s.last:
+			out[c] = left
+		default:
+			x := s.binomial(r, c, left)
+			out[c] = x
+			left -= x
+		}
+	}
+}
+
+// binomial is r.Binomial(n, k/rest) for code c, whose count is k and
+// before which rest records of the table remain.
+func (s *resampler) binomial(r *RNG, c, n int) int {
+	x, p := 0, s.p[c]
+	if n > 0 && p > 0 {
+		u := r.Float64()
+		m := binomialMode(n, p)
+		var pm float64
+		if i := n - s.lo[c]; i >= 0 && i < s.off[c+1]-s.off[c] {
+			slot := &s.pmf[s.off[c]+i]
+			if *slot == 0 {
+				*slot = modePMF(n, m, p)
+			}
+			pm = *slot
+		} else {
+			pm = modePMF(n, m, p)
+		}
+		x = chopDown(u, n, m, pm, s.odds[c])
+	}
+	if s.flip[c] {
+		return n - x
+	}
+	return x
 }
 
 // NormFloat64 returns a standard-normal value using the polar

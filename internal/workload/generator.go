@@ -180,6 +180,9 @@ func Generate(cfg Config) (*Corpus, error) {
 	return generate(cfg, compile.NewEngine())
 }
 
+// preallocCases caps the case capacity generate allocates up front.
+const preallocCases = 1 << 14
+
 // generate is Generate on a caller-supplied engine: the seam through
 // which tests label a corpus on the test-only reference.NewEngine and
 // require it deep-equal to the production one. One engine serves the whole
@@ -200,7 +203,9 @@ func generate(cfg Config, eng *compile.Engine) (*Corpus, error) {
 		kinds = svclang.AllSinkKinds()
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	corpus := &Corpus{Config: cfg}
+	// Config.Validate sets no upper bound on Services, so the cases are
+	// preallocated only up to a fixed cap; a larger corpus grows past it.
+	corpus := &Corpus{Config: cfg, Cases: make([]Case, 0, min(cfg.Services, preallocCases))}
 	buckets := map[Difficulty][]Template{
 		Easy:   TemplatesByDifficulty(Easy),
 		Medium: TemplatesByDifficulty(Medium),
